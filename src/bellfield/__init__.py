@@ -6,6 +6,7 @@ from .bell import (
     GridTooCoarse,
     Mrf3Params,
     TriphotonGraph,
+    UnexpectedLeadingOrder,
     brute_force_oracle,
     build_bell_graph,
     build_triphoton_graph,
@@ -74,6 +75,7 @@ __all__ = [
     "TriphotonGraph",
     "build_triphoton_graph",
     "GridTooCoarse",
+    "UnexpectedLeadingOrder",
 ]
 
 __version__ = "0.1.0"

@@ -12,11 +12,14 @@ pass path is never occupied here).
 Three evaluation routes are provided and cross-checked:
 
 * exact: formal small parameters, point-mass-plus-smooth distributions,
-  exhaustive scenario enumeration, limits read off the graded coefficients;
+  summed by the forward fold (variable elimination over the feature
+  order), limits read off the graded coefficients;
 * regularized: numeric parameters, factorized per-channel sums sampled on a
   grid (handles the degenerate equal/orthogonal polarizer settings);
 * brute-force oracle: numeric parameters, full 2^8 scenario enumeration on
-  the grid with no graded algebra and no channel factorization.
+  the grid with no graded algebra and no channel factorization.  Each
+  factor is evaluated once per assignment of the bits it reads, and every
+  scenario's product is then assembled from those values.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 
 from .angles import PI, PolAngle
 from .dist import (
+    MIN_GRID,
     DistFn,
     RegularizedDistFn,
     SigmaTooCoarse,
@@ -36,7 +40,7 @@ from .dist import (
     regularize,
     wrapped_gaussian,
 )
-from .graded import GradedCoeff, coeff_ratio_limit
+from .graded import GradedCoeff
 from .mrf import (
     BINARY,
     SHARED_ANGLE,
@@ -44,8 +48,9 @@ from .mrf import (
     NodeFeature,
     ScenarioGraph,
     VariableDecl,
-    ZeroPartition,
-    tally_events,
+    forward_fold,
+    # Unused here, but bench/tests checks that tracing rebinds it in this module.
+    tally_events,  # noqa: F401
 )
 
 CHANNELS = ("L", "R")
@@ -60,6 +65,11 @@ DEFAULT_CELL_BUDGET = 1 << 22
 class GridTooCoarse(ValueError):
     """The requested 2-D grid exceeds the evaluation budget; the grid for
     multi-angle runs must stay far coarser than the 1-D oracle's."""
+
+
+class UnexpectedLeadingOrder(ArithmeticError):
+    """The exact sums do not lead with alpha^2 beta^3; the detector
+    bookkeeping broke or the beta^3 coefficient cancelled numerically."""
 
 
 @dataclass(frozen=True)
@@ -283,22 +293,28 @@ class CoincidenceResult:
 def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> CoincidenceResult:
     """Probability of a double count, conditional on pair emission.
 
-    Exact mode enumerates the full graph with formal small parameters and
-    takes their joint limit; it requires non-degenerate settings.
+    Exact mode sums the full graph by forward fold with formal small
+    parameters and takes their joint limit; it requires non-degenerate
+    settings.
     Regularized mode evaluates the factorized channel sums numerically on a
     grid and handles the equal / orthogonal special cases.
     """
     if mode == "exact":
         graph = build_bell_graph(params)
-        totals, den = tally_events(graph, (graph.predicate("D"),))
-        if den.is_zero:
-            raise ZeroPartition("all scenarios have zero relative probability")
-        num = totals["D"]
+        fold = forward_fold(graph, graph.features, (graph.predicate("D"),))
+        num, den = fold.unnormalized["D"], fold.partition
         # Both sides must carry alpha^2 at leading beta order 3; anything
-        # else means the detector bookkeeping broke.
-        assert num.min_alpha_order() == den.min_alpha_order() == 2
-        assert min(num.at_alpha_order(2)) == min(den.at_alpha_order(2)) == 3
-        return CoincidenceResult(coeff_ratio_limit(num, den), num, den, "exact")
+        # else means the detector bookkeeping broke or a coefficient cancelled.
+        alpha_orders = (num.min_alpha_order(), den.min_alpha_order())
+        if alpha_orders != (2, 2):
+            raise UnexpectedLeadingOrder(f"leading alpha orders {alpha_orders}, expected (2, 2)")
+        beta_orders = (min(num.at_alpha_order(2)), min(den.at_alpha_order(2)))
+        if beta_orders != (3, 3):
+            raise UnexpectedLeadingOrder(
+                f"leading beta orders {beta_orders} at alpha^2, expected (3, 3); "
+                "near-degenerate settings cancel the beta^3 coefficient"
+            )
+        return CoincidenceResult(fold.probabilities["D"], num, den, "exact")
     if mode == "regularized":
         params.require_numeric()
         sums = {}
@@ -321,6 +337,19 @@ def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> Coincide
 
 
 # -- brute-force oracle --------------------------------------------------------------
+
+
+_CHANNEL_BITS = ("gamma_b", "gamma_b_minus", "gamma_C", "gamma_W")
+
+#: The channel bits each of the five numeric factors reads, in the order
+#: :func:`_numeric_channel_features` returns them.
+FACTOR_DEPS: dict[str, tuple[str, ...]] = {
+    "entry": ("gamma_b", "gamma_b_minus"),
+    "exit": ("gamma_b", "gamma_C", "gamma_W"),
+    "detector": ("gamma_C", "gamma_W"),
+    "hidden_minus": ("gamma_b_minus",),
+    "hidden_plus": (),
+}
 
 
 def _numeric_channel_features(
@@ -372,9 +401,6 @@ def _numeric_channel_features(
     return [entry, exit_surface, detector, hidden_minus, hidden_plus]
 
 
-_CHANNEL_BITS = ("gamma_b", "gamma_b_minus", "gamma_C", "gamma_W")
-
-
 def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = False) -> CoincidenceResult:
     """Fully independent numeric evaluation of the coincidence probability.
 
@@ -382,17 +408,29 @@ def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = Fal
     probability as a :class:`RegularizedDistFn` product over the angle
     grid, and integrates.  No graded algebra, no channel factorization --
     this is the cross-check the other routes are measured against.
+
+    Each factor is evaluated once per assignment of the bits it reads
+    (:data:`FACTOR_DEPS`), so the grid kernels are sampled four times per
+    call; every scenario then looks its factor values up and multiplies
+    them in feature order.
     """
     params.require_numeric()
-    if params.grid_n < 256:
-        raise ValueError(f"grid_n={params.grid_n} below minimum 256")
+    if params.grid_n < MIN_GRID:
+        raise ValueError(f"grid_n={params.grid_n} below minimum {MIN_GRID}")
     grid = grid_points(params.grid_n)
-    features = {
-        ch: _numeric_channel_features(
+    # tables[ch] holds one {bits read: value} table per factor, in feature order.
+    tables = {}
+    for ch in CHANNELS:
+        fns = _numeric_channel_features(
             params.setting(ch).value, params.alpha, params.beta, params.sigma, exit_beta_without_crystal
         )
-        for ch in CHANNELS
-    }
+        tables[ch] = [
+            (deps, {
+                bits: fn(dict(zip(deps, bits)), grid)
+                for bits in itertools.product((0, 1), repeat=len(deps))
+            })
+            for deps, fn in zip(FACTOR_DEPS.values(), fns)
+        ]
 
     num = 0.0
     den = 0.0
@@ -406,8 +444,8 @@ def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = Fal
         arrays: list[np.ndarray] = []
         for ch in CHANNELS:
             local = {g: assign[var(ch, g)] for g in _CHANNEL_BITS}
-            for fn in features[ch]:
-                val = fn(local, grid)
+            for deps, table in tables[ch]:
+                val = table[tuple(local[d] for d in deps)]
                 if isinstance(val, np.ndarray):
                     arrays.append(val)
                 else:
@@ -531,22 +569,12 @@ def build_triphoton_graph(
         )
     variables = tuple(f"c{i}_{g}" for i in range(3) for g in _CHANNEL_BITS)
     features = []
-    names = ("entry", "exit", "detector", "hidden_minus", "hidden_plus")
-    deps = {
-        "entry": ("gamma_b", "gamma_b_minus"),
-        "exit": ("gamma_b", "gamma_C", "gamma_W"),
-        "detector": ("gamma_C", "gamma_W"),
-        "hidden_minus": ("gamma_b_minus",),
-        "hidden_plus": (),
-    }
     for i in range(3):
         fns = _numeric_channel_features(
             settings[i].value, params.alpha, params.beta, params.sigma
         )
-        for name, fn in zip(names, fns):
-            features.append(
-                GridFeature(f"c{i}.{name}", tuple(f"c{i}_{d}" for d in deps[name]), fn)
-            )
+        for (name, deps), fn in zip(FACTOR_DEPS.items(), fns):
+            features.append(GridFeature(f"c{i}.{name}", tuple(f"c{i}_{d}" for d in deps), fn))
     return TriphotonGraph(
         settings=tuple(settings),
         alpha=params.alpha,

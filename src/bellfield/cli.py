@@ -21,10 +21,11 @@ from .angles import PolAngle
 from .bell import (
     GridTooCoarse,
     Mrf3Params,
+    UnexpectedLeadingOrder,
     brute_force_oracle,
     coincidence_probability,
 )
-from .dist import DeltaCollision, SigmaTooCoarse
+from .dist import MIN_GRID, DeltaCollision, SigmaTooCoarse
 from .graded import DivergentLimit, MismatchedAlphaOrder
 from .mrf import ZeroPartition
 from .quantum import (
@@ -44,6 +45,7 @@ NUMERICAL_ERRORS = (
     ZeroEnsemble,
     MismatchedAlphaOrder,
     DivergentLimit,
+    UnexpectedLeadingOrder,
     ZeroDivisionError,
 )
 
@@ -92,10 +94,14 @@ class ExperimentConfig:
         for key, vals in (("angles", self.angles), ("sigmas", self.sigmas), ("betas", self.betas)):
             if not all(math.isfinite(v) for v in vals):
                 raise ConfigError(key, "values must be finite numbers")
-        if self.alpha <= 0:
-            raise ConfigError("alpha", "must be positive")
-        if self.beta <= 0:
-            raise ConfigError("beta", "must be positive")
+        for key, val in (("alpha", self.alpha), ("beta", self.beta), ("sigma", self.sigma)):
+            if val is not None and not (math.isfinite(val) and val > 0):
+                raise ConfigError(key, f"must be a positive finite number, got {val}")
+        oracle_runs = self.experiment in ("bell-sweep", "special-cases", "limit-study")
+        if oracle_runs and self.resolved_grid_n() < MIN_GRID:
+            raise ConfigError("grid_n", f"the oracle needs at least {MIN_GRID} grid points")
+        if self.resolved_grid_n() < 1:
+            raise ConfigError("grid_n", "must be positive")
         if self.experiment == "bell-sweep" and self.mode in ("exact", "both"):
             for d in self.angles or DEFAULT_SWEEP:
                 if min(abs(d % 180), 180 - abs(d % 180)) < 1e-9 or abs(abs(d % 180) - 90) < 1e-9:
@@ -104,16 +110,24 @@ class ExperimentConfig:
                         f"delta={d} deg is degenerate (equal/orthogonal settings); "
                         "exact mode cannot separate the point masses -- use mode=regularized",
                     )
-        if self.experiment == "limit-study" and len(self.sigmas) < 2 and len(self.betas) < 2:
-            raise ConfigError("sigmas", "limit study needs at least two sigma or two beta values")
+        if self.experiment == "limit-study":
+            if len(self.sigmas) < 2 and len(self.betas) < 2:
+                raise ConfigError("sigmas", "limit study needs at least two sigma or two beta values")
+            for key, vals in (("sigmas", self.sigmas), ("betas", self.betas)):
+                if len(set(vals)) != len(vals):
+                    raise ConfigError(key, "values must be distinct")
+                if min(vals, default=1.0) <= 0:
+                    raise ConfigError(key, "values must be positive")
         if self.experiment == "malus-chain":
             if not (self.angles or []):
                 raise ConfigError("angles", "malus-chain needs at least one polarizer setting")
             if self.initial != "unpolarized":
                 try:
-                    float(self.initial)
+                    initial = float(self.initial)
                 except ValueError:
                     raise ConfigError("initial", "must be degrees or 'unpolarized'") from None
+                if not math.isfinite(initial):
+                    raise ConfigError("initial", "must be a finite number of degrees")
         if self.experiment == "triphoton-compare" and self.angles and len(self.angles) != 3:
             raise ConfigError("angles", "triphoton-compare takes exactly three settings (or none to scan)")
 

@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from bellfield.angles import PI, PolAngle
+import bellfield.bell as bell
 from bellfield.bell import (
     ALPHA,
     BETA,
+    CHANNELS,
     CoincidenceResult,
     GridTooCoarse,
     Mrf3Params,
+    UnexpectedLeadingOrder,
     brute_force_oracle,
     build_bell_graph,
     build_triphoton_graph,
@@ -28,7 +31,7 @@ from bellfield.bell import (
 )
 from bellfield.dist import DeltaCollision, DistFn, dist_integrate, dist_mul, grid_points, wrapped_gaussian
 from bellfield.graded import GradedCoeff
-from bellfield.mrf import event_probability, relative_probability
+from bellfield.mrf import event_probability, relative_probability, tally_events
 
 PI_FRAC = Fraction(math.pi)
 
@@ -90,6 +93,45 @@ class TestBruteForceOracle:
             brute_force_oracle(params_for(30.0, beta=0.5))
         with pytest.raises(ValueError):
             brute_force_oracle(params_for(30.0, grid_n=128))
+
+    @pytest.mark.parametrize("exit_beta", [False, True])
+    def test_four_kernel_evaluations_per_call(self, monkeypatch, exit_beta):
+        calls = []
+
+        def counting(grid, center, sigma):
+            calls.append(center)
+            return wrapped_gaussian(grid, center, sigma)
+
+        monkeypatch.setattr(bell, "wrapped_gaussian", counting)
+        brute_force_oracle(params_for(30.0), exit_beta_without_crystal=exit_beta)
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("delta", [30.0, 0.0, 90.0])
+    @pytest.mark.parametrize("exit_beta", [False, True])
+    def test_matches_scenario_by_scenario_reference(self, delta, exit_beta):
+        # Every factor is re-evaluated in every scenario, the way the
+        # oracle's definition reads.
+        params = params_for(delta)
+        grid = grid_points(params.grid_n)
+        fns = {
+            ch: bell._numeric_channel_features(
+                params.setting(ch).value, params.alpha, params.beta, params.sigma, exit_beta
+            )
+            for ch in CHANNELS
+        }
+        num = den = 0.0
+        for bits in itertools.product((0, 1), repeat=8):
+            product = np.ones_like(grid)
+            for i, ch in enumerate(CHANNELS):
+                local = dict(zip(bell._CHANNEL_BITS, bits[4 * i : 4 * i + 4]))
+                for fn in fns[ch]:
+                    product = product * fn(local, grid)
+            weight = float(product.sum()) * PI / params.grid_n
+            den += weight
+            if (bits[2] or bits[3]) and (bits[6] or bits[7]):
+                num += weight
+        oracle = brute_force_oracle(params, exit_beta_without_crystal=exit_beta)
+        assert oracle.probability == pytest.approx(num / den, abs=1e-14)
 
 
 # -- feature tables ----------------------------------------------------------------
@@ -268,6 +310,26 @@ class TestCoincidenceExact:
             coincidence_probability(params_for(0.0), "exact")
         with pytest.raises(DeltaCollision):
             coincidence_probability(params_for(90.0), "exact")
+
+    def test_fold_equals_enumeration_exactly(self):
+        rng = random.Random(17)
+        checked = 0
+        while checked < 10:
+            params = Mrf3Params(PolAngle(rng.uniform(0, PI)), PolAngle(rng.uniform(0, PI)))
+            delta = abs(math.remainder(params.theta_a.value - params.theta_b.value, PI / 2))
+            if delta < 0.02:
+                continue
+            r = coincidence_probability(params, "exact")
+            graph = build_bell_graph(params)
+            totals, partition = tally_events(graph, (graph.predicate("D"),))
+            assert r.numerator == totals["D"]  # exact GradedCoeff equality
+            assert r.denominator == partition
+            checked += 1
+
+    def test_cancelled_leading_order_is_typed(self):
+        # cos^2 of a near-right angle rounds the beta^3 coefficient to zero
+        with pytest.raises(UnexpectedLeadingOrder, match="beta orders"):
+            coincidence_probability(params_for(89.9999999), "exact")
 
     def test_depends_only_on_difference(self):
         rng = random.Random(5)

@@ -230,6 +230,32 @@ class TestValidation:
         with pytest.raises(ConfigError, match="alpha"):
             ExperimentConfig(experiment="bell-sweep", alpha=-1.0).validate()
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["bell-sweep", "--alpha", "nan"], "alpha"),
+            (["bell-sweep", "--beta", "inf"], "beta"),
+            (["bell-sweep", "--sigma", "nan"], "sigma"),
+            (["bell-sweep", "--sigma", "-1"], "sigma"),
+            (["bell-sweep", "--grid-n", "100"], "grid_n"),
+            (["special-cases", "--grid-n", "255"], "grid_n"),
+            (["limit-study", "--grid-n", "128"], "grid_n"),
+            (["triphoton-compare", "--angles", "10,20,30", "--grid-n", "-5"], "grid_n"),
+            (["malus-chain", "--angles", "0", "--initial", "nan"], "initial"),
+            (["limit-study", "--sigmas", "0.01,0.01"], "sigmas"),
+            (["limit-study", "--sigmas", "0.01", "--betas", "1e-3,1e-3"], "betas"),
+            (["limit-study", "--sigmas", "0,0.01"], "sigmas"),
+        ],
+    )
+    def test_rejected_input_exits_2(self, argv, key, tmp_path, capsys):
+        assert main([*argv, "--output", str(tmp_path / "x.csv")]) == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+
+    def test_cancelled_leading_order_exits_3(self, tmp_path, capsys):
+        argv = ["bell-sweep", "--mode", "exact", "--angles", "89.9999999"]
+        assert main([*argv, "--output", str(tmp_path / "x.csv")]) == 3
+        assert "UnexpectedLeadingOrder" in capsys.readouterr().err
+
     def test_build_config_rejects_bad_number(self):
         with pytest.raises(ConfigError, match="alpha"):
             build_config({"alpha": "abc"}, {})
