@@ -9,13 +9,23 @@ cost ``alpha``), and two internal absorbers for the reflected light (the
 one on the blocked path absorbs at cost ``2*alpha*beta``; the one on the
 pass path is never occupied here).
 
+Those five factors are declared once, as data (:data:`CHANNEL_FACTORS`):
+for each, the channel bits it reads and, per assignment of those bits, its
+value as a product of primitives -- the entry surface's pass and block
+split, ``alpha`` and ``beta``.  Two backends give the primitives values:
+:func:`graded_backend` (point masses plus trigonometric tails, formal small
+parameters) and :func:`grid_backend` (kernels sampled on an angle grid,
+numeric parameters).  The channels meet only through the shared angle, so
+summing each channel's bits out on its own (:func:`sum_out_channel`) is the
+variable elimination the graph admits.
+
 Three evaluation routes are provided and cross-checked:
 
-* exact: formal small parameters, point-mass-plus-smooth distributions,
-  summed by the forward fold (variable elimination over the feature
-  order), limits read off the graded coefficients;
-* regularized: numeric parameters, factorized per-channel sums sampled on a
-  grid (handles the degenerate equal/orthogonal polarizer settings);
+* exact: the graded backend, eliminated per channel, multiplied and
+  integrated over the shared angle; limits read off the graded
+  coefficients;
+* regularized: the same factorized sums on the grid backend (handles the
+  degenerate equal/orthogonal polarizer settings);
 * brute-force oracle: numeric parameters, full 2^8 scenario enumeration on
   the grid with no graded algebra and no channel factorization.  Each
   factor is evaluated once per assignment of the bits it reads, and every
@@ -24,9 +34,12 @@ Three evaluation routes are provided and cross-checked:
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -36,11 +49,12 @@ from .dist import (
     DistFn,
     RegularizedDistFn,
     SigmaTooCoarse,
+    dist_integrate,
+    dist_mul,
     grid_points,
-    regularize,
     wrapped_gaussian,
 )
-from .graded import GradedCoeff
+from .graded import GradedCoeff, coeff_ratio_limit
 from .mrf import (
     BINARY,
     SHARED_ANGLE,
@@ -48,7 +62,6 @@ from .mrf import (
     NodeFeature,
     ScenarioGraph,
     VariableDecl,
-    forward_fold,
     # Unused here, but bench/tests checks that tracing rebinds it in this module.
     tally_events,  # noqa: F401
 )
@@ -57,6 +70,10 @@ CHANNELS = ("L", "R")
 
 ALPHA = GradedCoeff.alpha()
 BETA = GradedCoeff.beta()
+
+#: Bounds on the numeric small parameters; both are costs, far below one.
+MAX_ALPHA = 1.0
+MAX_BETA = 0.1
 
 #: Upper bound on 2-D grid cells for triphoton evaluation.
 DEFAULT_CELL_BUDGET = 1 << 22
@@ -89,10 +106,10 @@ class Mrf3Params:
     grid_n: int = 8192
 
     def require_numeric(self):
-        if not (0 < self.alpha):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not (0 < self.beta <= 0.1):
-            raise ValueError(f"beta must lie in (0, 0.1], got {self.beta}")
+        if not (0 < self.alpha <= MAX_ALPHA):
+            raise ValueError(f"alpha must lie in (0, {MAX_ALPHA:g}], got {self.alpha}")
+        if not (0 < self.beta <= MAX_BETA):
+            raise ValueError(f"beta must lie in (0, {MAX_BETA:g}], got {self.beta}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.sigma > PI / 16:
@@ -111,116 +128,128 @@ def var(channel: str, name: str) -> str:
     return f"{channel}_{name}"
 
 
-# -- node features (exact, graded) ---------------------------------------------
+# -- the channel, declared once --------------------------------------------------
+
+#: One channel's binary variables: the photon on the crystal's pass path, on
+#: its blocked path, and in each of the two circular modes.
+CHANNEL_BITS = ("gamma_b", "gamma_b_minus", "gamma_C", "gamma_W")
+
+#: The internal absorber's cost 2*alpha*beta: alpha to absorb, beta for the
+#: conversion to circular, doubled for the two circular modes.
+ABSORBER_COST = (2, "alpha", "beta")
+
+#: (channel bits read, {assignment of those bits: product of primitives}).
+Factor = tuple[tuple[str, ...], dict[tuple[int, ...], tuple]]
+
+#: One channel's five factors, in the order every route multiplies them.  A
+#: value is a product of primitives: "pass" and "block" (the entry surface's
+#: split of the photon, functions of the shared angle), "alpha", "beta", or a
+#: number.  The empty product is one; an assignment left out weighs zero.
+CHANNEL_FACTORS: dict[str, Factor] = {
+    # Crystal surface facing the source: the photon continues in the pass or
+    # in the blocked polarization, never in neither or both.
+    "entry": (("gamma_b", "gamma_b_minus"), {(1, 0): ("pass",), (0, 1): ("block",)}),
+    # Surface facing the counter: a crystal photon leaves in exactly one
+    # circular mode at cost beta; without one, nothing leaves.
+    "exit": (
+        ("gamma_b", "gamma_C", "gamma_W"),
+        {(1, 1, 0): ("beta",), (1, 0, 1): ("beta",), (0, 0, 0): ()},
+    ),
+    # Counter absorbing a circular photon at cost alpha.  Double occupation
+    # never survives the exit surface, so any finite value does there.
+    "detector": (
+        ("gamma_C", "gamma_W"),
+        {(0, 0): (), (1, 0): ("alpha",), (0, 1): ("alpha",), (1, 1): ("alpha",)},
+    ),
+    # Internal absorber for the blocked polarization.
+    "hidden_minus": (("gamma_b_minus",), {(0,): (), (1,): ABSORBER_COST}),
+    # Internal absorber on the pass path; never occupied here.
+    "hidden_plus": ((), {(): ()}),
+}
+
+#: The oracle's alternative exit rule: circular output without a crystal
+#: photon, at weight beta.  It does not move the result at leading order.
+EXIT_WITHOUT_CRYSTAL: Factor = (
+    CHANNEL_FACTORS["exit"][0],
+    {**CHANNEL_FACTORS["exit"][1], (0, 1, 0): ("beta",), (0, 0, 1): ("beta",)},
+)
 
 
-def feature_source() -> NodeFeature:
-    """The entangled-pair source, conditioned on both photons existing.
+def graded_backend(theta_p: PolAngle, beta: GradedCoeff = BETA) -> dict:
+    """Primitives for the exact route.
 
-    Both emitted photons share one polarization angle; the graph carries
-    that angle as its single shared variable, so under the conditioning the
-    source contributes a constant factor of one.  If a caller supplies
-    explicit emission bits and either is zero, the scenario is excluded.
+    The pass split is a point mass at the polarizer axis plus a
+    beta-suppressed cos^2 tail, the block split a point mass at the
+    orthogonal axis plus a sin^2 tail; ``alpha`` stays formal.
     """
-
-    def fn(a: Mapping[str, int]) -> DistFn:
-        if a.get("gamma_minus_L", 1) == 1 and a.get("gamma_minus_R", 1) == 1:
-            return DistFn.one()
-        return DistFn.zero()
-
-    return NodeFeature("source", (), fn)
-
-
-def feature_external_detector(channel: str) -> NodeFeature:
-    """Counter that absorbs a circular photon at thermodynamic cost alpha."""
-    c, w = var(channel, "gamma_C"), var(channel, "gamma_W")
-
-    def fn(a: Mapping[str, int]) -> DistFn:
-        if a[c] == 0 and a[w] == 0:
-            return DistFn.one()
-        return DistFn.constant(ALPHA)
-
-    return NodeFeature(f"{channel}.detector", (c, w), fn)
+    return {
+        "pass": DistFn.atom(theta_p) + DistFn.cos_squared(theta_p, beta),
+        "block": DistFn.atom(theta_p.perpendicular()) + DistFn.sin_squared(theta_p, beta),
+        "alpha": ALPHA,
+        "beta": beta,
+    }
 
 
-def feature_hidden_detector(channel: str) -> NodeFeature:
-    """Internal absorber for the blocked polarization.
+def grid_backend(theta: np.ndarray, theta_p: float, alpha: float, beta: float, sigma: float) -> dict:
+    """Primitives sampled at the photon angles ``theta`` (any shape).
 
-    Absorbing costs the conversion-to-circular factor beta times alpha,
-    doubled for the two circular options.  The angle measure is carried by
-    the graph's single shared-angle integral.
+    The split's point masses widen into width-``sigma`` wrapped Gaussians;
+    ``alpha`` and ``beta`` are numbers.
     """
-    bm = var(channel, "gamma_b_minus")
-
-    def fn(a: Mapping[str, int]) -> DistFn:
-        if a[bm] == 0:
-            return DistFn.one()
-        return DistFn.constant(GradedCoeff.constant(2) * ALPHA * BETA)
-
-    return NodeFeature(f"{channel}.hidden_minus", (bm,), fn)
+    return {
+        "pass": wrapped_gaussian(theta, theta_p, sigma) + beta * np.cos(theta - theta_p) ** 2,
+        "block": wrapped_gaussian(theta, theta_p + PI / 2, sigma) + beta * np.sin(theta - theta_p) ** 2,
+        "alpha": alpha,
+        "beta": beta,
+    }
 
 
-def feature_hidden_pass_absorber(channel: str) -> NodeFeature:
-    """Internal absorber on the pass path; never occupied in these runs."""
-
-    def fn(a: Mapping[str, int]) -> DistFn:
-        return DistFn.one()
-
-    return NodeFeature(f"{channel}.hidden_plus", (), fn)
+def primitive_product(primitives: tuple, backend: Mapping):
+    """A product of primitives valued on ``backend``; the empty product is one."""
+    return functools.reduce(operator.mul, (backend.get(p, p) for p in primitives), 1)
 
 
-def feature_entry_surface(channel: str, theta_p: PolAngle) -> NodeFeature:
-    """Crystal surface facing the source.
+def factor_tables(backend: Mapping, factors: Mapping[str, Factor] = CHANNEL_FACTORS) -> dict[str, Factor]:
+    """Each factor's value for every assignment it lists, evaluated once."""
+    return {
+        name: (reads, {bits: primitive_product(prims, backend) for bits, prims in values.items()})
+        for name, (reads, values) in factors.items()
+    }
 
-    An incoming linear photon at the shared angle either continues in the
-    pass polarization (point mass at the polarizer axis, plus a
-    beta-suppressed cos^2 tail) or in the blocked one (point mass at the
-    orthogonal axis, sin^2 tail).  Taking neither or both paths is
-    impossible.
+
+def sum_out_channel(backend: Mapping) -> tuple:
+    """Sum one channel's four bits out of its factor table.
+
+    Returns (detected, undetected): the summed weight of the scenarios in
+    which the channel's counter fires, and of those in which it does not,
+    as functions of the shared angle in the backend's representation.
     """
-    b, bm = var(channel, "gamma_b"), var(channel, "gamma_b_minus")
-    pass_fn = DistFn.atom(theta_p) + DistFn.cos_squared(theta_p, BETA)
-    block_fn = DistFn.atom(theta_p.perpendicular()) + DistFn.sin_squared(theta_p, BETA)
-
-    def fn(a: Mapping[str, int]) -> DistFn:
-        if a[b] == 1 and a[bm] == 0:
-            return pass_fn
-        if a[b] == 0 and a[bm] == 1:
-            return block_fn
-        return DistFn.zero()
-
-    return NodeFeature(f"{channel}.entry", (b, bm), fn)
+    tables = factor_tables(backend).values()
+    sums: tuple[list, list] = ([], [])
+    for bits in itertools.product((0, 1), repeat=len(CHANNEL_BITS)):
+        local = dict(zip(CHANNEL_BITS, bits))
+        values = [table.get(tuple(local[r] for r in reads)) for reads, table in tables]
+        if all(v is not None for v in values):
+            detected = local["gamma_C"] or local["gamma_W"]
+            sums[0 if detected else 1].append(functools.reduce(operator.mul, values))
+    return tuple(functools.reduce(operator.add, terms) for terms in sums)
 
 
-def feature_exit_surface(channel: str) -> NodeFeature:
-    """Crystal surface facing the counter.
-
-    A photon leaving through the crystal converts to exactly one circular
-    mode at cost beta.  Circular output without a crystal photon, a photon
-    that never exits, and double occupation of the circular modes all carry
-    zero weight.
-    """
-    b, c, w = var(channel, "gamma_b"), var(channel, "gamma_C"), var(channel, "gamma_W")
-
-    def fn(a: Mapping[str, int]) -> DistFn:
-        out = a[c] + a[w]
-        if out == 2:
-            return DistFn.zero()
-        if a[b] == 1:
-            return DistFn.constant(BETA) if out == 1 else DistFn.zero()
-        return DistFn.one() if out == 0 else DistFn.zero()
-
-    return NodeFeature(f"{channel}.exit", (b, c, w), fn)
+# -- the exact graph ---------------------------------------------------------------
 
 
 def channel_features(channel: str, theta_p: PolAngle) -> tuple[NodeFeature, ...]:
-    return (
-        feature_entry_surface(channel, theta_p),
-        feature_exit_surface(channel),
-        feature_external_detector(channel),
-        feature_hidden_detector(channel),
-        feature_hidden_pass_absorber(channel),
-    )
+    """The channel's five factors as graph features, on the graded backend."""
+    features = []
+    for name, (reads, values) in factor_tables(graded_backend(theta_p)).items():
+        deps = tuple(var(channel, r) for r in reads)
+        table = {bits: v if isinstance(v, DistFn) else DistFn.constant(v) for bits, v in values.items()}
+
+        def fn(a: Mapping[str, int], deps=deps, table=table) -> DistFn:
+            return table.get(tuple(a[d] for d in deps), DistFn.zero())
+
+        features.append(NodeFeature(f"{channel}.{name}", deps, fn))
+    return tuple(features)
 
 
 def detection_predicate(channel: str) -> EventPredicate:
@@ -248,30 +277,22 @@ def build_bell_graph(params: Mrf3Params) -> ScenarioGraph:
     variables = [VariableDecl("theta", SHARED_ANGLE)]
     features: list[NodeFeature] = []
     for ch in CHANNELS:
-        for g in ("gamma_b", "gamma_b_minus", "gamma_C", "gamma_W"):
+        for g in CHANNEL_BITS:
             variables.append(VariableDecl(var(ch, g), BINARY))
         features.extend(channel_features(ch, params.setting(ch)))
     predicates = (coincidence_predicate(), detection_predicate("L"), detection_predicate("R"))
     return ScenarioGraph(tuple(variables), tuple(features), predicates)
 
 
-# -- closed-form channel sums -----------------------------------------------------
-
-
 def channel_sums(params: Mrf3Params, channel: str) -> tuple[DistFn, DistFn]:
     """Summed relative probability of the channel's detection / no-detection
-    scenarios, as functions of the shared angle.
+    scenarios, as exact functions of the shared angle.
 
     Detection happens two ways (one per circular mode), each weighing
     ``(pass split) * beta * alpha``; the single no-detection scenario weighs
-    ``(blocked split) * 2 * alpha * beta``.  Their sum collapses to
-    ``2*alpha*beta * (point masses at both axes + beta)``.
+    ``(blocked split) * 2 * alpha * beta``.
     """
-    theta_p = params.setting(channel)
-    two_ab = GradedCoeff.constant(2) * ALPHA * BETA
-    plus = (DistFn.atom(theta_p) + DistFn.cos_squared(theta_p, BETA)).scale(two_ab)
-    minus = (DistFn.atom(theta_p.perpendicular()) + DistFn.sin_squared(theta_p, BETA)).scale(two_ab)
-    return plus, minus
+    return sum_out_channel(graded_backend(params.setting(channel)))
 
 
 # -- coincidence probability -------------------------------------------------------
@@ -290,19 +311,29 @@ class CoincidenceResult:
         object.__setattr__(self, "probability", min(max(self.probability, 0.0), 1.0))
 
 
+def _numeric_grid(params: Mrf3Params) -> np.ndarray:
+    """The angle grid of the one-photon-angle numeric routes, once the
+    numeric knobs are checked."""
+    params.require_numeric()
+    if params.grid_n < MIN_GRID:
+        raise ValueError(f"grid_n={params.grid_n} below minimum {MIN_GRID}")
+    return grid_points(params.grid_n)
+
+
 def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> CoincidenceResult:
     """Probability of a double count, conditional on pair emission.
 
-    Exact mode sums the full graph by forward fold with formal small
-    parameters and takes their joint limit; it requires non-degenerate
-    settings.
-    Regularized mode evaluates the factorized channel sums numerically on a
-    grid and handles the equal / orthogonal special cases.
+    Both modes multiply the two channels' summed weights and integrate over
+    the shared angle: the numerator pairs the detected sums, the partition
+    pairs each channel's total.  Exact mode does so on the graded backend,
+    with formal small parameters, and takes their joint limit; it requires
+    non-degenerate settings.  Regularized mode does so on the grid backend
+    and handles the equal / orthogonal special cases.
     """
     if mode == "exact":
-        graph = build_bell_graph(params)
-        fold = forward_fold(graph, graph.features, (graph.predicate("D"),))
-        num, den = fold.unnormalized["D"], fold.partition
+        (pl, ml), (pr, mr) = (channel_sums(params, ch) for ch in CHANNELS)
+        num = dist_integrate(dist_mul(pl, pr))
+        den = dist_integrate(dist_mul(pl + ml, pr + mr))
         # Both sides must carry alpha^2 at leading beta order 3; anything
         # else means the detector bookkeeping broke or a coefficient cancelled.
         alpha_orders = (num.min_alpha_order(), den.min_alpha_order())
@@ -314,19 +345,18 @@ def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> Coincide
                 f"leading beta orders {beta_orders} at alpha^2, expected (3, 3); "
                 "near-degenerate settings cancel the beta^3 coefficient"
             )
-        return CoincidenceResult(fold.probabilities["D"], num, den, "exact")
+        return CoincidenceResult(coeff_ratio_limit(num, den), num, den, "exact")
     if mode == "regularized":
-        params.require_numeric()
-        sums = {}
-        for ch in CHANNELS:
-            plus, minus = channel_sums(params, ch)
-            sums[ch] = tuple(
-                regularize(d.substitute(params.alpha, params.beta), params.sigma, params.grid_n)
-                for d in (plus, minus)
+        grid = _numeric_grid(params)
+        (pl, ml), (pr, mr) = (
+            sum_out_channel(
+                grid_backend(grid, params.setting(ch).value, params.alpha, params.beta, params.sigma)
             )
-        (pl, ml), (pr, mr) = sums["L"], sums["R"]
-        num = (pl * pr).integral()
-        den = ((pl + ml) * (pr + mr)).integral()
+            for ch in CHANNELS
+        )
+        cell = PI / params.grid_n
+        num = float((pl * pr).sum()) * cell
+        den = float(((pl + ml) * (pr + mr)).sum()) * cell
         return CoincidenceResult(
             num / den,
             GradedCoeff.constant(num),
@@ -339,68 +369,6 @@ def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> Coincide
 # -- brute-force oracle --------------------------------------------------------------
 
 
-_CHANNEL_BITS = ("gamma_b", "gamma_b_minus", "gamma_C", "gamma_W")
-
-#: The channel bits each of the five numeric factors reads, in the order
-#: :func:`_numeric_channel_features` returns them.
-FACTOR_DEPS: dict[str, tuple[str, ...]] = {
-    "entry": ("gamma_b", "gamma_b_minus"),
-    "exit": ("gamma_b", "gamma_C", "gamma_W"),
-    "detector": ("gamma_C", "gamma_W"),
-    "hidden_minus": ("gamma_b_minus",),
-    "hidden_plus": (),
-}
-
-
-def _numeric_channel_features(
-    theta_p: float,
-    alpha: float,
-    beta: float,
-    sigma: float,
-    exit_beta_without_crystal: bool = False,
-) -> list[Callable[[Mapping[str, int], np.ndarray], "np.ndarray | float"]]:
-    """Numeric evaluators for one channel's five factors.
-
-    ``theta`` is the photon-angle sample array (any shape).  Scalar-valued
-    factors return plain floats.  ``exit_beta_without_crystal`` toggles an
-    alternative exit rule (circular output without a crystal photon at
-    weight beta); it exists to demonstrate numerically that the variant
-    does not move the result at leading order.
-    """
-
-    def entry(a, theta):
-        gb, gbm = a["gamma_b"], a["gamma_b_minus"]
-        if gb == gbm:
-            return 0.0
-        if gb == 1:
-            return wrapped_gaussian(theta, theta_p, sigma) + beta * np.cos(theta - theta_p) ** 2
-        return (
-            wrapped_gaussian(theta, theta_p + PI / 2, sigma)
-            + beta * np.sin(theta - theta_p) ** 2
-        )
-
-    def exit_surface(a, theta):
-        out = a["gamma_C"] + a["gamma_W"]
-        if out == 2:
-            return 0.0
-        if a["gamma_b"] == 1:
-            return beta if out == 1 else 0.0
-        if out == 1:
-            return beta if exit_beta_without_crystal else 0.0
-        return 1.0
-
-    def detector(a, theta):
-        return 1.0 if (a["gamma_C"] == 0 and a["gamma_W"] == 0) else alpha
-
-    def hidden_minus(a, theta):
-        return 1.0 if a["gamma_b_minus"] == 0 else 2.0 * alpha * beta
-
-    def hidden_plus(a, theta):
-        return 1.0
-
-    return [entry, exit_surface, detector, hidden_minus, hidden_plus]
-
-
 def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = False) -> CoincidenceResult:
     """Fully independent numeric evaluation of the coincidence probability.
 
@@ -409,28 +377,25 @@ def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = Fal
     grid, and integrates.  No graded algebra, no channel factorization --
     this is the cross-check the other routes are measured against.
 
-    Each factor is evaluated once per assignment of the bits it reads
-    (:data:`FACTOR_DEPS`), so the grid kernels are sampled four times per
-    call; every scenario then looks its factor values up and multiplies
-    them in feature order.
+    Each factor's value table comes from the grid backend, evaluated once
+    per assignment of the bits the factor reads, so the grid kernels are
+    sampled four times per call; every scenario then looks its factor
+    values up and multiplies them in feature order.
+    ``exit_beta_without_crystal`` swaps in :data:`EXIT_WITHOUT_CRYSTAL`; it
+    exists to demonstrate numerically that the variant does not move the
+    result at leading order.
     """
-    params.require_numeric()
-    if params.grid_n < MIN_GRID:
-        raise ValueError(f"grid_n={params.grid_n} below minimum {MIN_GRID}")
-    grid = grid_points(params.grid_n)
-    # tables[ch] holds one {bits read: value} table per factor, in feature order.
-    tables = {}
-    for ch in CHANNELS:
-        fns = _numeric_channel_features(
-            params.setting(ch).value, params.alpha, params.beta, params.sigma, exit_beta_without_crystal
-        )
-        tables[ch] = [
-            (deps, {
-                bits: fn(dict(zip(deps, bits)), grid)
-                for bits in itertools.product((0, 1), repeat=len(deps))
-            })
-            for deps, fn in zip(FACTOR_DEPS.values(), fns)
-        ]
+    grid = _numeric_grid(params)
+    factors = dict(CHANNEL_FACTORS)
+    if exit_beta_without_crystal:
+        factors["exit"] = EXIT_WITHOUT_CRYSTAL
+    tables = {
+        ch: factor_tables(
+            grid_backend(grid, params.setting(ch).value, params.alpha, params.beta, params.sigma),
+            factors,
+        ).values()
+        for ch in CHANNELS
+    }
 
     num = 0.0
     den = 0.0
@@ -438,14 +403,13 @@ def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = Fal
         assign = {
             var(ch, g): bits[4 * i + j]
             for i, ch in enumerate(CHANNELS)
-            for j, g in enumerate(_CHANNEL_BITS)
+            for j, g in enumerate(CHANNEL_BITS)
         }
         scalar = 1.0
         arrays: list[np.ndarray] = []
         for ch in CHANNELS:
-            local = {g: assign[var(ch, g)] for g in _CHANNEL_BITS}
-            for deps, table in tables[ch]:
-                val = table[tuple(local[d] for d in deps)]
+            for reads, table in tables[ch]:
+                val = table.get(tuple(assign[var(ch, r)] for r in reads), 0.0)
                 if isinstance(val, np.ndarray):
                     arrays.append(val)
                 else:
@@ -468,21 +432,14 @@ def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = Fal
             num += weight
     if den == 0.0:
         raise ZeroDivisionError("oracle partition vanished")
+    if not math.isfinite(den):
+        raise OverflowError("oracle partition overflowed; the kernels are not resolved by the grid")
     return CoincidenceResult(
         num / den, GradedCoeff.constant(num), GradedCoeff.constant(den), "regularized"
     )
 
 
 # -- triphoton extension -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GridFeature:
-    """A per-channel factor evaluated numerically on an angle-sample array."""
-
-    name: str
-    depends_on: tuple[str, ...]
-    fn: Callable[[Mapping[str, int], np.ndarray], "np.ndarray | float"]
 
 
 @dataclass(frozen=True)
@@ -500,8 +457,6 @@ class TriphotonGraph:
     beta: float
     sigma: float
     grid_n: int
-    variables: tuple[str, ...]
-    features: tuple[GridFeature, ...]
 
     FREE_ANGLES = 2
 
@@ -513,31 +468,12 @@ class TriphotonGraph:
                 np.broadcast_to(v, (self.grid_n, self.grid_n)),
                 (-u - v) % PI]
 
-    def _channel_sums(self, idx: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        feats = [f for f in self.features if f.name.startswith(f"c{idx}.")]
-        plus = np.zeros_like(theta)
-        minus = np.zeros_like(theta)
-        for bits in itertools.product((0, 1), repeat=4):
-            local = dict(zip(_CHANNEL_BITS, bits))
-            value: np.ndarray | float = 1.0
-            for f in feats:
-                factor = f.fn(local, theta)
-                if isinstance(factor, float) and factor == 0.0:
-                    value = 0.0
-                    break
-                value = value * factor
-            if isinstance(value, float) and value == 0.0:
-                continue
-            if local["gamma_C"] or local["gamma_W"]:
-                plus = plus + value
-            else:
-                minus = minus + value
-        return plus, minus
-
     def triple_coincidence(self) -> float:
         """Probability that all three counters fire, given the emission."""
-        thetas = self._photon_angles()
-        sums = [self._channel_sums(i, thetas[i]) for i in range(3)]
+        sums = [
+            sum_out_channel(grid_backend(theta, s.value, self.alpha, self.beta, self.sigma))
+            for theta, s in zip(self._photon_angles(), self.settings)
+        ]
         num = sums[0][0] * sums[1][0] * sums[2][0]
         den_arr = np.ones_like(num)
         for plus, minus in sums:
@@ -567,20 +503,10 @@ def build_triphoton_graph(
         raise GridTooCoarse(
             f"grid_n={params.grid_n} means {params.grid_n**2} cells, over budget {cell_budget}"
         )
-    variables = tuple(f"c{i}_{g}" for i in range(3) for g in _CHANNEL_BITS)
-    features = []
-    for i in range(3):
-        fns = _numeric_channel_features(
-            settings[i].value, params.alpha, params.beta, params.sigma
-        )
-        for (name, deps), fn in zip(FACTOR_DEPS.items(), fns):
-            features.append(GridFeature(f"c{i}.{name}", tuple(f"c{i}_{d}" for d in deps), fn))
     return TriphotonGraph(
         settings=tuple(settings),
         alpha=params.alpha,
         beta=params.beta,
         sigma=params.sigma,
         grid_n=params.grid_n,
-        variables=variables,
-        features=tuple(features),
     )

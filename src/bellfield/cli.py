@@ -19,6 +19,8 @@ from typing import Sequence
 
 from .angles import PolAngle
 from .bell import (
+    MAX_ALPHA,
+    MAX_BETA,
     GridTooCoarse,
     Mrf3Params,
     UnexpectedLeadingOrder,
@@ -47,6 +49,7 @@ NUMERICAL_ERRORS = (
     DivergentLimit,
     UnexpectedLeadingOrder,
     ZeroDivisionError,
+    OverflowError,
 )
 
 DEFAULT_SWEEP = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0]
@@ -102,9 +105,16 @@ class ExperimentConfig:
             raise ConfigError("grid_n", f"the oracle needs at least {MIN_GRID} grid points")
         if self.resolved_grid_n() < 1:
             raise ConfigError("grid_n", "must be positive")
+        numeric = self.experiment in ("special-cases", "limit-study", "triphoton-compare") or (
+            self.experiment == "bell-sweep" and self.mode != "exact"
+        )
+        if numeric and self.alpha > MAX_ALPHA:
+            raise ConfigError("alpha", f"must not exceed {MAX_ALPHA:g}, got {self.alpha}")
+        if numeric and self.beta > MAX_BETA:
+            raise ConfigError("beta", f"must not exceed {MAX_BETA:g}, got {self.beta}")
         if self.experiment == "bell-sweep" and self.mode in ("exact", "both"):
             for d in self.angles or DEFAULT_SWEEP:
-                if min(abs(d % 180), 180 - abs(d % 180)) < 1e-9 or abs(abs(d % 180) - 90) < 1e-9:
+                if _mrf_params(self, d).degenerate:
                     raise ConfigError(
                         "angles",
                         f"delta={d} deg is degenerate (equal/orthogonal settings); "
@@ -118,6 +128,8 @@ class ExperimentConfig:
                     raise ConfigError(key, "values must be distinct")
                 if min(vals, default=1.0) <= 0:
                     raise ConfigError(key, "values must be positive")
+            if max(self.betas, default=0.0) > MAX_BETA:
+                raise ConfigError("betas", f"values must not exceed {MAX_BETA:g}")
         if self.experiment == "malus-chain":
             if not (self.angles or []):
                 raise ConfigError("angles", "malus-chain needs at least one polarizer setting")

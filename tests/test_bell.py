@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bellfield.angles import PI, PolAngle
 import bellfield.bell as bell
@@ -16,22 +18,30 @@ from bellfield.bell import (
     GridTooCoarse,
     Mrf3Params,
     UnexpectedLeadingOrder,
+    CHANNEL_BITS,
+    CHANNEL_FACTORS,
     brute_force_oracle,
     build_bell_graph,
     build_triphoton_graph,
     channel_features,
     channel_sums,
     coincidence_probability,
-    feature_entry_surface,
-    feature_exit_surface,
-    feature_external_detector,
-    feature_hidden_detector,
-    feature_source,
+    grid_backend,
+    sum_out_channel,
     var,
 )
-from bellfield.dist import DeltaCollision, DistFn, dist_integrate, dist_mul, grid_points, wrapped_gaussian
+from bellfield.dist import (
+    DeltaCollision,
+    DistFn,
+    dist_integrate,
+    dist_mul,
+    grid_points,
+    regularize,
+    wrapped_gaussian,
+)
 from bellfield.graded import GradedCoeff
-from bellfield.mrf import event_probability, relative_probability, tally_events
+from bellfield.mrf import event_probability, forward_fold, relative_probability, tally_events
+from bellfield.quantum import triphoton_compare
 
 PI_FRAC = Fraction(math.pi)
 
@@ -46,6 +56,10 @@ def params_for(delta_deg: float, **kw) -> Mrf3Params:
 
 def half_law(delta_deg: float) -> float:
     return 0.5 * math.cos(math.radians(delta_deg)) ** 2
+
+
+def feature(channel: str, name: str, theta_p: PolAngle = PolAngle.from_degrees(20.0)):
+    return {f.name: f for f in channel_features(channel, theta_p)}[f"{channel}.{name}"]
 
 
 # -- the oracle comes first: it is what pinned the 1/2 constant -----------------
@@ -109,23 +123,29 @@ class TestBruteForceOracle:
     @pytest.mark.parametrize("delta", [30.0, 0.0, 90.0])
     @pytest.mark.parametrize("exit_beta", [False, True])
     def test_matches_scenario_by_scenario_reference(self, delta, exit_beta):
-        # Every factor is re-evaluated in every scenario, the way the
-        # oracle's definition reads.
+        # Every factor is re-evaluated from its primitives in every scenario,
+        # the way the oracle's definition reads.
         params = params_for(delta)
         grid = grid_points(params.grid_n)
-        fns = {
-            ch: bell._numeric_channel_features(
-                params.setting(ch).value, params.alpha, params.beta, params.sigma, exit_beta
-            )
+        factors = dict(CHANNEL_FACTORS)
+        if exit_beta:
+            factors["exit"] = bell.EXIT_WITHOUT_CRYSTAL
+        backends = {
+            ch: grid_backend(grid, params.setting(ch).value, params.alpha, params.beta, params.sigma)
             for ch in CHANNELS
         }
         num = den = 0.0
         for bits in itertools.product((0, 1), repeat=8):
             product = np.ones_like(grid)
             for i, ch in enumerate(CHANNELS):
-                local = dict(zip(bell._CHANNEL_BITS, bits[4 * i : 4 * i + 4]))
-                for fn in fns[ch]:
-                    product = product * fn(local, grid)
+                local = dict(zip(CHANNEL_BITS, bits[4 * i : 4 * i + 4]))
+                for reads, values in factors.values():
+                    prims = values.get(tuple(local[r] for r in reads))
+                    if prims is None:
+                        product = product * 0.0
+                        continue
+                    for p in prims:
+                        product = product * backends[ch].get(p, p)
             weight = float(product.sum()) * PI / params.grid_n
             den += weight
             if (bits[2] or bits[3]) and (bits[6] or bits[7]):
@@ -138,21 +158,15 @@ class TestBruteForceOracle:
 
 
 class TestFeatures:
-    def test_source_conditioned(self):
-        f = feature_source()
-        assert f.eval({}) == DistFn.one()
-        assert f.eval({"gamma_minus_L": 0}).is_zero
-        assert f.eval({"gamma_minus_L": 1, "gamma_minus_R": 1}) == DistFn.one()
-
     def test_external_detector(self):
-        f = feature_external_detector("R")
+        f = feature("R", "detector")
         assert f.eval({"R_gamma_C": 0, "R_gamma_W": 0}) == DistFn.one()
         assert f.eval({"R_gamma_C": 1, "R_gamma_W": 0}) == DistFn.constant(ALPHA)
         # unreachable double occupation: any finite value, exit zeroes it
         assert f.eval({"R_gamma_C": 1, "R_gamma_W": 1}) == DistFn.constant(ALPHA)
 
     def test_hidden_detector(self):
-        f = feature_hidden_detector("R")
+        f = feature("R", "hidden_minus")
         assert f.eval({"R_gamma_b_minus": 0}) == DistFn.one()
         assert f.eval({"R_gamma_b_minus": 1}) == DistFn.constant(
             GradedCoeff.constant(2) * ALPHA * BETA
@@ -160,7 +174,7 @@ class TestFeatures:
 
     def test_entry_surface_branches(self):
         tb = PolAngle.from_degrees(20.0)
-        f = feature_entry_surface("R", tb)
+        f = feature("R", "entry", tb)
         passing = f.eval({"R_gamma_b": 1, "R_gamma_b_minus": 0})
         assert passing.atom_weight_at(tb) == GradedCoeff.one()
         assert passing.smooth_at(tb.value).eval(1.0, 0.5) == pytest.approx(0.5)
@@ -170,7 +184,7 @@ class TestFeatures:
         assert f.eval({"R_gamma_b": 0, "R_gamma_b_minus": 0}).is_zero
 
     def test_exit_surface_branches(self):
-        f = feature_exit_surface("R")
+        f = feature("R", "exit")
 
         def v(b, c, w):
             return f.eval({"R_gamma_b": b, "R_gamma_C": c, "R_gamma_W": w})
@@ -186,8 +200,8 @@ class TestFeatures:
     def test_hidden_blocked_product_structure(self):
         # blocked-path entry times the internal absorber
         tb = PolAngle.from_degrees(20.0)
-        entry = feature_entry_surface("R", tb).eval({"R_gamma_b": 0, "R_gamma_b_minus": 1})
-        hidden = feature_hidden_detector("R").eval({"R_gamma_b_minus": 1})
+        entry = feature("R", "entry", tb).eval({"R_gamma_b": 0, "R_gamma_b_minus": 1})
+        hidden = feature("R", "hidden_minus").eval({"R_gamma_b_minus": 1})
         prod = dist_mul(entry, hidden)
         two_ab = GradedCoeff.constant(2) * ALPHA * BETA
         assert prod.atom_weight_at(tb.perpendicular()) == two_ab
@@ -439,8 +453,7 @@ class TestTriphoton:
 
     def test_structure(self):
         g = build_triphoton_graph(self.settings(), self.tri_params())
-        assert len(g.variables) == 12
-        assert len(g.features) == 15
+        assert len(g.settings) * len(CHANNEL_FACTORS) == 15
         assert g.FREE_ANGLES == 2
 
     def test_grid_budget(self):
@@ -461,7 +474,7 @@ class TestTriphoton:
         phi = PolAngle.from_degrees(30.0)
         g = build_triphoton_graph((phi, phi, phi), p)
         theta = grid_points(p.grid_n)[:, None] * np.ones((1, p.grid_n))
-        plus, minus = g._channel_sums(0, theta)
+        plus, minus = sum_out_channel(grid_backend(theta, phi.value, g.alpha, g.beta, g.sigma))
         two_ab = 2 * p.alpha * p.beta
         expected_plus = two_ab * (
             wrapped_gaussian(theta, phi.value, p.sigma) + p.beta * np.cos(theta - phi.value) ** 2
@@ -476,3 +489,59 @@ class TestTriphoton:
     def test_requires_three_settings(self):
         with pytest.raises(ValueError):
             build_triphoton_graph(self.settings()[:2], self.tri_params())
+
+
+# -- cross-route properties on random settings -----------------------------------------
+
+angles = st.floats(0.0, PI, exclude_max=True)
+
+
+def separated(theta_a: float, theta_b: float) -> Mrf3Params:
+    """Settings far enough from equal or orthogonal for the exact route."""
+    assume(abs(math.remainder(theta_a - theta_b, PI / 2)) > 0.02)
+    return Mrf3Params(PolAngle(theta_a), PolAngle(theta_b))
+
+
+class TestCrossRoute:
+    @settings(max_examples=15, deadline=None)
+    @given(angles, angles, st.randoms(use_true_random=False))
+    def test_exact_route_equals_fold_and_enumeration(self, theta_a, theta_b, rng):
+        params = separated(theta_a, theta_b)
+        r = coincidence_probability(params, "exact")
+        graph = build_bell_graph(params)
+        order = list(graph.features)
+        rng.shuffle(order)
+        fold = forward_fold(graph, order, (graph.predicate("D"),))
+        totals, partition = tally_events(graph, (graph.predicate("D"),))
+        # exact GradedCoeff equality
+        assert r.numerator == fold.unnormalized["D"] == totals["D"]
+        assert r.denominator == fold.partition == partition
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        angles,
+        st.floats(1e-4, 1.0),
+        st.floats(1e-4, 0.1),
+        st.floats(0.005, PI / 16),
+    )
+    def test_grid_sums_equal_regularized_graded_sums(self, theta, alpha, beta, sigma):
+        params = Mrf3Params(PolAngle(theta), PolAngle(0.0), alpha, beta, sigma, grid_n=512)
+        grid = grid_points(params.grid_n)
+        on_grid = sum_out_channel(grid_backend(grid, theta, alpha, beta, sigma))
+        for got, exact in zip(on_grid, channel_sums(params, "L")):
+            want = regularize(exact.substitute(alpha, beta), sigma, params.grid_n).samples
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.tuples(angles, angles, angles),
+        st.floats(1e-3, 0.1),
+        st.floats(0.02, 0.1),
+        st.permutations((0, 1, 2)),
+    )
+    def test_triphoton_mrf_equals_mstar(self, thetas, beta, sigma, order):
+        settings3 = tuple(PolAngle(t) for t in thetas)
+        params = Mrf3Params(PolAngle(0.0), PolAngle(0.0), beta=beta, sigma=sigma, grid_n=64)
+        mrf = triphoton_compare(settings3, order, "MRF", params).probability
+        mstar = triphoton_compare(settings3, order, "Mstar", params).probability
+        assert mrf == pytest.approx(mstar, abs=1e-12)

@@ -1,8 +1,12 @@
+import contextlib
 import csv
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellfield.cli import (
     ConfigError,
@@ -92,6 +96,11 @@ class TestBellSweep:
 
 
 class TestSpecialCases:
+    def test_unresolved_kernel_is_numerical_failure(self, tmp_path, capsys):
+        # a kernel this narrow peaks so high that the oracle's partition overflows
+        assert main(["special-cases", "--sigma", "1e-300", "--output", str(tmp_path / "x.csv")]) == 3
+        assert "OverflowError" in capsys.readouterr().err
+
     def test_targets(self, tmp_path):
         out = tmp_path / "special.csv"
         assert main(["special-cases", "--output", str(out)]) == 0
@@ -245,6 +254,13 @@ class TestValidation:
             (["limit-study", "--sigmas", "0.01,0.01"], "sigmas"),
             (["limit-study", "--sigmas", "0.01", "--betas", "1e-3,1e-3"], "betas"),
             (["limit-study", "--sigmas", "0,0.01"], "sigmas"),
+            (["bell-sweep", "--mode", "regularized", "--angles", "30", "--beta", "0.2"], "beta"),
+            (["special-cases", "--beta", "0.2"], "beta"),
+            (["triphoton-compare", "--angles", "10,20,30", "--beta", "0.2"], "beta"),
+            (["limit-study", "--betas", "0.2,0.3"], "betas"),
+            (["bell-sweep", "--angles", "30", "--alpha", "1e300"], "alpha"),
+            (["triphoton-compare", "--angles", "10,20,30", "--alpha", "1e300"], "alpha"),
+            (["bell-sweep", "--mode", "exact", "--angles", "3e-11"], "angles"),
         ],
     )
     def test_rejected_input_exits_2(self, argv, key, tmp_path, capsys):
@@ -253,6 +269,16 @@ class TestValidation:
 
     def test_cancelled_leading_order_exits_3(self, tmp_path, capsys):
         argv = ["bell-sweep", "--mode", "exact", "--angles", "89.9999999"]
+        assert main([*argv, "--output", str(tmp_path / "x.csv")]) == 3
+        assert "UnexpectedLeadingOrder" in capsys.readouterr().err
+
+    def test_angle_just_past_the_tolerance_is_computed(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main(["bell-sweep", "--mode", "exact", "--angles", "1e-10", "--output", str(out)]) == 0
+        assert float(read_csv(out)[0]["value"]) == 0.5
+
+    def test_near_right_angle_past_the_tolerance_exits_3(self, tmp_path, capsys):
+        argv = ["bell-sweep", "--mode", "exact", "--angles", "89.9999999999"]
         assert main([*argv, "--output", str(tmp_path / "x.csv")]) == 3
         assert "UnexpectedLeadingOrder" in capsys.readouterr().err
 
@@ -267,3 +293,41 @@ class TestValidation:
         text = render_rows([row], "csv")
         assert "0.333333333333" in text  # 12 significant digits
         assert "0.166666666667" in text  # abs_error formatted the same way
+
+
+numbers = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0]),
+    st.floats(1e-300, 1e300),
+    st.floats(-1e300, -1e-300),
+)
+degrees = st.one_of(st.floats(-720.0, 720.0), st.sampled_from([0.0, 90.0, 1e-10, 89.9999999]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["bell-sweep", "special-cases", "limit-study", "malus-chain", "triphoton-compare"]),
+    numbers,
+    numbers,
+    numbers,
+    st.lists(degrees, min_size=3, max_size=3),
+    st.sampled_from([-1, 0, 1, 96, 256, 300]),
+    st.sampled_from(["exact", "regularized", "both"]),
+)
+def test_every_input_exits_0_2_or_3(experiment, alpha, beta, sigma, angles, grid_n, mode):
+    argv = [
+        experiment,
+        f"--alpha={alpha!r}",
+        f"--beta={beta!r}",
+        f"--sigma={sigma!r}",
+        f"--angles={','.join(repr(a) for a in angles)}",
+        f"--grid-n={grid_n}",
+        f"--mode={mode}",
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects its own input with 2
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -107,6 +107,12 @@ class TestConstruction:
         f = DistFn.atom(t, 2) + DistFn.atom(t, 3)
         assert f.atom_weight_at(t) == GradedCoeff.constant(5)
 
+    def test_coefficient_times_distribution_scales(self):
+        f = DistFn.atom(PolAngle(0.3)) + DistFn.cos_squared(PolAngle(0.3))
+        alpha = GradedCoeff.alpha()
+        assert f * alpha == alpha * f == f.scale(alpha)
+        assert 1 * f is f
+
 
 class TestIntegrate:
     def test_atom_mass(self):
