@@ -16,6 +16,7 @@ from .bell import (
 from .dist import (
     DeltaCollision,
     DistFn,
+    HarmonicOverflow,
     RegularizedDistFn,
     SigmaTooCoarse,
     dist_integrate,
@@ -54,6 +55,7 @@ __all__ = [
     "dist_integrate",
     "regularize",
     "DeltaCollision",
+    "HarmonicOverflow",
     "SigmaTooCoarse",
     "VariableDecl",
     "Scenario",

@@ -38,7 +38,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -358,7 +358,7 @@ def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> Coincide
         num = float((pl * pr).sum()) * cell
         den = float(((pl + ml) * (pr + mr)).sum()) * cell
         return CoincidenceResult(
-            num / den,
+            partition_ratio(num, den),
             GradedCoeff.constant(num),
             GradedCoeff.constant(den),
             "regularized",
@@ -367,6 +367,16 @@ def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> Coincide
 
 
 # -- brute-force oracle --------------------------------------------------------------
+
+
+def partition_ratio(num: float, den: float) -> float:
+    """A grid route's detected weight over its partition, once the partition
+    is checked to be nonzero and finite."""
+    if den == 0.0:
+        raise ZeroDivisionError("partition vanished")
+    if not math.isfinite(den):
+        raise OverflowError("partition is not finite; the kernels are not resolved by the grid")
+    return num / den
 
 
 def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = False) -> CoincidenceResult:
@@ -420,9 +430,9 @@ def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = Fal
                 break
         if scalar == 0.0:
             continue
-        product = RegularizedDistFn(np.full_like(grid, scalar), params.sigma)
+        product = RegularizedDistFn(np.full_like(grid, scalar))
         for arr in arrays:
-            product = product * RegularizedDistFn(arr, params.sigma)
+            product = product * RegularizedDistFn(arr)
         weight = product.integral()
         den += weight
         detected = all(
@@ -430,12 +440,8 @@ def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = Fal
         )
         if detected:
             num += weight
-    if den == 0.0:
-        raise ZeroDivisionError("oracle partition vanished")
-    if not math.isfinite(den):
-        raise OverflowError("oracle partition overflowed; the kernels are not resolved by the grid")
     return CoincidenceResult(
-        num / den, GradedCoeff.constant(num), GradedCoeff.constant(den), "regularized"
+        partition_ratio(num, den), GradedCoeff.constant(num), GradedCoeff.constant(den), "regularized"
     )
 
 
@@ -448,8 +454,9 @@ class TriphotonGraph:
 
     The source emits three photons whose polarization angles sum to zero
     (mod pi), leaving two free angles; evaluation integrates over a 2-D
-    grid in those.  There is no arrival-order anywhere in the structure:
-    the prediction can only depend on the settings.
+    grid in those (``photon_angles``, from :func:`triphoton_angles`).  There
+    is no arrival-order anywhere in the structure: the prediction can only
+    depend on the settings.
     """
 
     settings: tuple[PolAngle, PolAngle, PolAngle]
@@ -457,56 +464,54 @@ class TriphotonGraph:
     beta: float
     sigma: float
     grid_n: int
+    photon_angles: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
     FREE_ANGLES = 2
-
-    def _photon_angles(self) -> list[np.ndarray]:
-        axis = grid_points(self.grid_n)
-        u = axis[:, None]
-        v = axis[None, :]
-        return [np.broadcast_to(u, (self.grid_n, self.grid_n)),
-                np.broadcast_to(v, (self.grid_n, self.grid_n)),
-                (-u - v) % PI]
 
     def triple_coincidence(self) -> float:
         """Probability that all three counters fire, given the emission."""
         sums = [
             sum_out_channel(grid_backend(theta, s.value, self.alpha, self.beta, self.sigma))
-            for theta, s in zip(self._photon_angles(), self.settings)
+            for theta, s in zip(self.photon_angles, self.settings)
         ]
         num = sums[0][0] * sums[1][0] * sums[2][0]
         den_arr = np.ones_like(num)
         for plus, minus in sums:
             den_arr = den_arr * (plus + minus)
         cell = (PI / self.grid_n) ** 2
-        num_val = float(num.sum()) * cell
-        den_val = float(den_arr.sum()) * cell
-        if den_val == 0.0:
-            raise ZeroDivisionError("triphoton partition vanished")
-        return num_val / den_val
+        return partition_ratio(float(num.sum()) * cell, float(den_arr.sum()) * cell)
 
 
-def build_triphoton_graph(
-    settings: tuple[PolAngle, PolAngle, PolAngle],
-    params: Mrf3Params,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-) -> TriphotonGraph:
+def triphoton_angles(params: Mrf3Params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three photon angles over the 2-D grid of the two free source angles.
+
+    The numeric knobs and the cell budget are checked before anything is
+    allocated.  The first two photons take the grid angles ``u`` and ``v``,
+    the third ``(-u - v) mod pi``, so the three sum to zero.
+    """
+    params.require_numeric()
+    n = params.grid_n
+    if n**2 > DEFAULT_CELL_BUDGET:
+        raise GridTooCoarse(f"grid_n={n} means {n**2} cells, over budget {DEFAULT_CELL_BUDGET}")
+    axis = grid_points(n)
+    u = axis[:, None]
+    v = axis[None, :]
+    return np.broadcast_to(u, (n, n)), np.broadcast_to(v, (n, n)), (-u - v) % PI
+
+
+def build_triphoton_graph(settings: tuple[PolAngle, PolAngle, PolAngle], params: Mrf3Params) -> TriphotonGraph:
     """Assemble the three-channel graph; numeric-grid evaluation only.
 
     ``params`` supplies the numeric knobs (its two polarizer fields are
-    unused here).  The 2-D grid must fit the cell budget.
+    unused here); :func:`triphoton_angles` checks them and lays out the grid.
     """
     if len(settings) != 3:
         raise ValueError("exactly three polarizer settings required")
-    params.require_numeric()
-    if params.grid_n**2 > cell_budget:
-        raise GridTooCoarse(
-            f"grid_n={params.grid_n} means {params.grid_n**2} cells, over budget {cell_budget}"
-        )
     return TriphotonGraph(
         settings=tuple(settings),
         alpha=params.alpha,
         beta=params.beta,
         sigma=params.sigma,
         grid_n=params.grid_n,
+        photon_angles=triphoton_angles(params),
     )

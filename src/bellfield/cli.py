@@ -27,7 +27,7 @@ from .bell import (
     brute_force_oracle,
     coincidence_probability,
 )
-from .dist import MIN_GRID, DeltaCollision, SigmaTooCoarse
+from .dist import MIN_GRID, DeltaCollision, HarmonicOverflow, SigmaTooCoarse
 from .graded import DivergentLimit, MismatchedAlphaOrder
 from .mrf import ZeroPartition
 from .quantum import (
@@ -41,6 +41,7 @@ EXPERIMENTS = ("bell-sweep", "special-cases", "limit-study", "malus-chain", "tri
 
 NUMERICAL_ERRORS = (
     DeltaCollision,
+    HarmonicOverflow,
     ZeroPartition,
     SigmaTooCoarse,
     GridTooCoarse,

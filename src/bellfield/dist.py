@@ -5,7 +5,9 @@ half-turn circle together with a smooth trigonometric polynomial in the
 even harmonics ``cos(2k*theta)``, ``sin(2k*theta)`` (period-pi functions,
 matching the mod-pi angle domain).  Atom weights and harmonic coefficients
 are :class:`~bellfield.graded.GradedCoeff` values, so products and
-integrals stay exact in the small parameters.
+integrals stay exact in the small parameters.  Every ``DistFn`` carries
+exactly :data:`MAX_HARMONIC` cos and sin coefficients; a product that would
+need a higher harmonic raises :class:`HarmonicOverflow` instead of dropping it.
 
 Exact mode refuses to multiply two atoms at the same location -- the square
 of a point mass is not a distribution.  Callers then switch to the
@@ -26,9 +28,10 @@ import numpy as np
 from .angles import PI, PolAngle
 from .graded import GradedCoeff
 
-#: Highest retained harmonic ``cos/sin(2K*theta)``.  The model's smooth
-#: parts are quadratic in cos/sin, so products never exceed harmonic 2.
-DEFAULT_MAX_HARMONIC = 8
+#: Highest harmonic ``cos/sin(2K*theta)`` a ``DistFn`` holds.  The model's
+#: smooth parts are quadratic in cos/sin, so its products never exceed
+#: harmonic 2.
+MAX_HARMONIC = 8
 
 #: Exact rational standing in for the integration-domain length pi.
 PI_FRAC = Fraction(math.pi)
@@ -43,24 +46,27 @@ class DeltaCollision(ArithmeticError):
     """Two point masses met at the same location in exact mode."""
 
 
+class HarmonicOverflow(ArithmeticError):
+    """A product reached a harmonic above :data:`MAX_HARMONIC`."""
+
+
 class SigmaTooCoarse(ValueError):
     """Kernel width too large for atoms a quarter turn apart to separate."""
 
 
-def _zeros(k: int) -> tuple[GradedCoeff, ...]:
-    return tuple(GradedCoeff.zero() for _ in range(k))
+_NO_HARMONICS = (GradedCoeff.zero(),) * MAX_HARMONIC
 
 
 class DistFn:
     """Atoms plus an even-harmonic trigonometric polynomial.
 
     ``cos_coeffs[k-1]`` and ``sin_coeffs[k-1]`` multiply ``cos(2k*theta)``
-    and ``sin(2k*theta)``; ``c0`` is the smooth part's constant term.
-    Instances are immutable; ``overflowed`` records that some product once
-    exceeded the harmonic cutoff and was dropped.
+    and ``sin(2k*theta)`` for ``k`` up to :data:`MAX_HARMONIC`; ``c0`` is
+    the smooth part's constant term.  Both coefficient lists, when given,
+    must have exactly ``MAX_HARMONIC`` entries.  Instances are immutable.
     """
 
-    __slots__ = ("atoms", "c0", "cos_coeffs", "sin_coeffs", "overflowed")
+    __slots__ = ("atoms", "c0", "cos_coeffs", "sin_coeffs")
 
     def __init__(
         self,
@@ -68,8 +74,6 @@ class DistFn:
         c0: GradedCoeff | None = None,
         cos_coeffs: Sequence[GradedCoeff] | None = None,
         sin_coeffs: Sequence[GradedCoeff] | None = None,
-        max_harmonic: int = DEFAULT_MAX_HARMONIC,
-        overflowed: bool = False,
     ):
         merged: list[tuple[PolAngle, GradedCoeff]] = []
         for loc, w in atoms:
@@ -82,14 +86,15 @@ class DistFn:
             else:
                 merged.append((loc, w))
         object.__setattr__(self, "atoms", tuple((l, w) for l, w in merged if not w.is_zero))
-        cos = tuple(cos_coeffs) if cos_coeffs is not None else _zeros(max_harmonic)
-        sin = tuple(sin_coeffs) if sin_coeffs is not None else _zeros(max_harmonic)
-        if len(cos) != len(sin):
-            raise ValueError("cos/sin coefficient arrays must have equal length")
+        cos = tuple(cos_coeffs) if cos_coeffs is not None else _NO_HARMONICS
+        sin = tuple(sin_coeffs) if sin_coeffs is not None else _NO_HARMONICS
+        if len(cos) != MAX_HARMONIC or len(sin) != MAX_HARMONIC:
+            raise ValueError(
+                f"need {MAX_HARMONIC} cos and sin coefficients, got {len(cos)} and {len(sin)}"
+            )
         object.__setattr__(self, "c0", c0 if c0 is not None else GradedCoeff.zero())
         object.__setattr__(self, "cos_coeffs", cos)
         object.__setattr__(self, "sin_coeffs", sin)
-        object.__setattr__(self, "overflowed", overflowed)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("DistFn is immutable")
@@ -97,53 +102,49 @@ class DistFn:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, max_harmonic: int = DEFAULT_MAX_HARMONIC) -> "DistFn":
-        return cls(max_harmonic=max_harmonic)
+    def zero(cls) -> "DistFn":
+        return cls()
 
     @classmethod
-    def constant(cls, c, max_harmonic: int = DEFAULT_MAX_HARMONIC) -> "DistFn":
+    def constant(cls, c) -> "DistFn":
         if not isinstance(c, GradedCoeff):
             c = GradedCoeff.constant(c)
-        return cls(c0=c, max_harmonic=max_harmonic)
+        return cls(c0=c)
 
     @classmethod
-    def one(cls, max_harmonic: int = DEFAULT_MAX_HARMONIC) -> "DistFn":
-        return cls.constant(1, max_harmonic)
+    def one(cls) -> "DistFn":
+        return cls.constant(1)
 
     @classmethod
-    def atom(cls, location: PolAngle, weight=1, max_harmonic: int = DEFAULT_MAX_HARMONIC) -> "DistFn":
+    def atom(cls, location: PolAngle, weight=1) -> "DistFn":
         if not isinstance(weight, GradedCoeff):
             weight = GradedCoeff.constant(weight)
-        return cls(atoms=[(location, weight)], max_harmonic=max_harmonic)
+        return cls(atoms=[(location, weight)])
 
     @classmethod
-    def _shifted_half_cos(cls, center: PolAngle, scale, sign: int, max_harmonic: int) -> "DistFn":
+    def _shifted_half_cos(cls, center: PolAngle, scale, sign: int) -> "DistFn":
         # scale * (1/2 +- 1/2 cos(2(theta - center)))
         if not isinstance(scale, GradedCoeff):
             scale = GradedCoeff.constant(scale)
-        cos = list(_zeros(max_harmonic))
-        sin = list(_zeros(max_harmonic))
+        cos = list(_NO_HARMONICS)
+        sin = list(_NO_HARMONICS)
         c2 = Fraction(math.cos(2 * center.value))
         s2 = Fraction(math.sin(2 * center.value))
         cos[0] = scale * (sign * HALF * c2)
         sin[0] = scale * (sign * HALF * s2)
-        return cls(c0=scale * HALF, cos_coeffs=cos, sin_coeffs=sin, max_harmonic=max_harmonic)
+        return cls(c0=scale * HALF, cos_coeffs=cos, sin_coeffs=sin)
 
     @classmethod
-    def cos_squared(cls, center: PolAngle, scale=1, max_harmonic: int = DEFAULT_MAX_HARMONIC) -> "DistFn":
+    def cos_squared(cls, center: PolAngle, scale=1) -> "DistFn":
         """``scale * cos^2(theta - center)`` as a smooth distribution."""
-        return cls._shifted_half_cos(center, scale, +1, max_harmonic)
+        return cls._shifted_half_cos(center, scale, +1)
 
     @classmethod
-    def sin_squared(cls, center: PolAngle, scale=1, max_harmonic: int = DEFAULT_MAX_HARMONIC) -> "DistFn":
+    def sin_squared(cls, center: PolAngle, scale=1) -> "DistFn":
         """``scale * sin^2(theta - center)`` as a smooth distribution."""
-        return cls._shifted_half_cos(center, scale, -1, max_harmonic)
+        return cls._shifted_half_cos(center, scale, -1)
 
     # -- queries -------------------------------------------------------------
-
-    @property
-    def max_harmonic(self) -> int:
-        return len(self.cos_coeffs)
 
     @property
     def smooth_is_zero(self) -> bool:
@@ -159,9 +160,7 @@ class DistFn:
         """Value of the smooth part at a point (a graded coefficient)."""
         t = theta.value if isinstance(theta, PolAngle) else float(theta)
         out = self.c0
-        for k in range(1, self.max_harmonic + 1):
-            ck = self.cos_coeffs[k - 1]
-            sk = self.sin_coeffs[k - 1]
+        for k, (ck, sk) in enumerate(zip(self.cos_coeffs, self.sin_coeffs), 1):
             if not ck.is_zero:
                 out = out + ck * Fraction(math.cos(2 * k * t))
             if not sk.is_zero:
@@ -179,14 +178,11 @@ class DistFn:
     def __add__(self, other: "DistFn") -> "DistFn":
         if not isinstance(other, DistFn):
             return NotImplemented
-        k = max(self.max_harmonic, other.max_harmonic)
-        a, b = self._padded(k), other._padded(k)
         return DistFn(
-            atoms=list(a.atoms) + list(b.atoms),
-            c0=a.c0 + b.c0,
-            cos_coeffs=[x + y for x, y in zip(a.cos_coeffs, b.cos_coeffs)],
-            sin_coeffs=[x + y for x, y in zip(a.sin_coeffs, b.sin_coeffs)],
-            overflowed=a.overflowed or b.overflowed,
+            atoms=list(self.atoms) + list(other.atoms),
+            c0=self.c0 + other.c0,
+            cos_coeffs=[x + y for x, y in zip(self.cos_coeffs, other.cos_coeffs)],
+            sin_coeffs=[x + y for x, y in zip(self.sin_coeffs, other.sin_coeffs)],
         )
 
     def scale(self, c) -> "DistFn":
@@ -197,7 +193,6 @@ class DistFn:
             c0=self.c0 * c,
             cos_coeffs=[x * c for x in self.cos_coeffs],
             sin_coeffs=[x * c for x in self.sin_coeffs],
-            overflowed=self.overflowed,
         )
 
     def __mul__(self, c) -> "DistFn":
@@ -207,20 +202,6 @@ class DistFn:
         return self if c == 1 else self.scale(c)
 
     __rmul__ = __mul__
-
-    def _padded(self, k: int) -> "DistFn":
-        if k == self.max_harmonic:
-            return self
-        if k < self.max_harmonic:
-            raise ValueError("cannot shrink harmonic range")
-        pad = tuple(GradedCoeff.zero() for _ in range(k - self.max_harmonic))
-        return DistFn(
-            atoms=self.atoms,
-            c0=self.c0,
-            cos_coeffs=self.cos_coeffs + pad,
-            sin_coeffs=self.sin_coeffs + pad,
-            overflowed=self.overflowed,
-        )
 
     def substitute(self, alpha: float, beta: float) -> "DistFn":
         """Replace the formal small parameters by numeric values."""
@@ -233,23 +214,20 @@ class DistFn:
             c0=ev(self.c0),
             cos_coeffs=[ev(x) for x in self.cos_coeffs],
             sin_coeffs=[ev(x) for x in self.sin_coeffs],
-            overflowed=self.overflowed,
         )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DistFn):
             return NotImplemented
-        k = max(self.max_harmonic, other.max_harmonic)
-        a, b = self._padded(k), other._padded(k)
-        if len(a.atoms) != len(b.atoms):
+        if len(self.atoms) != len(other.atoms):
             return False
-        for loc, w in a.atoms:
-            if b.atom_weight_at(loc) != w:
+        for loc, w in self.atoms:
+            if other.atom_weight_at(loc) != w:
                 return False
         return (
-            a.c0 == b.c0
-            and all(x == y for x, y in zip(a.cos_coeffs, b.cos_coeffs))
-            and all(x == y for x, y in zip(a.sin_coeffs, b.sin_coeffs))
+            self.c0 == other.c0
+            and self.cos_coeffs == other.cos_coeffs
+            and self.sin_coeffs == other.sin_coeffs
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -267,13 +245,11 @@ def dist_mul(f: DistFn, g: DistFn) -> DistFn:
     Atom x atom at distinct locations annihilates; at the same location it
     raises :class:`DeltaCollision` (callers fall back to regularized mode).
     Atom x smooth sifts the smooth factor at the atom.  Smooth x smooth is
-    the exact trigonometric product, truncated at the harmonic cutoff with
-    the overflow flag set if anything nonzero was dropped.
+    the exact trigonometric product; it raises :class:`HarmonicOverflow`
+    when a harmonic above :data:`MAX_HARMONIC` keeps a nonzero coefficient.
     """
     if f.is_zero or g.is_zero:
-        return DistFn.zero(max(f.max_harmonic, g.max_harmonic))
-    k = max(f.max_harmonic, g.max_harmonic)
-    f, g = f._padded(k), g._padded(k)
+        return DistFn.zero()
 
     for loc_f, _ in f.atoms:
         for loc_g, _ in g.atoms:
@@ -289,10 +265,11 @@ def dist_mul(f: DistFn, g: DistFn) -> DistFn:
         atoms.append((loc, w * f.smooth_at(loc)))
 
     # Trig products:  cos A cos B = (cos(A-B) + cos(A+B)) / 2, etc., with
-    # A = 2*k1*theta, B = 2*k2*theta.  Index 0 plays the constant's role.
-    ncos = [GradedCoeff.zero() for _ in range(k + 1)]
-    nsin = [GradedCoeff.zero() for _ in range(k + 1)]
-    overflowed = f.overflowed or g.overflowed
+    # A = 2*k1*theta, B = 2*k2*theta.  Index 0 plays the constant's role;
+    # the sums reach harmonic 2K, of which only the first K may survive.
+    k = MAX_HARMONIC
+    ncos = [GradedCoeff.zero()] * (2 * k + 1)
+    nsin = [GradedCoeff.zero()] * (2 * k + 1)
 
     fc = (f.c0,) + f.cos_coeffs
     fs = (GradedCoeff.zero(),) + f.sin_coeffs
@@ -300,26 +277,13 @@ def dist_mul(f: DistFn, g: DistFn) -> DistFn:
     gs = (GradedCoeff.zero(),) + g.sin_coeffs
 
     def add_cos(idx: int, val: GradedCoeff):
-        nonlocal overflowed
-        if val.is_zero:
-            return
-        if idx > k:
-            overflowed = True
-            return
         ncos[idx] = ncos[idx] + val
 
     def add_sin(idx: int, val: GradedCoeff):
-        nonlocal overflowed
-        if val.is_zero:
-            return
-        if idx == 0:
-            return
-        if abs(idx) > k:
-            overflowed = True
-            return
+        # sin(-x) = -sin(x) and sin(0) = 0
         if idx > 0:
             nsin[idx] = nsin[idx] + val
-        else:
+        elif idx < 0:
             nsin[-idx] = nsin[-idx] - val
 
     for k1 in range(k + 1):
@@ -347,13 +311,9 @@ def dist_mul(f: DistFn, g: DistFn) -> DistFn:
                 add_sin(k1 + k2, half)
                 add_sin(k2 - k1, half)
 
-    return DistFn(
-        atoms=atoms,
-        c0=ncos[0],
-        cos_coeffs=ncos[1:],
-        sin_coeffs=nsin[1:],
-        overflowed=overflowed,
-    )
+    if any(ncos[k + 1 :]) or any(nsin[k + 1 :]):
+        raise HarmonicOverflow(f"product needs a harmonic above {MAX_HARMONIC}")
+    return DistFn(atoms=atoms, c0=ncos[0], cos_coeffs=ncos[1 : k + 1], sin_coeffs=nsin[1 : k + 1])
 
 
 def dist_integrate(f: DistFn) -> GradedCoeff:
@@ -394,14 +354,11 @@ class RegularizedDistFn:
     """A distribution sampled on a uniform grid over [0, pi)."""
 
     samples: np.ndarray
-    sigma: float
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
         if self.samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
 
     @property
     def n(self) -> int:
@@ -415,9 +372,9 @@ class RegularizedDistFn:
         if isinstance(other, RegularizedDistFn):
             if other.n != self.n:
                 raise ValueError("grid size mismatch")
-            return RegularizedDistFn(self.samples * other.samples, min(self.sigma, other.sigma))
+            return RegularizedDistFn(self.samples * other.samples)
         if isinstance(other, (int, float)):
-            return RegularizedDistFn(self.samples * float(other), self.sigma)
+            return RegularizedDistFn(self.samples * float(other))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -426,7 +383,7 @@ class RegularizedDistFn:
         if isinstance(other, RegularizedDistFn):
             if other.n != self.n:
                 raise ValueError("grid size mismatch")
-            return RegularizedDistFn(self.samples + other.samples, min(self.sigma, other.sigma))
+            return RegularizedDistFn(self.samples + other.samples)
         return NotImplemented
 
 
@@ -461,11 +418,11 @@ def regularize(
     for loc, w in f.atoms:
         samples += num(w) * kernel(grid, loc.value, sigma)
     smooth = np.full(n, num(f.c0))
-    for k in range(1, f.max_harmonic + 1):
+    for k in range(1, MAX_HARMONIC + 1):
         ck = num(f.cos_coeffs[k - 1])
         sk = num(f.sin_coeffs[k - 1])
         if ck:
             smooth += ck * np.cos(2 * k * grid)
         if sk:
             smooth += sk * np.sin(2 * k * grid)
-    return RegularizedDistFn(samples + smooth, sigma)
+    return RegularizedDistFn(samples + smooth)

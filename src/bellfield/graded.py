@@ -5,6 +5,8 @@ detector absorption scale (``alpha`` throughout) and the polarizer
 conversion cost (``beta``).  Keeping both formal makes small-parameter
 limits exact: the limiting value of a ratio is read off the lowest
 surviving orders instead of being estimated at some finite parameter value.
+Every polynomial drops the terms above one fixed total degree,
+:data:`MAX_TOTAL_DEGREE`, far above the orders any limit reads.
 
 Coefficients are exact rationals internally, so addition and multiplication
 are commutative, associative and distributive *exactly* -- several
@@ -22,7 +24,9 @@ from typing import Mapping, Tuple, Union
 Scalar = Union[int, float, Fraction]
 Key = Tuple[int, int]  # (alpha exponent, beta exponent)
 
-DEFAULT_MAX_TOTAL_DEGREE = 8
+#: Highest total degree ``i + j`` kept; the model's sums lead at degree 5
+#: (alpha^2 beta^3), well below it.
+MAX_TOTAL_DEGREE = 8
 
 
 class MismatchedAlphaOrder(ArithmeticError):
@@ -54,24 +58,17 @@ class GradedCoeff:
     """Polynomial ``sum c_ij * alpha^i * beta^j`` truncated by total degree.
 
     Immutable.  Terms with a zero coefficient or with ``i + j`` above
-    ``max_total_degree`` are never stored.
+    :data:`MAX_TOTAL_DEGREE` are never stored.
     """
 
-    __slots__ = ("_terms", "max_total_degree")
+    __slots__ = ("_terms",)
 
-    def __init__(
-        self,
-        terms: Mapping[Key, Scalar] | None = None,
-        max_total_degree: int = DEFAULT_MAX_TOTAL_DEGREE,
-    ):
-        if max_total_degree < 0:
-            raise ValueError("max_total_degree must be nonnegative")
-        object.__setattr__(self, "max_total_degree", max_total_degree)
+    def __init__(self, terms: Mapping[Key, Scalar] | None = None):
         clean: dict[Key, Fraction] = {}
         for (i, j), c in (terms or {}).items():
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent in term ({i}, {j})")
-            if i + j > max_total_degree:
+            if i + j > MAX_TOTAL_DEGREE:
                 continue
             f = _as_fraction(c)
             if f != 0:
@@ -84,36 +81,28 @@ class GradedCoeff:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def constant(cls, c: Scalar, max_total_degree: int = DEFAULT_MAX_TOTAL_DEGREE) -> "GradedCoeff":
-        return cls({(0, 0): c}, max_total_degree)
+    def constant(cls, c: Scalar) -> "GradedCoeff":
+        return cls({(0, 0): c})
 
     @classmethod
-    def zero(cls, max_total_degree: int = DEFAULT_MAX_TOTAL_DEGREE) -> "GradedCoeff":
-        if max_total_degree == DEFAULT_MAX_TOTAL_DEGREE:
-            return _ZERO  # immutable, safe to share
-        return cls({}, max_total_degree)
+    def zero(cls) -> "GradedCoeff":
+        return _ZERO  # immutable, safe to share
 
     @classmethod
-    def one(cls, max_total_degree: int = DEFAULT_MAX_TOTAL_DEGREE) -> "GradedCoeff":
-        return cls.constant(1, max_total_degree)
+    def one(cls) -> "GradedCoeff":
+        return cls.constant(1)
 
     @classmethod
-    def term(
-        cls,
-        c: Scalar,
-        alpha_exp: int = 0,
-        beta_exp: int = 0,
-        max_total_degree: int = DEFAULT_MAX_TOTAL_DEGREE,
-    ) -> "GradedCoeff":
-        return cls({(alpha_exp, beta_exp): c}, max_total_degree)
+    def term(cls, c: Scalar, alpha_exp: int = 0, beta_exp: int = 0) -> "GradedCoeff":
+        return cls({(alpha_exp, beta_exp): c})
 
     @classmethod
-    def alpha(cls, max_total_degree: int = DEFAULT_MAX_TOTAL_DEGREE) -> "GradedCoeff":
-        return cls.term(1, 1, 0, max_total_degree)
+    def alpha(cls) -> "GradedCoeff":
+        return cls.term(1, 1, 0)
 
     @classmethod
-    def beta(cls, max_total_degree: int = DEFAULT_MAX_TOTAL_DEGREE) -> "GradedCoeff":
-        return cls.term(1, 0, 1, max_total_degree)
+    def beta(cls) -> "GradedCoeff":
+        return cls.term(1, 0, 1)
 
     # -- queries -----------------------------------------------------------
 
@@ -167,7 +156,7 @@ class GradedCoeff:
         if isinstance(other, GradedCoeff):
             return other
         if isinstance(other, (int, float, Fraction)):
-            return GradedCoeff.constant(other, self.max_total_degree)
+            return GradedCoeff.constant(other)
         return None
 
     def __add__(self, other) -> "GradedCoeff":
@@ -177,12 +166,12 @@ class GradedCoeff:
         out = dict(self._terms)
         for k, c in o._terms.items():
             out[k] = out.get(k, Fraction(0)) + c
-        return GradedCoeff(out, min(self.max_total_degree, o.max_total_degree))
+        return GradedCoeff(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GradedCoeff":
-        return GradedCoeff({k: -c for k, c in self._terms.items()}, self.max_total_degree)
+        return GradedCoeff({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other) -> "GradedCoeff":
         o = self._coerce(other)
@@ -200,16 +189,15 @@ class GradedCoeff:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        cap = min(self.max_total_degree, o.max_total_degree)
         out: dict[Key, Fraction] = {}
         for (i1, j1), c1 in self._terms.items():
             for (i2, j2), c2 in o._terms.items():
                 i, j = i1 + i2, j1 + j2
-                if i + j > cap:
+                if i + j > MAX_TOTAL_DEGREE:
                     continue
                 k = (i, j)
                 out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return GradedCoeff(out, cap)
+        return GradedCoeff(out)
 
     __rmul__ = __mul__
 
@@ -239,7 +227,7 @@ class GradedCoeff:
         return f"GradedCoeff({' + '.join(parts)})"
 
 
-_ZERO = GradedCoeff({}, DEFAULT_MAX_TOTAL_DEGREE)
+_ZERO = GradedCoeff()
 
 
 def coeff_ratio_limit(num: GradedCoeff, den: GradedCoeff) -> float:

@@ -32,7 +32,9 @@ from .bell import (
     build_triphoton_graph,
     graded_backend,
     grid_backend,
+    partition_ratio,
     primitive_product,
+    triphoton_angles,
 )
 from .dist import (
     DistFn,
@@ -307,7 +309,7 @@ def bell_source_ensemble(sigma: float | None = None, grid_n: int = 8192) -> Bran
     if sigma is None:
         angle_weight: DistFn | RegularizedDistFn = DistFn.one()
     else:
-        angle_weight = RegularizedDistFn(np.ones(grid_n), sigma)
+        angle_weight = RegularizedDistFn(np.ones(grid_n))
     return BranchEnsemble(
         (Branch(GradedCoeff.one(), (SourceTag(), SourceTag()), angle_weight),)
     )
@@ -318,24 +320,22 @@ class PolarizerSetting:
     """Polarizer axis plus the weighting-function flavor.
 
     ``beta=None`` keeps the conversion cost formal (graded); a float makes
-    the split numeric.  ``g_kind='regularized'`` replaces the exact point
-    masses by width-``sigma`` kernels (required when the incoming atoms
-    would collide with the polarizer's own axes).
+    the split numeric.  A kernel width ``sigma`` makes the split regularized:
+    the exact point masses become width-``sigma`` kernels on a ``grid_n``
+    grid (required when the incoming atoms would collide with the
+    polarizer's own axes), which needs a numeric ``beta``.
     """
 
     theta0: PolAngle
     beta: float | None = None
-    g_kind: str = "exact-atoms"
     sigma: float | None = None
     grid_n: int = 8192
 
     def __post_init__(self):
-        if self.g_kind not in ("exact-atoms", "regularized"):
-            raise ValueError(f"unknown g_kind: {self.g_kind!r}")
         if self.beta is not None and not self.beta > 0:
             raise ValueError("beta must be positive in numeric mode")
-        if self.g_kind == "regularized":
-            if self.sigma is None or self.sigma <= 0:
+        if self.sigma is not None:
+            if not self.sigma > 0:
                 raise ValueError("regularized mode requires sigma > 0")
             if self.beta is None:
                 raise ValueError("regularized mode requires numeric beta")
@@ -348,17 +348,14 @@ class PolarizerSetting:
 def _source_split_factors(setting: PolarizerSetting):
     """Pass/block weighting factors as functions of the source angle."""
     theta0 = setting.theta0
-    if setting.g_kind == "exact-atoms":
+    if setting.sigma is None:
         split = graded_backend(theta0, setting.beta_coeff)
         return split["pass"], split["block"]
     # The polarizer map has no counter, so alpha never enters.
     split = grid_backend(
         grid_points(setting.grid_n), theta0.value, math.nan, setting.beta, setting.sigma  # type: ignore[arg-type]
     )
-    return (
-        RegularizedDistFn(split["pass"], setting.sigma),
-        RegularizedDistFn(split["block"], setting.sigma),
-    )
+    return RegularizedDistFn(split["pass"]), RegularizedDistFn(split["block"])
 
 
 def _times_angle_factor(branch: Branch, factor) -> "DistFn | RegularizedDistFn":
@@ -473,24 +470,15 @@ def mstar_bell_coincidence(
     (cost 2*alpha*beta).  The probability is the graded (or numeric) ratio
     of detected weight to total weight.
     """
-    exact = sigma is None
     ens = bell_source_ensemble(sigma=sigma, grid_n=grid_n)
     for arm, theta in enumerate((theta_a, theta_b)):
-        setting = PolarizerSetting(
-            theta,
-            beta=beta,
-            g_kind="exact-atoms" if exact else "regularized",
-            sigma=sigma,
-            grid_n=grid_n,
-        )
-        ens = apply_Mstar(ens, arm, setting)
+        ens = apply_Mstar(ens, arm, PolarizerSetting(theta, beta=beta, sigma=sigma, grid_n=grid_n))
 
     # Passing and blocked photons both end in an absorber of the same cost.
-    if exact and beta is None:
+    if beta is None:
         cost = primitive_product(ABSORBER_COST, {"alpha": ALPHA, "beta": BETA})
     else:
-        b = beta if beta is not None else 1e-3
-        cost = GradedCoeff.constant(primitive_product(ABSORBER_COST, {"alpha": alpha, "beta": b}))
+        cost = GradedCoeff.constant(primitive_product(ABSORBER_COST, {"alpha": alpha, "beta": beta}))
 
     num = GradedCoeff.zero()
     den = GradedCoeff.zero()
@@ -540,15 +528,8 @@ def _triphoton_m(settings: Sequence[PolAngle], order: Sequence[int]) -> float:
 
 def _triphoton_mstar(settings: Sequence[PolAngle], params: Mrf3Params, order: Sequence[int]) -> float:
     """Branch-ensemble pipeline over the two free source angles (numeric)."""
+    thetas = triphoton_angles(params)
     n = params.grid_n
-    axis = grid_points(n)
-    u = axis[:, None]
-    v = axis[None, :]
-    thetas = [
-        np.broadcast_to(u, (n, n)),
-        np.broadcast_to(v, (n, n)),
-        (-u - v) % PI,
-    ]
     branches: list[tuple[np.ndarray, dict]] = [(np.ones((n, n)), {})]
     for arm in order:
         split = grid_backend(thetas[arm], settings[arm].value, params.alpha, params.beta, params.sigma)
@@ -570,7 +551,7 @@ def _triphoton_mstar(settings: Sequence[PolAngle], params: Mrf3Params, order: Se
         den += weight
         if all(passed.get(arm, False) for arm in range(3)):
             num += weight
-    return num / den
+    return partition_ratio(num, den)
 
 
 def triphoton_compare(

@@ -5,7 +5,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellfield.cli import (
@@ -185,6 +185,11 @@ class TestTriphoton:
         assert main(["triphoton-compare", "--angles", "10,20"]) == 2
         assert "angles" in capsys.readouterr().err
 
+    def test_overflowing_partition_exits_3(self, capsys):
+        argv = ["triphoton-compare", "--angles", "0,0,0", "--sigma", "1e-300", "--grid-n", "1"]
+        assert main(argv) == 3
+        assert "OverflowError" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_file_drives_run(self, tmp_path):
@@ -313,6 +318,8 @@ degrees = st.one_of(st.floats(-720.0, 720.0), st.sampled_from([0.0, 90.0, 1e-10,
     st.sampled_from([-1, 0, 1, 96, 256, 300]),
     st.sampled_from(["exact", "regularized", "both"]),
 )
+# the triphoton partition overflows; once printed as nan with exit 0
+@example("triphoton-compare", 1e-2, 1e-3, 1e-300, [0.0, 0.0, 0.0], 1, "both")
 def test_every_input_exits_0_2_or_3(experiment, alpha, beta, sigma, angles, grid_n, mode):
     argv = [
         experiment,
@@ -322,6 +329,7 @@ def test_every_input_exits_0_2_or_3(experiment, alpha, beta, sigma, angles, grid
         f"--angles={','.join(repr(a) for a in angles)}",
         f"--grid-n={grid_n}",
         f"--mode={mode}",
+        "--format=json",
     ]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -331,3 +339,6 @@ def test_every_input_exits_0_2_or_3(experiment, alpha, beta, sigma, angles, grid
             code = exc.code
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if code == 0:
+        for row in json.loads(out.getvalue()):
+            assert math.isfinite(row["value"]) and 0.0 <= row["value"] <= 1.0, (argv, row)

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from bellfield.angles import PI, PolAngle
 from bellfield.dist import (
+    MAX_HARMONIC,
     DeltaCollision,
     DistFn,
+    HarmonicOverflow,
     RegularizedDistFn,
     SigmaTooCoarse,
     dist_integrate,
@@ -82,13 +84,13 @@ class TestDistMul:
         direct = (np.cos(grid - x) ** 2 * np.cos(grid - y) ** 2).sum() * PI / 4096
         assert float(dist_integrate(out).constant_value()) == pytest.approx(direct, abs=1e-12)
 
-    def test_overflow_flag_on_harmonic_truncation(self):
-        f = DistFn.cos_squared(PolAngle(0.3), max_harmonic=1)
-        g = DistFn.cos_squared(PolAngle(0.9), max_harmonic=1)
-        out = dist_mul(f, g)
-        assert out.overflowed
-        # untruncated product does not set the flag
-        assert not dist_mul(DistFn.cos_squared(PolAngle(0.3)), DistFn.cos_squared(PolAngle(0.9))).overflowed
+    def test_harmonic_overflow_raises(self):
+        top = [GradedCoeff.zero()] * (MAX_HARMONIC - 1) + [GradedCoeff.one()]  # cos(16 theta)
+        f = DistFn(cos_coeffs=top)
+        with pytest.raises(HarmonicOverflow):
+            dist_mul(f, DistFn.cos_squared(PolAngle(0.9)))
+        # a product within the harmonic range does not raise
+        assert not dist_mul(DistFn.cos_squared(PolAngle(0.3)), DistFn.cos_squared(PolAngle(0.9))).is_zero
 
 
 class TestConstruction:
@@ -97,6 +99,14 @@ class TestConstruction:
         f = DistFn(atoms=[(t, GradedCoeff.constant(2)), (PolAngle(0.3 + PI), GradedCoeff.constant(3))])
         assert len(f.atoms) == 1
         assert f.atom_weight_at(t) == GradedCoeff.constant(5)
+
+    @pytest.mark.parametrize("length", [MAX_HARMONIC - 1, MAX_HARMONIC + 1])
+    def test_coefficient_lists_need_max_harmonic_entries(self, length):
+        coeffs = [GradedCoeff.zero()] * length
+        with pytest.raises(ValueError):
+            DistFn(cos_coeffs=coeffs)
+        with pytest.raises(ValueError):
+            DistFn(sin_coeffs=coeffs)
 
     def test_zero_weight_atoms_dropped(self):
         f = DistFn(atoms=[(PolAngle(0.3), GradedCoeff.zero())])
@@ -206,7 +216,7 @@ def distfn_triple(draw):
 def dist_values(f: DistFn) -> dict:
     """Flatten to floats for tolerance comparison."""
     out = {"c0": float(f.c0.eval(1, 1))}
-    for k in range(1, f.max_harmonic + 1):
+    for k in range(1, MAX_HARMONIC + 1):
         out[f"cos{k}"] = f.cos_coeffs[k - 1].eval(1, 1)
         out[f"sin{k}"] = f.sin_coeffs[k - 1].eval(1, 1)
     for loc, w in f.atoms:
@@ -252,7 +262,7 @@ class TestDistributionAlgebra:
         for d in (fn, gn):
             bound += sum(
                 2 * k * (abs(d.cos_coeffs[k - 1].eval(1, 1)) + abs(d.sin_coeffs[k - 1].eval(1, 1)))
-                for k in range(1, d.max_harmonic + 1)
+                for k in range(1, MAX_HARMONIC + 1)
             )
             bound += sum(abs(w.eval(1, 1)) for _, w in d.atoms) + abs(d.c0.eval(1, 1))
         assert abs(exact - reg) < 10 * sigma * bound + 1e-9
@@ -261,10 +271,10 @@ class TestDistributionAlgebra:
 class TestRegularizedArithmetic:
     def test_pointwise_product_and_integral(self):
         n = 512
-        a = RegularizedDistFn(np.full(n, 2.0), 0.01)
-        b = RegularizedDistFn(np.full(n, 3.0), 0.01)
+        a = RegularizedDistFn(np.full(n, 2.0))
+        b = RegularizedDistFn(np.full(n, 3.0))
         assert (a * b).integral() == pytest.approx(6.0 * PI)
 
     def test_grid_mismatch(self):
         with pytest.raises(ValueError):
-            RegularizedDistFn(np.ones(512), 0.01) * RegularizedDistFn(np.ones(256), 0.01)
+            RegularizedDistFn(np.ones(512)) * RegularizedDistFn(np.ones(256))

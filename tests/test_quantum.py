@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bellfield.angles import PI, PolAngle
-from bellfield.bell import Mrf3Params, coincidence_probability
+from bellfield.bell import GridTooCoarse, Mrf3Params, coincidence_probability
 from bellfield.dist import DeltaCollision
 from bellfield.graded import GradedCoeff
 from bellfield.quantum import (
@@ -235,7 +235,7 @@ class TestApplyMstar:
 
     def test_mode_mismatch_rejected(self):
         ens = bell_source_ensemble()  # exact-mode correlation
-        reg = PolarizerSetting(deg(30.0), beta=1e-3, g_kind="regularized", sigma=0.01)
+        reg = PolarizerSetting(deg(30.0), beta=1e-3, sigma=0.01)
         with pytest.raises(ValueError):
             apply_Mstar(ens, 0, reg)
 
@@ -330,17 +330,13 @@ class TestMstarBell:
 class TestPolarizerSetting:
     def test_regularized_needs_sigma_and_beta(self):
         with pytest.raises(ValueError):
-            PolarizerSetting(deg(0.0), g_kind="regularized")
+            PolarizerSetting(deg(0.0), sigma=0.01)
         with pytest.raises(ValueError):
-            PolarizerSetting(deg(0.0), beta=1e-3, g_kind="regularized")
+            PolarizerSetting(deg(0.0), beta=1e-3, sigma=0.0)
 
     def test_beta_positive(self):
         with pytest.raises(ValueError):
             PolarizerSetting(deg(0.0), beta=0.0)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            PolarizerSetting(deg(0.0), g_kind="soft")
 
 
 class TestTriphoton:
@@ -395,6 +391,22 @@ class TestTriphoton:
     def test_models_need_params(self):
         with pytest.raises(ValueError):
             triphoton_compare(self.settings(), (0, 1, 2), "Mstar")
+
+    @pytest.mark.parametrize("model", ["Mstar", "MRF"])
+    @pytest.mark.parametrize(
+        "knobs, error",
+        [
+            # over the cell budget: refused before the 2-D grid is allocated
+            ({"grid_n": 2049}, GridTooCoarse),
+            ({"beta": 0.5}, ValueError),
+            # a kernel this narrow peaks so high that the partition is not finite
+            ({"sigma": 1e-300, "grid_n": 1}, OverflowError),
+        ],
+    )
+    def test_numeric_knobs_checked_on_both_routes(self, model, knobs, error):
+        params = Mrf3Params(deg(0.0), deg(0.0), **{"sigma": 0.05, "grid_n": 96, **knobs})
+        with pytest.raises(error):
+            triphoton_compare((deg(0.0),) * 3, (0, 1, 2), model, params)
 
     def test_bad_order(self):
         with pytest.raises(ValueError):
