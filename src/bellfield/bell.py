@@ -75,13 +75,13 @@ BETA = GradedCoeff.beta()
 MAX_ALPHA = 1.0
 MAX_BETA = 0.1
 
-#: Upper bound on 2-D grid cells for triphoton evaluation.
+#: Upper bound on the n x n cells of the triphoton contraction.
 DEFAULT_CELL_BUDGET = 1 << 22
 
 
 class GridTooCoarse(ValueError):
-    """The requested 2-D grid exceeds the evaluation budget; the grid for
-    multi-angle runs must stay far coarser than the 1-D oracle's."""
+    """The triphoton grid's n x n cells exceed the evaluation budget; the grid
+    for multi-angle runs must stay far coarser than the 1-D oracle's."""
 
 
 class UnexpectedLeadingOrder(ArithmeticError):
@@ -448,15 +448,30 @@ def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = Fal
 # -- triphoton extension -----------------------------------------------------------
 
 
+def constrained_sum(f0: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> float:
+    """Triple sum of three photons' samples along the source constraint.
+
+    The samples lie on ``grid_points(n)``; the constraint
+    theta_0 + theta_1 + theta_2 = 0 (mod pi) puts the third photon on the
+    grid point ``(-i - j) mod n`` when the first two sit on ``i`` and ``j``,
+    so the sum is sum_{i,j} f0[i] * f1[j] * f2[(-i - j) mod n].  It is
+    symmetric in its three arguments.  The index table is built per call.
+    """
+    k = np.arange(len(f0))
+    third = -(k[:, None] + k[None, :]) % len(f0)
+    return float(f0 @ f2[third] @ f1)
+
+
 @dataclass(frozen=True)
 class TriphotonGraph:
     """Three crystal-polarizer channels fed by an angle-constrained source.
 
     The source emits three photons whose polarization angles sum to zero
-    (mod pi), leaving two free angles; evaluation integrates over a 2-D
-    grid in those (``photon_angles``, from :func:`triphoton_angles`).  There
-    is no arrival-order anywhere in the structure: the prediction can only
-    depend on the settings.
+    (mod pi), leaving two free angles.  Each channel is summed out on its own
+    over the 1-D axis ``photon_angles`` (from :func:`triphoton_angles`), and
+    the three channels are then contracted along the constraint by
+    :func:`constrained_sum`.  There is no arrival-order anywhere in the
+    structure: the prediction can only depend on the settings.
     """
 
     settings: tuple[PolAngle, PolAngle, PolAngle]
@@ -464,46 +479,41 @@ class TriphotonGraph:
     beta: float
     sigma: float
     grid_n: int
-    photon_angles: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+    photon_angles: np.ndarray = field(repr=False, compare=False)
 
     FREE_ANGLES = 2
 
     def triple_coincidence(self) -> float:
         """Probability that all three counters fire, given the emission."""
         sums = [
-            sum_out_channel(grid_backend(theta, s.value, self.alpha, self.beta, self.sigma))
-            for theta, s in zip(self.photon_angles, self.settings)
+            sum_out_channel(grid_backend(self.photon_angles, s.value, self.alpha, self.beta, self.sigma))
+            for s in self.settings
         ]
-        num = sums[0][0] * sums[1][0] * sums[2][0]
-        den_arr = np.ones_like(num)
-        for plus, minus in sums:
-            den_arr = den_arr * (plus + minus)
         cell = (PI / self.grid_n) ** 2
-        return partition_ratio(float(num.sum()) * cell, float(den_arr.sum()) * cell)
+        num = constrained_sum(*(detected for detected, _ in sums))
+        den = constrained_sum(*(detected + undetected for detected, undetected in sums))
+        return partition_ratio(num * cell, den * cell)
 
 
-def triphoton_angles(params: Mrf3Params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three photon angles over the 2-D grid of the two free source angles.
+def triphoton_angles(params: Mrf3Params) -> np.ndarray:
+    """The 1-D axis every triphoton channel is sampled on.
 
-    The numeric knobs and the cell budget are checked before anything is
-    allocated.  The first two photons take the grid angles ``u`` and ``v``,
-    the third ``(-u - v) mod pi``, so the three sum to zero.
+    The numeric knobs and the cell budget are checked first.  The budget
+    counts the n x n cells of the two free source angles, which
+    :func:`constrained_sum` still materialises as temporaries.
     """
     params.require_numeric()
     n = params.grid_n
     if n**2 > DEFAULT_CELL_BUDGET:
         raise GridTooCoarse(f"grid_n={n} means {n**2} cells, over budget {DEFAULT_CELL_BUDGET}")
-    axis = grid_points(n)
-    u = axis[:, None]
-    v = axis[None, :]
-    return np.broadcast_to(u, (n, n)), np.broadcast_to(v, (n, n)), (-u - v) % PI
+    return grid_points(n)
 
 
 def build_triphoton_graph(settings: tuple[PolAngle, PolAngle, PolAngle], params: Mrf3Params) -> TriphotonGraph:
     """Assemble the three-channel graph; numeric-grid evaluation only.
 
     ``params`` supplies the numeric knobs (its two polarizer fields are
-    unused here); :func:`triphoton_angles` checks them and lays out the grid.
+    unused here); :func:`triphoton_angles` checks them and lays out the axis.
     """
     if len(settings) != 3:
         raise ValueError("exactly three polarizer settings required")

@@ -315,12 +315,11 @@ def render_rows(rows: list[ResultRow], fmt: str) -> str:
     objs = []
     for r in rows:
         obj = {"experiment": r.experiment, "model": r.model}
-        for k in param_keys:
-            v = r.params.get(k)
-            obj[k] = float(_fmt(v)) if isinstance(v, float) else v
-        obj["value"] = float(_fmt(r.value))
-        obj["target"] = None if r.target is None else float(_fmt(r.target))
-        obj["abs_error"] = None if r.abs_error is None else float(_fmt(r.abs_error))
+        # Floats go out as computed; json writes their shortest round-trip repr.
+        obj.update((k, r.params.get(k)) for k in param_keys)
+        obj["value"] = float(r.value)
+        obj["target"] = None if r.target is None else float(r.target)
+        obj["abs_error"] = None if r.abs_error is None else float(r.abs_error)
         obj["runtime_ms"] = round(r.runtime_ms, 3)
         objs.append(obj)
     return json.dumps(objs, indent=2) + "\n"

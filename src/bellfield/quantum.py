@@ -30,6 +30,7 @@ from .bell import (
     ABSORBER_COST,
     Mrf3Params,
     build_triphoton_graph,
+    constrained_sum,
     graded_backend,
     grid_backend,
     partition_ratio,
@@ -76,10 +77,6 @@ def circular_state(handedness: str) -> np.ndarray:
         raise ValueError("handedness must be 'C' or 'W'")
     sign = 1j if handedness == "C" else -1j
     return np.array([1.0, sign], dtype=complex) / math.sqrt(2.0)
-
-
-def product_state(*single: np.ndarray) -> np.ndarray:
-    return reduce(np.kron, single)
 
 
 def bell_pair() -> np.ndarray:
@@ -527,29 +524,25 @@ def _triphoton_m(settings: Sequence[PolAngle], order: Sequence[int]) -> float:
 
 
 def _triphoton_mstar(settings: Sequence[PolAngle], params: Mrf3Params, order: Sequence[int]) -> float:
-    """Branch-ensemble pipeline over the two free source angles (numeric)."""
-    thetas = triphoton_angles(params)
-    n = params.grid_n
-    branches: list[tuple[np.ndarray, dict]] = [(np.ones((n, n)), {})]
-    for arm in order:
-        split = grid_backend(thetas[arm], settings[arm].value, params.alpha, params.beta, params.sigma)
-        branches = [
-            item
-            for w, passed in branches
-            for item in (
-                (w * split["pass"], {**passed, arm: True}),
-                (w * split["block"], {**passed, arm: False}),
-            )
-        ]
+    """Branch-ensemble pipeline over the angle-constrained source (numeric).
+
+    The arms apply in ``order``; each splits every branch into its pass and
+    blocked descendant, sampled on the 1-D axis.  A branch's weight is the
+    :func:`constrained_sum` of its three samples over the two free source
+    angles; the source treats its photons alike, so they take the sum's
+    slots in application order.
+    """
+    axis = triphoton_angles(params)
+    splits = [grid_backend(axis, settings[arm].value, params.alpha, params.beta, params.sigma) for arm in order]
     # Every arm ends in an absorber of the same cost, passed or blocked.
     cost = primitive_product(ABSORBER_COST, {"alpha": params.alpha, "beta": params.beta}) ** 3
+    cell = (PI / params.grid_n) ** 2
     num = 0.0
     den = 0.0
-    cell = (PI / n) ** 2
-    for w, passed in branches:
-        weight = float(w.sum()) * cell * cost
+    for branch in itertools.product(("pass", "block"), repeat=3):
+        weight = constrained_sum(*(split[kind] for split, kind in zip(splits, branch))) * cell * cost
         den += weight
-        if all(passed.get(arm, False) for arm in range(3)):
+        if branch == ("pass", "pass", "pass"):
             num += weight
     return partition_ratio(num, den)
 

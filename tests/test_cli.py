@@ -299,6 +299,15 @@ class TestValidation:
         assert "0.333333333333" in text  # 12 significant digits
         assert "0.166666666667" in text  # abs_error formatted the same way
 
+    def test_render_json_carries_the_exact_double(self):
+        from bellfield.cli import ResultRow
+
+        row = ResultRow("bell-sweep", "QM", {"delta_deg": 0.1 + 0.2}, 1 / 3, 0.5, 1.234)
+        (obj,) = json.loads(render_rows([row], "json"))
+        assert obj["value"] == 1 / 3
+        assert obj["abs_error"] == abs(1 / 3 - 0.5)
+        assert obj["delta_deg"] == 0.1 + 0.2
+
 
 numbers = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0]),
