@@ -3,7 +3,6 @@
 from .angles import PolAngle
 from .bell import (
     CoincidenceResult,
-    GridTooCoarse,
     Mrf3Params,
     TriphotonGraph,
     UnexpectedLeadingOrder,
@@ -76,7 +75,6 @@ __all__ = [
     "brute_force_oracle",
     "TriphotonGraph",
     "build_triphoton_graph",
-    "GridTooCoarse",
     "UnexpectedLeadingOrder",
 ]
 

@@ -45,6 +45,7 @@ import numpy as np
 
 from .angles import PI, PolAngle
 from .dist import (
+    MAX_GRID,
     MIN_GRID,
     DistFn,
     RegularizedDistFn,
@@ -75,15 +76,6 @@ BETA = GradedCoeff.beta()
 MAX_ALPHA = 1.0
 MAX_BETA = 0.1
 
-#: Upper bound on the n x n cells of the triphoton contraction.
-DEFAULT_CELL_BUDGET = 1 << 22
-
-
-class GridTooCoarse(ValueError):
-    """The triphoton grid's n x n cells exceed the evaluation budget; the grid
-    for multi-angle runs must stay far coarser than the 1-D oracle's."""
-
-
 class UnexpectedLeadingOrder(ArithmeticError):
     """The exact sums do not lead with alpha^2 beta^3; the detector
     bookkeeping broke or the beta^3 coefficient cancelled numerically."""
@@ -106,6 +98,12 @@ class Mrf3Params:
     grid_n: int = 8192
 
     def require_numeric(self):
+        """Check the numeric knobs before any grid route allocates.
+
+        Raises ``ValueError`` for an out-of-range ``alpha``, ``beta`` or
+        ``sigma``, or for ``grid_n`` above :data:`~bellfield.dist.MAX_GRID`,
+        and :class:`SigmaTooCoarse` for a kernel too wide to separate atoms.
+        """
         if not (0 < self.alpha <= MAX_ALPHA):
             raise ValueError(f"alpha must lie in (0, {MAX_ALPHA:g}], got {self.alpha}")
         if not (0 < self.beta <= MAX_BETA):
@@ -114,6 +112,8 @@ class Mrf3Params:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.sigma > PI / 16:
             raise SigmaTooCoarse(f"sigma={self.sigma:g} exceeds pi/16")
+        if self.grid_n > MAX_GRID:
+            raise ValueError(f"grid_n={self.grid_n} above maximum {MAX_GRID}")
 
     @property
     def degenerate(self) -> bool:
@@ -448,18 +448,22 @@ def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = Fal
 # -- triphoton extension -----------------------------------------------------------
 
 
-def constrained_sum(f0: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> float:
-    """Triple sum of three photons' samples along the source constraint.
+def constrained_sum(*samples: np.ndarray) -> float:
+    """Sum of the photons' sample products along the source constraint.
 
-    The samples lie on ``grid_points(n)``; the constraint
-    theta_0 + theta_1 + theta_2 = 0 (mod pi) puts the third photon on the
-    grid point ``(-i - j) mod n`` when the first two sit on ``i`` and ``j``,
-    so the sum is sum_{i,j} f0[i] * f1[j] * f2[(-i - j) mod n].  It is
-    symmetric in its three arguments.  The index table is built per call.
+    The samples lie on ``grid_points(n)``; the source's photon angles sum to
+    0 (mod pi), so the sum runs over the index tuples with
+    i_0 + ... + i_{N-1} = 0 (mod n) of prod_j f_j[i_j], for any number N of
+    photons.  It folds the photons in one at a time by circular convolution:
+    convolving with ``f`` written out twice and keeping the middle n entries
+    wraps the indices mod n.  Memory is O(n), time O(N n^2); it is symmetric
+    in its arguments.
     """
-    k = np.arange(len(f0))
-    third = -(k[:, None] + k[None, :]) % len(f0)
-    return float(f0 @ f2[third] @ f1)
+    n = len(samples[0])
+    acc = samples[0]
+    for f in samples[1:]:
+        acc = np.convolve(acc, np.concatenate((f, f)))[n : 2 * n]
+    return float(acc[0])
 
 
 @dataclass(frozen=True)
@@ -469,9 +473,10 @@ class TriphotonGraph:
     The source emits three photons whose polarization angles sum to zero
     (mod pi), leaving two free angles.  Each channel is summed out on its own
     over the 1-D axis ``photon_angles`` (from :func:`triphoton_angles`), and
-    the three channels are then contracted along the constraint by
-    :func:`constrained_sum`.  There is no arrival-order anywhere in the
-    structure: the prediction can only depend on the settings.
+    the three channels are then contracted along the constraint by the
+    circular convolution of :func:`constrained_sum`, in O(n) memory.  There
+    is no arrival-order anywhere in the structure: the prediction can only
+    depend on the settings.
     """
 
     settings: tuple[PolAngle, PolAngle, PolAngle]
@@ -496,17 +501,12 @@ class TriphotonGraph:
 
 
 def triphoton_angles(params: Mrf3Params) -> np.ndarray:
-    """The 1-D axis every triphoton channel is sampled on.
-
-    The numeric knobs and the cell budget are checked first.  The budget
-    counts the n x n cells of the two free source angles, which
-    :func:`constrained_sum` still materialises as temporaries.
-    """
+    """The 1-D axis every triphoton channel is sampled on, once
+    :meth:`Mrf3Params.require_numeric` has checked the numeric knobs
+    (``grid_n`` included, so nothing is allocated for a grid over
+    :data:`~bellfield.dist.MAX_GRID`)."""
     params.require_numeric()
-    n = params.grid_n
-    if n**2 > DEFAULT_CELL_BUDGET:
-        raise GridTooCoarse(f"grid_n={n} means {n**2} cells, over budget {DEFAULT_CELL_BUDGET}")
-    return grid_points(n)
+    return grid_points(params.grid_n)
 
 
 def build_triphoton_graph(settings: tuple[PolAngle, PolAngle, PolAngle], params: Mrf3Params) -> TriphotonGraph:

@@ -21,13 +21,12 @@ from .angles import PolAngle
 from .bell import (
     MAX_ALPHA,
     MAX_BETA,
-    GridTooCoarse,
     Mrf3Params,
     UnexpectedLeadingOrder,
     brute_force_oracle,
     coincidence_probability,
 )
-from .dist import MIN_GRID, DeltaCollision, HarmonicOverflow, SigmaTooCoarse
+from .dist import MAX_GRID, MIN_GRID, DeltaCollision, HarmonicOverflow, SigmaTooCoarse
 from .graded import DivergentLimit, MismatchedAlphaOrder
 from .mrf import ZeroPartition
 from .quantum import (
@@ -44,7 +43,6 @@ NUMERICAL_ERRORS = (
     HarmonicOverflow,
     ZeroPartition,
     SigmaTooCoarse,
-    GridTooCoarse,
     ZeroEnsemble,
     MismatchedAlphaOrder,
     DivergentLimit,
@@ -106,6 +104,8 @@ class ExperimentConfig:
             raise ConfigError("grid_n", f"the oracle needs at least {MIN_GRID} grid points")
         if self.resolved_grid_n() < 1:
             raise ConfigError("grid_n", "must be positive")
+        if self.resolved_grid_n() > MAX_GRID:
+            raise ConfigError("grid_n", f"must not exceed {MAX_GRID}")
         numeric = self.experiment in ("special-cases", "limit-study", "triphoton-compare") or (
             self.experiment == "bell-sweep" and self.mode != "exact"
         )

@@ -39,6 +39,9 @@ PI_FRAC = Fraction(math.pi)
 HALF = Fraction(1, 2)
 
 MIN_GRID = 256
+#: Largest grid on any grid route.  Arrays are 1-D, but a triphoton
+#: contraction costs O(n^2) time: seconds per contraction at this size.
+MAX_GRID = 1 << 16
 MAX_SIGMA = PI / 16
 
 

@@ -506,15 +506,6 @@ class TriphotonResult:
     probability: float
 
 
-@dataclass(frozen=True)
-class TriphotonReport:
-    settings: tuple[PolAngle, PolAngle, PolAngle]
-    probabilities: dict
-    order_spread: dict
-    model_divergence: float
-    note: str
-
-
 def _triphoton_m(settings: Sequence[PolAngle], order: Sequence[int]) -> float:
     rho = np.outer(ghz_state(3), ghz_state(3).conj())
     for k in order:
@@ -578,35 +569,3 @@ def triphoton_compare(
         raise ValueError(f"unknown model: {model!r}")
     return TriphotonResult(model=model, order=order, probability=p)
 
-
-def triphoton_report(settings: Sequence[PolAngle], params: Mrf3Params) -> TriphotonReport:
-    """All models, all orders, and the divergences between them.
-
-    The superoperator model starts from the GHZ-type photon state; the
-    ensemble/graph models start from the classical angle-constraint source.
-    The source representations differ by construction, so the cross-model
-    divergence is exploratory output, not an error measure.
-    """
-    settings = tuple(settings)
-    orders = list(itertools.permutations((0, 1, 2)))
-    probabilities: dict[str, dict[tuple[int, int, int], float]] = {}
-    for model in ("M", "Mstar", "MRF"):
-        probabilities[model] = {
-            o: triphoton_compare(settings, o, model, params).probability for o in orders
-        }
-    order_spread = {
-        model: max(vals.values()) - min(vals.values()) for model, vals in probabilities.items()
-    }
-    identity = (0, 1, 2)
-    vals = [probabilities[m][identity] for m in ("M", "Mstar", "MRF")]
-    model_divergence = max(vals) - min(vals)
-    return TriphotonReport(
-        settings=settings,
-        probabilities=probabilities,
-        order_spread=order_spread,
-        model_divergence=model_divergence,
-        note=(
-            "superoperator model uses the entangled photon state; ensemble and "
-            "graph models use the classical angle-constraint source"
-        ),
-    )

@@ -15,7 +15,6 @@ from bellfield.bell import (
     BETA,
     CHANNELS,
     CoincidenceResult,
-    GridTooCoarse,
     Mrf3Params,
     UnexpectedLeadingOrder,
     CHANNEL_BITS,
@@ -31,6 +30,7 @@ from bellfield.bell import (
     var,
 )
 from bellfield.dist import (
+    MAX_GRID,
     DeltaCollision,
     DistFn,
     dist_integrate,
@@ -457,8 +457,11 @@ class TestTriphoton:
         assert g.FREE_ANGLES == 2
 
     def test_grid_budget(self):
-        with pytest.raises(GridTooCoarse):
-            build_triphoton_graph(self.settings(), self.tri_params(grid_n=8192))
+        with pytest.raises(ValueError, match="grid_n"):
+            build_triphoton_graph(self.settings(), self.tri_params(grid_n=MAX_GRID + 1))
+        # the contraction allocates O(n), so a fine grid computes
+        g = build_triphoton_graph(self.settings(), self.tri_params(grid_n=8192))
+        assert 0.0 <= g.triple_coincidence() <= 1.0
 
     def test_channel_relabeling_invariance(self):
         base = build_triphoton_graph(self.settings(), self.tri_params()).triple_coincidence()

@@ -16,6 +16,7 @@ from bellfield.cli import (
     read_config_file,
     render_rows,
 )
+from bellfield.dist import MAX_GRID
 
 
 def read_csv(path):
@@ -266,6 +267,10 @@ class TestValidation:
             (["bell-sweep", "--angles", "30", "--alpha", "1e300"], "alpha"),
             (["triphoton-compare", "--angles", "10,20,30", "--alpha", "1e300"], "alpha"),
             (["bell-sweep", "--mode", "exact", "--angles", "3e-11"], "angles"),
+            (["bell-sweep", "--mode", "regularized", "--angles", "30", "--grid-n", str(MAX_GRID + 1)], "grid_n"),
+            (["special-cases", "--grid-n", str(MAX_GRID + 1)], "grid_n"),
+            (["limit-study", "--grid-n", str(MAX_GRID + 1)], "grid_n"),
+            (["triphoton-compare", "--angles", "10,20,30", "--grid-n", str(MAX_GRID + 1)], "grid_n"),
         ],
     )
     def test_rejected_input_exits_2(self, argv, key, tmp_path, capsys):
@@ -324,7 +329,7 @@ degrees = st.one_of(st.floats(-720.0, 720.0), st.sampled_from([0.0, 90.0, 1e-10,
     numbers,
     numbers,
     st.lists(degrees, min_size=3, max_size=3),
-    st.sampled_from([-1, 0, 1, 96, 256, 300]),
+    st.sampled_from([-1, 0, 1, 96, 256, 300, MAX_GRID + 1]),
     st.sampled_from(["exact", "regularized", "both"]),
 )
 # the triphoton partition overflows; once printed as nan with exit 0

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from bellfield.angles import PI, PolAngle
-from bellfield.bell import GridTooCoarse, Mrf3Params, coincidence_probability
-from bellfield.dist import DeltaCollision
+from bellfield.bell import Mrf3Params, coincidence_probability
+from bellfield.dist import MAX_GRID, DeltaCollision
 from bellfield.graded import GradedCoeff
 from bellfield.quantum import (
     AbsorbedTag,
@@ -32,7 +32,6 @@ from bellfield.quantum import (
     mstar_bell_coincidence,
     normalize_ensemble,
     triphoton_compare,
-    triphoton_report,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -380,14 +379,6 @@ class TestTriphoton:
         ]
         assert max(probs) - min(probs) < 1e-12
 
-    def test_report_fields(self):
-        rep = triphoton_report(self.settings(), self.params())
-        assert set(rep.probabilities) == {"M", "Mstar", "MRF"}
-        assert all(len(v) == 6 for v in rep.probabilities.values())
-        assert rep.order_spread["M"] < 1e-12
-        assert rep.model_divergence >= 0.0
-        assert "source" in rep.note
-
     def test_models_need_params(self):
         with pytest.raises(ValueError):
             triphoton_compare(self.settings(), (0, 1, 2), "Mstar")
@@ -396,8 +387,8 @@ class TestTriphoton:
     @pytest.mark.parametrize(
         "knobs, error",
         [
-            # over the cell budget: refused before the 2-D grid is allocated
-            ({"grid_n": 2049}, GridTooCoarse),
+            # over the grid bound: refused before the axis is allocated
+            ({"grid_n": MAX_GRID + 1}, ValueError),
             ({"beta": 0.5}, ValueError),
             # a kernel this narrow peaks so high that the partition is not finite
             ({"sigma": 1e-300, "grid_n": 1}, OverflowError),

@@ -74,19 +74,27 @@ angles = st.floats(0.0, PI, exclude_max=True)
 
 
 class TestConstrainedSum:
+    PHOTONS = (2, 3, 4)
+
     def test_matches_the_definition(self):
         rng = np.random.default_rng(7)
         n = 7
-        f0, f1, f2 = rng.random((3, n))
-        want = sum(f0[i] * f1[j] * f2[(-i - j) % n] for i in range(n) for j in range(n))
-        assert constrained_sum(f0, f1, f2) == pytest.approx(want, rel=1e-14)
+        for photons in self.PHOTONS:
+            fs = rng.random((photons, n))
+            want = sum(
+                math.prod(f[i] for f, i in zip(fs, idx))
+                for idx in itertools.product(range(n), repeat=photons)
+                if sum(idx) % n == 0
+            )
+            assert constrained_sum(*fs) == pytest.approx(want, rel=1e-14), photons
 
     def test_symmetric_in_its_arguments(self):
         rng = np.random.default_rng(8)
-        fs = rng.random((3, 32))
-        base = constrained_sum(*fs)
-        for perm in itertools.permutations(range(3)):
-            assert constrained_sum(*(fs[i] for i in perm)) == pytest.approx(base, rel=1e-14)
+        for photons in self.PHOTONS:
+            fs = rng.random((photons, 32))
+            base = constrained_sum(*fs)
+            for perm in itertools.permutations(range(photons)):
+                assert constrained_sum(*(fs[i] for i in perm)) == pytest.approx(base, rel=1e-14), perm
 
     def test_axis_is_the_one_dimensional_grid(self):
         params = Mrf3Params(PolAngle(0.0), PolAngle(0.0), sigma=0.05, grid_n=96)
@@ -94,7 +102,7 @@ class TestConstrainedSum:
 
 
 class TestAgainstTwoDimensionalReference:
-    @pytest.mark.parametrize("grid_n", [64, 96, 256])
+    @pytest.mark.parametrize("grid_n", [64, 96, 97, 256])
     @settings(max_examples=8, deadline=None)
     @given(
         st.tuples(angles, angles, angles),
