@@ -389,8 +389,9 @@ def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = Fal
 
     Each factor's value table comes from the grid backend, evaluated once
     per assignment of the bits the factor reads, so the grid kernels are
-    sampled four times per call; every scenario then looks its factor
-    values up and multiplies them in feature order.
+    sampled four times per call.  The bits each factor reads are resolved
+    to positions in the scenario's bit tuple once; every scenario then
+    looks its factor values up and multiplies them in feature order.
     ``exit_beta_without_crystal`` swaps in :data:`EXIT_WITHOUT_CRYSTAL`; it
     exists to demonstrate numerically that the variant does not move the
     result at leading order.
@@ -399,35 +400,31 @@ def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = Fal
     factors = dict(CHANNEL_FACTORS)
     if exit_beta_without_crystal:
         factors["exit"] = EXIT_WITHOUT_CRYSTAL
-    tables = {
-        ch: factor_tables(
+    # Position of each channel bit in a scenario's bit tuple.
+    slot = {var(ch, g): k for k, (ch, g) in enumerate(itertools.product(CHANNELS, CHANNEL_BITS))}
+    tables = [
+        (tuple(slot[var(ch, r)] for r in reads), table)
+        for ch in CHANNELS
+        for reads, table in factor_tables(
             grid_backend(grid, params.setting(ch).value, params.alpha, params.beta, params.sigma),
             factors,
         ).values()
-        for ch in CHANNELS
-    }
+    ]
+    counters = [(slot[var(ch, "gamma_C")], slot[var(ch, "gamma_W")]) for ch in CHANNELS]
 
     num = 0.0
     den = 0.0
-    for bits in itertools.product((0, 1), repeat=8):
-        assign = {
-            var(ch, g): bits[4 * i + j]
-            for i, ch in enumerate(CHANNELS)
-            for j, g in enumerate(CHANNEL_BITS)
-        }
+    for bits in itertools.product((0, 1), repeat=len(slot)):
         scalar = 1.0
         arrays: list[np.ndarray] = []
-        for ch in CHANNELS:
-            for reads, table in tables[ch]:
-                val = table.get(tuple(assign[var(ch, r)] for r in reads), 0.0)
-                if isinstance(val, np.ndarray):
-                    arrays.append(val)
-                else:
-                    scalar *= val
-                    if scalar == 0.0:
-                        break
-            if scalar == 0.0:
-                break
+        for positions, table in tables:
+            val = table.get(tuple(bits[k] for k in positions), 0.0)
+            if isinstance(val, np.ndarray):
+                arrays.append(val)
+            else:
+                scalar *= val
+                if scalar == 0.0:
+                    break
         if scalar == 0.0:
             continue
         product = RegularizedDistFn(np.full_like(grid, scalar))
@@ -435,10 +432,7 @@ def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = Fal
             product = product * RegularizedDistFn(arr)
         weight = product.integral()
         den += weight
-        detected = all(
-            assign[var(ch, "gamma_C")] or assign[var(ch, "gamma_W")] for ch in CHANNELS
-        )
-        if detected:
+        if all(bits[c] or bits[w] for c, w in counters):
             num += weight
     return CoincidenceResult(
         partition_ratio(num, den), GradedCoeff.constant(num), GradedCoeff.constant(den), "regularized"

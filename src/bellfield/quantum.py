@@ -38,6 +38,7 @@ from .bell import (
     triphoton_angles,
 )
 from .dist import (
+    MAX_GRID,
     DistFn,
     RegularizedDistFn,
     dist_integrate,
@@ -301,8 +302,14 @@ class BranchEnsemble:
         return len(self.branches[0].tags)
 
 
+def _check_grid_n(grid_n: int) -> None:
+    if not 1 <= grid_n <= MAX_GRID:
+        raise ValueError(f"grid_n must lie in [1, {MAX_GRID}], got {grid_n}")
+
+
 def bell_source_ensemble(sigma: float | None = None, grid_n: int = 8192) -> BranchEnsemble:
     """Two photons sharing one uniformly distributed linear angle."""
+    _check_grid_n(grid_n)
     if sigma is None:
         angle_weight: DistFn | RegularizedDistFn = DistFn.one()
     else:
@@ -320,7 +327,8 @@ class PolarizerSetting:
     the split numeric.  A kernel width ``sigma`` makes the split regularized:
     the exact point masses become width-``sigma`` kernels on a ``grid_n``
     grid (required when the incoming atoms would collide with the
-    polarizer's own axes), which needs a numeric ``beta``.
+    polarizer's own axes), which needs a numeric ``beta``.  ``grid_n``
+    outside [1, MAX_GRID] raises ``ValueError``.
     """
 
     theta0: PolAngle
@@ -329,6 +337,7 @@ class PolarizerSetting:
     grid_n: int = 8192
 
     def __post_init__(self):
+        _check_grid_n(self.grid_n)
         if self.beta is not None and not self.beta > 0:
             raise ValueError("beta must be positive in numeric mode")
         if self.sigma is not None:

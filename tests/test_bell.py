@@ -25,6 +25,7 @@ from bellfield.bell import (
     channel_features,
     channel_sums,
     coincidence_probability,
+    factor_tables,
     grid_backend,
     sum_out_channel,
     var,
@@ -33,6 +34,7 @@ from bellfield.dist import (
     MAX_GRID,
     DeltaCollision,
     DistFn,
+    RegularizedDistFn,
     dist_integrate,
     dist_mul,
     grid_points,
@@ -152,6 +154,65 @@ class TestBruteForceOracle:
                 num += weight
         oracle = brute_force_oracle(params, exit_beta_without_crystal=exit_beta)
         assert oracle.probability == pytest.approx(num / den, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            params_for(0.0),
+            params_for(30.0),
+            params_for(90.0),
+            params_for(11.6, sigma=0.04),
+            params_for(45.0, sigma=0.005, beta=1e-2),
+        ],
+        ids=["0deg", "30deg", "90deg", "11.6deg-sigma0.04", "45deg-sigma0.005-beta1e-2"],
+    )
+    @pytest.mark.parametrize("exit_beta", [False, True])
+    def test_equals_name_keyed_scenario_loop(self, params, exit_beta):
+        # The same loop keyed by variable names instead of bit positions: the
+        # same factor values, multiplied and summed in the same order.
+        grid = grid_points(params.grid_n)
+        factors = dict(CHANNEL_FACTORS)
+        if exit_beta:
+            factors["exit"] = bell.EXIT_WITHOUT_CRYSTAL
+        tables = {
+            ch: factor_tables(
+                grid_backend(grid, params.setting(ch).value, params.alpha, params.beta, params.sigma),
+                factors,
+            ).values()
+            for ch in CHANNELS
+        }
+        num = den = 0.0
+        for bits in itertools.product((0, 1), repeat=8):
+            assign = {
+                var(ch, g): bits[4 * i + j]
+                for i, ch in enumerate(CHANNELS)
+                for j, g in enumerate(CHANNEL_BITS)
+            }
+            scalar = 1.0
+            arrays = []
+            for ch in CHANNELS:
+                for reads, table in tables[ch]:
+                    val = table.get(tuple(assign[var(ch, r)] for r in reads), 0.0)
+                    if isinstance(val, np.ndarray):
+                        arrays.append(val)
+                    else:
+                        scalar *= val
+                        if scalar == 0.0:
+                            break
+                if scalar == 0.0:
+                    break
+            if scalar == 0.0:
+                continue
+            product = RegularizedDistFn(np.full_like(grid, scalar))
+            for arr in arrays:
+                product = product * RegularizedDistFn(arr)
+            weight = product.integral()
+            den += weight
+            if all(assign[var(ch, "gamma_C")] or assign[var(ch, "gamma_W")] for ch in CHANNELS):
+                num += weight
+        oracle = brute_force_oracle(params, exit_beta_without_crystal=exit_beta)
+        assert oracle.numerator.constant_value() == num
+        assert oracle.denominator.constant_value() == den
 
 
 # -- feature tables ----------------------------------------------------------------

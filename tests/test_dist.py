@@ -183,6 +183,45 @@ class TestRegularize:
         assert g[-1] == pytest.approx(g[1], rel=1e-6)  # symmetric across the wrap
 
 
+def seven_image_kernel(grid, center, sigma):
+    """The kernel's definition: all seven periodic images over the whole grid."""
+    norm = 1.0 / (sigma * math.sqrt(2.0 * PI))
+    out = np.zeros_like(grid)
+    for m in range(-3, 4):
+        d = grid - center + m * PI
+        out += np.exp(-0.5 * (d / sigma) ** 2)
+    return norm * out
+
+
+class TestWrappedGaussianImages:
+    """Leaving out the images that cannot reach the grid changes no bit."""
+
+    SIGMAS = (1e-300, 1e-30, 1e-18, 1e-10, 1e-3, 0.005, 0.05, PI / 16)
+
+    @staticmethod
+    def centres(grid, rng):
+        on_grid = rng.choice(grid.ravel(), 4)
+        # an image of these lands within rounding of the last grid point
+        seams = [grid.max() + k * PI for k in (1, 2, 3)]
+        return [*rng.uniform(0.0, 1.5 * PI, 6), *on_grid, 0.0, PI / 2, PI, 3 * PI / 2, *seams]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            *(grid_points(n) for n in (96, 97, 256, 8192)),
+            grid_points(96)[:, None] * np.ones((1, 96)),  # the triphoton tests' 2-D theta
+        ],
+        ids=["n96", "n97", "n256", "n8192", "2d96"],
+    )
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_bit_identical_to_seven_images(self, grid, sigma):
+        rng = np.random.default_rng(grid.size)
+        for centre in self.centres(grid, rng):
+            got = wrapped_gaussian(grid, float(centre), sigma)
+            assert np.array_equal(got, seven_image_kernel(grid, float(centre), sigma)), centre
+
+
 # -- randomized algebra ------------------------------------------------------------
 
 _LATTICE = [0.1, 0.5, 0.9, 1.3, 1.7, 2.1, 2.5, 2.9]

@@ -337,6 +337,21 @@ class TestPolarizerSetting:
         with pytest.raises(ValueError):
             PolarizerSetting(deg(0.0), beta=0.0)
 
+    @pytest.mark.parametrize("grid_n", [0, MAX_GRID + 1])
+    def test_grid_n_bounded(self, grid_n):
+        with pytest.raises(ValueError, match="grid_n"):
+            PolarizerSetting(deg(0.0), beta=1e-3, sigma=0.01, grid_n=grid_n)
+        with pytest.raises(ValueError, match="grid_n"):
+            bell_source_ensemble(sigma=0.01, grid_n=grid_n)
+        with pytest.raises(ValueError, match="grid_n"):
+            mstar_bell_coincidence(deg(30.0), deg(0.0), 1e-3, sigma=0.01, grid_n=grid_n)
+
+    def test_grid_n_checked_before_allocating(self, monkeypatch):
+        # a grid of 10**9 points would need 7.45 GiB; the bound refuses it first
+        monkeypatch.setattr(np, "ones", lambda *a, **kw: pytest.fail("allocated"))
+        with pytest.raises(ValueError, match="grid_n"):
+            mstar_bell_coincidence(deg(30.0), deg(0.0), 1e-3, sigma=0.01, grid_n=10**9)
+
 
 class TestTriphoton:
     def params(self):
