@@ -46,6 +46,7 @@ import numpy as np
 from .angles import PI, PolAngle
 from .dist import (
     MAX_GRID,
+    MAX_SIGMA,
     MIN_GRID,
     DistFn,
     RegularizedDistFn,
@@ -108,9 +109,9 @@ class Mrf3Params:
             raise ValueError(f"alpha must lie in (0, {MAX_ALPHA:g}], got {self.alpha}")
         if not (0 < self.beta <= MAX_BETA):
             raise ValueError(f"beta must lie in (0, {MAX_BETA:g}], got {self.beta}")
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.sigma > PI / 16:
+        if self.sigma > MAX_SIGMA:
             raise SigmaTooCoarse(f"sigma={self.sigma:g} exceeds pi/16")
         if self.grid_n > MAX_GRID:
             raise ValueError(f"grid_n={self.grid_n} above maximum {MAX_GRID}")

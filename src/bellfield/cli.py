@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -61,20 +62,42 @@ class ConfigError(ValueError):
         self.key = key
 
 
+#: A key's reader: the function from its text and what that text must be.
+_TEXT = (str, "text")
+_NUMBER = (float, "a number")
+_INTEGER = (int, "an integer")
+_NUMBER_LIST = (lambda raw: [float(x) for x in raw.split(",") if x.strip() != ""], "a comma-separated number list")
+
+
+def _key(read: tuple, help: str, **default):
+    """A configuration key: a field carrying its reader and help text."""
+    return field(metadata={"read": read, "help": help}, **default)
+
+
 @dataclass
 class ExperimentConfig:
-    experiment: str
-    angles: list[float] = field(default_factory=list)  # degrees
-    alpha: float = 1e-2
-    beta: float = 1e-3
-    sigma: float | None = None  # per-experiment default when omitted
-    grid_n: int | None = None
-    mode: str = "both"  # exact | regularized | both
-    output: str = "-"
-    format: str = "csv"
-    initial: str = "0"  # malus-chain entry polarization, degrees or "unpolarized"
-    sigmas: list[float] = field(default_factory=lambda: [0.04, 0.02, 0.01])
-    betas: list[float] = field(default_factory=lambda: [1e-3])
+    """One experiment's settings; each field is one configuration key.
+
+    A field's ``metadata`` holds its reader (the function from the key's text
+    and what that text must be) and its help.  The flags (``--grid-n`` for
+    ``grid_n``, ``experiment`` positional), the config-file keys and
+    :func:`build_config` all come from the fields: a key is declared here only.
+    """
+
+    experiment: str = _key(_TEXT, "one of " + ", ".join(EXPERIMENTS))
+    angles: list[float] = _key(_NUMBER_LIST, "comma-separated degrees", default_factory=list)
+    alpha: float = _key(_NUMBER, "absorption cost alpha (numeric routes)", default=1e-2)
+    beta: float = _key(_NUMBER, "conversion cost beta (numeric routes)", default=1e-3)
+    sigma: float | None = _key(_NUMBER, "kernel width in radians; per-experiment default when omitted", default=None)
+    grid_n: int | None = _key(_INTEGER, "grid points on [0, pi); per-experiment default when omitted", default=None)
+    mode: str = _key(_TEXT, "bell-sweep route: exact, regularized or both", default="both")
+    output: str = _key(_TEXT, "output path, '-' for stdout", default="-")
+    format: str = _key(_TEXT, "csv or json", default="csv")
+    initial: str = _key(_TEXT, "malus-chain entry polarization (degrees or 'unpolarized')", default="0")
+    sigmas: list[float] = _key(
+        _NUMBER_LIST, "comma-separated kernel widths (limit-study)", default_factory=lambda: [0.04, 0.02, 0.01]
+    )
+    betas: list[float] = _key(_NUMBER_LIST, "comma-separated betas (limit-study)", default_factory=lambda: [1e-3])
 
     def resolved_sigma(self) -> float:
         if self.sigma is not None:
@@ -214,19 +237,13 @@ def _run_special_cases(config: ExperimentConfig) -> list[ResultRow]:
 
 def _run_limit_study(config: ExperimentConfig) -> list[ResultRow]:
     delta = config.angles[0] if config.angles else 30.0
-    exact = coincidence_probability(_mrf_params(config, delta), "exact").probability
+    base = _mrf_params(config, delta)
+    exact = coincidence_probability(base, "exact").probability
     rows = []
     for beta in sorted(config.betas):
         previous: tuple[float, float] | None = None  # (sigma, value)
         for sigma in sorted(config.sigmas, reverse=True):
-            params = Mrf3Params(
-                theta_a=PolAngle.from_degrees(delta),
-                theta_b=PolAngle.from_degrees(0.0),
-                alpha=config.alpha,
-                beta=beta,
-                sigma=sigma,
-                grid_n=config.resolved_grid_n(),
-            )
+            params = replace(base, beta=beta, sigma=sigma)
             value, ms = _timed(lambda: brute_force_oracle(params).probability)
             p: dict = {"delta_deg": delta, "sigma": sigma, "beta": beta}
             if previous is not None:
@@ -249,36 +266,22 @@ def _run_malus_chain(config: ExperimentConfig) -> list[ResultRow]:
     return [ResultRow(config.experiment, "QM", params, value, None, ms)]
 
 
-def _triphoton_rows(config: ExperimentConfig, degs: Sequence[float], include_mrf: bool) -> list[ResultRow]:
+def _triphoton_rows(config: ExperimentConfig, degs: Sequence[float]) -> list[ResultRow]:
     settings = tuple(PolAngle.from_degrees(d) for d in degs)
-    params = Mrf3Params(
-        theta_a=PolAngle(0.0),
-        theta_b=PolAngle(0.0),
-        alpha=config.alpha,
-        beta=config.beta,
-        sigma=config.resolved_sigma(),
-        grid_n=config.resolved_grid_n(),
-    )
+    params = _mrf_params(config, 0.0)  # its two settings are unused here
     p = {"phi1_deg": degs[0], "phi2_deg": degs[1], "phi3_deg": degs[2]}
     qm, ms_qm = _timed(lambda: triphoton_compare(settings, (0, 1, 2), "M").probability)
     rows = [ResultRow(config.experiment, "QM", p, qm, None, ms_qm)]
     mstar, ms = _timed(lambda: triphoton_compare(settings, (0, 1, 2), "Mstar", params).probability)
     rows.append(ResultRow(config.experiment, "Mstar", p, mstar, qm, ms))
-    if include_mrf:
-        mrf, ms = _timed(lambda: triphoton_compare(settings, (0, 1, 2), "MRF", params).probability)
-        rows.append(ResultRow(config.experiment, "MRF3-oracle", p, mrf, qm, ms))
+    mrf, ms = _timed(lambda: triphoton_compare(settings, (0, 1, 2), "MRF", params).probability)
+    rows.append(ResultRow(config.experiment, "MRF3-oracle", p, mrf, qm, ms))
     return rows
 
 
 def _run_triphoton(config: ExperimentConfig) -> list[ResultRow]:
-    if config.angles:
-        return _triphoton_rows(config, config.angles, include_mrf=True)
-    rows = []
-    for d1 in TRIPHOTON_SCAN_DEGREES:
-        for d2 in TRIPHOTON_SCAN_DEGREES:
-            for d3 in TRIPHOTON_SCAN_DEGREES:
-                rows.extend(_triphoton_rows(config, (d1, d2, d3), include_mrf=True))
-    return rows
+    scan = [config.angles] if config.angles else itertools.product(TRIPHOTON_SCAN_DEGREES, repeat=3)
+    return [row for degs in scan for row in _triphoton_rows(config, degs)]
 
 
 RUNNERS = {
@@ -333,25 +336,21 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
     if config.output == "-":
         sys.stdout.write(text)
     else:
-        Path(config.output).write_text(text)
+        try:
+            Path(config.output).write_text(text)
+        except OSError as exc:
+            raise ConfigError("output", f"cannot write {config.output!r}: {exc}") from None
     return rows
 
 
 # -- command line -----------------------------------------------------------------
 
 
-def _parse_float_list(raw: str, key: str) -> list[float]:
-    try:
-        return [float(x) for x in raw.split(",") if x.strip() != ""]
-    except ValueError:
-        raise ConfigError(key, f"cannot parse {raw!r} as a comma-separated number list") from None
-
-
 def read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {path!r}: {exc}") from None
     for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
@@ -364,76 +363,50 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_LIST_KEYS = {"angles", "sigmas", "betas"}
-_FLOAT_KEYS = {"alpha", "beta", "sigma"}
-_INT_KEYS = {"grid_n"}
-_STR_KEYS = {"experiment", "mode", "output", "format", "initial"}
+_READERS = {f.name: f.metadata["read"] for f in fields(ExperimentConfig)}
 
 
-def build_config(file_values: dict[str, str], flag_values: dict) -> ExperimentConfig:
+def build_config(file_values: dict[str, str], flag_values: dict[str, str]) -> ExperimentConfig:
+    """The config of a file's key texts, then the flags' texts over them.
+
+    Both go through the key's reader from :class:`ExperimentConfig`, so a
+    flag and a file line with the same text give the same value, or the same
+    :class:`ConfigError` naming the key.
+    """
     merged: dict = {}
-    for key, raw in file_values.items():
-        if key in _LIST_KEYS:
-            merged[key] = _parse_float_list(raw, key)
-        elif key in _FLOAT_KEYS:
+    for values in (file_values, flag_values):
+        for key, raw in values.items():
+            if key not in _READERS:
+                raise ConfigError(key, "unknown configuration key")
+            read, expected = _READERS[key]
             try:
-                merged[key] = float(raw)
+                merged[key] = read(raw)
             except ValueError:
-                raise ConfigError(key, f"cannot parse {raw!r} as a number") from None
-        elif key in _INT_KEYS:
-            try:
-                merged[key] = int(raw)
-            except ValueError:
-                raise ConfigError(key, f"cannot parse {raw!r} as an integer") from None
-        elif key in _STR_KEYS:
-            merged[key] = raw
-        else:
-            raise ConfigError(key, "unknown configuration key")
-    for key, value in flag_values.items():
-        if value is not None:
-            merged[key] = value
+                raise ConfigError(key, f"cannot parse {raw!r} as {expected}") from None
     if "experiment" not in merged:
         raise ConfigError("experiment", "no experiment selected (positional argument or config file)")
     return ExperimentConfig(**merged)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="bellfield",
-        description="Coincidence-experiment sweeps for the random-field and quantum models.",
-    )
-    parser.add_argument("experiment", nargs="?", choices=EXPERIMENTS)
-    parser.add_argument("--config", help="key=value config file; flags override file keys")
-    parser.add_argument("--angles", help="comma-separated degrees")
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--sigma", type=float)
-    parser.add_argument("--grid-n", dest="grid_n", type=int)
-    parser.add_argument("--mode", choices=("exact", "regularized", "both"))
-    parser.add_argument("--output", help="output path, '-' for stdout")
-    parser.add_argument("--format", choices=("csv", "json"))
-    parser.add_argument("--initial", help="malus-chain entry polarization (degrees or 'unpolarized')")
-    parser.add_argument("--sigmas", help="comma-separated kernel widths (limit-study)")
-    parser.add_argument("--betas", help="comma-separated beta values (limit-study)")
-    args = parser.parse_args(argv)
+#: Built once, at import: each flag takes its key's text; a flag left out is absent.
+_PARSER = argparse.ArgumentParser(
+    prog="bellfield",
+    description="Coincidence-experiment sweeps for the random-field and quantum models.",
+    argument_default=argparse.SUPPRESS,
+)
+_PARSER.add_argument("--config", help="key=value config file; flags override file keys")
+for _key_field in fields(ExperimentConfig):
+    if _key_field.name == "experiment":
+        _PARSER.add_argument("experiment", nargs="?", help=_key_field.metadata["help"])
+    else:
+        _PARSER.add_argument("--" + _key_field.name.replace("_", "-"), help=_key_field.metadata["help"])
 
+
+def main(argv: Sequence[str] | None = None) -> int:
+    flags = vars(_PARSER.parse_args(argv))
+    path = flags.pop("config", None)
     try:
-        file_values = read_config_file(args.config) if args.config else {}
-        flags = {
-            "experiment": args.experiment,
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "sigma": args.sigma,
-            "grid_n": args.grid_n,
-            "mode": args.mode,
-            "output": args.output,
-            "format": args.format,
-            "initial": args.initial,
-            "angles": _parse_float_list(args.angles, "angles") if args.angles is not None else None,
-            "sigmas": _parse_float_list(args.sigmas, "sigmas") if args.sigmas is not None else None,
-            "betas": _parse_float_list(args.betas, "betas") if args.betas is not None else None,
-        }
-        config = build_config(file_values, flags)
+        config = build_config(read_config_file(path) if path else {}, flags)
         run(config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

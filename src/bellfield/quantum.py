@@ -17,7 +17,6 @@ blocked descendants.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -530,20 +529,17 @@ def _triphoton_mstar(settings: Sequence[PolAngle], params: Mrf3Params, order: Se
     blocked descendant, sampled on the 1-D axis.  A branch's weight is the
     :func:`constrained_sum` of its three samples over the two free source
     angles; the source treats its photons alike, so they take the sum's
-    slots in application order.
+    slots in application order.  The sum is linear in each slot, so the
+    2^3 branch weights add up to one sum of the per-arm totals
+    ``pass + block``, and the detected weight is the all-pass branch alone.
     """
     axis = triphoton_angles(params)
     splits = [grid_backend(axis, settings[arm].value, params.alpha, params.beta, params.sigma) for arm in order]
     # Every arm ends in an absorber of the same cost, passed or blocked.
     cost = primitive_product(ABSORBER_COST, {"alpha": params.alpha, "beta": params.beta}) ** 3
     cell = (PI / params.grid_n) ** 2
-    num = 0.0
-    den = 0.0
-    for branch in itertools.product(("pass", "block"), repeat=3):
-        weight = constrained_sum(*(split[kind] for split, kind in zip(splits, branch))) * cell * cost
-        den += weight
-        if branch == ("pass", "pass", "pass"):
-            num += weight
+    num = constrained_sum(*(split["pass"] for split in splits)) * cell * cost
+    den = constrained_sum(*(split["pass"] + split["block"] for split in splits)) * cell * cost
     return partition_ratio(num, den)
 
 

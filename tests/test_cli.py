@@ -1,13 +1,16 @@
+import argparse
 import contextlib
 import csv
 import io
 import json
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bellfield import cli
 from bellfield.cli import (
     ConfigError,
     ExperimentConfig,
@@ -234,6 +237,88 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("a = 1 # trailing\n# full line\n\nb = two\n")
         assert read_config_file(str(cfg)) == {"a": "1", "b": "two"}
+
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"experiment = malus-chain\nangles = 0\xff\n")
+        assert main(["--config", str(cfg)]) == 2
+        assert "config key 'config'" in capsys.readouterr().err
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["bell-sweep", "--mode", "exact", "--angles", "30", "--output", str(out)]) == 2
+        assert "config key 'output'" in capsys.readouterr().err
+
+
+class TestOneDeclaration:
+    """Flags and config-file lines are read from the same ExperimentConfig fields."""
+
+    TEXTS = {
+        "experiment": "malus-chain",
+        "angles": "10, 20,30",
+        "alpha": "0.02",
+        "beta": "2e-3",
+        "sigma": "0.03",
+        "grid_n": "512",
+        "mode": "regularized",
+        "output": "table.csv",
+        "format": "json",
+        "initial": "unpolarized",
+        "sigmas": "0.04,0.02",
+        "betas": "1e-3,2e-3",
+    }
+
+    @staticmethod
+    def both_argvs(tmp_path, key, text):
+        """The argv giving one key's text as a flag, then as a config-file line."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(("" if key == "experiment" else "experiment = limit-study\n") + f"{key} = {text}\n")
+        flag = [text] if key == "experiment" else ["limit-study", f"--{key.replace('_', '-')}={text}"]
+        return flag, ["--config", str(cfg)]
+
+    def test_every_key_has_a_sample(self):
+        assert set(self.TEXTS) == {f.name for f in fields(ExperimentConfig)}
+
+    @pytest.mark.parametrize("key", sorted(TEXTS))
+    def test_flag_and_file_line_give_equal_configs(self, key, monkeypatch, tmp_path):
+        seen = []
+        monkeypatch.setattr(cli, "run", seen.append)
+        for argv in self.both_argvs(tmp_path, key, self.TEXTS[key]):
+            assert main(argv) == 0
+        from_flag, from_file = seen
+        assert from_flag == from_file
+        assert getattr(from_flag, key) != getattr(ExperimentConfig("limit-study"), key)
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("alpha", "abc"),
+            ("grid_n", "1.5"),
+            ("mode", "quantum"),
+            ("format", "xml"),
+            ("angles", "1,x"),
+            ("experiment", "foo"),
+        ],
+    )
+    def test_flag_and_file_line_fail_alike(self, key, text, tmp_path, capsys):
+        messages = []
+        for argv in self.both_argvs(tmp_path, key, text):
+            assert main(argv) == 2
+            messages.append(capsys.readouterr().err)
+        from_flag, from_file = messages
+        assert f"config key '{key}'" in from_flag
+        assert from_flag == from_file
+
+    def test_no_call_builds_a_parser(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a parser was built during a call")
+
+        monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+        out = tmp_path / "malus.csv"
+        assert main(["malus-chain", "--angles", "0,45,90", "--output", str(out)]) == 0
+        (row,) = read_csv(out)
+        assert float(row["value"]) == pytest.approx(0.25, abs=1e-12)
 
 
 class TestValidation:

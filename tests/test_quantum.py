@@ -407,6 +407,8 @@ class TestTriphoton:
             ({"beta": 0.5}, ValueError),
             # a kernel this narrow peaks so high that the partition is not finite
             ({"sigma": 1e-300, "grid_n": 1}, OverflowError),
+            # refused by the check, not reported later as a non-finite partition
+            ({"sigma": math.nan}, ValueError),
         ],
     )
     def test_numeric_knobs_checked_on_both_routes(self, model, knobs, error):
