@@ -28,8 +28,10 @@ Three evaluation routes are provided and cross-checked:
   degenerate equal/orthogonal polarizer settings);
 * brute-force oracle: numeric parameters, full 2^8 scenario enumeration on
   the grid with no graded algebra and no channel factorization.  Each
-  factor is evaluated once per assignment of the bits it reads, and every
-  scenario's product is then assembled from those values.
+  factor is evaluated once per assignment of the bits it reads; the scalar
+  weights of all 2^8 scenarios are then one vector, the product of the
+  factors' scalar tables indexed by every scenario's bits, and only the
+  scenarios with a nonzero weight assemble their product over the grid.
 """
 
 from __future__ import annotations
@@ -218,21 +220,37 @@ def factor_tables(backend: Mapping, factors: Mapping[str, Factor] = CHANNEL_FACT
     }
 
 
+def _elimination_plan(factors: Mapping[str, Factor]) -> tuple[tuple[bool, tuple], ...]:
+    """The channel assignments every factor lists, in lexicographic order:
+    whether the counter fires in each, and each factor's key, in factor order."""
+    plan = []
+    for bits in itertools.product((0, 1), repeat=len(CHANNEL_BITS)):
+        local = dict(zip(CHANNEL_BITS, bits))
+        keys = tuple(tuple(local[r] for r in reads) for reads, _ in factors.values())
+        if all(key in values for key, (_, values) in zip(keys, factors.values())):
+            plan.append((bool(local["gamma_C"] or local["gamma_W"]), keys))
+    return tuple(plan)
+
+
+#: One channel's live assignments (three of the sixteen), derived once from
+#: :data:`CHANNEL_FACTORS`.
+CHANNEL_PLAN = _elimination_plan(CHANNEL_FACTORS)
+
+
 def sum_out_channel(backend: Mapping) -> tuple:
     """Sum one channel's four bits out of its factor table.
 
     Returns (detected, undetected): the summed weight of the scenarios in
     which the channel's counter fires, and of those in which it does not,
-    as functions of the shared angle in the backend's representation.
+    as functions of the shared angle in the backend's representation.  Each
+    live assignment of :data:`CHANNEL_PLAN` multiplies its factor values in
+    factor order; the sums run in assignment order.
     """
-    tables = factor_tables(backend).values()
+    tables = [table for _, table in factor_tables(backend).values()]
     sums: tuple[list, list] = ([], [])
-    for bits in itertools.product((0, 1), repeat=len(CHANNEL_BITS)):
-        local = dict(zip(CHANNEL_BITS, bits))
-        values = [table.get(tuple(local[r] for r in reads)) for reads, table in tables]
-        if all(v is not None for v in values):
-            detected = local["gamma_C"] or local["gamma_W"]
-            sums[0 if detected else 1].append(functools.reduce(operator.mul, values))
+    for detected, keys in CHANNEL_PLAN:
+        values = [table[key] for table, key in zip(tables, keys)]
+        sums[0 if detected else 1].append(functools.reduce(operator.mul, values))
     return tuple(functools.reduce(operator.add, terms) for terms in sums)
 
 
@@ -390,9 +408,13 @@ def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = Fal
 
     Each factor's value table comes from the grid backend, evaluated once
     per assignment of the bits the factor reads, so the grid kernels are
-    sampled four times per call.  The bits each factor reads are resolved
-    to positions in the scenario's bit tuple once; every scenario then
-    looks its factor values up and multiplies them in feature order.
+    sampled four times per call.  The scalar weights of all 2^8 scenarios
+    are one float vector: each factor's scalars form a dense table over the
+    bits it reads (an array value counts one there, an unlisted assignment
+    zero), indexed by every scenario's bits and multiplied in feature order,
+    the products a scenario-by-scenario walk takes.  Only the scenarios with
+    a nonzero weight, in lexicographic order, then multiply that weight by
+    their array values over the grid and add to the sums.
     ``exit_beta_without_crystal`` swaps in :data:`EXIT_WITHOUT_CRYSTAL`; it
     exists to demonstrate numerically that the variant does not move the
     result at leading order.
@@ -413,24 +435,28 @@ def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = Fal
     ]
     counters = [(slot[var(ch, "gamma_C")], slot[var(ch, "gamma_W")]) for ch in CHANNELS]
 
+    # Row s holds scenario s's bits, the first slot most significant, so the
+    # rows run in lexicographic order.
+    scenarios = (np.arange(1 << len(slot))[:, None] >> np.arange(len(slot) - 1, -1, -1)) & 1
+    # Each factor's scalar weight, dense over the bits it reads: an array value
+    # weighs one here (it joins the scenario's product below), an unlisted
+    # assignment zero.  Multiplied in feature order, as scenario by scenario.
+    weights = np.ones(len(scenarios))
+    for positions, table in tables:
+        dense = np.zeros((2,) * len(positions))
+        for key, val in table.items():
+            dense[key] = 1.0 if isinstance(val, np.ndarray) else val
+        weights *= dense[tuple(scenarios[:, k] for k in positions)]
+
     num = 0.0
     den = 0.0
-    for bits in itertools.product((0, 1), repeat=len(slot)):
-        scalar = 1.0
-        arrays: list[np.ndarray] = []
+    for s in np.flatnonzero(weights):
+        bits = scenarios[s].tolist()
+        product = RegularizedDistFn(np.full_like(grid, weights[s]))
         for positions, table in tables:
-            val = table.get(tuple(bits[k] for k in positions), 0.0)
+            val = table[tuple(bits[k] for k in positions)]
             if isinstance(val, np.ndarray):
-                arrays.append(val)
-            else:
-                scalar *= val
-                if scalar == 0.0:
-                    break
-        if scalar == 0.0:
-            continue
-        product = RegularizedDistFn(np.full_like(grid, scalar))
-        for arr in arrays:
-            product = product * RegularizedDistFn(arr)
+                product = product * RegularizedDistFn(val)
         weight = product.integral()
         den += weight
         if all(bits[c] or bits[w] for c, w in counters):

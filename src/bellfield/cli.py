@@ -129,12 +129,9 @@ class ExperimentConfig:
             raise ConfigError("grid_n", "must be positive")
         if self.resolved_grid_n() > MAX_GRID:
             raise ConfigError("grid_n", f"must not exceed {MAX_GRID}")
-        numeric = self.experiment in ("special-cases", "limit-study", "triphoton-compare") or (
-            self.experiment == "bell-sweep" and self.mode != "exact"
-        )
-        if numeric and self.alpha > MAX_ALPHA:
+        if self.alpha > MAX_ALPHA:
             raise ConfigError("alpha", f"must not exceed {MAX_ALPHA:g}, got {self.alpha}")
-        if numeric and self.beta > MAX_BETA:
+        if self.beta > MAX_BETA:
             raise ConfigError("beta", f"must not exceed {MAX_BETA:g}, got {self.beta}")
         if self.experiment == "bell-sweep" and self.mode in ("exact", "both"):
             for d in self.angles or DEFAULT_SWEEP:
@@ -395,15 +392,35 @@ _PARSER = argparse.ArgumentParser(
     argument_default=argparse.SUPPRESS,
 )
 _PARSER.add_argument("--config", help="key=value config file; flags override file keys")
+#: The flags that take a value: all of them, argparse's ``--help`` aside.
+_VALUE_FLAGS = {"--config"}
 for _key_field in fields(ExperimentConfig):
     if _key_field.name == "experiment":
         _PARSER.add_argument("experiment", nargs="?", help=_key_field.metadata["help"])
     else:
-        _PARSER.add_argument("--" + _key_field.name.replace("_", "-"), help=_key_field.metadata["help"])
+        _flag = "--" + _key_field.name.replace("_", "-")
+        _VALUE_FLAGS.add(_flag)
+        _PARSER.add_argument(_flag, help=_key_field.metadata["help"])
+
+
+def _attach_dash_values(argv: Sequence[str]) -> list[str]:
+    """``--flag -10,20`` as ``--flag=-10,20``.
+
+    argparse takes a word that starts with ``-`` for an option unless it is
+    a plain negative number; attached, a value such as ``-10,20`` reaches
+    the key's reader as the same text on a config-file line would.
+    """
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] in _VALUE_FLAGS and word.startswith("-") and word not in _VALUE_FLAGS:
+            out[-1] = f"{out[-1]}={word}"
+        else:
+            out.append(word)
+    return out
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    flags = vars(_PARSER.parse_args(argv))
+    flags = vars(_PARSER.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv)))
     path = flags.pop("config", None)
     try:
         config = build_config(read_config_file(path) if path else {}, flags)

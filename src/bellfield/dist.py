@@ -191,11 +191,12 @@ class DistFn:
     def scale(self, c) -> "DistFn":
         if not isinstance(c, GradedCoeff):
             c = GradedCoeff.constant(c)
+        # A zero harmonic stays zero: most of the MAX_HARMONIC slots are.
         return DistFn(
             atoms=[(loc, w * c) for loc, w in self.atoms],
             c0=self.c0 * c,
-            cos_coeffs=[x * c for x in self.cos_coeffs],
-            sin_coeffs=[x * c for x in self.sin_coeffs],
+            cos_coeffs=[x if x.is_zero else x * c for x in self.cos_coeffs],
+            sin_coeffs=[x if x.is_zero else x * c for x in self.sin_coeffs],
         )
 
     def __mul__(self, c) -> "DistFn":
@@ -342,19 +343,26 @@ def grid_points(n: int) -> np.ndarray:
 def wrapped_gaussian(grid: np.ndarray, center: float, sigma: float) -> np.ndarray:
     """Unit-mass Gaussian kernel wrapped onto the period-pi circle.
 
-    Sums the images ``center - m*pi``, m = -3..3, over the whole array, but
-    only those within 40 sigma (+1e-9 for rounding) of the samples' range: a
-    farther image is below exp(-800), exactly 0.0 in float64, at every sample.
+    Sums the images ``center - m*pi``, m = -3..3, but only those within
+    40 sigma (+1e-9 for rounding) of the samples' range, and on an ascending
+    1-D grid each only on the samples within that reach of its centre: a
+    farther sample gets below exp(-800), exactly 0.0 in float64.  Any other
+    grid, or one no wider than the kernel's 2*reach, takes whole-array images.
     """
     norm = 1.0 / (sigma * math.sqrt(2.0 * PI))
     reach = 40.0 * abs(sigma) + 1e-9
-    lo, hi = np.min(grid, initial=np.inf) - reach, np.max(grid, initial=-np.inf) + reach
+    first, last = np.min(grid, initial=np.inf), np.max(grid, initial=-np.inf)
+    windowed = grid.ndim == 1 and 2 * reach < last - first and bool(np.all(grid[1:] >= grid[:-1]))
     out = np.zeros_like(grid)
     for m in range(-3, 4):
-        if center - m * PI < lo or center - m * PI > hi:
+        image = center - m * PI
+        if image < first - reach or image > last + reach:
             continue
-        d = grid - center + m * PI
-        out += np.exp(-0.5 * (d / sigma) ** 2)
+        cells = slice(None)
+        if windowed:
+            cells = slice(np.searchsorted(grid, image - reach), np.searchsorted(grid, image + reach, side="right"))
+        d = grid[cells] - center + m * PI
+        out[cells] += np.exp(-0.5 * (d / sigma) ** 2)
     return norm * out
 
 

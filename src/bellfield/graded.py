@@ -163,6 +163,10 @@ class GradedCoeff:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o._terms:
+            return self
+        if not self._terms:
+            return o
         out = dict(self._terms)
         for k, c in o._terms.items():
             out[k] = out.get(k, Fraction(0)) + c
@@ -189,6 +193,8 @@ class GradedCoeff:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not (self._terms and o._terms):
+            return _ZERO
         out: dict[Key, Fraction] = {}
         for (i1, j1), c1 in self._terms.items():
             for (i2, j2), c2 in o._terms.items():

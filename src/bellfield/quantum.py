@@ -152,12 +152,19 @@ def _mode_projector(theta: PolAngle | float) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two matrices: the products ``np.kron`` computes,
+    without its general-rank bookkeeping."""
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(ra * rb, ca * cb)
+
+
 def _embed(op: np.ndarray, n: int, subsystem: int) -> np.ndarray:
     if not (0 <= subsystem < n):
         raise IndexError(f"subsystem {subsystem} out of range for {n} photons")
     factors = [np.eye(2, dtype=complex)] * n
     factors[subsystem] = op
-    return reduce(np.kron, factors)
+    return reduce(_kron, factors)
 
 
 def dephase(entries: np.ndarray, n: int, subsystem: int, theta0: PolAngle) -> np.ndarray:
@@ -179,7 +186,7 @@ def bell_coincidence_qm(theta_a: PolAngle, theta_b: PolAngle) -> float:
     rho = DensityMatrix.from_pure(bell_pair())
     rho = apply_M(rho, 0, theta_a)
     rho = apply_M(rho, 1, theta_b)
-    proj = np.kron(_mode_projector(theta_a), _mode_projector(theta_b))
+    proj = _kron(_mode_projector(theta_a), _mode_projector(theta_b))
     return float(np.trace(proj @ rho.entries).real)
 
 
@@ -518,7 +525,7 @@ def _triphoton_m(settings: Sequence[PolAngle], order: Sequence[int]) -> float:
     rho = np.outer(ghz_state(3), ghz_state(3).conj())
     for k in order:
         rho = dephase(rho, 3, k, settings[k])
-    proj = reduce(np.kron, [_mode_projector(t) for t in settings])
+    proj = reduce(_kron, [_mode_projector(t) for t in settings])
     return float(np.trace(proj @ rho).real)
 
 

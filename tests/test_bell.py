@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ import bellfield.bell as bell
 from bellfield.bell import (
     ALPHA,
     BETA,
+    MAX_BETA,
     CHANNELS,
     CoincidenceResult,
     Mrf3Params,
@@ -26,12 +29,15 @@ from bellfield.bell import (
     channel_sums,
     coincidence_probability,
     factor_tables,
+    graded_backend,
     grid_backend,
+    partition_ratio,
     sum_out_channel,
     var,
 )
 from bellfield.dist import (
     MAX_GRID,
+    MAX_SIGMA,
     DeltaCollision,
     DistFn,
     RegularizedDistFn,
@@ -62,6 +68,51 @@ def half_law(delta_deg: float) -> float:
 
 def feature(channel: str, name: str, theta_p: PolAngle = PolAngle.from_degrees(20.0)):
     return {f.name: f for f in channel_features(channel, theta_p)}[f"{channel}.{name}"]
+
+
+def scalar_by_scalar_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = False) -> CoincidenceResult:
+    """The oracle's scenario walk one scenario at a time: each factor's value
+    is looked up by the scenario's bits and its scalars multiplied one by one,
+    stopping at the first zero; the surviving scenarios build their
+    ``RegularizedDistFn`` product and add to num and den in lexicographic order."""
+    grid = grid_points(params.grid_n)
+    factors = dict(CHANNEL_FACTORS)
+    if exit_beta_without_crystal:
+        factors["exit"] = bell.EXIT_WITHOUT_CRYSTAL
+    slot = {var(ch, g): k for k, (ch, g) in enumerate(itertools.product(CHANNELS, CHANNEL_BITS))}
+    tables = [
+        (tuple(slot[var(ch, r)] for r in reads), table)
+        for ch in CHANNELS
+        for reads, table in factor_tables(
+            grid_backend(grid, params.setting(ch).value, params.alpha, params.beta, params.sigma),
+            factors,
+        ).values()
+    ]
+    counters = [(slot[var(ch, "gamma_C")], slot[var(ch, "gamma_W")]) for ch in CHANNELS]
+    num = den = 0.0
+    for bits in itertools.product((0, 1), repeat=len(slot)):
+        scalar = 1.0
+        arrays = []
+        for positions, table in tables:
+            val = table.get(tuple(bits[k] for k in positions), 0.0)
+            if isinstance(val, np.ndarray):
+                arrays.append(val)
+            else:
+                scalar *= val
+                if scalar == 0.0:
+                    break
+        if scalar == 0.0:
+            continue
+        product = RegularizedDistFn(np.full_like(grid, scalar))
+        for arr in arrays:
+            product = product * RegularizedDistFn(arr)
+        weight = product.integral()
+        den += weight
+        if all(bits[c] or bits[w] for c, w in counters):
+            num += weight
+    return CoincidenceResult(
+        partition_ratio(num, den), GradedCoeff.constant(num), GradedCoeff.constant(den), "regularized"
+    )
 
 
 # -- the oracle comes first: it is what pinned the 1/2 constant -----------------
@@ -121,6 +172,22 @@ class TestBruteForceOracle:
         monkeypatch.setattr(bell, "wrapped_gaussian", counting)
         brute_force_oracle(params_for(30.0), exit_beta_without_crystal=exit_beta)
         assert len(calls) == 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([0.0, 90.0]), st.floats(0.0, 180.0)),
+        st.floats(1e-4, MAX_SIGMA),
+        st.floats(1e-9, MAX_BETA),
+        st.sampled_from([256, 257, 1000, 8192]),
+        st.booleans(),
+    )
+    def test_weight_vector_equals_scalar_by_scalar_walk(self, delta, sigma, beta, grid_n, exit_beta):
+        params = params_for(delta, sigma=sigma, beta=beta, grid_n=grid_n)
+        reference = scalar_by_scalar_oracle(params, exit_beta)
+        oracle = brute_force_oracle(params, exit_beta_without_crystal=exit_beta)
+        assert oracle.probability == reference.probability
+        assert oracle.numerator == reference.numerator
+        assert oracle.denominator == reference.denominator
 
     @pytest.mark.parametrize("delta", [30.0, 0.0, 90.0])
     @pytest.mark.parametrize("exit_beta", [False, True])
@@ -324,6 +391,31 @@ class TestGraphStructure:
 
 
 class TestChannelSums:
+    @staticmethod
+    def sixteen_assignment_walk(backend):
+        """Every assignment of the channel's four bits, its factor values looked
+        up one by one; an assignment some factor leaves out is skipped."""
+        tables = factor_tables(backend).values()
+        sums = ([], [])
+        for bits in itertools.product((0, 1), repeat=len(CHANNEL_BITS)):
+            local = dict(zip(CHANNEL_BITS, bits))
+            values = [table.get(tuple(local[r] for r in reads)) for reads, table in tables]
+            if all(v is not None for v in values):
+                product = functools.reduce(operator.mul, values)
+                sums[0 if local["gamma_C"] or local["gamma_W"] else 1].append(product)
+        return [functools.reduce(operator.add, terms) for terms in sums]
+
+    def test_plan_equals_sixteen_assignment_walk(self):
+        theta_p = PolAngle.from_degrees(20.0)
+        assert len(bell.CHANNEL_PLAN) == 3
+        assert list(sum_out_channel(graded_backend(theta_p))) == self.sixteen_assignment_walk(
+            graded_backend(theta_p)
+        )
+        grid = grid_points(1000)
+        got = sum_out_channel(grid_backend(grid, theta_p.value, 1e-2, 1e-3, 0.01))
+        want = self.sixteen_assignment_walk(grid_backend(grid, theta_p.value, 1e-2, 1e-3, 0.01))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
     def test_closed_form_structure(self):
         ta = PolAngle.from_degrees(20.0)
         plus, minus = channel_sums(params_for(20.0), "L")

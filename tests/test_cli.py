@@ -310,6 +310,22 @@ class TestOneDeclaration:
         assert f"config key '{key}'" in from_flag
         assert from_flag == from_file
 
+    def test_dash_value_after_its_flag_is_the_value(self, tmp_path):
+        # argparse would take -10,20 for an option; the row must be the one
+        # --angles=-10,20 and the file line give.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("experiment = malus-chain\nangles = -10,20\n")
+        rows = []
+        for i, argv in enumerate(
+            (["malus-chain", "--angles", "-10,20"], ["malus-chain", "--angles=-10,20"], ["--config", str(cfg)])
+        ):
+            out = tmp_path / f"{i}.csv"
+            assert main([*argv, "--output", str(out)]) == 0
+            (row,) = read_csv(out)
+            rows.append({k: v for k, v in row.items() if k != "runtime_ms"})
+        assert rows[0] == rows[1] == rows[2]
+        assert rows[0]["settings"] == "-10,20"
+
     def test_no_call_builds_a_parser(self, monkeypatch, tmp_path):
         def refuse(*args, **kwargs):
             raise AssertionError("a parser was built during a call")
@@ -356,6 +372,11 @@ class TestValidation:
             (["special-cases", "--grid-n", str(MAX_GRID + 1)], "grid_n"),
             (["limit-study", "--grid-n", str(MAX_GRID + 1)], "grid_n"),
             (["triphoton-compare", "--angles", "10,20,30", "--grid-n", str(MAX_GRID + 1)], "grid_n"),
+            # the bounds hold on every experiment, as grid_n's range does
+            (["malus-chain", "--angles", "10", "--alpha", "5"], "alpha"),
+            (["malus-chain", "--angles", "10", "--beta", "0.5"], "beta"),
+            (["bell-sweep", "--mode", "exact", "--angles", "30", "--alpha", "5"], "alpha"),
+            (["malus-chain", "--angles", "10", "--grid-n", "0"], "grid_n"),
         ],
     )
     def test_rejected_input_exits_2(self, argv, key, tmp_path, capsys):

@@ -194,7 +194,8 @@ def seven_image_kernel(grid, center, sigma):
 
 
 class TestWrappedGaussianImages:
-    """Leaving out the images that cannot reach the grid changes no bit."""
+    """Leaving out the images, and the cells of an image, that the kernel
+    cannot reach changes no bit."""
 
     SIGMAS = (1e-300, 1e-30, 1e-18, 1e-10, 1e-3, 0.005, 0.05, PI / 16)
 
@@ -211,8 +212,11 @@ class TestWrappedGaussianImages:
         [
             *(grid_points(n) for n in (96, 97, 256, 8192)),
             grid_points(96)[:, None] * np.ones((1, 96)),  # the triphoton tests' 2-D theta
+            # 1-D but not ascending: evaluated on the whole array
+            grid_points(1000)[::-1],
+            np.random.default_rng(3).permutation(grid_points(1000)),
         ],
-        ids=["n96", "n97", "n256", "n8192", "2d96"],
+        ids=["n96", "n97", "n256", "n8192", "2d96", "descending1000", "shuffled1000"],
     )
     @pytest.mark.parametrize("sigma", SIGMAS)
     def test_bit_identical_to_seven_images(self, grid, sigma):

@@ -32,6 +32,7 @@ from bellfield.quantum import (
     mstar_bell_coincidence,
     normalize_ensemble,
     triphoton_compare,
+    _kron,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -110,6 +111,21 @@ class TestApplyM:
     def test_subsystem_out_of_range(self):
         with pytest.raises(IndexError):
             apply_M(random_density(1), 1, deg(0.0))
+
+
+class TestKron:
+    @staticmethod
+    def matrix(rng, n, dtype):
+        m = rng.normal(size=(n, n))
+        return m + 1j * rng.normal(size=(n, n)) if dtype is complex else m
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_equals_np_kron(self, n, dtype):
+        rng = np.random.default_rng(n)
+        a, b, small = self.matrix(rng, n, dtype), self.matrix(rng, n, dtype), self.matrix(rng, 2, dtype)
+        for x, y in ((a, b), (small, a), (a, small)):
+            assert np.array_equal(_kron(x, y), np.kron(x, y))
 
 
 class TestBellCoincidenceQm:
