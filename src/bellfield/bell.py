@@ -12,35 +12,42 @@ pass path is never occupied here).
 Those five factors are declared once, as data (:data:`CHANNEL_FACTORS`):
 for each, the channel bits it reads and, per assignment of those bits, its
 value as a product of primitives -- the entry surface's pass and block
-split, ``alpha`` and ``beta``.  Two backends give the primitives values:
+split, ``alpha`` and ``beta``.  Three backends give the primitives values:
 :func:`graded_backend` (point masses plus trigonometric tails, formal small
-parameters) and :func:`grid_backend` (kernels sampled on an angle grid,
-numeric parameters).  The channels meet only through the shared angle, so
-summing each channel's bits out on its own (:func:`sum_out_channel`) is the
-variable elimination the graph admits.
+parameters), :func:`kernel_backend` (width-sigma kernels plus the same tails
+in closed form, numeric parameters) and :func:`grid_backend` (those kernels
+sampled on an angle grid).  The channels meet only through the shared
+angle, so summing each channel's bits out on its own
+(:func:`sum_out_channel`) is the variable elimination the graph admits.
 
 Three evaluation routes are provided and cross-checked:
 
 * exact: the graded backend, eliminated per channel, multiplied and
   integrated over the shared angle; limits read off the graded
   coefficients;
-* regularized: the same factorized sums on the grid backend (handles the
-  degenerate equal/orthogonal polarizer settings);
+* regularized: the same factorized sums on the kernel backend, contracted
+  in closed form by :func:`~bellfield.dist.contract` with no grid (handles
+  the degenerate equal/orthogonal polarizer settings);
 * brute-force oracle: numeric parameters, full 2^8 scenario enumeration on
-  the grid with no graded algebra and no channel factorization.  Each
-  factor is evaluated once per assignment of the bits it reads; the scalar
-  weights of all 2^8 scenarios are then one vector, the product of the
-  factors' scalar tables indexed by every scenario's bits, and only the
+  the grid backend with no graded algebra and no channel factorization.
+  Each factor is evaluated once per assignment of the bits it reads; the
+  scalar weights of all 2^8 scenarios are then one vector, the product of
+  the factors' scalar tables indexed by every scenario's bits, and only the
   scenarios with a nonzero weight assemble their product over the grid.
+  The grid must resolve the kernel (:func:`require_resolved`).
+
+The triphoton graph contracts three channels of the kernel backend along
+the source's angle constraint, with the same :func:`~bellfield.dist.contract`.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -51,8 +58,10 @@ from .dist import (
     MAX_SIGMA,
     MIN_GRID,
     DistFn,
+    KernelFn,
     RegularizedDistFn,
     SigmaTooCoarse,
+    contract,
     dist_integrate,
     dist_mul,
     grid_points,
@@ -79,6 +88,26 @@ BETA = GradedCoeff.beta()
 MAX_ALPHA = 1.0
 MAX_BETA = 0.1
 
+#: Fewest grid cells per kernel width, sigma / (pi / grid_n), on the oracle.
+#: The trapezoid mass of the width-sigma/sqrt(2) product kernel misses one by
+#: at most about 2 exp(-(sigma * grid_n)^2): 8e-13 at 1.7 cells, 1e-4 at one cell.
+MIN_KERNEL_CELLS = 1.7
+
+
+class KernelUnresolved(ValueError):
+    """The grid is too coarse for the kernel: its mass on the grid is off."""
+
+
+def require_resolved(sigma: float, grid_n: int) -> None:
+    """Raise :class:`KernelUnresolved` unless ``grid_n`` points resolve a
+    width-``sigma`` kernel, :data:`MIN_KERNEL_CELLS` cells per width."""
+    if sigma * grid_n / PI < MIN_KERNEL_CELLS:
+        raise KernelUnresolved(
+            f"sigma={sigma:g} spans {sigma * grid_n / PI:.3g} cells of the {grid_n}-point grid; "
+            f"the oracle needs at least {MIN_KERNEL_CELLS} (sigma >= {MIN_KERNEL_CELLS * PI / grid_n:.3g})"
+        )
+
+
 class UnexpectedLeadingOrder(ArithmeticError):
     """The exact sums do not lead with alpha^2 beta^3; the detector
     bookkeeping broke or the beta^3 coefficient cancelled numerically."""
@@ -88,9 +117,9 @@ class UnexpectedLeadingOrder(ArithmeticError):
 class Mrf3Params:
     """Polarizer settings plus the model's numeric knobs.
 
-    ``alpha``, ``beta``, ``sigma`` and ``grid_n`` only matter to the
-    numeric (regularized / oracle) routes; the exact route treats the two
-    small parameters as formal symbols.
+    ``alpha``, ``beta`` and ``sigma`` only matter to the numeric
+    (regularized / oracle) routes, ``grid_n`` only to the oracle; the exact
+    route treats the two small parameters as formal symbols.
     """
 
     theta_a: PolAngle
@@ -189,6 +218,23 @@ def graded_backend(theta_p: PolAngle, beta: GradedCoeff = BETA) -> dict:
         "pass": DistFn.atom(theta_p) + DistFn.cos_squared(theta_p, beta),
         "block": DistFn.atom(theta_p.perpendicular()) + DistFn.sin_squared(theta_p, beta),
         "alpha": ALPHA,
+        "beta": beta,
+    }
+
+
+def kernel_backend(theta_p: float, alpha: float, beta: float) -> dict:
+    """Primitives in closed form, for :func:`~bellfield.dist.contract`.
+
+    The split's point masses become unit-weight kernels, whose width the
+    contraction supplies; beta cos^2(theta - theta_p) is
+    beta/2 + 2 Re(beta/4 e^{-2i theta_p} e^{2i theta}), and sin^2 the same
+    with -beta/4.  ``alpha`` and ``beta`` are numbers.
+    """
+    c1 = 0.25 * beta * cmath.exp(-2j * theta_p)
+    return {
+        "pass": KernelFn(((theta_p, 1.0),), 0.5 * beta, c1),
+        "block": KernelFn(((theta_p + PI / 2, 1.0),), 0.5 * beta, -c1),
+        "alpha": alpha,
         "beta": beta,
     }
 
@@ -331,11 +377,12 @@ class CoincidenceResult:
 
 
 def _numeric_grid(params: Mrf3Params) -> np.ndarray:
-    """The angle grid of the one-photon-angle numeric routes, once the
-    numeric knobs are checked."""
+    """The oracle's angle grid, once the numeric knobs are checked and the
+    grid is found to resolve the kernel."""
     params.require_numeric()
     if params.grid_n < MIN_GRID:
         raise ValueError(f"grid_n={params.grid_n} below minimum {MIN_GRID}")
+    require_resolved(params.sigma, params.grid_n)
     return grid_points(params.grid_n)
 
 
@@ -346,8 +393,10 @@ def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> Coincide
     the shared angle: the numerator pairs the detected sums, the partition
     pairs each channel's total.  Exact mode does so on the graded backend,
     with formal small parameters, and takes their joint limit; it requires
-    non-degenerate settings.  Regularized mode does so on the grid backend
-    and handles the equal / orthogonal special cases.
+    non-degenerate settings.  Regularized mode does so on the kernel
+    backend, in closed form with no grid (the right channel reflected, so
+    the shared angle is a sum constraint), and handles the equal /
+    orthogonal special cases.
     """
     if mode == "exact":
         (pl, ml), (pr, mr) = (channel_sums(params, ch) for ch in CHANNELS)
@@ -366,16 +415,13 @@ def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> Coincide
             )
         return CoincidenceResult(coeff_ratio_limit(num, den), num, den, "exact")
     if mode == "regularized":
-        grid = _numeric_grid(params)
+        params.require_numeric()
         (pl, ml), (pr, mr) = (
-            sum_out_channel(
-                grid_backend(grid, params.setting(ch).value, params.alpha, params.beta, params.sigma)
-            )
+            sum_out_channel(kernel_backend(params.setting(ch).value, params.alpha, params.beta))
             for ch in CHANNELS
         )
-        cell = PI / params.grid_n
-        num = float((pl * pr).sum()) * cell
-        den = float(((pl + ml) * (pr + mr)).sum()) * cell
+        num = contract((pl, pr.reflected()), params.sigma)
+        den = contract((pl + ml, (pr + mr).reflected()), params.sigma)
         return CoincidenceResult(
             partition_ratio(num, den),
             GradedCoeff.constant(num),
@@ -394,7 +440,7 @@ def partition_ratio(num: float, den: float) -> float:
     if den == 0.0:
         raise ZeroDivisionError("partition vanished")
     if not math.isfinite(den):
-        raise OverflowError("partition is not finite; the kernels are not resolved by the grid")
+        raise OverflowError("partition is not finite; a kernel this narrow overflows float64 at its peak")
     return num / den
 
 
@@ -469,80 +515,49 @@ def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = Fal
 # -- triphoton extension -----------------------------------------------------------
 
 
-def constrained_sum(*samples: np.ndarray) -> float:
-    """Sum of the photons' sample products along the source constraint.
-
-    The samples lie on ``grid_points(n)``; the source's photon angles sum to
-    0 (mod pi), so the sum runs over the index tuples with
-    i_0 + ... + i_{N-1} = 0 (mod n) of prod_j f_j[i_j], for any number N of
-    photons.  It folds the photons in one at a time by circular convolution:
-    convolving with ``f`` written out twice and keeping the middle n entries
-    wraps the indices mod n.  Memory is O(n), time O(N n^2); it is symmetric
-    in its arguments.
-    """
-    n = len(samples[0])
-    acc = samples[0]
-    for f in samples[1:]:
-        acc = np.convolve(acc, np.concatenate((f, f)))[n : 2 * n]
-    return float(acc[0])
-
-
 @dataclass(frozen=True)
 class TriphotonGraph:
     """Three crystal-polarizer channels fed by an angle-constrained source.
 
     The source emits three photons whose polarization angles sum to zero
     (mod pi), leaving two free angles.  Each channel is summed out on its own
-    over the 1-D axis ``photon_angles`` (from :func:`triphoton_angles`), and
-    the three channels are then contracted along the constraint by the
-    circular convolution of :func:`constrained_sum`, in O(n) memory.  There
-    is no arrival-order anywhere in the structure: the prediction can only
-    depend on the settings.
+    on the kernel backend, and the three channels are then contracted along
+    the constraint in closed form by :func:`~bellfield.dist.contract`, with
+    no grid.  There is no arrival-order anywhere in the structure: the
+    prediction can only depend on the settings.
     """
 
     settings: tuple[PolAngle, PolAngle, PolAngle]
     alpha: float
     beta: float
     sigma: float
+    # No route reads it; only bench/tracer.py::_cells_measure does, until
+    # that per-layer metric is dropped.
     grid_n: int
-    photon_angles: np.ndarray = field(repr=False, compare=False)
 
     FREE_ANGLES = 2
 
     def triple_coincidence(self) -> float:
         """Probability that all three counters fire, given the emission."""
-        sums = [
-            sum_out_channel(grid_backend(self.photon_angles, s.value, self.alpha, self.beta, self.sigma))
-            for s in self.settings
-        ]
-        cell = (PI / self.grid_n) ** 2
-        num = constrained_sum(*(detected for detected, _ in sums))
-        den = constrained_sum(*(detected + undetected for detected, undetected in sums))
-        return partition_ratio(num * cell, den * cell)
-
-
-def triphoton_angles(params: Mrf3Params) -> np.ndarray:
-    """The 1-D axis every triphoton channel is sampled on, once
-    :meth:`Mrf3Params.require_numeric` has checked the numeric knobs
-    (``grid_n`` included, so nothing is allocated for a grid over
-    :data:`~bellfield.dist.MAX_GRID`)."""
-    params.require_numeric()
-    return grid_points(params.grid_n)
+        sums = [sum_out_channel(kernel_backend(s.value, self.alpha, self.beta)) for s in self.settings]
+        num = contract([detected for detected, _ in sums], self.sigma)
+        den = contract([detected + undetected for detected, undetected in sums], self.sigma)
+        return partition_ratio(num, den)
 
 
 def build_triphoton_graph(settings: tuple[PolAngle, PolAngle, PolAngle], params: Mrf3Params) -> TriphotonGraph:
-    """Assemble the three-channel graph; numeric-grid evaluation only.
+    """Assemble the three-channel graph; numeric evaluation only.
 
     ``params`` supplies the numeric knobs (its two polarizer fields are
-    unused here); :func:`triphoton_angles` checks them and lays out the axis.
+    unused here), checked by :meth:`Mrf3Params.require_numeric`.
     """
     if len(settings) != 3:
         raise ValueError("exactly three polarizer settings required")
+    params.require_numeric()
     return TriphotonGraph(
         settings=tuple(settings),
         alpha=params.alpha,
         beta=params.beta,
         sigma=params.sigma,
         grid_n=params.grid_n,
-        photon_angles=triphoton_angles(params),
     )

@@ -22,10 +22,12 @@ from .angles import PolAngle
 from .bell import (
     MAX_ALPHA,
     MAX_BETA,
+    KernelUnresolved,
     Mrf3Params,
     UnexpectedLeadingOrder,
     brute_force_oracle,
     coincidence_probability,
+    require_resolved,
 )
 from .dist import MAX_GRID, MIN_GRID, DeltaCollision, HarmonicOverflow, SigmaTooCoarse
 from .graded import DivergentLimit, MismatchedAlphaOrder
@@ -89,7 +91,7 @@ class ExperimentConfig:
     alpha: float = _key(_NUMBER, "absorption cost alpha (numeric routes)", default=1e-2)
     beta: float = _key(_NUMBER, "conversion cost beta (numeric routes)", default=1e-3)
     sigma: float | None = _key(_NUMBER, "kernel width in radians; per-experiment default when omitted", default=None)
-    grid_n: int | None = _key(_INTEGER, "grid points on [0, pi); per-experiment default when omitted", default=None)
+    grid_n: int | None = _key(_INTEGER, "grid points on [0, pi) of the oracle; 8192 when omitted", default=None)
     mode: str = _key(_TEXT, "bell-sweep route: exact, regularized or both", default="both")
     output: str = _key(_TEXT, "output path, '-' for stdout", default="-")
     format: str = _key(_TEXT, "csv or json", default="csv")
@@ -105,9 +107,7 @@ class ExperimentConfig:
         return {"special-cases": 0.005, "triphoton-compare": 0.05}.get(self.experiment, 0.01)
 
     def resolved_grid_n(self) -> int:
-        if self.grid_n is not None:
-            return self.grid_n
-        return 96 if self.experiment == "triphoton-compare" else 8192
+        return self.grid_n if self.grid_n is not None else 8192
 
     def validate(self):
         if self.experiment not in EXPERIMENTS:
@@ -163,6 +163,18 @@ class ExperimentConfig:
                     raise ConfigError("initial", "must be a finite number of degrees")
         if self.experiment == "triphoton-compare" and self.angles and len(self.angles) != 3:
             raise ConfigError("angles", "triphoton-compare takes exactly three settings (or none to scan)")
+        # The oracle's kernels must be resolved by its grid; no other route has one.
+        widths = {
+            "bell-sweep": ("sigma", [] if self.mode == "exact" else [self.resolved_sigma()]),
+            "special-cases": ("sigma", [self.resolved_sigma()]),
+            "limit-study": ("sigmas", self.sigmas),
+        }
+        key, sigmas = widths.get(self.experiment, ("sigma", []))
+        for sigma in sigmas:
+            try:
+                require_resolved(sigma, self.resolved_grid_n())
+            except KernelUnresolved as exc:
+                raise ConfigError(key, str(exc)) from None
 
 
 @dataclass
@@ -390,6 +402,8 @@ _PARSER = argparse.ArgumentParser(
     prog="bellfield",
     description="Coincidence-experiment sweeps for the random-field and quantum models.",
     argument_default=argparse.SUPPRESS,
+    # A prefix such as --ang would bypass _attach_dash_values; config-file keys take no prefixes either.
+    allow_abbrev=False,
 )
 _PARSER.add_argument("--config", help="key=value config file; flags override file keys")
 #: The flags that take a value: all of them, argparse's ``--help`` aside.

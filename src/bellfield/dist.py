@@ -10,14 +10,17 @@ exactly :data:`MAX_HARMONIC` cos and sin coefficients; a product that would
 need a higher harmonic raises :class:`HarmonicOverflow` instead of dropping it.
 
 Exact mode refuses to multiply two atoms at the same location -- the square
-of a point mass is not a distribution.  Callers then switch to the
-regularized representation (:class:`RegularizedDistFn`), which replaces
-every atom by a narrow unit-mass kernel sampled on a uniform grid and does
-plain numeric arithmetic.
+of a point mass is not a distribution.  Callers then switch to a
+regularized representation, which replaces every atom by a narrow
+unit-mass wrapped Gaussian and does plain float arithmetic: either sampled
+on a uniform grid (:class:`RegularizedDistFn`) or kept in closed form
+(:class:`KernelFn`, contracted by :func:`contract` with no grid).
 """
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,8 +42,8 @@ PI_FRAC = Fraction(math.pi)
 HALF = Fraction(1, 2)
 
 MIN_GRID = 256
-#: Largest grid on any grid route.  Arrays are 1-D, but a triphoton
-#: contraction costs O(n^2) time: seconds per contraction at this size.
+#: Largest grid on any grid route: the brute-force oracle and the branch
+#: ensemble.  The other regularized routes use no grid (:func:`contract`).
 MAX_GRID = 1 << 16
 MAX_SIGMA = PI / 16
 
@@ -446,3 +449,104 @@ def regularize(
         if sk:
             smooth += sk * np.sin(2 * k * grid)
     return RegularizedDistFn(samples + smooth)
+
+
+# -- closed form of the regularized representation ------------------------------
+
+
+class KernelFn:
+    """One arm's angle function in closed form: kernels plus a smooth part.
+
+    ``atoms`` holds ``(location, weight)`` pairs, each a unit-mass wrapped
+    Gaussian whose width :func:`contract` supplies; the smooth part is
+    ``c0 + 2 Re(c1 e^{2i theta})``, harmonics of order at most one.  Sums
+    merge atoms at equal locations; a number scales.  Instances are not
+    modified after construction.
+    """
+
+    __slots__ = ("atoms", "c0", "c1")
+
+    def __init__(self, atoms: tuple[tuple[float, float], ...] = (), c0: float = 0.0, c1: complex = 0j):
+        self.atoms = atoms
+        self.c0 = c0
+        self.c1 = c1
+
+    def __add__(self, other: "KernelFn") -> "KernelFn":
+        if not isinstance(other, KernelFn):
+            return NotImplemented
+        merged = dict(self.atoms)
+        for loc, w in other.atoms:
+            merged[loc] = merged.get(loc, 0.0) + w
+        return KernelFn(tuple(merged.items()), self.c0 + other.c0, self.c1 + other.c1)
+
+    def __mul__(self, c) -> "KernelFn":
+        if isinstance(c, KernelFn):
+            return NotImplemented
+        if c == 1:
+            return self
+        return KernelFn(tuple((loc, w * c) for loc, w in self.atoms), self.c0 * c, self.c1 * c)
+
+    __rmul__ = __mul__
+
+    def reflected(self) -> "KernelFn":
+        """The function of ``-theta``: atoms mirrored, ``c1`` conjugated."""
+        return KernelFn(tuple((-loc, w) for loc, w in self.atoms), self.c0, self.c1.conjugate())
+
+
+def _wrapped_normal(x: float, width: float) -> float:
+    """Density at ``x`` of the unit-mass normal of width ``width`` wrapped onto
+    the period-pi circle, summed over the images within 40 widths.
+
+    Each image weighs exp(-(d/width)^2 / 2), never d^2 / width^2, so a width
+    as small as 1e-300 neither underflows to 0/0 nor loses the peak.
+    """
+    d = math.remainder(x, PI)
+    reach = 40.0 * width
+    images = int(reach / PI) + 1
+    total = 0.0
+    for m in range(-images, images + 1):
+        e = d + m * PI
+        if abs(e) <= reach:
+            total += math.exp(-0.5 * (e / width) ** 2)
+    return total / (width * math.sqrt(2.0 * PI))
+
+
+def contract(fs: Sequence[KernelFn], sigma: float) -> float:
+    """Integral of prod_j f_j(theta_j) along sum_j theta_j = 0 (mod pi).
+
+    For any number N of arms, each atom a wrapped Gaussian of width
+    ``sigma``, it equals pi^(N-1) sum_k prod_j F_{j,k}, where F_{j,k} is
+    f_j's coefficient of e^{2ik theta}; an atom at c has
+    F_k = e^{-2 k^2 sigma^2} e^{-2ikc} / pi.  The sum splits by which part
+    each arm takes:
+
+    * every arm its atoms: each choice of one atom per arm adds the product
+      of their weights times the wrapped normal of width sigma sqrt(N) at the
+      sum of their locations, with no truncation in k;
+    * any other term holds a smooth arm, so only |k| <= 1 remain.  One pass
+      over the arms per k carries the all-atom product and the sum of the
+      products with a smooth arm, never forming prod(A + S) - prod(A), which
+      cancels at small beta.
+
+    A Bell pair is N = 2 with one arm :meth:`KernelFn.reflected`.
+    """
+    peaked = 0.0
+    width = sigma * math.sqrt(len(fs))
+    for choice in itertools.product(*(f.atoms for f in fs)):
+        weight, location = 1.0, 0.0
+        for loc, w in choice:
+            weight *= w
+            location += loc
+        peaked += weight * _wrapped_normal(location, width)
+    mixed = 0.0
+    for k in (0, 1):
+        damping = math.exp(-2.0 * k * sigma * sigma) / PI
+        all_atoms, some_smooth = 1.0, 0j
+        for f in fs:
+            a = damping * sum(w * cmath.exp(-2j * k * loc) for loc, w in f.atoms)
+            smooth = f.c1 if k else f.c0
+            some_smooth = some_smooth * (a + smooth) + all_atoms * smooth
+            all_atoms *= a
+        # the k = -1 term is the conjugate of the k = 1 term
+        mixed += (2.0 if k else 1.0) * some_smooth.real
+    return peaked + PI ** (len(fs) - 1) * mixed

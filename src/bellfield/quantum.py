@@ -29,17 +29,17 @@ from .bell import (
     ABSORBER_COST,
     Mrf3Params,
     build_triphoton_graph,
-    constrained_sum,
     graded_backend,
     grid_backend,
+    kernel_backend,
     partition_ratio,
     primitive_product,
-    triphoton_angles,
 )
 from .dist import (
     MAX_GRID,
     DistFn,
     RegularizedDistFn,
+    contract,
     dist_integrate,
     dist_mul,
     grid_points,
@@ -533,20 +533,20 @@ def _triphoton_mstar(settings: Sequence[PolAngle], params: Mrf3Params, order: Se
     """Branch-ensemble pipeline over the angle-constrained source (numeric).
 
     The arms apply in ``order``; each splits every branch into its pass and
-    blocked descendant, sampled on the 1-D axis.  A branch's weight is the
-    :func:`constrained_sum` of its three samples over the two free source
-    angles; the source treats its photons alike, so they take the sum's
-    slots in application order.  The sum is linear in each slot, so the
-    2^3 branch weights add up to one sum of the per-arm totals
-    ``pass + block``, and the detected weight is the all-pass branch alone.
+    blocked descendant, in closed form on the kernel backend.  A branch's
+    weight is the :func:`~bellfield.dist.contract` of its three factors along
+    the source constraint; the source treats its photons alike, so they take
+    the contraction's slots in application order.  The contraction is
+    linear in each slot, so the 2^3 branch weights add up to one contraction
+    of the per-arm totals ``pass + block``, and the detected weight is the
+    all-pass branch alone.
     """
-    axis = triphoton_angles(params)
-    splits = [grid_backend(axis, settings[arm].value, params.alpha, params.beta, params.sigma) for arm in order]
+    params.require_numeric()
+    splits = [kernel_backend(settings[arm].value, params.alpha, params.beta) for arm in order]
     # Every arm ends in an absorber of the same cost, passed or blocked.
     cost = primitive_product(ABSORBER_COST, {"alpha": params.alpha, "beta": params.beta}) ** 3
-    cell = (PI / params.grid_n) ** 2
-    num = constrained_sum(*(split["pass"] for split in splits)) * cell * cost
-    den = constrained_sum(*(split["pass"] + split["block"] for split in splits)) * cell * cost
+    num = contract([split["pass"] for split in splits], params.sigma) * cost
+    den = contract([split["pass"] + split["block"] for split in splits], params.sigma) * cost
     return partition_ratio(num, den)
 
 

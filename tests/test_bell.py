@@ -22,6 +22,8 @@ from bellfield.bell import (
     UnexpectedLeadingOrder,
     CHANNEL_BITS,
     CHANNEL_FACTORS,
+    MIN_KERNEL_CELLS,
+    KernelUnresolved,
     brute_force_oracle,
     build_bell_graph,
     build_triphoton_graph,
@@ -118,6 +120,12 @@ def scalar_by_scalar_oracle(params: Mrf3Params, exit_beta_without_crystal: bool 
 # -- the oracle comes first: it is what pinned the 1/2 constant -----------------
 
 
+#: Kernel widths the oracle's grid resolves, each with its grid size.
+resolved_sigma_and_grid = st.sampled_from([256, 257, 1000, 8192]).flatmap(
+    lambda n: st.tuples(st.floats(MIN_KERNEL_CELLS * PI / n, MAX_SIGMA), st.just(n))
+)
+
+
 class TestBruteForceOracle:
     def test_thirty_degrees(self):
         r = brute_force_oracle(params_for(30.0))
@@ -176,18 +184,40 @@ class TestBruteForceOracle:
     @settings(max_examples=40, deadline=None)
     @given(
         st.one_of(st.sampled_from([0.0, 90.0]), st.floats(0.0, 180.0)),
-        st.floats(1e-4, MAX_SIGMA),
+        resolved_sigma_and_grid,
         st.floats(1e-9, MAX_BETA),
-        st.sampled_from([256, 257, 1000, 8192]),
         st.booleans(),
     )
-    def test_weight_vector_equals_scalar_by_scalar_walk(self, delta, sigma, beta, grid_n, exit_beta):
+    def test_weight_vector_equals_scalar_by_scalar_walk(self, delta, sigma_and_grid, beta, exit_beta):
+        sigma, grid_n = sigma_and_grid
         params = params_for(delta, sigma=sigma, beta=beta, grid_n=grid_n)
         reference = scalar_by_scalar_oracle(params, exit_beta)
         oracle = brute_force_oracle(params, exit_beta_without_crystal=exit_beta)
         assert oracle.probability == reference.probability
         assert oracle.numerator == reference.numerator
         assert oracle.denominator == reference.denominator
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([256, 257, 1000, 8192]).flatmap(
+            lambda n: st.tuples(st.floats(1e-300, MIN_KERNEL_CELLS * PI / n, exclude_max=True), st.just(n))
+        )
+    )
+    def test_refuses_a_kernel_the_grid_cannot_resolve(self, sigma_and_grid):
+        sigma, grid_n = sigma_and_grid
+        with pytest.raises(KernelUnresolved, match="sigma"):
+            brute_force_oracle(params_for(30.0, sigma=sigma, grid_n=grid_n))
+
+    def test_resolution_bound_keeps_the_mass_error_near_1e_12(self):
+        # the product of two width-sigma kernels at one location has width
+        # sigma / sqrt(2); its trapezoid mass misses one by ~2 exp(-(sigma n)^2)
+        n = 8192
+        sigma = MIN_KERNEL_CELLS * PI / n
+        grid = grid_points(n)
+        for center in (0.0, 0.3, PI / (2 * n)):
+            product = wrapped_gaussian(grid, center, sigma) ** 2 * (2 * sigma * math.sqrt(PI))
+            assert abs(float(product.sum()) * PI / n - 1) < 1e-12, center
+        brute_force_oracle(params_for(30.0, sigma=sigma, grid_n=n))
 
     @pytest.mark.parametrize("delta", [30.0, 0.0, 90.0])
     @pytest.mark.parametrize("exit_beta", [False, True])
@@ -687,6 +717,19 @@ class TestCrossRoute:
         for got, exact in zip(on_grid, channel_sums(params, "L")):
             want = regularize(exact.substitute(alpha, beta), sigma, params.grid_n).samples
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([0.0, PI / 2]), angles),
+        angles,
+        st.floats(MIN_KERNEL_CELLS * PI / 8192, MAX_SIGMA),
+        st.floats(1e-9, MAX_BETA),
+    )
+    def test_regularized_closed_form_equals_oracle(self, delta, theta_b, sigma, beta):
+        # the settings differ by delta; 0 and 90 degrees are the degenerate cases
+        params = Mrf3Params(PolAngle(theta_b + delta), PolAngle(theta_b), beta=beta, sigma=sigma)
+        closed = coincidence_probability(params, "regularized").probability
+        assert closed == pytest.approx(brute_force_oracle(params).probability, abs=1e-9)
 
     @settings(max_examples=10, deadline=None)
     @given(

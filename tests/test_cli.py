@@ -100,10 +100,10 @@ class TestBellSweep:
 
 
 class TestSpecialCases:
-    def test_unresolved_kernel_is_numerical_failure(self, tmp_path, capsys):
-        # a kernel this narrow peaks so high that the oracle's partition overflows
-        assert main(["special-cases", "--sigma", "1e-300", "--output", str(tmp_path / "x.csv")]) == 3
-        assert "OverflowError" in capsys.readouterr().err
+    def test_unresolved_kernel_is_config_error(self, tmp_path, capsys):
+        # the 8192-point oracle grid cannot resolve a kernel this narrow
+        assert main(["special-cases", "--sigma", "1e-300", "--output", str(tmp_path / "x.csv")]) == 2
+        assert "config key 'sigma'" in capsys.readouterr().err
 
     def test_targets(self, tmp_path):
         out = tmp_path / "special.csv"
@@ -189,8 +189,17 @@ class TestTriphoton:
         assert main(["triphoton-compare", "--angles", "10,20"]) == 2
         assert "angles" in capsys.readouterr().err
 
+    def test_unresolved_sigma_reaches_the_model_limit(self, tmp_path):
+        # cos^2(6 deg) / 4; no grid, so no kernel too narrow to resolve
+        out = tmp_path / "tri.csv"
+        assert main(["triphoton-compare", "--angles", "1,2,3", "--sigma", "1e-30", "--output", str(out)]) == 0
+        rows = {r["model"]: float(r["value"]) for r in read_csv(out)}
+        assert rows["MRF3-oracle"] == pytest.approx(0.2473, abs=1e-3)
+        assert rows["Mstar"] == pytest.approx(0.2473, abs=1e-3)
+
     def test_overflowing_partition_exits_3(self, capsys):
-        argv = ["triphoton-compare", "--angles", "0,0,0", "--sigma", "1e-300", "--grid-n", "1"]
+        # a kernel this narrow peaks above the largest float at Σθ = 0
+        argv = ["triphoton-compare", "--angles", "0,0,0", "--sigma", "5e-324", "--grid-n", "1"]
         assert main(argv) == 3
         assert "OverflowError" in capsys.readouterr().err
 
@@ -326,6 +335,17 @@ class TestOneDeclaration:
         assert rows[0] == rows[1] == rows[2]
         assert rows[0]["settings"] == "-10,20"
 
+    @pytest.mark.parametrize("argv", [["--ang", "-10,20"], ["--ang=-10,20"], ["--ang", "10"]])
+    def test_flag_prefix_is_refused_like_an_unknown_file_key(self, argv, tmp_path, capsys):
+        # a config file has no key 'ang' either
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("experiment = malus-chain\nang = 10\n")
+        assert main(["--config", str(cfg)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["malus-chain", *argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --ang" in capsys.readouterr().err
+
     def test_no_call_builds_a_parser(self, monkeypatch, tmp_path):
         def refuse(*args, **kwargs):
             raise AssertionError("a parser was built during a call")
@@ -439,7 +459,7 @@ degrees = st.one_of(st.floats(-720.0, 720.0), st.sampled_from([0.0, 90.0, 1e-10,
     st.sampled_from(["exact", "regularized", "both"]),
 )
 # the triphoton partition overflows; once printed as nan with exit 0
-@example("triphoton-compare", 1e-2, 1e-3, 1e-300, [0.0, 0.0, 0.0], 1, "both")
+@example("triphoton-compare", 1e-2, 1e-3, 5e-324, [0.0, 0.0, 0.0], 1, "both")
 def test_every_input_exits_0_2_or_3(experiment, alpha, beta, sigma, angles, grid_n, mode):
     argv = [
         experiment,

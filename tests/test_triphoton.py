@@ -1,14 +1,17 @@
-"""The triphoton routes on the 1-D axis, against the 2-D evaluation they replace.
+"""The closed-form contraction, against the grid contractions it replaces.
 
-The reference below keeps the broadcast n x n form: the first two photons
-on the grid angles ``u`` and ``v``, the third at ``(-u - v) mod pi``, every
-channel sampled on the full 2-D grid and the triple products summed cell by
-cell.  It lives here, not in the package, as the independent check of the
-constrained-angle contraction.
+Two grid references live here, not in the package.  ``constrained_sum``
+contracts channels sampled on the 1-D axis ``grid_points(n)`` along the
+source constraint.  The broadcast n x n form puts the first two photons on
+the grid angles ``u`` and ``v`` and the third at ``(-u - v) mod pi``,
+samples every channel on the full 2-D grid and sums the triple products
+cell by cell; it checks ``constrained_sum``, which in turn checks
+:func:`~bellfield.dist.contract` wherever the grid resolves the kernels.
 """
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -19,14 +22,53 @@ from bellfield.angles import PI, PolAngle
 from bellfield.bell import (
     ABSORBER_COST,
     Mrf3Params,
-    constrained_sum,
     grid_backend,
+    kernel_backend,
     primitive_product,
     sum_out_channel,
-    triphoton_angles,
 )
-from bellfield.dist import grid_points
+from bellfield.dist import MAX_SIGMA, KernelFn, contract, grid_points, wrapped_gaussian
 from bellfield.quantum import triphoton_compare
+
+
+def constrained_sum(*samples: np.ndarray) -> float:
+    """Sum of the photons' sample products along the source constraint.
+
+    The samples lie on ``grid_points(n)``; the source's photon angles sum to
+    0 (mod pi), so the sum runs over the index tuples with
+    i_0 + ... + i_{N-1} = 0 (mod n) of prod_j f_j[i_j], for any number N of
+    photons.  It folds the photons in one at a time by circular convolution:
+    convolving with ``f`` written out twice and keeping the middle n entries
+    wraps the indices mod n.  Memory is O(n), time O(N n^2); it is symmetric
+    in its arguments.
+    """
+    n = len(samples[0])
+    acc = samples[0]
+    for f in samples[1:]:
+        acc = np.convolve(acc, np.concatenate((f, f)))[n : 2 * n]
+    return float(acc[0])
+
+
+def grid_mrf(settings3, params: Mrf3Params) -> float:
+    """The graph route on the 1-D axis: each channel's detected and total
+    sums sampled once, contracted by :func:`constrained_sum`."""
+    axis = grid_points(params.grid_n)
+    sums = [
+        sum_out_channel(grid_backend(axis, s.value, params.alpha, params.beta, params.sigma)) for s in settings3
+    ]
+    num = constrained_sum(*(detected for detected, _ in sums))
+    den = constrained_sum(*(detected + undetected for detected, undetected in sums))
+    return num / den
+
+
+def grid_mstar(settings3, params: Mrf3Params, order) -> float:
+    """The branch ensemble on the 1-D axis: the all-pass branch over the sum
+    of all 2^3 branches, each a :func:`constrained_sum` in application order."""
+    axis = grid_points(params.grid_n)
+    splits = [grid_backend(axis, settings3[arm].value, params.alpha, params.beta, params.sigma) for arm in order]
+    num = constrained_sum(*(split["pass"] for split in splits))
+    den = constrained_sum(*(split["pass"] + split["block"] for split in splits))
+    return num / den
 
 
 def photon_angles_2d(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -96,10 +138,6 @@ class TestConstrainedSum:
             for perm in itertools.permutations(range(photons)):
                 assert constrained_sum(*(fs[i] for i in perm)) == pytest.approx(base, rel=1e-14), perm
 
-    def test_axis_is_the_one_dimensional_grid(self):
-        params = Mrf3Params(PolAngle(0.0), PolAngle(0.0), sigma=0.05, grid_n=96)
-        assert np.array_equal(triphoton_angles(params), grid_points(96))
-
 
 class TestAgainstTwoDimensionalReference:
     @pytest.mark.parametrize("grid_n", [64, 96, 97, 256])
@@ -113,11 +151,19 @@ class TestAgainstTwoDimensionalReference:
     def test_routes_match_within_1e_12(self, grid_n, thetas, beta, sigma, order):
         settings3 = tuple(PolAngle(t) for t in thetas)
         params = Mrf3Params(PolAngle(0.0), PolAngle(0.0), beta=beta, sigma=sigma, grid_n=grid_n)
-        mrf = triphoton_compare(settings3, order, "MRF", params).probability
-        mstar = triphoton_compare(settings3, order, "Mstar", params).probability
+        mrf = grid_mrf(tuple(settings3[i] for i in order), params)
+        mstar = grid_mstar(settings3, params, order)
         relabeled = tuple(settings3[i] for i in order)
         assert mrf == pytest.approx(reference_mrf(relabeled, params), rel=1e-12, abs=0)
         assert mstar == pytest.approx(reference_mstar(settings3, params, order), rel=1e-12, abs=0)
+
+
+def n_photon_mrf(settings_n, alpha: float, beta: float, sigma: float) -> float:
+    """The graph route over any number of channels, in closed form."""
+    sums = [sum_out_channel(kernel_backend(s.value, alpha, beta)) for s in settings_n]
+    num = contract([detected for detected, _ in sums], sigma)
+    den = contract([detected + undetected for detected, undetected in sums], sigma)
+    return num / den
 
 
 def degrees(values):
@@ -142,6 +188,17 @@ class TestDiscriminatingSignature:
         )
         assert a == pytest.approx(b, abs=1e-12)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.tuples(*[st.floats(0.0, 180.0, exclude_max=True)] * 4),
+        st.tuples(*[st.floats(0.0, 180.0, exclude_max=True)] * 3),
+    )
+    def test_four_photons_depend_on_the_setting_sum_only(self, first, free):
+        second = (*free, (sum(first) - sum(free)) % 180.0)
+        p = self.PARAMS
+        a, b = (n_photon_mrf(degrees(s), p.alpha, p.beta, p.sigma) for s in (first, second))
+        assert a == pytest.approx(b, abs=1e-12)
+
     def test_qm_tells_equal_sums_apart(self):
         first, second = degrees((10.0, 25.0, 40.0)), degrees((20.0, 50.0, 5.0))
         assert math.isclose(sum(s.value for s in first) % PI, sum(s.value for s in second) % PI)
@@ -150,3 +207,61 @@ class TestDiscriminatingSignature:
         assert mrf[0] == pytest.approx(mrf[1], abs=1e-12)
         assert qm[0] == pytest.approx(0.2671, abs=1e-4)
         assert qm[1] == pytest.approx(0.1950, abs=1e-4)
+
+
+class TestClosedFormContraction:
+    PHOTONS = (2, 3, 4)
+
+    @staticmethod
+    def random_arm(rng) -> KernelFn:
+        atoms = tuple((rng.uniform(0.0, PI), rng.uniform(0.1, 1.0)) for _ in range(rng.randint(1, 3)))
+        c0 = rng.uniform(0.0, 1.0)
+        # |c1| <= c0 / 2 keeps the smooth part nonnegative
+        c1 = 0.5 * c0 * rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2 * PI))
+        return KernelFn(atoms, c0, complex(c1))
+
+    @staticmethod
+    def sampled(f: KernelFn, sigma: float, n: int) -> np.ndarray:
+        axis = grid_points(n)
+        out = f.c0 + 2 * (f.c1 * np.exp(2j * axis)).real
+        for loc, w in f.atoms:
+            out = out + w * wrapped_gaussian(axis, loc, sigma)
+        return out
+
+    def test_equals_constrained_sum_where_the_grid_resolves_the_kernel(self):
+        rng = random.Random(11)
+        for photons in self.PHOTONS:
+            for _ in range(40):
+                n = rng.choice([64, 96, 97, 256, 512])
+                # at least 1.5 grid cells per kernel width
+                sigma = rng.uniform(1.5 * PI / n, MAX_SIGMA)
+                fs = [self.random_arm(rng) for _ in range(photons)]
+                want = constrained_sum(*(self.sampled(f, sigma, n) for f in fs)) * (PI / n) ** (photons - 1)
+                assert contract(fs, sigma) == pytest.approx(want, rel=1e-10, abs=0), (photons, n, sigma)
+
+    def test_channel_sums_equal_constrained_sum(self):
+        rng = random.Random(12)
+        for photons in self.PHOTONS:
+            for _ in range(10):
+                n, sigma, beta = 128, 0.05, rng.choice([1e-2, 1e-4])
+                thetas = [rng.uniform(0.0, PI) for _ in range(photons)]
+                axis = grid_points(n)
+                closed = [sum_out_channel(kernel_backend(t, 1e-2, beta)) for t in thetas]
+                grid = [sum_out_channel(grid_backend(axis, t, 1e-2, beta, sigma)) for t in thetas]
+                for part in (0, 1):
+                    want = constrained_sum(*(g[part] for g in grid)) * (PI / n) ** (photons - 1)
+                    got = contract([c[part] for c in closed], sigma)
+                    assert got == pytest.approx(want, rel=1e-10, abs=0), (photons, part)
+
+    @pytest.mark.parametrize("photons", [3, 4])
+    def test_reaches_the_model_limit(self, photons):
+        # P_N = cos^2(theta_1 + ... + theta_N) / 2^(N-1) as sigma, beta -> 0;
+        # a grid would need n ~ 1e9 points to resolve sigma = 1e-8
+        rng = random.Random(14 + photons)
+        for _ in range(30):
+            thetas = [rng.uniform(0.0, PI) for _ in range(photons)]
+            limit = math.cos(sum(thetas)) ** 2 / 2 ** (photons - 1)
+            if limit < 0.01 / 2 ** (photons - 1):
+                continue  # near a zero of the limit a relative bound says nothing
+            got = n_photon_mrf([PolAngle(t) for t in thetas], 1e-2, 1e-12, 1e-8)
+            assert got == pytest.approx(limit, rel=1e-9, abs=0), thetas
