@@ -17,6 +17,14 @@ PI = math.pi
 ANGLE_TOL = 1e-12
 
 
+def reduce_degrees(degrees: float) -> float:
+    """``degrees`` mod 180, exact (``math.fmod``), sign kept; a non-finite
+    value raises ``ValueError``."""
+    if not math.isfinite(degrees):
+        raise ValueError(f"non-finite angle: {degrees!r}")
+    return math.fmod(degrees, 180.0)
+
+
 @dataclass(frozen=True, eq=False)
 class PolAngle:
     """An angle in radians, canonically reduced into [0, pi)."""
@@ -34,7 +42,9 @@ class PolAngle:
 
     @classmethod
     def from_degrees(cls, degrees: float) -> "PolAngle":
-        return cls(math.radians(degrees))
+        """The angle of ``degrees``, reduced mod 180 exactly before the
+        conversion: radians of a huge value lose every digit mod pi."""
+        return cls(math.radians(reduce_degrees(degrees)))
 
     @property
     def degrees(self) -> float:

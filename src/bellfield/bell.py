@@ -26,8 +26,8 @@ Three evaluation routes are provided and cross-checked:
   integrated over the shared angle; limits read off the graded
   coefficients;
 * regularized: the same factorized sums on the kernel backend, contracted
-  in closed form by :func:`~bellfield.dist.contract` with no grid (handles
-  the degenerate equal/orthogonal polarizer settings);
+  in closed form by :func:`contract_channels` with no grid (handles the
+  degenerate equal/orthogonal polarizer settings);
 * brute-force oracle: numeric parameters, full 2^8 scenario enumeration on
   the grid backend with no graded algebra and no channel factorization.
   Each factor is evaluated once per assignment of the bits it reads; the
@@ -37,7 +37,7 @@ Three evaluation routes are provided and cross-checked:
   The grid must resolve the kernel (:func:`require_resolved`).
 
 The triphoton graph contracts three channels of the kernel backend along
-the source's angle constraint, with the same :func:`~bellfield.dist.contract`.
+the source's angle constraint, with the same :func:`contract_channels`.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -300,6 +300,21 @@ def sum_out_channel(backend: Mapping) -> tuple:
     return tuple(functools.reduce(operator.add, terms) for terms in sums)
 
 
+def contract_channels(sums: Sequence[tuple[KernelFn, KernelFn]], sigma: float) -> tuple[float, float]:
+    """Detected weight and partition of N channels fed by one source.
+
+    ``sums`` holds each channel's (detected, undetected) sums on the kernel
+    backend, as functions of its own photon's angle; the source constrains
+    the angles to sum to zero (mod pi).  The detected weight contracts the
+    detected sums, the partition each channel's total, both in closed form
+    by :func:`~bellfield.dist.contract`.  A Bell pair shares one angle: it is
+    N = 2 with the second channel :meth:`~bellfield.dist.KernelFn.reflected`.
+    """
+    num = contract([detected for detected, _ in sums], sigma)
+    den = contract([detected + undetected for detected, undetected in sums], sigma)
+    return num, den
+
+
 # -- the exact graph ---------------------------------------------------------------
 
 
@@ -416,12 +431,11 @@ def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> Coincide
         return CoincidenceResult(coeff_ratio_limit(num, den), num, den, "exact")
     if mode == "regularized":
         params.require_numeric()
-        (pl, ml), (pr, mr) = (
+        left, right = (
             sum_out_channel(kernel_backend(params.setting(ch).value, params.alpha, params.beta))
             for ch in CHANNELS
         )
-        num = contract((pl, pr.reflected()), params.sigma)
-        den = contract((pl + ml, (pr + mr).reflected()), params.sigma)
+        num, den = contract_channels((left, tuple(f.reflected() for f in right)), params.sigma)
         return CoincidenceResult(
             partition_ratio(num, den),
             GradedCoeff.constant(num),
@@ -522,9 +536,9 @@ class TriphotonGraph:
     The source emits three photons whose polarization angles sum to zero
     (mod pi), leaving two free angles.  Each channel is summed out on its own
     on the kernel backend, and the three channels are then contracted along
-    the constraint in closed form by :func:`~bellfield.dist.contract`, with
-    no grid.  There is no arrival-order anywhere in the structure: the
-    prediction can only depend on the settings.
+    the constraint in closed form by :func:`contract_channels`, with no grid.
+    There is no arrival-order anywhere in the structure: the prediction can
+    only depend on the settings.
     """
 
     settings: tuple[PolAngle, PolAngle, PolAngle]
@@ -540,9 +554,7 @@ class TriphotonGraph:
     def triple_coincidence(self) -> float:
         """Probability that all three counters fire, given the emission."""
         sums = [sum_out_channel(kernel_backend(s.value, self.alpha, self.beta)) for s in self.settings]
-        num = contract([detected for detected, _ in sums], self.sigma)
-        den = contract([detected + undetected for detected, undetected in sums], self.sigma)
-        return partition_ratio(num, den)
+        return partition_ratio(*contract_channels(sums, self.sigma))
 
 
 def build_triphoton_graph(settings: tuple[PolAngle, PolAngle, PolAngle], params: Mrf3Params) -> TriphotonGraph:

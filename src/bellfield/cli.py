@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
-from .angles import PolAngle
+from .angles import PolAngle, reduce_degrees
 from .bell import (
     MAX_ALPHA,
     MAX_BETA,
@@ -133,14 +133,22 @@ class ExperimentConfig:
             raise ConfigError("alpha", f"must not exceed {MAX_ALPHA:g}, got {self.alpha}")
         if self.beta > MAX_BETA:
             raise ConfigError("beta", f"must not exceed {MAX_BETA:g}, got {self.beta}")
+        # The angles the exact route evaluates: limit-study's target is exact too.
+        exact_angles = []
         if self.experiment == "bell-sweep" and self.mode in ("exact", "both"):
-            for d in self.angles or DEFAULT_SWEEP:
-                if _mrf_params(self, d).degenerate:
-                    raise ConfigError(
-                        "angles",
-                        f"delta={d} deg is degenerate (equal/orthogonal settings); "
-                        "exact mode cannot separate the point masses -- use mode=regularized",
-                    )
+            exact_angles = self.angles or DEFAULT_SWEEP
+        if self.experiment == "limit-study":
+            if len(self.angles) > 1:
+                raise ConfigError("angles", f"limit-study takes one setting difference, got {len(self.angles)}")
+            exact_angles = self.angles
+        for d in exact_angles:
+            if _mrf_params(self, d).degenerate:
+                raise ConfigError(
+                    "angles",
+                    f"delta={d} deg is degenerate (equal/orthogonal settings); "
+                    "exact mode cannot separate the point masses"
+                    + (" -- use mode=regularized" if self.experiment == "bell-sweep" else ""),
+                )
         if self.experiment == "limit-study":
             if len(self.sigmas) < 2 and len(self.betas) < 2:
                 raise ConfigError("sigmas", "limit study needs at least two sigma or two beta values")
@@ -216,7 +224,7 @@ def _run_bell_sweep(config: ExperimentConfig) -> list[ResultRow]:
     rows = []
     deltas = config.angles or DEFAULT_SWEEP
     for d in deltas:
-        target = 0.5 * math.cos(math.radians(d)) ** 2
+        target = 0.5 * math.cos(math.radians(reduce_degrees(d))) ** 2
         params = _mrf_params(config, d)
         if config.mode in ("exact", "both"):
             value, ms = _timed(lambda: coincidence_probability(params, "exact").probability)

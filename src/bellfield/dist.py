@@ -42,8 +42,8 @@ PI_FRAC = Fraction(math.pi)
 HALF = Fraction(1, 2)
 
 MIN_GRID = 256
-#: Largest grid on any grid route: the brute-force oracle and the branch
-#: ensemble.  The other regularized routes use no grid (:func:`contract`).
+#: Largest grid of the one grid route, the brute-force oracle.  The other
+#: regularized routes use no grid (:func:`contract`).
 MAX_GRID = 1 << 16
 MAX_SIGMA = PI / 16
 

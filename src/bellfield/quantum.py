@@ -8,11 +8,19 @@ light passes at full weight, everything else pays the conversion cost
 weighted, unnormalized map is linear and is what gets applied here; the
 normalization is a separate, explicit step.
 
-The modified map is evaluated in a branch-ensemble picture: a state is a
-positive mixture of tagged configurations (linear at some angle, circular,
-absorbed, or linear at the shared source angle with a distribution-valued
-correlation), and each polarizer splits every branch into its pass and
-blocked descendants.
+Each model is written once, for N arms, and the Bell pair is its N = 2 call:
+
+* traditional (:func:`qm_coincidence`): the N-photon GHZ state, each arm
+  dephased in application order, then projected on its pass mode;
+* modified, exact (:func:`mstar_bell_coincidence` without ``sigma``): a
+  branch ensemble -- a positive mixture of tagged configurations (linear at
+  some angle, circular, absorbed, or linear at the shared source angle with
+  a graded distribution-valued correlation) -- in which each polarizer
+  splits every branch into its pass and blocked descendants;
+* modified, regularized (``sigma`` given, and the triphoton ``Mstar``): the
+  same pass and block splits on the closed-form kernel backend, contracted
+  along the source's angle constraint with no grid
+  (:func:`~bellfield.bell.contract_channels`).
 """
 
 from __future__ import annotations
@@ -24,25 +32,22 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .angles import PI, PolAngle
+from .angles import PolAngle
 from .bell import (
     ABSORBER_COST,
     Mrf3Params,
     build_triphoton_graph,
+    contract_channels,
     graded_backend,
-    grid_backend,
     kernel_backend,
     partition_ratio,
     primitive_product,
 )
 from .dist import (
-    MAX_GRID,
     DistFn,
-    RegularizedDistFn,
-    contract,
+    KernelFn,
     dist_integrate,
     dist_mul,
-    grid_points,
     # Unused here, but bench/tests checks that tracing rebinds it in this module.
     wrapped_gaussian,  # noqa: F401
 )
@@ -70,20 +75,6 @@ class ZeroEnsemble(ArithmeticError):
 def linear_state(theta: PolAngle | float) -> np.ndarray:
     t = theta.value if isinstance(theta, PolAngle) else float(theta)
     return np.array([math.cos(t), math.sin(t)], dtype=complex)
-
-
-def circular_state(handedness: str) -> np.ndarray:
-    if handedness not in ("C", "W"):
-        raise ValueError("handedness must be 'C' or 'W'")
-    sign = 1j if handedness == "C" else -1j
-    return np.array([1.0, sign], dtype=complex) / math.sqrt(2.0)
-
-
-def bell_pair() -> np.ndarray:
-    """(|HH> + |VV>) / sqrt(2)."""
-    v = np.zeros(4, dtype=complex)
-    v[0] = v[3] = 1.0 / math.sqrt(2.0)
-    return v
 
 
 def ghz_state(n: int = 3) -> np.ndarray:
@@ -141,11 +132,6 @@ class DensityMatrix:
     def from_pure(cls, amplitudes: np.ndarray) -> "DensityMatrix":
         return PureState(amplitudes).density()
 
-    @classmethod
-    def maximally_mixed(cls, n: int = 1) -> "DensityMatrix":
-        d = 2**n
-        return cls(np.eye(d, dtype=complex) / d)
-
 
 def _mode_projector(theta: PolAngle | float) -> np.ndarray:
     v = linear_state(theta)
@@ -180,14 +166,26 @@ def apply_M(rho: DensityMatrix, subsystem: int, theta0: PolAngle) -> DensityMatr
     return DensityMatrix(dephase(rho.entries, rho.n_photons, subsystem, theta0))
 
 
+def qm_coincidence(settings: Sequence[PolAngle], order: Sequence[int]) -> float:
+    """Probability that every photon of the N-photon GHZ state passes.
+
+    Arm ``k`` is dephased in the basis of ``settings[k]``, the arms in
+    ``order``; then each is projected on its pass mode.  The source state is
+    checked once, as a :class:`PureState`.
+    """
+    n = len(settings)
+    amplitudes = PureState(ghz_state(n)).amplitudes
+    rho = np.outer(amplitudes, amplitudes.conj())
+    for k in order:
+        rho = dephase(rho, n, k, settings[k])
+    proj = reduce(_kron, [_mode_projector(t) for t in settings])
+    return float(np.trace(proj @ rho).real)
+
+
 def bell_coincidence_qm(theta_a: PolAngle, theta_b: PolAngle) -> float:
-    """Double-detection probability for the entangled pair, both arms
-    dephased then projected on their pass modes."""
-    rho = DensityMatrix.from_pure(bell_pair())
-    rho = apply_M(rho, 0, theta_a)
-    rho = apply_M(rho, 1, theta_b)
-    proj = _kron(_mode_projector(theta_a), _mode_projector(theta_b))
-    return float(np.trace(proj @ rho.entries).real)
+    """Double-detection probability for the entangled pair: the two-photon
+    :func:`qm_coincidence`."""
+    return qm_coincidence((theta_a, theta_b), (0, 1))
 
 
 def malus_chain(initial: PolAngle | Literal["unpolarized"], settings: Sequence[PolAngle]) -> float:
@@ -209,33 +207,6 @@ def malus_chain(initial: PolAngle | Literal["unpolarized"], settings: Sequence[P
         p = _mode_projector(theta)
         rho = p @ rho @ p
     return float(np.trace(rho).real)
-
-
-def decompose_linear(rho: DensityMatrix) -> tuple[np.ndarray, list[tuple[PolAngle, float]]]:
-    """Canonical split of a single-photon state into linear point masses
-    plus a circular remainder.
-
-    The real part of the matrix (in the H/V basis) is a mixture of linear
-    polarizations; its eigenvectors give two orthogonal linear atoms with
-    nonnegative weights.  What is left, the imaginary part, is the circular
-    residue (zero for any real mixture).  Atoms plus residue reconstruct
-    the input exactly.
-    """
-    if rho.n_photons != 1:
-        raise NotAState("decomposition defined for single-photon states")
-    m = rho.entries
-    real = (m.real + m.real.T) / 2.0
-    w, vecs = np.linalg.eigh(real)
-    atoms: list[tuple[PolAngle, float]] = []
-    recon = np.zeros_like(m)
-    for weight, vec in zip(w, vecs.T):
-        if abs(weight) < 1e-14:
-            continue
-        angle = PolAngle(math.atan2(vec[1], vec[0]))
-        atoms.append((angle, float(weight)))
-        recon = recon + weight * np.outer(vec, vec)
-    rho0 = m - recon
-    return rho0, atoms
 
 
 # -- branch ensembles ----------------------------------------------------------------
@@ -269,22 +240,17 @@ Tag = LinearTag | CircularTag | AbsorbedTag | SourceTag
 class Branch:
     weight: GradedCoeff
     tags: tuple[Tag, ...]
-    angle_weight: DistFn | RegularizedDistFn | None = None
+    angle_weight: DistFn | None = None
 
     def total_weight(self) -> GradedCoeff:
         """Scalar weight with the angle correlation integrated out."""
-        w = self.weight
-        if isinstance(self.angle_weight, DistFn):
-            w = w * dist_integrate(self.angle_weight)
-        elif isinstance(self.angle_weight, RegularizedDistFn):
-            w = w * GradedCoeff.constant(self.angle_weight.integral())
-        return w
+        if self.angle_weight is None:
+            return self.weight
+        return self.weight * dist_integrate(self.angle_weight)
 
     @property
     def is_dead(self) -> bool:
-        if self.weight.is_zero:
-            return True
-        return isinstance(self.angle_weight, DistFn) and self.angle_weight.is_zero
+        return self.weight.is_zero or (self.angle_weight is not None and self.angle_weight.is_zero)
 
 
 @dataclass(frozen=True)
@@ -308,78 +274,37 @@ class BranchEnsemble:
         return len(self.branches[0].tags)
 
 
-def _check_grid_n(grid_n: int) -> None:
-    if not 1 <= grid_n <= MAX_GRID:
-        raise ValueError(f"grid_n must lie in [1, {MAX_GRID}], got {grid_n}")
-
-
-def bell_source_ensemble(sigma: float | None = None, grid_n: int = 8192) -> BranchEnsemble:
+def bell_source_ensemble() -> BranchEnsemble:
     """Two photons sharing one uniformly distributed linear angle."""
-    _check_grid_n(grid_n)
-    if sigma is None:
-        angle_weight: DistFn | RegularizedDistFn = DistFn.one()
-    else:
-        angle_weight = RegularizedDistFn(np.ones(grid_n))
-    return BranchEnsemble(
-        (Branch(GradedCoeff.one(), (SourceTag(), SourceTag()), angle_weight),)
-    )
+    return BranchEnsemble((Branch(GradedCoeff.one(), (SourceTag(), SourceTag()), DistFn.one()),))
 
 
 @dataclass(frozen=True)
 class PolarizerSetting:
-    """Polarizer axis plus the weighting-function flavor.
+    """Polarizer axis plus the conversion cost.
 
     ``beta=None`` keeps the conversion cost formal (graded); a float makes
-    the split numeric.  A kernel width ``sigma`` makes the split regularized:
-    the exact point masses become width-``sigma`` kernels on a ``grid_n``
-    grid (required when the incoming atoms would collide with the
-    polarizer's own axes), which needs a numeric ``beta``.  ``grid_n``
-    outside [1, MAX_GRID] raises ``ValueError``.
+    the split numeric.  The point masses stay exact either way; settings
+    whose atoms collide take the regularized route of
+    :func:`mstar_bell_coincidence` instead.
     """
 
     theta0: PolAngle
     beta: float | None = None
-    sigma: float | None = None
-    grid_n: int = 8192
 
     def __post_init__(self):
-        _check_grid_n(self.grid_n)
         if self.beta is not None and not self.beta > 0:
             raise ValueError("beta must be positive in numeric mode")
-        if self.sigma is not None:
-            if not self.sigma > 0:
-                raise ValueError("regularized mode requires sigma > 0")
-            if self.beta is None:
-                raise ValueError("regularized mode requires numeric beta")
 
     @property
     def beta_coeff(self) -> GradedCoeff:
         return BETA if self.beta is None else GradedCoeff.constant(self.beta)
 
 
-def _source_split_factors(setting: PolarizerSetting):
-    """Pass/block weighting factors as functions of the source angle."""
-    theta0 = setting.theta0
-    if setting.sigma is None:
-        split = graded_backend(theta0, setting.beta_coeff)
-        return split["pass"], split["block"]
-    # The polarizer map has no counter, so alpha never enters.
-    split = grid_backend(
-        grid_points(setting.grid_n), theta0.value, math.nan, setting.beta, setting.sigma  # type: ignore[arg-type]
-    )
-    return RegularizedDistFn(split["pass"]), RegularizedDistFn(split["block"])
-
-
-def _times_angle_factor(branch: Branch, factor) -> "DistFn | RegularizedDistFn":
+def _times_angle_factor(branch: Branch, factor: DistFn) -> DistFn:
     if branch.angle_weight is None:
         raise ValueError("branch has no source-angle correlation to weigh")
-    if isinstance(branch.angle_weight, DistFn) and isinstance(factor, DistFn):
-        return dist_mul(branch.angle_weight, factor)
-    if isinstance(branch.angle_weight, RegularizedDistFn) and isinstance(
-        factor, RegularizedDistFn
-    ):
-        return branch.angle_weight * factor
-    raise ValueError("branch and polarizer disagree on exact vs regularized mode")
+    return dist_mul(branch.angle_weight, factor)
 
 
 def apply_Mstar(ens: BranchEnsemble, subsystem: int, setting: PolarizerSetting) -> BranchEnsemble:
@@ -425,12 +350,12 @@ def apply_Mstar(ens: BranchEnsemble, subsystem: int, setting: PolarizerSetting) 
             out.append(retag(LinearTag(theta0), branch.weight * half))
             out.append(retag(LinearTag(perp), branch.weight * half))
         elif isinstance(tag, SourceTag):
-            pass_f, block_f = _source_split_factors(setting)
+            split = graded_backend(theta0, beta)
             out.append(
-                retag(LinearTag(theta0), angle_weight=_times_angle_factor(branch, pass_f))
+                retag(LinearTag(theta0), angle_weight=_times_angle_factor(branch, split["pass"]))
             )
             out.append(
-                retag(LinearTag(perp), angle_weight=_times_angle_factor(branch, block_f))
+                retag(LinearTag(perp), angle_weight=_times_angle_factor(branch, split["block"]))
             )
         else:
             raise TypeError(f"unknown tag: {tag!r}")
@@ -470,7 +395,6 @@ def mstar_bell_coincidence(
     beta: float | None = None,
     *,
     sigma: float | None = None,
-    grid_n: int = 8192,
     alpha: float = 1e-2,
 ) -> float:
     """Double-detection probability from the branch-ensemble pipeline.
@@ -481,10 +405,24 @@ def mstar_bell_coincidence(
     by the counter (cost alpha); a blocked photon is absorbed internally
     (cost 2*alpha*beta).  The probability is the graded (or numeric) ratio
     of detected weight to total weight.
+
+    A kernel width ``sigma`` regularizes the point masses, which equal or
+    orthogonal settings need: the pair is then the two-arm
+    :func:`_mstar_contracted`, the second arm reflected so that the shared
+    angle becomes a sum constraint.  It needs a numeric ``beta``; the knobs
+    are checked by :meth:`~bellfield.bell.Mrf3Params.require_numeric`.
     """
-    ens = bell_source_ensemble(sigma=sigma, grid_n=grid_n)
+    if sigma is not None:
+        if beta is None:
+            raise ValueError("regularized mode requires numeric beta")
+        params = Mrf3Params(theta_a, theta_b, alpha=alpha, beta=beta, sigma=sigma)
+        params.require_numeric()
+        right = tuple(f.reflected() for f in _kernel_split(theta_b, params))
+        return _mstar_contracted((_kernel_split(theta_a, params), right), params)
+
+    ens = bell_source_ensemble()
     for arm, theta in enumerate((theta_a, theta_b)):
-        ens = apply_Mstar(ens, arm, PolarizerSetting(theta, beta=beta, sigma=sigma, grid_n=grid_n))
+        ens = apply_Mstar(ens, arm, PolarizerSetting(theta, beta=beta))
 
     # Passing and blocked photons both end in an absorber of the same cost.
     if beta is None:
@@ -511,6 +449,30 @@ def mstar_bell_coincidence(
     return coeff_ratio_limit(num, den)
 
 
+def _kernel_split(theta: PolAngle, params: Mrf3Params) -> tuple[KernelFn, KernelFn]:
+    """One arm's (pass, block) split on the closed-form kernel backend."""
+    split = kernel_backend(theta.value, params.alpha, params.beta)
+    return split["pass"], split["block"]
+
+
+def _mstar_contracted(arms: Sequence[tuple[KernelFn, KernelFn]], params: Mrf3Params) -> float:
+    """Branch-ensemble pipeline over an angle-constrained source (numeric).
+
+    ``arms`` holds each arm's (pass, block) split as a function of its own
+    photon's angle, in application order; the source constrains the angles
+    to sum to zero (mod pi).  A branch's weight is the contraction of its
+    arms' factors along that constraint.  The contraction is linear in each
+    slot, so the 2^N branch weights add up to one contraction of the per-arm
+    totals ``pass + block``, and the detected weight is the all-pass branch
+    alone: :func:`~bellfield.bell.contract_channels` with (pass, block) as
+    (detected, undetected).  The caller checks ``params``.
+    """
+    # Every arm ends in an absorber of the same cost, passed or blocked.
+    cost = primitive_product(ABSORBER_COST, {"alpha": params.alpha, "beta": params.beta}) ** len(arms)
+    num, den = contract_channels(arms, params.sigma)
+    return partition_ratio(num * cost, den * cost)
+
+
 # -- triphoton comparison ---------------------------------------------------------------
 
 
@@ -519,35 +481,6 @@ class TriphotonResult:
     model: str
     order: tuple[int, int, int]
     probability: float
-
-
-def _triphoton_m(settings: Sequence[PolAngle], order: Sequence[int]) -> float:
-    rho = np.outer(ghz_state(3), ghz_state(3).conj())
-    for k in order:
-        rho = dephase(rho, 3, k, settings[k])
-    proj = reduce(_kron, [_mode_projector(t) for t in settings])
-    return float(np.trace(proj @ rho).real)
-
-
-def _triphoton_mstar(settings: Sequence[PolAngle], params: Mrf3Params, order: Sequence[int]) -> float:
-    """Branch-ensemble pipeline over the angle-constrained source (numeric).
-
-    The arms apply in ``order``; each splits every branch into its pass and
-    blocked descendant, in closed form on the kernel backend.  A branch's
-    weight is the :func:`~bellfield.dist.contract` of its three factors along
-    the source constraint; the source treats its photons alike, so they take
-    the contraction's slots in application order.  The contraction is
-    linear in each slot, so the 2^3 branch weights add up to one contraction
-    of the per-arm totals ``pass + block``, and the detected weight is the
-    all-pass branch alone.
-    """
-    params.require_numeric()
-    splits = [kernel_backend(settings[arm].value, params.alpha, params.beta) for arm in order]
-    # Every arm ends in an absorber of the same cost, passed or blocked.
-    cost = primitive_product(ABSORBER_COST, {"alpha": params.alpha, "beta": params.beta}) ** 3
-    num = contract([split["pass"] for split in splits], params.sigma) * cost
-    den = contract([split["pass"] + split["block"] for split in splits], params.sigma) * cost
-    return partition_ratio(num, den)
 
 
 def triphoton_compare(
@@ -567,11 +500,13 @@ def triphoton_compare(
     if sorted(order) != [0, 1, 2]:
         raise ValueError("order must be a permutation of (0, 1, 2)")
     if model == "M":
-        p = _triphoton_m(settings, order)
+        p = qm_coincidence(settings, order)
     elif model == "Mstar":
         if params is None:
             raise ValueError("Mstar model needs numeric params")
-        p = _triphoton_mstar(settings, params, order)
+        # The source treats its photons alike, so they take the slots in application order.
+        params.require_numeric()
+        p = _mstar_contracted([_kernel_split(settings[arm], params) for arm in order], params)
     elif model == "MRF":
         if params is None:
             raise ValueError("MRF model needs numeric params")

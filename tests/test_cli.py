@@ -76,6 +76,16 @@ class TestBellSweep:
                 "runtime_ms",
             }
 
+    def test_huge_angle_reduced_before_conversion(self, tmp_path):
+        # radians(1e308) keeps no digit mod pi; 1e308 mod 180 is exactly 116
+        def rows(angle):
+            out = tmp_path / f"{angle}.json"
+            assert main(["bell-sweep", "--angles", angle, "--mode", "both", "--format", "json", "--output", str(out)]) == 0
+            return [(r["model"], r["value"], r["target"]) for r in json.loads(out.read_text())]
+
+        assert rows("1e308") == rows("116")
+        assert rows("116")[0][2] == 0.5 * math.cos(math.radians(116.0)) ** 2
+
     def test_degenerate_angle_rejected_in_exact_mode(self, tmp_path, capsys):
         code = main(["bell-sweep", "--angles", "0,30", "--mode", "exact", "--output", str(tmp_path / "x.csv")])
         assert code == 2
@@ -147,6 +157,13 @@ class TestLimitStudy:
         rows = read_csv(out)
         by_beta = {float(r["beta"]): float(r["abs_error"]) for r in rows}
         assert by_beta[1e-2] > by_beta[1e-3]
+
+    @pytest.mark.parametrize("angles", ["0", "90", "10,20"])
+    def test_degenerate_or_second_angle_rejected(self, angles, tmp_path, capsys):
+        # the exact target cannot take a degenerate setting, and one study has one setting
+        argv = ["limit-study", "--angles", angles, "--sigmas", "0.02,0.01", "--output", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        assert "config key 'angles'" in capsys.readouterr().err
 
     def test_single_pair_rejected(self, tmp_path, capsys):
         code = main(

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellfield.angles import PI, PolAngle
 from bellfield.bell import Mrf3Params, coincidence_probability
@@ -22,15 +24,13 @@ from bellfield.quantum import (
     apply_M,
     apply_Mstar,
     bell_coincidence_qm,
-    bell_pair,
     bell_source_ensemble,
-    circular_state,
-    decompose_linear,
     ghz_state,
     linear_state,
     malus_chain,
     mstar_bell_coincidence,
     normalize_ensemble,
+    qm_coincidence,
     triphoton_compare,
     _kron,
 )
@@ -63,7 +63,7 @@ class TestStates:
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))  # negative eigenvalue
 
     def test_bell_pair_is_two_photons(self):
-        assert PureState(bell_pair()).n_photons == 2
+        assert PureState(ghz_state(2)).n_photons == 2
 
     def test_ghz_dimension(self):
         assert PureState(ghz_state(3)).n_photons == 3
@@ -77,7 +77,7 @@ class TestApplyM:
         assert np.abs(out.entries - rho.entries).max() < 1e-12
 
     def test_maximally_mixed_fixed_point(self):
-        rho = DensityMatrix.maximally_mixed(1)
+        rho = DensityMatrix(np.eye(2) / 2)
         out = apply_M(rho, 0, deg(33.0))
         assert np.abs(out.entries - rho.entries).max() < 1e-12
 
@@ -139,6 +139,19 @@ class TestBellCoincidenceQm:
             assert got == pytest.approx(0.5 * math.cos(math.radians(d)) ** 2, abs=1e-12)
 
 
+class TestQmCoincidence:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda n: st.lists(st.floats(-360.0, 360.0), min_size=n, max_size=n)))
+    def test_ghz_overlap_in_every_order(self, degrees):
+        # dephasing before the pass projectors leaves |<phi_1 ... phi_N|GHZ>|^2
+        phis = [deg(d) for d in degrees]
+        cos = math.prod(math.cos(t.value) for t in phis)
+        sin = math.prod(math.sin(t.value) for t in phis)
+        expected = 0.5 * (cos + sin) ** 2
+        for order in itertools.permutations(range(len(phis))):
+            assert qm_coincidence(phis, order) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
 class TestMalusChain:
     def test_aligned_passes(self):
         assert malus_chain(deg(0.0), [deg(0.0)]) == pytest.approx(1.0, abs=1e-15)
@@ -153,52 +166,6 @@ class TestMalusChain:
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):
             malus_chain(deg(0.0), [])
-
-
-class TestDecomposeLinear:
-    def test_pure_linear_single_atom(self):
-        t = deg(25.0)
-        rho0, atoms = decompose_linear(DensityMatrix.from_pure(linear_state(t)))
-        assert len(atoms) == 1
-        assert atoms[0][0] == t
-        assert atoms[0][1] == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(rho0).max() < 1e-12
-
-    def test_circular_splits_to_axes_plus_residue(self):
-        rho = DensityMatrix.from_pure(circular_state("C"))
-        rho0, atoms = decompose_linear(rho)
-        angles = sorted(round(a.degrees, 6) for a, _ in atoms)
-        assert angles == [0.0, 90.0]
-        assert all(w == pytest.approx(0.5, abs=1e-12) for _, w in atoms)
-        recon = rho0.copy()
-        for a, w in atoms:
-            v = linear_state(a)
-            recon = recon + w * np.outer(v, v.conj())
-        assert np.abs(recon - rho.entries).max() < 1e-12
-
-    def test_two_angle_mixture(self):
-        v1, v2 = linear_state(deg(0.0)), linear_state(deg(40.0))
-        rho = DensityMatrix(0.5 * np.outer(v1, v1.conj()) + 0.5 * np.outer(v2, v2.conj()))
-        rho0, atoms = decompose_linear(rho)
-        assert np.abs(rho0).max() < 1e-12
-        assert len(atoms) == 2
-        recon = sum(w * np.outer(linear_state(a), linear_state(a).conj()) for a, w in atoms)
-        assert np.abs(recon - rho.entries).max() < 1e-12
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_random_reconstruction(self, seed):
-        rho = random_density(1)
-        rho0, atoms = decompose_linear(rho)
-        recon = rho0.copy()
-        for a, w in atoms:
-            assert w > -1e-10
-            v = linear_state(a)
-            recon = recon + w * np.outer(v, v.conj())
-        assert np.abs(recon - rho.entries).max() < 1e-12
-
-    def test_multi_photon_rejected(self):
-        with pytest.raises(NotAState):
-            decompose_linear(DensityMatrix.from_pure(bell_pair()))
 
 
 def one_branch(tag, weight=None):
@@ -247,12 +214,6 @@ class TestApplyMstar:
         assert len(out.branches) == 2
         passed = next(b for b in out.branches if b.tags[0] == LinearTag(deg(30.0)))
         assert passed.angle_weight.atom_weight_at(deg(30.0)) == GradedCoeff.one()
-
-    def test_mode_mismatch_rejected(self):
-        ens = bell_source_ensemble()  # exact-mode correlation
-        reg = PolarizerSetting(deg(30.0), beta=1e-3, sigma=0.01)
-        with pytest.raises(ValueError):
-            apply_Mstar(ens, 0, reg)
 
 
 class TestNormalizeEnsemble:
@@ -334,6 +295,14 @@ class TestMstarBell:
         got = mstar_bell_coincidence(deg(30.0), deg(0.0), beta=1e-3, sigma=0.01)
         assert got == pytest.approx(0.375, abs=1e-3)
 
+    @pytest.mark.parametrize("d", [0.0, 11.6, 30.0, 90.0])
+    @pytest.mark.parametrize("sigma", [0.005, 0.04])
+    def test_regularized_equals_graph_closed_form(self, d, sigma):
+        params = Mrf3Params(deg(d), deg(0.0), beta=1e-3, sigma=sigma)
+        mrf = coincidence_probability(params, "regularized").probability
+        got = mstar_bell_coincidence(deg(d), deg(0.0), beta=1e-3, sigma=sigma)
+        assert got == pytest.approx(mrf, rel=0, abs=1e-12)
+
     def test_finite_beta_with_exact_atoms(self):
         # numeric beta, point masses kept exact: value sits a beta-sized
         # step below the limit
@@ -344,29 +313,18 @@ class TestMstarBell:
 
 class TestPolarizerSetting:
     def test_regularized_needs_sigma_and_beta(self):
-        with pytest.raises(ValueError):
-            PolarizerSetting(deg(0.0), sigma=0.01)
-        with pytest.raises(ValueError):
-            PolarizerSetting(deg(0.0), beta=1e-3, sigma=0.0)
+        # the regularized knobs now belong to mstar_bell_coincidence alone
+        with pytest.raises(ValueError, match="numeric beta"):
+            mstar_bell_coincidence(deg(0.0), deg(0.0), sigma=0.01)
+        for knobs in ({"sigma": 0.0}, {"sigma": math.nan}, {"sigma": 0.5}, {"alpha": 5.0}):
+            with pytest.raises(ValueError):
+                mstar_bell_coincidence(deg(0.0), deg(0.0), 1e-3, **{"sigma": 0.01, **knobs})
+        with pytest.raises(ValueError, match="beta"):
+            mstar_bell_coincidence(deg(0.0), deg(0.0), 0.5, sigma=0.01)
 
     def test_beta_positive(self):
         with pytest.raises(ValueError):
             PolarizerSetting(deg(0.0), beta=0.0)
-
-    @pytest.mark.parametrize("grid_n", [0, MAX_GRID + 1])
-    def test_grid_n_bounded(self, grid_n):
-        with pytest.raises(ValueError, match="grid_n"):
-            PolarizerSetting(deg(0.0), beta=1e-3, sigma=0.01, grid_n=grid_n)
-        with pytest.raises(ValueError, match="grid_n"):
-            bell_source_ensemble(sigma=0.01, grid_n=grid_n)
-        with pytest.raises(ValueError, match="grid_n"):
-            mstar_bell_coincidence(deg(30.0), deg(0.0), 1e-3, sigma=0.01, grid_n=grid_n)
-
-    def test_grid_n_checked_before_allocating(self, monkeypatch):
-        # a grid of 10**9 points would need 7.45 GiB; the bound refuses it first
-        monkeypatch.setattr(np, "ones", lambda *a, **kw: pytest.fail("allocated"))
-        with pytest.raises(ValueError, match="grid_n"):
-            mstar_bell_coincidence(deg(30.0), deg(0.0), 1e-3, sigma=0.01, grid_n=10**9)
 
 
 class TestTriphoton:
