@@ -18,6 +18,7 @@ from .dist import (
     HarmonicOverflow,
     RegularizedDistFn,
     SigmaTooCoarse,
+    dist_inner,
     dist_integrate,
     dist_mul,
     regularize,
@@ -51,6 +52,7 @@ __all__ = [
     "DistFn",
     "RegularizedDistFn",
     "dist_mul",
+    "dist_inner",
     "dist_integrate",
     "regularize",
     "DeltaCollision",

@@ -19,12 +19,15 @@ in closed form, numeric parameters) and :func:`grid_backend` (those kernels
 sampled on an angle grid).  The channels meet only through the shared
 angle, so summing each channel's bits out on its own
 (:func:`sum_out_channel`) is the variable elimination the graph admits.
+The live assignments and their primitive products are derived once, at
+import (:data:`CHANNEL_PLAN`); a call only values them on its backend.
 
 Three evaluation routes are provided and cross-checked:
 
-* exact: the graded backend, eliminated per channel, multiplied and
-  integrated over the shared angle; limits read off the graded
-  coefficients;
+* exact: the graded backend, eliminated per channel; the channel sums are
+  integrated against each other over the shared angle without forming
+  their product (:func:`~bellfield.dist.dist_inner`), and limits are read
+  off the graded coefficients;
 * regularized: the same factorized sums on the kernel backend, contracted
   in closed form by :func:`contract_channels` with no grid (handles the
   degenerate equal/orthogonal polarizer settings);
@@ -62,8 +65,7 @@ from .dist import (
     RegularizedDistFn,
     SigmaTooCoarse,
     contract,
-    dist_integrate,
-    dist_mul,
+    dist_inner,
     grid_points,
     wrapped_gaussian,
 )
@@ -266,15 +268,16 @@ def factor_tables(backend: Mapping, factors: Mapping[str, Factor] = CHANNEL_FACT
     }
 
 
-def _elimination_plan(factors: Mapping[str, Factor]) -> tuple[tuple[bool, tuple], ...]:
+def _elimination_plan(factors: Mapping[str, Factor]) -> tuple[tuple[bool, tuple[tuple, ...]], ...]:
     """The channel assignments every factor lists, in lexicographic order:
-    whether the counter fires in each, and each factor's key, in factor order."""
+    whether the counter fires in each, and the nonempty primitive products
+    of its factors, in factor order."""
     plan = []
     for bits in itertools.product((0, 1), repeat=len(CHANNEL_BITS)):
         local = dict(zip(CHANNEL_BITS, bits))
-        keys = tuple(tuple(local[r] for r in reads) for reads, _ in factors.values())
-        if all(key in values for key, (_, values) in zip(keys, factors.values())):
-            plan.append((bool(local["gamma_C"] or local["gamma_W"]), keys))
+        values = [table.get(tuple(local[r] for r in reads)) for reads, table in factors.values()]
+        if all(v is not None for v in values):
+            plan.append((bool(local["gamma_C"] or local["gamma_W"]), tuple(v for v in values if v)))
     return tuple(plan)
 
 
@@ -284,19 +287,25 @@ CHANNEL_PLAN = _elimination_plan(CHANNEL_FACTORS)
 
 
 def sum_out_channel(backend: Mapping) -> tuple:
-    """Sum one channel's four bits out of its factor table.
+    """Sum one channel's four bits out of its factors.
 
     Returns (detected, undetected): the summed weight of the scenarios in
     which the channel's counter fires, and of those in which it does not,
     as functions of the shared angle in the backend's representation.  Each
-    live assignment of :data:`CHANNEL_PLAN` multiplies its factor values in
-    factor order; the sums run in assignment order.
+    live assignment of :data:`CHANNEL_PLAN` multiplies its factors' primitive
+    products in factor order, each distinct assignment product evaluated
+    once (the two detected assignments share pass * beta * alpha); the sums
+    run in assignment order.  Leaving out the empty products, which are one,
+    changes no value, so every backend gives what a walk over the
+    :func:`factor_tables` values gives, bit for bit.
     """
-    tables = [table for _, table in factor_tables(backend).values()]
+    products: dict[tuple, object] = {}
     sums: tuple[list, list] = ([], [])
-    for detected, keys in CHANNEL_PLAN:
-        values = [table[key] for table, key in zip(tables, keys)]
-        sums[0 if detected else 1].append(functools.reduce(operator.mul, values))
+    for detected, factors in CHANNEL_PLAN:
+        if factors not in products:
+            values = [primitive_product(prims, backend) for prims in factors]
+            products[factors] = functools.reduce(operator.mul, values, 1)
+        sums[0 if detected else 1].append(products[factors])
     return tuple(functools.reduce(operator.add, terms) for terms in sums)
 
 
@@ -407,7 +416,8 @@ def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> Coincide
     Both modes multiply the two channels' summed weights and integrate over
     the shared angle: the numerator pairs the detected sums, the partition
     pairs each channel's total.  Exact mode does so on the graded backend,
-    with formal small parameters, and takes their joint limit; it requires
+    with formal small parameters and :func:`~bellfield.dist.dist_inner`
+    (no product is formed), and takes their joint limit; it requires
     non-degenerate settings.  Regularized mode does so on the kernel
     backend, in closed form with no grid (the right channel reflected, so
     the shared angle is a sum constraint), and handles the equal /
@@ -415,8 +425,8 @@ def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> Coincide
     """
     if mode == "exact":
         (pl, ml), (pr, mr) = (channel_sums(params, ch) for ch in CHANNELS)
-        num = dist_integrate(dist_mul(pl, pr))
-        den = dist_integrate(dist_mul(pl + ml, pr + mr))
+        num = dist_inner(pl, pr)
+        den = dist_inner(pl + ml, pr + mr)
         # Both sides must carry alpha^2 at leading beta order 3; anything
         # else means the detector bookkeeping broke or a coefficient cancelled.
         alpha_orders = (num.min_alpha_order(), den.min_alpha_order())

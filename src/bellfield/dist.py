@@ -8,6 +8,7 @@ are :class:`~bellfield.graded.GradedCoeff` values, so products and
 integrals stay exact in the small parameters.  Every ``DistFn`` carries
 exactly :data:`MAX_HARMONIC` cos and sin coefficients; a product that would
 need a higher harmonic raises :class:`HarmonicOverflow` instead of dropping it.
+:func:`dist_inner` integrates a product without forming it, so it never does.
 
 Exact mode refuses to multiply two atoms at the same location -- the square
 of a point mass is not a distribution.  Callers then switch to a
@@ -246,6 +247,16 @@ class DistFn:
         return f"DistFn({', '.join(bits) or '0'})"
 
 
+def _require_distinct_atoms(f: DistFn, g: DistFn) -> None:
+    """Raise :class:`DeltaCollision` when ``f`` and ``g`` hold atoms at one location."""
+    for loc_f, _ in f.atoms:
+        for loc_g, _ in g.atoms:
+            if loc_f == loc_g:
+                raise DeltaCollision(
+                    f"atoms collide at angle {loc_f.value:.6g}; use regularized mode"
+                )
+
+
 def dist_mul(f: DistFn, g: DistFn) -> DistFn:
     """Pointwise product of two distributions.
 
@@ -257,13 +268,7 @@ def dist_mul(f: DistFn, g: DistFn) -> DistFn:
     """
     if f.is_zero or g.is_zero:
         return DistFn.zero()
-
-    for loc_f, _ in f.atoms:
-        for loc_g, _ in g.atoms:
-            if loc_f == loc_g:
-                raise DeltaCollision(
-                    f"atoms collide at angle {loc_f.value:.6g}; use regularized mode"
-                )
+    _require_distinct_atoms(f, g)
 
     atoms: list[tuple[PolAngle, GradedCoeff]] = []
     for loc, w in f.atoms:
@@ -321,6 +326,30 @@ def dist_mul(f: DistFn, g: DistFn) -> DistFn:
     if any(ncos[k + 1 :]) or any(nsin[k + 1 :]):
         raise HarmonicOverflow(f"product needs a harmonic above {MAX_HARMONIC}")
     return DistFn(atoms=atoms, c0=ncos[0], cos_coeffs=ncos[1 : k + 1], sin_coeffs=nsin[1 : k + 1])
+
+
+def dist_inner(f: DistFn, g: DistFn) -> GradedCoeff:
+    """Integral over [0, pi) of ``f * g``, without forming the product.
+
+    Equals ``dist_integrate(dist_mul(f, g))`` exactly: atoms at the same
+    location raise :class:`DeltaCollision`, each atom weighs the other
+    function's smooth part at its location, and of the smooth x smooth
+    product only the constant term survives the integral, by orthogonality
+    of the harmonics: pi * (c0 c0' + 1/2 sum_k (c_k c_k' + s_k s_k')).  No
+    harmonic is formed, so this never raises :class:`HarmonicOverflow`.
+    """
+    _require_distinct_atoms(f, g)
+    harmonics = GradedCoeff.zero()
+    for pairs in (zip(f.cos_coeffs, g.cos_coeffs), zip(f.sin_coeffs, g.sin_coeffs)):
+        for x, y in pairs:
+            if x and y:
+                harmonics = harmonics + x * y
+    total = (f.c0 * g.c0 + harmonics * HALF) * PI_FRAC
+    for loc, w in f.atoms:
+        total = total + w * g.smooth_at(loc)
+    for loc, w in g.atoms:
+        total = total + w * f.smooth_at(loc)
+    return total
 
 
 def dist_integrate(f: DistFn) -> GradedCoeff:

@@ -75,6 +75,15 @@ class GradedCoeff:
                 clean[(i, j)] = f
         object.__setattr__(self, "_terms", clean)
 
+    @classmethod
+    def _trusted(cls, terms: dict[Key, Fraction]) -> "GradedCoeff":
+        """Wrap ``terms`` without re-checking them: the arithmetic's results,
+        already nonzero ``Fraction`` values at total degree at most
+        :data:`MAX_TOTAL_DEGREE`."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_terms", terms)
+        return out
+
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("GradedCoeff is immutable")
 
@@ -155,7 +164,9 @@ class GradedCoeff:
     def _coerce(self, other) -> "GradedCoeff | None":
         if isinstance(other, GradedCoeff):
             return other
-        if isinstance(other, (int, float, Fraction)):
+        if isinstance(other, Fraction):  # already exact: no conversion to check
+            return GradedCoeff._trusted({(0, 0): other}) if other else _ZERO
+        if isinstance(other, (int, float)):
             return GradedCoeff.constant(other)
         return None
 
@@ -169,13 +180,17 @@ class GradedCoeff:
             return o
         out = dict(self._terms)
         for k, c in o._terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return GradedCoeff(out)
+            total = out[k] + c if k in out else c
+            if total:
+                out[k] = total
+            else:
+                del out[k]
+        return GradedCoeff._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GradedCoeff":
-        return GradedCoeff({k: -c for k, c in self._terms.items()})
+        return GradedCoeff._trusted({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other) -> "GradedCoeff":
         o = self._coerce(other)
@@ -202,8 +217,8 @@ class GradedCoeff:
                 if i + j > MAX_TOTAL_DEGREE:
                     continue
                 k = (i, j)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return GradedCoeff(out)
+                out[k] = out[k] + c1 * c2 if k in out else c1 * c2
+        return GradedCoeff._trusted({k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 

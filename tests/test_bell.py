@@ -33,6 +33,7 @@ from bellfield.bell import (
     factor_tables,
     graded_backend,
     grid_backend,
+    kernel_backend,
     partition_ratio,
     sum_out_channel,
     var,
@@ -435,12 +436,18 @@ class TestChannelSums:
                 sums[0 if local["gamma_C"] or local["gamma_W"] else 1].append(product)
         return [functools.reduce(operator.add, terms) for terms in sums]
 
-    def test_plan_equals_sixteen_assignment_walk(self):
-        theta_p = PolAngle.from_degrees(20.0)
+    @given(st.floats(0.0, PI, exclude_max=True))
+    @settings(max_examples=40, deadline=None)
+    def test_plan_equals_sixteen_assignment_walk(self, theta):
+        theta_p = PolAngle(theta)
         assert len(bell.CHANNEL_PLAN) == 3
         assert list(sum_out_channel(graded_backend(theta_p))) == self.sixteen_assignment_walk(
             graded_backend(theta_p)
         )
+        got = sum_out_channel(kernel_backend(theta_p.value, 1e-2, 1e-3))
+        want = self.sixteen_assignment_walk(kernel_backend(theta_p.value, 1e-2, 1e-3))
+        for g, w in zip(got, want, strict=True):
+            assert (g.atoms, g.c0, g.c1) == (w.atoms, w.c0, w.c1)  # bit for bit
         grid = grid_points(1000)
         got = sum_out_channel(grid_backend(grid, theta_p.value, 1e-2, 1e-3, 0.01))
         want = self.sixteen_assignment_walk(grid_backend(grid, theta_p.value, 1e-2, 1e-3, 0.01))

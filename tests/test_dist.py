@@ -13,15 +13,17 @@ from bellfield.dist import (
     HarmonicOverflow,
     RegularizedDistFn,
     SigmaTooCoarse,
+    dist_inner,
     dist_integrate,
     dist_mul,
     grid_points,
     regularize,
     wrapped_gaussian,
 )
-from bellfield.graded import GradedCoeff
+from bellfield.graded import MAX_TOTAL_DEGREE, GradedCoeff
 
 PI_FRAC = Fraction(math.pi)
+HALF = Fraction(1, 2)
 
 
 class TestPolAngle:
@@ -91,6 +93,66 @@ class TestDistMul:
             dist_mul(f, DistFn.cos_squared(PolAngle(0.9)))
         # a product within the harmonic range does not raise
         assert not dist_mul(DistFn.cos_squared(PolAngle(0.3)), DistFn.cos_squared(PolAngle(0.9))).is_zero
+
+
+#: Atom locations: distinct points of a fine lattice on [0, pi), far enough
+#: apart for PolAngle equality to tell them apart.
+_ATOM_LATTICE = 1 << 20
+
+graded_weight = st.builds(
+    GradedCoeff,
+    st.dictionaries(
+        st.tuples(st.integers(0, MAX_TOTAL_DEGREE), st.integers(0, MAX_TOTAL_DEGREE)),
+        st.fractions(-4, 4, max_denominator=8),
+        max_size=3,
+    ),
+)
+
+
+@st.composite
+def distfn_pair(draw):
+    """Two DistFns with graded weights, atoms at distinct random angles and
+    harmonics up to MAX_HARMONIC // 2, so that their product cannot overflow."""
+    cells = draw(st.lists(st.integers(0, _ATOM_LATTICE - 1), unique=True, max_size=6))
+    split = draw(st.integers(0, len(cells)))
+    top = MAX_HARMONIC // 2
+
+    def harmonics():
+        return [draw(graded_weight) for _ in range(top)] + [GradedCoeff.zero()] * (MAX_HARMONIC - top)
+
+    fns = []
+    for part in (cells[:split], cells[split:]):
+        atoms = [(PolAngle(k * PI / _ATOM_LATTICE), draw(graded_weight)) for k in part]
+        fns.append(DistFn(atoms=atoms, c0=draw(graded_weight), cos_coeffs=harmonics(), sin_coeffs=harmonics()))
+    return tuple(fns)
+
+
+class TestDistInner:
+    @given(distfn_pair())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_integral_of_product(self, fns):
+        f, g = fns
+        assert dist_inner(f, g) == dist_integrate(dist_mul(f, g))
+        assert dist_inner(g, f) == dist_inner(f, g)
+
+    @given(distfn_pair(), st.integers(0, _ATOM_LATTICE - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_shared_atom_location_raises_like_the_product(self, fns, k):
+        # half a lattice step off every drawn atom, so adding it merges none
+        loc = PolAngle((k + 0.5) * PI / _ATOM_LATTICE)
+        f, g = (h + DistFn.atom(loc) for h in fns)
+        with pytest.raises(DeltaCollision):
+            dist_mul(f, g)
+        with pytest.raises(DeltaCollision):
+            dist_inner(f, g)
+
+    def test_never_overflows_the_harmonics(self):
+        # dist_mul refuses this product; its integral needs no harmonic above 8
+        top = [GradedCoeff.zero()] * (MAX_HARMONIC - 1) + [GradedCoeff.one()]
+        f = DistFn(cos_coeffs=top)
+        with pytest.raises(HarmonicOverflow):
+            dist_mul(f, f)
+        assert dist_inner(f, f) == GradedCoeff.constant(HALF) * PI_FRAC
 
 
 class TestConstruction:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bellfield.graded import (
+    MAX_TOTAL_DEGREE,
     DivergentLimit,
     GradedCoeff,
     MismatchedAlphaOrder,
@@ -145,3 +146,42 @@ class TestRingAxioms:
     def test_scalar_coercion(self, x, c):
         assert x * c == x * GradedCoeff.constant(c)
         assert x + c == x + GradedCoeff.constant(c)
+
+
+# Exponents up to 6 per variable, so products cross MAX_TOTAL_DEGREE, and
+# small rationals, so sums cancel term by term.
+wide_graded = st.builds(
+    GradedCoeff,
+    st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        st.fractions(-3, 3, max_denominator=4),
+        max_size=5,
+    ),
+)
+operand = st.one_of(
+    wide_graded,
+    st.integers(-3, 3),
+    st.fractions(-3, 3, max_denominator=4),
+    st.floats(-3, 3, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestStoredTerms:
+    """The arithmetic builds its results without re-validating them; they
+    must still hold exactly what the validated constructor would keep."""
+
+    @given(wide_graded, st.lists(st.tuples(st.sampled_from("+-*"), operand), max_size=8))
+    def test_arithmetic_chains_keep_the_invariants(self, x, steps):
+        ops = {"+": lambda u, v: u + v, "-": lambda u, v: u - v, "*": lambda u, v: u * v}
+        for op, y in steps:
+            for result in (ops[op](x, y), ops[op](y, x), -x):
+                terms = result.terms
+                assert all(type(c) is Fraction and c != 0 for c in terms.values())
+                assert all(i + j <= MAX_TOTAL_DEGREE for i, j in terms)
+                assert result == GradedCoeff(terms)
+            x = ops[op](x, y)
+
+    @given(st.fractions(-3, 3, max_denominator=4).filter(bool), st.fractions(-3, 3, max_denominator=4).filter(bool))
+    def test_cancelling_cross_term_of_a_product_is_dropped(self, c, d):
+        # (cA + dB)(cA - dB): the alpha*beta terms -cd and +dc cancel
+        assert ((c * A + d * B) * (c * A - d * B)).terms == {(2, 0): c * c, (0, 2): -d * d}

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bellfield.angles import PI, PolAngle
@@ -274,6 +274,16 @@ class TestMstarBell:
                 Mrf3Params(deg(d), deg(0.0)), "exact"
             ).probability
             assert mstar == pytest.approx(mrf, abs=1e-9), f"delta={d}"
+
+    @given(st.floats(0.0, 180.0, exclude_max=True), st.floats(0.0, 180.0, exclude_max=True))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_graph_model_at_random_pairs(self, a, b):
+        # non-degenerate: the settings are neither equal nor orthogonal
+        apart = abs(a - b) % 90.0
+        assume(b != 0.0 and min(apart, 90.0 - apart) >= 0.05)
+        mstar = mstar_bell_coincidence(deg(a), deg(b))
+        mrf = coincidence_probability(Mrf3Params(deg(a), deg(b)), "exact").probability
+        assert mstar == pytest.approx(mrf, rel=0, abs=1e-9)
 
     def test_orthogonal_regularized(self):
         # one polarizer's pass axis is the other's blocked axis, so the
