@@ -96,17 +96,32 @@ MAX_BETA = 0.1
 MIN_KERNEL_CELLS = 1.7
 
 
-class KernelUnresolved(ValueError):
+class ParameterError(ValueError):
+    """A parameter outside its range; ``key`` names it (on the command line,
+    the configuration key, and exit code 2)."""
+
+    def __init__(self, key: str, reason: str):
+        super().__init__(f"{key}: {reason}")
+        self.key = key
+        self.reason = reason
+
+
+class KernelUnresolved(ParameterError):
     """The grid is too coarse for the kernel: its mass on the grid is off."""
 
 
 def require_resolved(sigma: float, grid_n: int) -> None:
-    """Raise :class:`KernelUnresolved` unless ``grid_n`` points resolve a
-    width-``sigma`` kernel, :data:`MIN_KERNEL_CELLS` cells per width."""
+    """Check that the oracle's ``grid_n``-point grid resolves a width-``sigma``
+    kernel: :data:`~bellfield.dist.MIN_GRID` points at least, else
+    :class:`ParameterError` on ``grid_n``, and :data:`MIN_KERNEL_CELLS`
+    cells per width, else :class:`KernelUnresolved` on ``sigma``."""
+    if grid_n < MIN_GRID:
+        raise ParameterError("grid_n", f"the oracle needs at least {MIN_GRID} grid points, got {grid_n}")
     if sigma * grid_n / PI < MIN_KERNEL_CELLS:
         raise KernelUnresolved(
+            "sigma",
             f"sigma={sigma:g} spans {sigma * grid_n / PI:.3g} cells of the {grid_n}-point grid; "
-            f"the oracle needs at least {MIN_KERNEL_CELLS} (sigma >= {MIN_KERNEL_CELLS * PI / grid_n:.3g})"
+            f"the oracle needs at least {MIN_KERNEL_CELLS} (sigma >= {MIN_KERNEL_CELLS * PI / grid_n:.3g})",
         )
 
 
@@ -117,11 +132,16 @@ class UnexpectedLeadingOrder(ArithmeticError):
 
 @dataclass(frozen=True)
 class Mrf3Params:
-    """Polarizer settings plus the model's numeric knobs.
+    """Polarizer settings plus the model's numeric knobs, checked on
+    construction.
 
     ``alpha``, ``beta`` and ``sigma`` only matter to the numeric
     (regularized / oracle) routes, ``grid_n`` only to the oracle; the exact
-    route treats the two small parameters as formal symbols.
+    route treats the two small parameters as formal symbols.  A knob out of
+    range raises :class:`ParameterError` naming it, whichever route will
+    run; a finite ``sigma`` above pi/16 raises
+    :class:`~bellfield.dist.SigmaTooCoarse`.  Whether the oracle's grid
+    resolves the kernel is :func:`require_resolved`'s check.
     """
 
     theta_a: PolAngle
@@ -131,23 +151,17 @@ class Mrf3Params:
     sigma: float = 1e-2
     grid_n: int = 8192
 
-    def require_numeric(self):
-        """Check the numeric knobs before any grid route allocates.
-
-        Raises ``ValueError`` for an out-of-range ``alpha``, ``beta`` or
-        ``sigma``, or for ``grid_n`` above :data:`~bellfield.dist.MAX_GRID`,
-        and :class:`SigmaTooCoarse` for a kernel too wide to separate atoms.
-        """
-        if not (0 < self.alpha <= MAX_ALPHA):
-            raise ValueError(f"alpha must lie in (0, {MAX_ALPHA:g}], got {self.alpha}")
-        if not (0 < self.beta <= MAX_BETA):
-            raise ValueError(f"beta must lie in (0, {MAX_BETA:g}], got {self.beta}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+    def __post_init__(self):
+        if not 0 < self.alpha <= MAX_ALPHA:
+            raise ParameterError("alpha", f"must lie in (0, {MAX_ALPHA:g}], got {self.alpha}")
+        if not 0 < self.beta <= MAX_BETA:
+            raise ParameterError("beta", f"must lie in (0, {MAX_BETA:g}], got {self.beta}")
+        if not 0 < self.sigma < math.inf:
+            raise ParameterError("sigma", f"must be a positive finite number, got {self.sigma}")
+        if not 1 <= self.grid_n <= MAX_GRID:
+            raise ParameterError("grid_n", f"must lie in [1, {MAX_GRID}], got {self.grid_n}")
         if self.sigma > MAX_SIGMA:
             raise SigmaTooCoarse(f"sigma={self.sigma:g} exceeds pi/16")
-        if self.grid_n > MAX_GRID:
-            raise ValueError(f"grid_n={self.grid_n} above maximum {MAX_GRID}")
 
     @property
     def degenerate(self) -> bool:
@@ -400,16 +414,6 @@ class CoincidenceResult:
         object.__setattr__(self, "probability", min(max(self.probability, 0.0), 1.0))
 
 
-def _numeric_grid(params: Mrf3Params) -> np.ndarray:
-    """The oracle's angle grid, once the numeric knobs are checked and the
-    grid is found to resolve the kernel."""
-    params.require_numeric()
-    if params.grid_n < MIN_GRID:
-        raise ValueError(f"grid_n={params.grid_n} below minimum {MIN_GRID}")
-    require_resolved(params.sigma, params.grid_n)
-    return grid_points(params.grid_n)
-
-
 def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> CoincidenceResult:
     """Probability of a double count, conditional on pair emission.
 
@@ -440,7 +444,6 @@ def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> Coincide
             )
         return CoincidenceResult(coeff_ratio_limit(num, den), num, den, "exact")
     if mode == "regularized":
-        params.require_numeric()
         left, right = (
             sum_out_channel(kernel_backend(params.setting(ch).value, params.alpha, params.beta))
             for ch in CHANNELS
@@ -489,7 +492,8 @@ def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = Fal
     exists to demonstrate numerically that the variant does not move the
     result at leading order.
     """
-    grid = _numeric_grid(params)
+    require_resolved(params.sigma, params.grid_n)
+    grid = grid_points(params.grid_n)
     factors = dict(CHANNEL_FACTORS)
     if exit_beta_without_crystal:
         factors["exit"] = EXIT_WITHOUT_CRYSTAL
@@ -571,11 +575,10 @@ def build_triphoton_graph(settings: tuple[PolAngle, PolAngle, PolAngle], params:
     """Assemble the three-channel graph; numeric evaluation only.
 
     ``params`` supplies the numeric knobs (its two polarizer fields are
-    unused here), checked by :meth:`Mrf3Params.require_numeric`.
+    unused here).
     """
     if len(settings) != 3:
         raise ValueError("exactly three polarizer settings required")
-    params.require_numeric()
     return TriphotonGraph(
         settings=tuple(settings),
         alpha=params.alpha,

@@ -20,20 +20,14 @@ from typing import Sequence
 
 from .angles import PolAngle, reduce_degrees
 from .bell import (
-    MAX_ALPHA,
-    MAX_BETA,
-    KernelUnresolved,
     Mrf3Params,
-    UnexpectedLeadingOrder,
+    ParameterError,
     brute_force_oracle,
     coincidence_probability,
     require_resolved,
 )
-from .dist import MAX_GRID, MIN_GRID, DeltaCollision, HarmonicOverflow, SigmaTooCoarse
-from .graded import DivergentLimit, MismatchedAlphaOrder
-from .mrf import ZeroPartition
+from .dist import SigmaTooCoarse
 from .quantum import (
-    ZeroEnsemble,
     bell_coincidence_qm,
     malus_chain,
     triphoton_compare,
@@ -41,27 +35,15 @@ from .quantum import (
 
 EXPERIMENTS = ("bell-sweep", "special-cases", "limit-study", "malus-chain", "triphoton-compare")
 
-NUMERICAL_ERRORS = (
-    DeltaCollision,
-    HarmonicOverflow,
-    ZeroPartition,
-    SigmaTooCoarse,
-    ZeroEnsemble,
-    MismatchedAlphaOrder,
-    DivergentLimit,
-    UnexpectedLeadingOrder,
-    ZeroDivisionError,
-    OverflowError,
-)
+#: Exit 2: a key out of its range, refused by the model's own checks or by
+#: :meth:`ExperimentConfig.validate`; ``key`` names it.
+ConfigError = ParameterError
+
+#: Exit 3: every model failure, arithmetic or a kernel too wide for its atoms.
+NUMERICAL_ERRORS = (ArithmeticError, SigmaTooCoarse)
 
 DEFAULT_SWEEP = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0]
 TRIPHOTON_SCAN_DEGREES = [0.0, 36.0, 72.0, 108.0, 144.0]
-
-
-class ConfigError(ValueError):
-    def __init__(self, key: str, message: str):
-        super().__init__(f"config key '{key}': {message}")
-        self.key = key
 
 
 #: A key's reader: the function from its text and what that text must be.
@@ -91,7 +73,7 @@ class ExperimentConfig:
     alpha: float = _key(_NUMBER, "absorption cost alpha (numeric routes)", default=1e-2)
     beta: float = _key(_NUMBER, "conversion cost beta (numeric routes)", default=1e-3)
     sigma: float | None = _key(_NUMBER, "kernel width in radians; per-experiment default when omitted", default=None)
-    grid_n: int | None = _key(_INTEGER, "grid points on [0, pi) of the oracle; 8192 when omitted", default=None)
+    grid_n: int = _key(_INTEGER, "grid points on [0, pi) of the oracle, the one grid route", default=8192)
     mode: str = _key(_TEXT, "bell-sweep route: exact, regularized or both", default="both")
     output: str = _key(_TEXT, "output path, '-' for stdout", default="-")
     format: str = _key(_TEXT, "csv or json", default="csv")
@@ -106,9 +88,6 @@ class ExperimentConfig:
             return self.sigma
         return {"special-cases": 0.005, "triphoton-compare": 0.05}.get(self.experiment, 0.01)
 
-    def resolved_grid_n(self) -> int:
-        return self.grid_n if self.grid_n is not None else 8192
-
     def validate(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError("experiment", f"unknown experiment {self.experiment!r}")
@@ -119,20 +98,8 @@ class ExperimentConfig:
         for key, vals in (("angles", self.angles), ("sigmas", self.sigmas), ("betas", self.betas)):
             if not all(math.isfinite(v) for v in vals):
                 raise ConfigError(key, "values must be finite numbers")
-        for key, val in (("alpha", self.alpha), ("beta", self.beta), ("sigma", self.sigma)):
-            if val is not None and not (math.isfinite(val) and val > 0):
-                raise ConfigError(key, f"must be a positive finite number, got {val}")
-        oracle_runs = self.experiment in ("bell-sweep", "special-cases", "limit-study")
-        if oracle_runs and self.resolved_grid_n() < MIN_GRID:
-            raise ConfigError("grid_n", f"the oracle needs at least {MIN_GRID} grid points")
-        if self.resolved_grid_n() < 1:
-            raise ConfigError("grid_n", "must be positive")
-        if self.resolved_grid_n() > MAX_GRID:
-            raise ConfigError("grid_n", f"must not exceed {MAX_GRID}")
-        if self.alpha > MAX_ALPHA:
-            raise ConfigError("alpha", f"must not exceed {MAX_ALPHA:g}, got {self.alpha}")
-        if self.beta > MAX_BETA:
-            raise ConfigError("beta", f"must not exceed {MAX_BETA:g}, got {self.beta}")
+        # The model checks its knobs, under their own keys, on every experiment.
+        base = _mrf_params(self, 0.0)
         # The angles the exact route evaluates: limit-study's target is exact too.
         exact_angles = []
         if self.experiment == "bell-sweep" and self.mode in ("exact", "both"):
@@ -155,10 +122,18 @@ class ExperimentConfig:
             for key, vals in (("sigmas", self.sigmas), ("betas", self.betas)):
                 if len(set(vals)) != len(vals):
                     raise ConfigError(key, "values must be distinct")
-                if min(vals, default=1.0) <= 0:
-                    raise ConfigError(key, "values must be positive")
-            if max(self.betas, default=0.0) > MAX_BETA:
-                raise ConfigError("betas", f"values must not exceed {MAX_BETA:g}")
+            # Each value is checked as the knob it sets, and each sigma against the oracle's grid.
+            try:
+                for beta in self.betas:
+                    replace(base, beta=beta)
+                for sigma in self.sigmas:
+                    replace(base, sigma=sigma)
+                    require_resolved(sigma, self.grid_n)
+            except ConfigError as exc:
+                raise ConfigError({"beta": "betas", "sigma": "sigmas"}.get(exc.key, exc.key), exc.reason) from None
+        # Only the oracle has a grid, and it must resolve the kernel.
+        if self.experiment == "special-cases" or (self.experiment == "bell-sweep" and self.mode != "exact"):
+            require_resolved(base.sigma, self.grid_n)
         if self.experiment == "malus-chain":
             if not (self.angles or []):
                 raise ConfigError("angles", "malus-chain needs at least one polarizer setting")
@@ -171,18 +146,6 @@ class ExperimentConfig:
                     raise ConfigError("initial", "must be a finite number of degrees")
         if self.experiment == "triphoton-compare" and self.angles and len(self.angles) != 3:
             raise ConfigError("angles", "triphoton-compare takes exactly three settings (or none to scan)")
-        # The oracle's kernels must be resolved by its grid; no other route has one.
-        widths = {
-            "bell-sweep": ("sigma", [] if self.mode == "exact" else [self.resolved_sigma()]),
-            "special-cases": ("sigma", [self.resolved_sigma()]),
-            "limit-study": ("sigmas", self.sigmas),
-        }
-        key, sigmas = widths.get(self.experiment, ("sigma", []))
-        for sigma in sigmas:
-            try:
-                require_resolved(sigma, self.resolved_grid_n())
-            except KernelUnresolved as exc:
-                raise ConfigError(key, str(exc)) from None
 
 
 @dataclass
@@ -216,7 +179,7 @@ def _mrf_params(config: ExperimentConfig, delta_deg: float) -> Mrf3Params:
         alpha=config.alpha,
         beta=config.beta,
         sigma=config.resolved_sigma(),
-        grid_n=config.resolved_grid_n(),
+        grid_n=config.grid_n,
     )
 
 
@@ -448,7 +411,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = build_config(read_config_file(path) if path else {}, flags)
         run(config)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        print(f"configuration error: config key '{exc.key}': {exc.reason}", file=sys.stderr)
         return 2
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -410,13 +410,12 @@ def mstar_bell_coincidence(
     orthogonal settings need: the pair is then the two-arm
     :func:`_mstar_contracted`, the second arm reflected so that the shared
     angle becomes a sum constraint.  It needs a numeric ``beta``; the knobs
-    are checked by :meth:`~bellfield.bell.Mrf3Params.require_numeric`.
+    are checked by :class:`~bellfield.bell.Mrf3Params`.
     """
     if sigma is not None:
         if beta is None:
             raise ValueError("regularized mode requires numeric beta")
         params = Mrf3Params(theta_a, theta_b, alpha=alpha, beta=beta, sigma=sigma)
-        params.require_numeric()
         right = tuple(f.reflected() for f in _kernel_split(theta_b, params))
         return _mstar_contracted((_kernel_split(theta_a, params), right), params)
 
@@ -465,7 +464,7 @@ def _mstar_contracted(arms: Sequence[tuple[KernelFn, KernelFn]], params: Mrf3Par
     slot, so the 2^N branch weights add up to one contraction of the per-arm
     totals ``pass + block``, and the detected weight is the all-pass branch
     alone: :func:`~bellfield.bell.contract_channels` with (pass, block) as
-    (detected, undetected).  The caller checks ``params``.
+    (detected, undetected).
     """
     # Every arm ends in an absorber of the same cost, passed or blocked.
     cost = primitive_product(ABSORBER_COST, {"alpha": params.alpha, "beta": params.beta}) ** len(arms)
@@ -501,18 +500,15 @@ def triphoton_compare(
         raise ValueError("order must be a permutation of (0, 1, 2)")
     if model == "M":
         p = qm_coincidence(settings, order)
+    elif model not in ("Mstar", "MRF"):
+        raise ValueError(f"unknown model: {model!r}")
+    elif params is None:
+        raise ValueError(f"{model} model needs numeric params")
     elif model == "Mstar":
-        if params is None:
-            raise ValueError("Mstar model needs numeric params")
         # The source treats its photons alike, so they take the slots in application order.
-        params.require_numeric()
         p = _mstar_contracted([_kernel_split(settings[arm], params) for arm in order], params)
-    elif model == "MRF":
-        if params is None:
-            raise ValueError("MRF model needs numeric params")
+    else:
         relabeled = tuple(settings[i] for i in order)
         p = build_triphoton_graph(relabeled, params).triple_coincidence()
-    else:
-        raise ValueError(f"unknown model: {model!r}")
     return TriphotonResult(model=model, order=order, probability=p)
 

@@ -15,6 +15,7 @@ import bellfield.bell as bell
 from bellfield.bell import (
     ALPHA,
     BETA,
+    MAX_ALPHA,
     MAX_BETA,
     CHANNELS,
     CoincidenceResult,
@@ -24,6 +25,7 @@ from bellfield.bell import (
     CHANNEL_FACTORS,
     MIN_KERNEL_CELLS,
     KernelUnresolved,
+    ParameterError,
     brute_force_oracle,
     build_bell_graph,
     build_triphoton_graph,
@@ -44,6 +46,7 @@ from bellfield.dist import (
     DeltaCollision,
     DistFn,
     RegularizedDistFn,
+    SigmaTooCoarse,
     dist_integrate,
     dist_mul,
     grid_points,
@@ -116,6 +119,46 @@ def scalar_by_scalar_oracle(params: Mrf3Params, exit_beta_without_crystal: bool 
     return CoincidenceResult(
         partition_ratio(num, den), GradedCoeff.constant(num), GradedCoeff.constant(den), "regularized"
     )
+
+
+# -- the knobs check themselves ------------------------------------------------------
+
+
+#: NaN, the infinities, zero and negatives: never a knob's value.
+not_positive_finite = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]) | st.floats(max_value=0.0)
+
+
+def beyond(upper: float):
+    """Values outside (0, upper]."""
+    return not_positive_finite | st.floats(min_value=upper, exclude_min=True)
+
+
+class TestMrf3Params:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.just("alpha"), beyond(MAX_ALPHA)),
+            st.tuples(st.just("beta"), beyond(MAX_BETA)),
+            # a finite sigma above pi/16 is the numerical SigmaTooCoarse, below
+            st.tuples(st.just("sigma"), not_positive_finite),
+            st.tuples(st.just("grid_n"), st.integers(max_value=0) | st.integers(min_value=MAX_GRID + 1)),
+        )
+    )
+    def test_a_knob_out_of_range_is_refused_by_name(self, knob_and_value):
+        knob, value = knob_and_value
+        with pytest.raises(ParameterError) as exc:
+            params_for(30.0, **{knob: value})
+        assert exc.value.key == knob
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(MAX_SIGMA, exclude_min=True, allow_infinity=False))
+    def test_a_finite_sigma_above_pi_over_16_is_too_coarse(self, sigma):
+        with pytest.raises(SigmaTooCoarse):
+            params_for(30.0, sigma=sigma)
+
+    def test_the_bounds_themselves_are_in_range(self):
+        params_for(30.0, alpha=MAX_ALPHA, beta=MAX_BETA, sigma=MAX_SIGMA, grid_n=MAX_GRID)
+        params_for(30.0, alpha=5e-324, beta=5e-324, sigma=5e-324, grid_n=1)
 
 
 # -- the oracle comes first: it is what pinned the 1/2 constant -----------------

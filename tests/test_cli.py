@@ -414,11 +414,48 @@ class TestValidation:
             (["malus-chain", "--angles", "10", "--beta", "0.5"], "beta"),
             (["bell-sweep", "--mode", "exact", "--angles", "30", "--alpha", "5"], "alpha"),
             (["malus-chain", "--angles", "10", "--grid-n", "0"], "grid_n"),
+            (["bell-sweep", "--mode", "exact", "--angles", "30", "--sigma", "inf"], "sigma"),
+            (["limit-study", "--sigmas", "0.01,nan"], "sigmas"),
         ],
     )
     def test_rejected_input_exits_2(self, argv, key, tmp_path, capsys):
         assert main([*argv, "--output", str(tmp_path / "x.csv")]) == 2
         assert f"config key '{key}'" in capsys.readouterr().err
+
+    def test_exact_route_takes_any_grid_n_in_range(self, tmp_path):
+        # no grid is built, so the oracle's minimum of 256 points does not apply
+        rows = {}
+        for grid_n in ("100", "8192"):
+            out = tmp_path / f"{grid_n}.json"
+            argv = ["bell-sweep", "--mode", "exact", "--angles", "30", "--grid-n", grid_n, "--format", "json"]
+            assert main([*argv, "--output", str(out)]) == 0
+            rows[grid_n] = [{k: v for k, v in r.items() if k != "runtime_ms"} for r in json.loads(out.read_text())]
+        assert rows["100"] == rows["8192"]
+        assert [r["model"] for r in rows["100"]] == ["MRF3-exact", "QM"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["malus-chain", "--angles", "10", "--sigma", "0.5"],
+            ["bell-sweep", "--mode", "exact", "--sigma", "0.5"],
+        ],
+    )
+    def test_too_coarse_sigma_exits_3_where_no_kernel_is_built(self, argv, tmp_path, capsys):
+        assert main([*argv, "--output", str(tmp_path / "x.csv")]) == 3
+        assert "SigmaTooCoarse" in capsys.readouterr().err
+
+    def test_every_model_error_has_its_exit_code(self):
+        # a model error neither typed nor numerical would escape main: exit 1
+        import bellfield
+        from bellfield.bell import KernelUnresolved
+        from bellfield.quantum import ZeroEnsemble
+
+        exported = {getattr(bellfield, name) for name in bellfield.__all__}
+        errors = {c for c in exported if isinstance(c, type) and issubclass(c, BaseException)}
+        errors |= {KernelUnresolved, ZeroEnsemble, ConfigError}
+        assert len(errors) >= 10
+        for error in errors:
+            assert issubclass(error, ConfigError) != issubclass(error, cli.NUMERICAL_ERRORS), error
 
     def test_cancelled_leading_order_exits_3(self, tmp_path, capsys):
         argv = ["bell-sweep", "--mode", "exact", "--angles", "89.9999999"]

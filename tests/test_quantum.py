@@ -396,8 +396,9 @@ class TestTriphoton:
         ],
     )
     def test_numeric_knobs_checked_on_both_routes(self, model, knobs, error):
-        params = Mrf3Params(deg(0.0), deg(0.0), **{"sigma": 0.05, "grid_n": 96, **knobs})
         with pytest.raises(error):
+            # built inside: the params refuse a bad knob on construction
+            params = Mrf3Params(deg(0.0), deg(0.0), **{"sigma": 0.05, "grid_n": 96, **knobs})
             if model == "regularized":  # the two-photon closed form, at equal settings
                 coincidence_probability(params, "regularized")
             else:
