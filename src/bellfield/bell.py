@@ -35,9 +35,11 @@ Three evaluation routes are provided and cross-checked:
   the grid backend with no graded algebra and no channel factorization.
   Each factor is evaluated once per assignment of the bits it reads; the
   scalar weights of all 2^8 scenarios are then one vector, the product of
-  the factors' scalar tables indexed by every scenario's bits, and only the
-  scenarios with a nonzero weight assemble their product over the grid.
-  The grid must resolve the kernel (:func:`require_resolved`).
+  the factors' scalar tables indexed by every scenario's bits
+  (:data:`SCENARIOS`, derived at import), and only the scenarios with a
+  nonzero weight multiply their grid values out, one after another in one
+  reused buffer, and integrate them.  The grid must resolve the kernel
+  (:func:`require_resolved`).
 
 The triphoton graph contracts three channels of the kernel backend along
 the source's angle constraint, with the same :func:`contract_channels`.
@@ -62,7 +64,6 @@ from .dist import (
     MIN_GRID,
     DistFn,
     KernelFn,
-    RegularizedDistFn,
     SigmaTooCoarse,
     contract,
     dist_inner,
@@ -259,19 +260,28 @@ def grid_backend(theta: np.ndarray, theta_p: float, alpha: float, beta: float, s
     """Primitives sampled at the photon angles ``theta`` (any shape).
 
     The split's point masses widen into width-``sigma`` wrapped Gaussians;
-    ``alpha`` and ``beta`` are numbers.
+    ``alpha`` and ``beta`` are numbers.  Both tails come from one cosine:
+    with u = (beta/2) cos 2(theta - theta_p), beta cos^2 = beta/2 + u and
+    beta sin^2 = beta/2 - u, each added in place onto its kernel.
     """
-    return {
-        "pass": wrapped_gaussian(theta, theta_p, sigma) + beta * np.cos(theta - theta_p) ** 2,
-        "block": wrapped_gaussian(theta, theta_p + PI / 2, sigma) + beta * np.sin(theta - theta_p) ** 2,
-        "alpha": alpha,
-        "beta": beta,
-    }
+    half = 0.5 * beta
+    u = np.subtract(theta, theta_p)
+    u *= 2.0
+    np.cos(u, out=u)
+    u *= half
+    passed = wrapped_gaussian(theta, theta_p, sigma)
+    passed += half + u
+    blocked = wrapped_gaussian(theta, theta_p + PI / 2, sigma)
+    blocked += np.subtract(half, u, out=u)
+    return {"pass": passed, "block": blocked, "alpha": alpha, "beta": beta}
 
 
 def primitive_product(primitives: tuple, backend: Mapping):
-    """A product of primitives valued on ``backend``; the empty product is one."""
-    return functools.reduce(operator.mul, (backend.get(p, p) for p in primitives), 1)
+    """A product of primitives valued on ``backend``, multiplied left to
+    right; the empty product is one, and a single primitive is its own
+    value, not a copy."""
+    values = [backend.get(p, p) for p in primitives]
+    return functools.reduce(operator.mul, values) if values else 1
 
 
 def factor_tables(backend: Mapping, factors: Mapping[str, Factor] = CHANNEL_FACTORS) -> dict[str, Factor]:
@@ -471,23 +481,42 @@ def partition_ratio(num: float, den: float) -> float:
     return num / den
 
 
+#: Position of each channel bit in a scenario's bit tuple, channel by channel.
+SCENARIO_SLOTS = {var(ch, g): k for k, (ch, g) in enumerate(itertools.product(CHANNELS, CHANNEL_BITS))}
+
+#: Every scenario's bits, one row each, the first slot most significant, so
+#: the rows run in lexicographic order.
+SCENARIOS = (np.arange(1 << len(SCENARIO_SLOTS))[:, None] >> np.arange(len(SCENARIO_SLOTS) - 1, -1, -1)) & 1
+
+#: The scenarios the numerator counts: every channel's counter fires.
+COINCIDENT = np.all(
+    [
+        SCENARIOS[:, SCENARIO_SLOTS[var(ch, "gamma_C")]] | SCENARIOS[:, SCENARIO_SLOTS[var(ch, "gamma_W")]]
+        for ch in CHANNELS
+    ],
+    axis=0,
+)
+
+
 def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = False) -> CoincidenceResult:
     """Fully independent numeric evaluation of the coincidence probability.
 
-    Enumerates all 2^8 binary scenarios, builds each one's relative
-    probability as a :class:`RegularizedDistFn` product over the angle
-    grid, and integrates.  No graded algebra, no channel factorization --
-    this is the cross-check the other routes are measured against.
+    Enumerates all 2^8 binary scenarios, multiplies each one's relative
+    probability out over the angle grid, and integrates it by the trapezoid
+    rule.  No graded algebra, no channel factorization -- this is the
+    cross-check the other routes are measured against.
 
     Each factor's value table comes from the grid backend, evaluated once
     per assignment of the bits the factor reads, so the grid kernels are
     sampled four times per call.  The scalar weights of all 2^8 scenarios
     are one float vector: each factor's scalars form a dense table over the
     bits it reads (an array value counts one there, an unlisted assignment
-    zero), indexed by every scenario's bits and multiplied in feature order,
-    the products a scenario-by-scenario walk takes.  Only the scenarios with
-    a nonzero weight, in lexicographic order, then multiply that weight by
-    their array values over the grid and add to the sums.
+    zero), indexed by every scenario's bits (:data:`SCENARIOS`) and
+    multiplied in feature order, the products a scenario-by-scenario walk
+    takes.  Only the scenarios with a nonzero weight, in lexicographic
+    order, then multiply that weight by their array values over the grid,
+    in one reused buffer and in feature order (the bits of
+    ``weight * A_1 * A_2 * ...``), and add its integral to the sums.
     ``exit_beta_without_crystal`` swaps in :data:`EXIT_WITHOUT_CRYSTAL`; it
     exists to demonstrate numerically that the variant does not move the
     result at leading order.
@@ -497,43 +526,43 @@ def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = Fal
     factors = dict(CHANNEL_FACTORS)
     if exit_beta_without_crystal:
         factors["exit"] = EXIT_WITHOUT_CRYSTAL
-    # Position of each channel bit in a scenario's bit tuple.
-    slot = {var(ch, g): k for k, (ch, g) in enumerate(itertools.product(CHANNELS, CHANNEL_BITS))}
     tables = [
-        (tuple(slot[var(ch, r)] for r in reads), table)
+        (tuple(SCENARIO_SLOTS[var(ch, r)] for r in reads), table)
         for ch in CHANNELS
         for reads, table in factor_tables(
             grid_backend(grid, params.setting(ch).value, params.alpha, params.beta, params.sigma),
             factors,
         ).values()
     ]
-    counters = [(slot[var(ch, "gamma_C")], slot[var(ch, "gamma_W")]) for ch in CHANNELS]
 
-    # Row s holds scenario s's bits, the first slot most significant, so the
-    # rows run in lexicographic order.
-    scenarios = (np.arange(1 << len(slot))[:, None] >> np.arange(len(slot) - 1, -1, -1)) & 1
     # Each factor's scalar weight, dense over the bits it reads: an array value
     # weighs one here (it joins the scenario's product below), an unlisted
     # assignment zero.  Multiplied in feature order, as scenario by scenario.
-    weights = np.ones(len(scenarios))
+    # Only the factors with an array value are looked up again per scenario.
+    weights = np.ones(len(SCENARIOS))
+    array_tables = []
     for positions, table in tables:
         dense = np.zeros((2,) * len(positions))
         for key, val in table.items():
             dense[key] = 1.0 if isinstance(val, np.ndarray) else val
-        weights *= dense[tuple(scenarios[:, k] for k in positions)]
+        weights *= dense[tuple(SCENARIOS[:, k] for k in positions)]
+        if any(isinstance(val, np.ndarray) for val in table.values()):
+            array_tables.append((positions, table))
 
     num = 0.0
     den = 0.0
+    cell = PI / params.grid_n
+    product = np.empty_like(grid)
     for s in np.flatnonzero(weights):
-        bits = scenarios[s].tolist()
-        product = RegularizedDistFn(np.full_like(grid, weights[s]))
-        for positions, table in tables:
-            val = table[tuple(bits[k] for k in positions)]
-            if isinstance(val, np.ndarray):
-                product = product * RegularizedDistFn(val)
-        weight = product.integral()
+        bits = SCENARIOS[s].tolist()
+        values = (table[tuple(bits[k] for k in positions)] for positions, table in array_tables)
+        first, *rest = (val for val in values if isinstance(val, np.ndarray))
+        np.multiply(first, weights[s], out=product)
+        for val in rest:
+            product *= val
+        weight = float(product.sum()) * cell
         den += weight
-        if all(bits[c] or bits[w] for c, w in counters):
+        if COINCIDENT[s]:
             num += weight
     return CoincidenceResult(
         partition_ratio(num, den), GradedCoeff.constant(num), GradedCoeff.constant(den), "regularized"

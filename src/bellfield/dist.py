@@ -380,11 +380,18 @@ def wrapped_gaussian(grid: np.ndarray, center: float, sigma: float) -> np.ndarra
     1-D grid each only on the samples within that reach of its centre: a
     farther sample gets below exp(-800), exactly 0.0 in float64.  Any other
     grid, or one no wider than the kernel's 2*reach, takes whole-array images.
+    Each image is evaluated in one temporary, in place, with the operations
+    of ``norm * exp(-0.5 * ((grid - center + m*pi) / sigma) ** 2)`` in that
+    order, so every sample has the bits the expression gives.
     """
     norm = 1.0 / (sigma * math.sqrt(2.0 * PI))
     reach = 40.0 * abs(sigma) + 1e-9
-    first, last = np.min(grid, initial=np.inf), np.max(grid, initial=-np.inf)
-    windowed = grid.ndim == 1 and 2 * reach < last - first and bool(np.all(grid[1:] >= grid[:-1]))
+    ascending = grid.ndim == 1 and grid.size > 0 and bool(np.all(grid[1:] >= grid[:-1]))
+    if ascending:
+        first, last = grid[0], grid[-1]
+    else:
+        first, last = np.min(grid, initial=np.inf), np.max(grid, initial=-np.inf)
+    windowed = ascending and 2 * reach < last - first
     out = np.zeros_like(grid)
     for m in range(-3, 4):
         image = center - m * PI
@@ -393,9 +400,14 @@ def wrapped_gaussian(grid: np.ndarray, center: float, sigma: float) -> np.ndarra
         cells = slice(None)
         if windowed:
             cells = slice(np.searchsorted(grid, image - reach), np.searchsorted(grid, image + reach, side="right"))
-        d = grid[cells] - center + m * PI
-        out[cells] += np.exp(-0.5 * (d / sigma) ** 2)
-    return norm * out
+        d = np.subtract(grid[cells], center)
+        d += m * PI
+        d /= sigma
+        np.square(d, out=d)
+        d *= -0.5
+        out[cells] += np.exp(d, out=d)
+    out *= norm
+    return out
 
 
 Kernel = Callable[[np.ndarray, float, float], np.ndarray]
@@ -449,10 +461,12 @@ def regularize(
 
     Requires numeric (constant) coefficients -- apply
     :meth:`DistFn.substitute` first when weights still carry the formal
-    small parameters.
+    small parameters.  A ``sigma`` that is not positive and finite (NaN
+    included) raises ``ValueError``, a finite one above pi/16
+    :class:`SigmaTooCoarse`.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be a positive finite number, got {sigma}")
     if sigma > MAX_SIGMA:
         raise SigmaTooCoarse(f"sigma={sigma:g} exceeds pi/16; atoms would overlap")
     if n < MIN_GRID:

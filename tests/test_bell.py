@@ -37,6 +37,7 @@ from bellfield.bell import (
     grid_backend,
     kernel_backend,
     partition_ratio,
+    primitive_product,
     sum_out_channel,
     var,
 )
@@ -45,6 +46,7 @@ from bellfield.dist import (
     MAX_SIGMA,
     DeltaCollision,
     DistFn,
+    KernelFn,
     RegularizedDistFn,
     SigmaTooCoarse,
     dist_integrate,
@@ -168,6 +170,49 @@ class TestMrf3Params:
 resolved_sigma_and_grid = st.sampled_from([256, 257, 1000, 8192]).flatmap(
     lambda n: st.tuples(st.floats(MIN_KERNEL_CELLS * PI / n, MAX_SIGMA), st.just(n))
 )
+
+
+#: Oracle settings checked against references that take the same products.
+ORACLE_SETTINGS = [
+    params_for(0.0),
+    params_for(30.0),
+    params_for(90.0),
+    params_for(11.6, sigma=0.04),
+    params_for(45.0, sigma=0.005, beta=1e-2),
+]
+ORACLE_SETTING_IDS = ["0deg", "30deg", "90deg", "11.6deg-sigma0.04", "45deg-sigma0.005-beta1e-2"]
+
+
+def two_transcendental_grid_backend(theta, theta_p, alpha, beta, sigma):
+    """The grid backend's tails as their definition reads, one cosine or sine each."""
+    return {
+        "pass": wrapped_gaussian(theta, theta_p, sigma) + beta * np.cos(theta - theta_p) ** 2,
+        "block": wrapped_gaussian(theta, theta_p + PI / 2, sigma) + beta * np.sin(theta - theta_p) ** 2,
+        "alpha": alpha,
+        "beta": beta,
+    }
+
+
+class TestGridBackend:
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, PI, exclude_max=True), st.floats(1e-300, MAX_BETA), st.sampled_from(["1d", "2d"]))
+    def test_tails_from_one_cosine_match_the_definition(self, theta_p, beta, shape):
+        axis = grid_points(8192 if shape == "1d" else 96)
+        theta = axis if shape == "1d" else axis[:, None] + axis[None, :]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bell, "wrapped_gaussian", lambda grid, center, sigma: np.zeros_like(grid))
+            tails = grid_backend(theta, theta_p, 1e-2, beta, 0.01)
+        bound = 4 * np.finfo(float).eps * beta
+        assert np.max(np.abs(tails["pass"] - beta * np.cos(theta - theta_p) ** 2)) <= bound
+        assert np.max(np.abs(tails["block"] - beta * np.sin(theta - theta_p) ** 2)) <= bound
+
+    @pytest.mark.parametrize("params", ORACLE_SETTINGS, ids=ORACLE_SETTING_IDS)
+    @pytest.mark.parametrize("exit_beta", [False, True])
+    def test_oracle_barely_moves_from_the_two_transcendental_tails(self, monkeypatch, params, exit_beta):
+        got = brute_force_oracle(params, exit_beta_without_crystal=exit_beta).probability
+        monkeypatch.setattr(bell, "grid_backend", two_transcendental_grid_backend)
+        want = brute_force_oracle(params, exit_beta_without_crystal=exit_beta).probability
+        assert abs(got - want) <= 1e-15
 
 
 class TestBruteForceOracle:
@@ -296,17 +341,7 @@ class TestBruteForceOracle:
         oracle = brute_force_oracle(params, exit_beta_without_crystal=exit_beta)
         assert oracle.probability == pytest.approx(num / den, abs=1e-14)
 
-    @pytest.mark.parametrize(
-        "params",
-        [
-            params_for(0.0),
-            params_for(30.0),
-            params_for(90.0),
-            params_for(11.6, sigma=0.04),
-            params_for(45.0, sigma=0.005, beta=1e-2),
-        ],
-        ids=["0deg", "30deg", "90deg", "11.6deg-sigma0.04", "45deg-sigma0.005-beta1e-2"],
-    )
+    @pytest.mark.parametrize("params", ORACLE_SETTINGS, ids=ORACLE_SETTING_IDS)
     @pytest.mark.parametrize("exit_beta", [False, True])
     def test_equals_name_keyed_scenario_loop(self, params, exit_beta):
         # The same loop keyed by variable names instead of bit positions: the
@@ -527,6 +562,44 @@ class TestChannelSums:
         plus_c, minus_c = channel_sums(params_for(20.0), "L")
         assert plus_e == plus_c
         assert minus_e == minus_c
+
+
+class TestPrimitiveProduct:
+    #: Every product a factor lists, and every live assignment's whole product.
+    PRODUCTS = sorted(
+        {prims for _, values in (*CHANNEL_FACTORS.values(), bell.EXIT_WITHOUT_CRYSTAL) for prims in values.values()}
+        | {tuple(itertools.chain(*factors)) for _, factors in bell.CHANNEL_PLAN},
+        key=repr,
+    )
+
+    @staticmethod
+    def backend(kind: str) -> dict:
+        theta_p = PolAngle.from_degrees(20.0)
+        if kind == "graded":
+            return graded_backend(theta_p)
+        if kind == "kernel":
+            return kernel_backend(theta_p.value, 1e-2, 1e-3)
+        return grid_backend(grid_points(1000), theta_p.value, 1e-2, 1e-3, 0.01)
+
+    @pytest.mark.parametrize("kind", ["graded", "kernel", "grid"])
+    def test_a_single_primitive_is_its_own_value(self, kind):
+        values = self.backend(kind)
+        for name, value in values.items():
+            assert primitive_product((name,), values) is value
+
+    @pytest.mark.parametrize("kind", ["graded", "kernel", "grid"])
+    def test_equals_the_product_from_one(self, kind):
+        values = self.backend(kind)
+        assert primitive_product((), values) == 1
+        for prims in self.PRODUCTS:
+            got = primitive_product(prims, values)
+            want = functools.reduce(operator.mul, (values.get(p, p) for p in prims), 1)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), prims
+            elif isinstance(want, KernelFn):
+                assert (got.atoms, got.c0, got.c1) == (want.atoms, want.c0, want.c1), prims
+            else:
+                assert got == want, prims
 
 
 class TestCoincidenceExact:

@@ -233,6 +233,12 @@ class TestRegularize:
         with pytest.raises(ValueError):
             regularize(DistFn.atom(PolAngle(0.4)), sigma=0.01, n=100)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 0.0, -0.0])
+    def test_sigma_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="positive finite") as raised:
+            regularize(DistFn.atom(PolAngle(0.3)), sigma, 256)
+        assert not isinstance(raised.value, SigmaTooCoarse)
+
     def test_formal_weights_rejected(self):
         with pytest.raises(ValueError, match="substitute"):
             regularize(DistFn.constant(GradedCoeff.beta()), sigma=0.01, n=512)
@@ -283,9 +289,11 @@ class TestWrappedGaussianImages:
     @pytest.mark.parametrize("sigma", SIGMAS)
     def test_bit_identical_to_seven_images(self, grid, sigma):
         rng = np.random.default_rng(grid.size)
+        before = grid.copy()
         for centre in self.centres(grid, rng):
             got = wrapped_gaussian(grid, float(centre), sigma)
             assert np.array_equal(got, seven_image_kernel(grid, float(centre), sigma)), centre
+            assert np.array_equal(grid, before), centre  # evaluated in place, but not in the grid
 
 
 # -- randomized algebra ------------------------------------------------------------
