@@ -31,8 +31,10 @@ class PolAngle:
 
     value: float
 
-    def __post_init__(self):
-        v = float(self.value)
+    # Written out instead of the generated __init__ plus a __post_init__: every
+    # split and every reflected atom builds one.
+    def __init__(self, value: float):
+        v = float(value)
         if not math.isfinite(v):
             raise ValueError(f"non-finite angle: {v!r}")
         v = v % PI
@@ -63,9 +65,12 @@ class PolAngle:
         return min(d, PI - d)
 
     def __eq__(self, other) -> bool:
+        """Circular separation below :data:`ANGLE_TOL`, the test of
+        :meth:`separation` written out: it runs on every atom comparison."""
         if not isinstance(other, PolAngle):
             return NotImplemented
-        return self.separation(other) < ANGLE_TOL
+        d = abs(self.value - other.value) % PI
+        return d < ANGLE_TOL or PI - d < ANGLE_TOL
 
     # Tolerance-based equality cannot be made consistent with hashing.
     __hash__ = None  # type: ignore[assignment]

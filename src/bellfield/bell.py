@@ -12,10 +12,11 @@ pass path is never occupied here).
 Those five factors are declared once, as data (:data:`CHANNEL_FACTORS`):
 for each, the channel bits it reads and, per assignment of those bits, its
 value as a product of primitives -- the entry surface's pass and block
-split, ``alpha`` and ``beta``.  Three backends give the primitives values:
-:func:`graded_backend` (point masses plus trigonometric tails, formal small
-parameters), :func:`kernel_backend` (width-sigma kernels plus the same tails
-in closed form, numeric parameters) and :func:`grid_backend` (those kernels
+split, ``alpha`` and ``beta``.  Two backends give the primitives values:
+:func:`split_backend` (point masses plus trigonometric tails in closed form,
+as :class:`~bellfield.dist.DistFn` values whose coefficients are graded for
+the formal small parameters and floats for numeric ones) and
+:func:`grid_backend` (the point masses widened into width-sigma kernels and
 sampled on an angle grid).  The channels meet only through the shared
 angle, so summing each channel's bits out on its own
 (:func:`sum_out_channel`) is the variable elimination the graph admits.
@@ -24,13 +25,13 @@ import (:data:`CHANNEL_PLAN`); a call only values them on its backend.
 
 Three evaluation routes are provided and cross-checked:
 
-* exact: the graded backend, eliminated per channel; the channel sums are
-  integrated against each other over the shared angle without forming
-  their product (:func:`~bellfield.dist.dist_inner`), and limits are read
-  off the graded coefficients;
-* regularized: the same factorized sums on the kernel backend, contracted
-  in closed form by :func:`contract_channels` with no grid (handles the
-  degenerate equal/orthogonal polarizer settings);
+* exact: the graded split backend, eliminated per channel; the channel
+  sums are integrated against each other over the shared angle without
+  forming their product (:func:`~bellfield.dist.dist_inner`), and limits
+  are read off the graded coefficients;
+* regularized: the same factorized sums on the float split backend,
+  contracted in closed form by :func:`contract_channels` with no grid
+  (handles the degenerate equal/orthogonal polarizer settings);
 * brute-force oracle: numeric parameters, full 2^8 scenario enumeration on
   the grid backend with no graded algebra and no channel factorization.
   Each factor is evaluated once per assignment of the bits it reads; the
@@ -41,13 +42,12 @@ Three evaluation routes are provided and cross-checked:
   reused buffer, and integrate them.  The grid must resolve the kernel
   (:func:`require_resolved`).
 
-The triphoton graph contracts three channels of the kernel backend along
-the source's angle constraint, with the same :func:`contract_channels`.
+The triphoton graph contracts three channels of the float split backend
+along the source's angle constraint, with the same :func:`contract_channels`.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -60,15 +60,16 @@ import numpy as np
 from .angles import PI, PolAngle
 from .dist import (
     MAX_GRID,
+    MAX_HARMONIC,
     MAX_SIGMA,
     MIN_GRID,
     DistFn,
-    KernelFn,
     SigmaTooCoarse,
     contract,
     dist_inner,
     grid_points,
     wrapped_gaussian,
+    _unchecked,
 )
 from .graded import GradedCoeff, coeff_ratio_limit
 from .mrf import (
@@ -224,33 +225,27 @@ EXIT_WITHOUT_CRYSTAL: Factor = (
 )
 
 
-def graded_backend(theta_p: PolAngle, beta: GradedCoeff = BETA) -> dict:
-    """Primitives for the exact route.
+def split_backend(theta_p: PolAngle, alpha, beta) -> dict:
+    """Primitives in closed form, for the exact route and for
+    :func:`~bellfield.dist.contract`.
 
-    The pass split is a point mass at the polarizer axis plus a
-    beta-suppressed cos^2 tail, the block split a point mass at the
-    orthogonal axis plus a sin^2 tail; ``alpha`` stays formal.
+    The pass split is a point mass at the polarizer axis plus the tail
+    beta cos^2(theta - theta_p) = beta/2 + (beta/2)(cos 2theta_p cos 2theta
+    + sin 2theta_p sin 2theta), the block split a point mass at the
+    orthogonal axis plus beta sin^2, the same tail with its harmonic negated.
+    ``alpha`` and ``beta`` are the formal :data:`ALPHA` and :data:`BETA`
+    (graded coefficients, the exact route) or numbers (float coefficients,
+    the point masses widened by the contraction).
     """
+    unit, zero = (GradedCoeff.one(), GradedCoeff.zero()) if isinstance(beta, GradedCoeff) else (1.0, 0.0)
+    c = beta * (0.5 * math.cos(2 * theta_p.value))
+    s = beta * (0.5 * math.sin(2 * theta_p.value))
+    half = beta * 0.5
+    higher = (zero,) * (MAX_HARMONIC - 1)
+    # One nonzero atom each and full harmonic slots: nothing to merge or check.
     return {
-        "pass": DistFn.atom(theta_p) + DistFn.cos_squared(theta_p, beta),
-        "block": DistFn.atom(theta_p.perpendicular()) + DistFn.sin_squared(theta_p, beta),
-        "alpha": ALPHA,
-        "beta": beta,
-    }
-
-
-def kernel_backend(theta_p: float, alpha: float, beta: float) -> dict:
-    """Primitives in closed form, for :func:`~bellfield.dist.contract`.
-
-    The split's point masses become unit-weight kernels, whose width the
-    contraction supplies; beta cos^2(theta - theta_p) is
-    beta/2 + 2 Re(beta/4 e^{-2i theta_p} e^{2i theta}), and sin^2 the same
-    with -beta/4.  ``alpha`` and ``beta`` are numbers.
-    """
-    c1 = 0.25 * beta * cmath.exp(-2j * theta_p)
-    return {
-        "pass": KernelFn(((theta_p, 1.0),), 0.5 * beta, c1),
-        "block": KernelFn(((theta_p + PI / 2, 1.0),), 0.5 * beta, -c1),
+        "pass": _unchecked(((theta_p, unit),), half, (c, *higher), (s, *higher)),
+        "block": _unchecked(((theta_p.perpendicular(), unit),), half, (-c, *higher), (-s, *higher)),
         "alpha": alpha,
         "beta": beta,
     }
@@ -333,15 +328,15 @@ def sum_out_channel(backend: Mapping) -> tuple:
     return tuple(functools.reduce(operator.add, terms) for terms in sums)
 
 
-def contract_channels(sums: Sequence[tuple[KernelFn, KernelFn]], sigma: float) -> tuple[float, float]:
+def contract_channels(sums: Sequence[tuple[DistFn, DistFn]], sigma: float) -> tuple[float, float]:
     """Detected weight and partition of N channels fed by one source.
 
-    ``sums`` holds each channel's (detected, undetected) sums on the kernel
-    backend, as functions of its own photon's angle; the source constrains
-    the angles to sum to zero (mod pi).  The detected weight contracts the
+    ``sums`` holds each channel's (detected, undetected) sums on the float
+    :func:`split_backend`, as functions of its own photon's angle; the
+    source constrains the angles to sum to zero (mod pi).  The detected weight contracts the
     detected sums, the partition each channel's total, both in closed form
     by :func:`~bellfield.dist.contract`.  A Bell pair shares one angle: it is
-    N = 2 with the second channel :meth:`~bellfield.dist.KernelFn.reflected`.
+    N = 2 with the second channel :meth:`~bellfield.dist.DistFn.reflected`.
     """
     num = contract([detected for detected, _ in sums], sigma)
     den = contract([detected + undetected for detected, undetected in sums], sigma)
@@ -352,9 +347,9 @@ def contract_channels(sums: Sequence[tuple[KernelFn, KernelFn]], sigma: float) -
 
 
 def channel_features(channel: str, theta_p: PolAngle) -> tuple[NodeFeature, ...]:
-    """The channel's five factors as graph features, on the graded backend."""
+    """The channel's five factors as graph features, on the graded split backend."""
     features = []
-    for name, (reads, values) in factor_tables(graded_backend(theta_p)).items():
+    for name, (reads, values) in factor_tables(split_backend(theta_p, ALPHA, BETA)).items():
         deps = tuple(var(channel, r) for r in reads)
         table = {bits: v if isinstance(v, DistFn) else DistFn.constant(v) for bits, v in values.items()}
 
@@ -405,7 +400,7 @@ def channel_sums(params: Mrf3Params, channel: str) -> tuple[DistFn, DistFn]:
     ``(pass split) * beta * alpha``; the single no-detection scenario weighs
     ``(blocked split) * 2 * alpha * beta``.
     """
-    return sum_out_channel(graded_backend(params.setting(channel)))
+    return sum_out_channel(split_backend(params.setting(channel), ALPHA, BETA))
 
 
 # -- coincidence probability -------------------------------------------------------
@@ -429,13 +424,13 @@ def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> Coincide
 
     Both modes multiply the two channels' summed weights and integrate over
     the shared angle: the numerator pairs the detected sums, the partition
-    pairs each channel's total.  Exact mode does so on the graded backend,
+    pairs each channel's total.  Exact mode does so on the split backend
     with formal small parameters and :func:`~bellfield.dist.dist_inner`
     (no product is formed), and takes their joint limit; it requires
-    non-degenerate settings.  Regularized mode does so on the kernel
-    backend, in closed form with no grid (the right channel reflected, so
-    the shared angle is a sum constraint), and handles the equal /
-    orthogonal special cases.
+    non-degenerate settings.  Regularized mode does so on the split backend
+    with numeric parameters, in closed form with no grid (the right channel
+    reflected, so the shared angle is a sum constraint), and handles the
+    equal / orthogonal special cases.
     """
     if mode == "exact":
         (pl, ml), (pr, mr) = (channel_sums(params, ch) for ch in CHANNELS)
@@ -455,7 +450,7 @@ def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> Coincide
         return CoincidenceResult(coeff_ratio_limit(num, den), num, den, "exact")
     if mode == "regularized":
         left, right = (
-            sum_out_channel(kernel_backend(params.setting(ch).value, params.alpha, params.beta))
+            sum_out_channel(split_backend(params.setting(ch), params.alpha, params.beta))
             for ch in CHANNELS
         )
         num, den = contract_channels((left, tuple(f.reflected() for f in right)), params.sigma)
@@ -578,8 +573,9 @@ class TriphotonGraph:
 
     The source emits three photons whose polarization angles sum to zero
     (mod pi), leaving two free angles.  Each channel is summed out on its own
-    on the kernel backend, and the three channels are then contracted along
-    the constraint in closed form by :func:`contract_channels`, with no grid.
+    on the float split backend, and the three channels are then contracted
+    along the constraint in closed form by :func:`contract_channels`, with no
+    grid.
     There is no arrival-order anywhere in the structure: the prediction can
     only depend on the settings.
     """
@@ -596,7 +592,7 @@ class TriphotonGraph:
 
     def triple_coincidence(self) -> float:
         """Probability that all three counters fire, given the emission."""
-        sums = [sum_out_channel(kernel_backend(s.value, self.alpha, self.beta)) for s in self.settings]
+        sums = [sum_out_channel(split_backend(s, self.alpha, self.beta)) for s in self.settings]
         return partition_ratio(*contract_channels(sums, self.sigma))
 
 

@@ -3,19 +3,20 @@
 A ``DistFn`` is a finite list of weighted point masses ("atoms") on the
 half-turn circle together with a smooth trigonometric polynomial in the
 even harmonics ``cos(2k*theta)``, ``sin(2k*theta)`` (period-pi functions,
-matching the mod-pi angle domain).  Atom weights and harmonic coefficients
-are :class:`~bellfield.graded.GradedCoeff` values, so products and
-integrals stay exact in the small parameters.  Every ``DistFn`` carries
-exactly :data:`MAX_HARMONIC` cos and sin coefficients; a product that would
-need a higher harmonic raises :class:`HarmonicOverflow` instead of dropping it.
-:func:`dist_inner` integrates a product without forming it, so it never does.
+matching the mod-pi angle domain).  It is generic in its coefficient:
+:class:`~bellfield.graded.GradedCoeff` values on the exact route, so that
+products and integrals stay exact in the small parameters, and floats on the
+regularized routes.  Every ``DistFn`` carries exactly :data:`MAX_HARMONIC`
+cos and sin coefficients; a product that would need a higher harmonic raises
+:class:`HarmonicOverflow` instead of dropping it.  :func:`dist_inner`
+integrates a product without forming it, so it never does.
 
 Exact mode refuses to multiply two atoms at the same location -- the square
 of a point mass is not a distribution.  Callers then switch to a
 regularized representation, which replaces every atom by a narrow
-unit-mass wrapped Gaussian and does plain float arithmetic: either sampled
-on a uniform grid (:class:`RegularizedDistFn`) or kept in closed form
-(:class:`KernelFn`, contracted by :func:`contract` with no grid).
+unit-mass wrapped Gaussian and does plain float arithmetic: either kept in
+closed form, a float ``DistFn`` contracted by :func:`contract` with no grid,
+or sampled on a uniform grid (:class:`RegularizedDistFn`).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -35,7 +37,7 @@ from .graded import GradedCoeff
 #: Highest harmonic ``cos/sin(2K*theta)`` a ``DistFn`` holds.  The model's
 #: smooth parts are quadratic in cos/sin, so its products never exceed
 #: harmonic 2.
-MAX_HARMONIC = 8
+MAX_HARMONIC = 2
 
 #: Exact rational standing in for the integration-domain length pi.
 PI_FRAC = Fraction(math.pi)
@@ -64,49 +66,70 @@ class SigmaTooCoarse(ValueError):
 _NO_HARMONICS = (GradedCoeff.zero(),) * MAX_HARMONIC
 
 
+def _merged(atoms: tuple, more: Iterable[tuple[PolAngle, GradedCoeff | float]]) -> tuple:
+    """``atoms`` (distinct locations, nonzero weights) with the atoms of
+    ``more`` added in: those at an equal location summed, zero weights
+    dropped."""
+    merged = list(atoms)
+    summed = False
+    for atom in more:
+        loc, w = atom
+        if not w:
+            continue
+        for i, (loc0, w0) in enumerate(merged):
+            if loc0 is loc or loc0 == loc:
+                merged[i] = (loc0, w0 + w)
+                summed = True
+                break
+        else:
+            merged.append(atom)
+    return tuple([atom for atom in merged if atom[1]] if summed else merged)
+
+
+def _unchecked(atoms: tuple, c0, cos_coeffs: tuple, sin_coeffs: tuple) -> "DistFn":
+    """A ``DistFn`` of parts that need no merging or checking: the results of
+    an operation that moves no two atoms together and keeps the slot count."""
+    out = object.__new__(DistFn)
+    out.atoms = atoms
+    out.c0 = c0
+    out.cos_coeffs = cos_coeffs
+    out.sin_coeffs = sin_coeffs
+    return out
+
+
 class DistFn:
     """Atoms plus an even-harmonic trigonometric polynomial.
 
     ``cos_coeffs[k-1]`` and ``sin_coeffs[k-1]`` multiply ``cos(2k*theta)``
     and ``sin(2k*theta)`` for ``k`` up to :data:`MAX_HARMONIC`; ``c0`` is
     the smooth part's constant term.  Both coefficient lists, when given,
-    must have exactly ``MAX_HARMONIC`` entries.  Instances are immutable.
+    must have exactly ``MAX_HARMONIC`` entries.  Coefficients are all
+    ``GradedCoeff`` or all floats; left out, they are graded zeros.  Atoms at
+    equal locations merge and zero-weight atoms drop.  Instances are not
+    modified after construction.
     """
 
     __slots__ = ("atoms", "c0", "cos_coeffs", "sin_coeffs")
 
     def __init__(
         self,
-        atoms: Iterable[tuple[PolAngle, GradedCoeff]] = (),
-        c0: GradedCoeff | None = None,
-        cos_coeffs: Sequence[GradedCoeff] | None = None,
-        sin_coeffs: Sequence[GradedCoeff] | None = None,
+        atoms: Iterable[tuple[PolAngle, GradedCoeff | float]] = (),
+        c0: GradedCoeff | float | None = None,
+        cos_coeffs: Sequence[GradedCoeff | float] | None = None,
+        sin_coeffs: Sequence[GradedCoeff | float] | None = None,
     ):
-        merged: list[tuple[PolAngle, GradedCoeff]] = []
-        for loc, w in atoms:
-            if w.is_zero:
-                continue
-            for i, (loc0, w0) in enumerate(merged):
-                if loc0 == loc:
-                    merged[i] = (loc0, w0 + w)
-                    break
-            else:
-                merged.append((loc, w))
-        object.__setattr__(self, "atoms", tuple((l, w) for l, w in merged if not w.is_zero))
         cos = tuple(cos_coeffs) if cos_coeffs is not None else _NO_HARMONICS
         sin = tuple(sin_coeffs) if sin_coeffs is not None else _NO_HARMONICS
         if len(cos) != MAX_HARMONIC or len(sin) != MAX_HARMONIC:
             raise ValueError(
                 f"need {MAX_HARMONIC} cos and sin coefficients, got {len(cos)} and {len(sin)}"
             )
-        object.__setattr__(self, "c0", c0 if c0 is not None else GradedCoeff.zero())
-        object.__setattr__(self, "cos_coeffs", cos)
-        object.__setattr__(self, "sin_coeffs", sin)
+        self.atoms = _merged((), atoms)
+        self.c0 = c0 if c0 is not None else GradedCoeff.zero()
+        self.cos_coeffs = cos
+        self.sin_coeffs = sin
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("DistFn is immutable")
-
-    # -- constructors -------------------------------------------------------
+    # -- graded constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls) -> "DistFn":
@@ -128,49 +151,24 @@ class DistFn:
             weight = GradedCoeff.constant(weight)
         return cls(atoms=[(location, weight)])
 
-    @classmethod
-    def _shifted_half_cos(cls, center: PolAngle, scale, sign: int) -> "DistFn":
-        # scale * (1/2 +- 1/2 cos(2(theta - center)))
-        if not isinstance(scale, GradedCoeff):
-            scale = GradedCoeff.constant(scale)
-        cos = list(_NO_HARMONICS)
-        sin = list(_NO_HARMONICS)
-        c2 = Fraction(math.cos(2 * center.value))
-        s2 = Fraction(math.sin(2 * center.value))
-        cos[0] = scale * (sign * HALF * c2)
-        sin[0] = scale * (sign * HALF * s2)
-        return cls(c0=scale * HALF, cos_coeffs=cos, sin_coeffs=sin)
-
-    @classmethod
-    def cos_squared(cls, center: PolAngle, scale=1) -> "DistFn":
-        """``scale * cos^2(theta - center)`` as a smooth distribution."""
-        return cls._shifted_half_cos(center, scale, +1)
-
-    @classmethod
-    def sin_squared(cls, center: PolAngle, scale=1) -> "DistFn":
-        """``scale * sin^2(theta - center)`` as a smooth distribution."""
-        return cls._shifted_half_cos(center, scale, -1)
-
     # -- queries -------------------------------------------------------------
 
     @property
     def smooth_is_zero(self) -> bool:
-        return self.c0.is_zero and all(c.is_zero for c in self.cos_coeffs) and all(
-            s.is_zero for s in self.sin_coeffs
-        )
+        return not (self.c0 or any(self.cos_coeffs) or any(self.sin_coeffs))
 
     @property
     def is_zero(self) -> bool:
         return not self.atoms and self.smooth_is_zero
 
-    def smooth_at(self, theta: float | PolAngle) -> GradedCoeff:
-        """Value of the smooth part at a point (a graded coefficient)."""
+    def smooth_at(self, theta: float | PolAngle):
+        """Value of the smooth part at a point, in the coefficient type."""
         t = theta.value if isinstance(theta, PolAngle) else float(theta)
         out = self.c0
         for k, (ck, sk) in enumerate(zip(self.cos_coeffs, self.sin_coeffs), 1):
-            if not ck.is_zero:
+            if ck:
                 out = out + ck * Fraction(math.cos(2 * k * t))
-            if not sk.is_zero:
+            if sk:
                 out = out + sk * Fraction(math.sin(2 * k * t))
         return out
 
@@ -185,22 +183,21 @@ class DistFn:
     def __add__(self, other: "DistFn") -> "DistFn":
         if not isinstance(other, DistFn):
             return NotImplemented
-        return DistFn(
-            atoms=list(self.atoms) + list(other.atoms),
-            c0=self.c0 + other.c0,
-            cos_coeffs=[x + y for x, y in zip(self.cos_coeffs, other.cos_coeffs)],
-            sin_coeffs=[x + y for x, y in zip(self.sin_coeffs, other.sin_coeffs)],
+        return _unchecked(
+            _merged(self.atoms, other.atoms),
+            self.c0 + other.c0,
+            tuple(map(operator.add, self.cos_coeffs, other.cos_coeffs)),
+            tuple(map(operator.add, self.sin_coeffs, other.sin_coeffs)),
         )
 
     def scale(self, c) -> "DistFn":
-        if not isinstance(c, GradedCoeff):
-            c = GradedCoeff.constant(c)
-        # A zero harmonic stays zero: most of the MAX_HARMONIC slots are.
-        return DistFn(
-            atoms=[(loc, w * c) for loc, w in self.atoms],
-            c0=self.c0 * c,
-            cos_coeffs=[x if x.is_zero else x * c for x in self.cos_coeffs],
-            sin_coeffs=[x if x.is_zero else x * c for x in self.sin_coeffs],
+        """Every coefficient times ``c``; an atom whose weight becomes zero
+        (graded truncation, say) drops."""
+        return _unchecked(
+            tuple([(loc, v) for loc, w in self.atoms if (v := w * c)]),
+            self.c0 * c,
+            tuple(map(operator.mul, self.cos_coeffs, itertools.repeat(c))),
+            tuple(map(operator.mul, self.sin_coeffs, itertools.repeat(c))),
         )
 
     def __mul__(self, c) -> "DistFn":
@@ -211,17 +208,23 @@ class DistFn:
 
     __rmul__ = __mul__
 
+    def reflected(self) -> "DistFn":
+        """The function of ``-theta``: atoms at minus their locations, sin
+        coefficients negated."""
+        return _unchecked(
+            tuple((PolAngle(-loc.value), w) for loc, w in self.atoms),
+            self.c0,
+            self.cos_coeffs,
+            tuple(-x for x in self.sin_coeffs),
+        )
+
     def substitute(self, alpha: float, beta: float) -> "DistFn":
-        """Replace the formal small parameters by numeric values."""
-
-        def ev(c: GradedCoeff) -> GradedCoeff:
-            return GradedCoeff.constant(c.eval(alpha, beta))
-
+        """The float ``DistFn`` at numeric values of the formal small parameters."""
         return DistFn(
-            atoms=[(loc, ev(w)) for loc, w in self.atoms],
-            c0=ev(self.c0),
-            cos_coeffs=[ev(x) for x in self.cos_coeffs],
-            sin_coeffs=[ev(x) for x in self.sin_coeffs],
+            atoms=[(loc, w.eval(alpha, beta)) for loc, w in self.atoms],
+            c0=self.c0.eval(alpha, beta),
+            cos_coeffs=[x.eval(alpha, beta) for x in self.cos_coeffs],
+            sin_coeffs=[x.eval(alpha, beta) for x in self.sin_coeffs],
         )
 
     def __eq__(self, other) -> bool:
@@ -265,6 +268,7 @@ def dist_mul(f: DistFn, g: DistFn) -> DistFn:
     Atom x smooth sifts the smooth factor at the atom.  Smooth x smooth is
     the exact trigonometric product; it raises :class:`HarmonicOverflow`
     when a harmonic above :data:`MAX_HARMONIC` keeps a nonzero coefficient.
+    Both factors have graded coefficients.
     """
     if f.is_zero or g.is_zero:
         return DistFn.zero()
@@ -300,25 +304,25 @@ def dist_mul(f: DistFn, g: DistFn) -> DistFn:
 
     for k1 in range(k + 1):
         c1, s1 = fc[k1], fs[k1]
-        if c1.is_zero and s1.is_zero:
+        if not (c1 or s1):
             continue
         for k2 in range(k + 1):
             c2, s2 = gc[k2], gs[k2]
-            if c2.is_zero and s2.is_zero:
+            if not (c2 or s2):
                 continue
-            if not c1.is_zero and not c2.is_zero:
+            if c1 and c2:
                 half = c1 * c2 * HALF
                 add_cos(k1 + k2, half)
                 add_cos(abs(k1 - k2), half)
-            if not s1.is_zero and not s2.is_zero:
+            if s1 and s2:
                 half = s1 * s2 * HALF
                 add_cos(abs(k1 - k2), half)
                 add_cos(k1 + k2, -half)
-            if not s1.is_zero and not c2.is_zero:
+            if s1 and c2:
                 half = s1 * c2 * HALF
                 add_sin(k1 + k2, half)
                 add_sin(k1 - k2, half)
-            if not c1.is_zero and not s2.is_zero:
+            if c1 and s2:
                 half = c1 * s2 * HALF
                 add_sin(k1 + k2, half)
                 add_sin(k2 - k1, half)
@@ -337,6 +341,7 @@ def dist_inner(f: DistFn, g: DistFn) -> GradedCoeff:
     product only the constant term survives the integral, by orthogonality
     of the harmonics: pi * (c0 c0' + 1/2 sum_k (c_k c_k' + s_k s_k')).  No
     harmonic is formed, so this never raises :class:`HarmonicOverflow`.
+    Both functions have graded coefficients.
     """
     _require_distinct_atoms(f, g)
     harmonics = GradedCoeff.zero()
@@ -459,10 +464,9 @@ def regularize(
 ) -> RegularizedDistFn:
     """Sample ``f`` on an ``n``-point grid, widening atoms into kernels.
 
-    Requires numeric (constant) coefficients -- apply
-    :meth:`DistFn.substitute` first when weights still carry the formal
-    small parameters.  A ``sigma`` that is not positive and finite (NaN
-    included) raises ``ValueError``, a finite one above pi/16
+    Requires float coefficients -- apply :meth:`DistFn.substitute` first to a
+    graded ``DistFn``, else ``ValueError``.  A ``sigma`` that is not positive
+    and finite (NaN included) raises ``ValueError``, a finite one above pi/16
     :class:`SigmaTooCoarse`.
     """
     if not 0 < sigma < math.inf:
@@ -471,22 +475,16 @@ def regularize(
         raise SigmaTooCoarse(f"sigma={sigma:g} exceeds pi/16; atoms would overlap")
     if n < MIN_GRID:
         raise ValueError(f"grid size {n} below minimum {MIN_GRID}")
-
-    def num(c: GradedCoeff) -> float:
-        if not c.is_constant:
-            raise ValueError(
-                "DistFn still carries formal parameters; call substitute(alpha, beta) first"
-            )
-        return float(c.constant_value())
+    weights = [w for _, w in f.atoms]
+    if any(isinstance(c, GradedCoeff) for c in (f.c0, *f.cos_coeffs, *f.sin_coeffs, *weights)):
+        raise ValueError("DistFn has graded coefficients; call substitute(alpha, beta) first")
 
     grid = grid_points(n)
     samples = np.zeros(n)
     for loc, w in f.atoms:
-        samples += num(w) * kernel(grid, loc.value, sigma)
-    smooth = np.full(n, num(f.c0))
-    for k in range(1, MAX_HARMONIC + 1):
-        ck = num(f.cos_coeffs[k - 1])
-        sk = num(f.sin_coeffs[k - 1])
+        samples += w * kernel(grid, loc.value, sigma)
+    smooth = np.full(n, f.c0)
+    for k, (ck, sk) in enumerate(zip(f.cos_coeffs, f.sin_coeffs), 1):
         if ck:
             smooth += ck * np.cos(2 * k * grid)
         if sk:
@@ -497,99 +495,67 @@ def regularize(
 # -- closed form of the regularized representation ------------------------------
 
 
-class KernelFn:
-    """One arm's angle function in closed form: kernels plus a smooth part.
-
-    ``atoms`` holds ``(location, weight)`` pairs, each a unit-mass wrapped
-    Gaussian whose width :func:`contract` supplies; the smooth part is
-    ``c0 + 2 Re(c1 e^{2i theta})``, harmonics of order at most one.  Sums
-    merge atoms at equal locations; a number scales.  Instances are not
-    modified after construction.
-    """
-
-    __slots__ = ("atoms", "c0", "c1")
-
-    def __init__(self, atoms: tuple[tuple[float, float], ...] = (), c0: float = 0.0, c1: complex = 0j):
-        self.atoms = atoms
-        self.c0 = c0
-        self.c1 = c1
-
-    def __add__(self, other: "KernelFn") -> "KernelFn":
-        if not isinstance(other, KernelFn):
-            return NotImplemented
-        merged = dict(self.atoms)
-        for loc, w in other.atoms:
-            merged[loc] = merged.get(loc, 0.0) + w
-        return KernelFn(tuple(merged.items()), self.c0 + other.c0, self.c1 + other.c1)
-
-    def __mul__(self, c) -> "KernelFn":
-        if isinstance(c, KernelFn):
-            return NotImplemented
-        if c == 1:
-            return self
-        return KernelFn(tuple((loc, w * c) for loc, w in self.atoms), self.c0 * c, self.c1 * c)
-
-    __rmul__ = __mul__
-
-    def reflected(self) -> "KernelFn":
-        """The function of ``-theta``: atoms mirrored, ``c1`` conjugated."""
-        return KernelFn(tuple((-loc, w) for loc, w in self.atoms), self.c0, self.c1.conjugate())
-
-
 def _wrapped_normal(x: float, width: float) -> float:
     """Density at ``x`` of the unit-mass normal of width ``width`` wrapped onto
-    the period-pi circle, summed over the images within 40 widths.
+    the period-pi circle, summed over the images within 40 widths (a farther
+    one weighs below exp(-800), exactly 0.0 in float64).
 
     Each image weighs exp(-(d/width)^2 / 2), never d^2 / width^2, so a width
     as small as 1e-300 neither underflows to 0/0 nor loses the peak.
     """
     d = math.remainder(x, PI)
     reach = 40.0 * width
-    images = int(reach / PI) + 1
     total = 0.0
-    for m in range(-images, images + 1):
-        e = d + m * PI
-        if abs(e) <= reach:
-            total += math.exp(-0.5 * (e / width) ** 2)
+    for m in range(math.ceil((-reach - d) / PI), math.floor((reach - d) / PI) + 1):
+        total += math.exp(-0.5 * ((d + m * PI) / width) ** 2)
     return total / (width * math.sqrt(2.0 * PI))
 
 
-def contract(fs: Sequence[KernelFn], sigma: float) -> float:
+def contract(fs: Sequence[DistFn], sigma: float) -> float:
     """Integral of prod_j f_j(theta_j) along sum_j theta_j = 0 (mod pi).
 
-    For any number N of arms, each atom a wrapped Gaussian of width
-    ``sigma``, it equals pi^(N-1) sum_k prod_j F_{j,k}, where F_{j,k} is
-    f_j's coefficient of e^{2ik theta}; an atom at c has
-    F_k = e^{-2 k^2 sigma^2} e^{-2ikc} / pi.  The sum splits by which part
-    each arm takes:
+    For any number N of float ``DistFn`` arms, each atom a wrapped Gaussian
+    of width ``sigma``, it equals pi^(N-1) sum_k prod_j F_{j,k}, where
+    F_{j,k} is f_j's coefficient of e^{2ik theta}; an atom at c has
+    F_k = e^{-2 k^2 sigma^2} e^{-2ikc} / pi, the smooth part
+    F_0 = c0 and F_k = (c_k - i s_k) / 2.  The sum splits by which part each
+    arm takes:
 
     * every arm its atoms: each choice of one atom per arm adds the product
       of their weights times the wrapped normal of width sigma sqrt(N) at the
       sum of their locations, with no truncation in k;
-    * any other term holds a smooth arm, so only |k| <= 1 remain.  One pass
+    * any other term holds a smooth arm, so only the orders up to the
+      highest harmonic some arm's smooth part holds remain (at most
+      :data:`MAX_HARMONIC`).  One pass
       over the arms per k carries the all-atom product and the sum of the
       products with a smooth arm, never forming prod(A + S) - prod(A), which
       cancels at small beta.
 
-    A Bell pair is N = 2 with one arm :meth:`KernelFn.reflected`.
+    A Bell pair is N = 2 with one arm :meth:`DistFn.reflected`.
     """
-    peaked = 0.0
+    # (weight product, location sum) of every choice of one atom per arm
+    choices = [(1.0, 0.0)]
+    for f in fs:
+        choices = [(weight * w, location + loc.value) for weight, location in choices for loc, w in f.atoms]
     width = sigma * math.sqrt(len(fs))
-    for choice in itertools.product(*(f.atoms for f in fs)):
-        weight, location = 1.0, 0.0
-        for loc, w in choice:
-            weight *= w
-            location += loc
+    peaked = 0.0
+    for weight, location in choices:
         peaked += weight * _wrapped_normal(location, width)
+    top = MAX_HARMONIC
+    while top and not any(f.cos_coeffs[top - 1] or f.sin_coeffs[top - 1] for f in fs):
+        top -= 1
     mixed = 0.0
-    for k in (0, 1):
-        damping = math.exp(-2.0 * k * sigma * sigma) / PI
+    for k in range(top + 1):
+        damping = math.exp(-2.0 * k * k * sigma * sigma) / PI
         all_atoms, some_smooth = 1.0, 0j
         for f in fs:
-            a = damping * sum(w * cmath.exp(-2j * k * loc) for loc, w in f.atoms)
-            smooth = f.c1 if k else f.c0
+            a = 0.0
+            for loc, w in f.atoms:
+                a += w * cmath.exp(-2j * k * loc.value) if k else w
+            a *= damping
+            smooth = 0.5 * complex(f.cos_coeffs[k - 1], -f.sin_coeffs[k - 1]) if k else f.c0
             some_smooth = some_smooth * (a + smooth) + all_atoms * smooth
             all_atoms *= a
-        # the k = -1 term is the conjugate of the k = 1 term
+        # the -k term is the conjugate of the k term
         mixed += (2.0 if k else 1.0) * some_smooth.real
     return peaked + PI ** (len(fs) - 1) * mixed

@@ -18,9 +18,9 @@ Each model is written once, for N arms, and the Bell pair is its N = 2 call:
   a graded distribution-valued correlation) -- in which each polarizer
   splits every branch into its pass and blocked descendants;
 * modified, regularized (``sigma`` given, and the triphoton ``Mstar``): the
-  same pass and block splits on the closed-form kernel backend, contracted
-  along the source's angle constraint with no grid
-  (:func:`~bellfield.bell.contract_channels`).
+  same pass and block splits of :func:`~bellfield.bell.split_backend`, with
+  float coefficients, contracted along the source's angle constraint with
+  no grid (:func:`~bellfield.bell.contract_channels`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Literal, Sequence
+from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -38,14 +38,12 @@ from .bell import (
     Mrf3Params,
     build_triphoton_graph,
     contract_channels,
-    graded_backend,
-    kernel_backend,
     partition_ratio,
     primitive_product,
+    split_backend,
 )
 from .dist import (
     DistFn,
-    KernelFn,
     dist_integrate,
     dist_mul,
     # Unused here, but bench/tests checks that tracing rebinds it in this module.
@@ -350,7 +348,7 @@ def apply_Mstar(ens: BranchEnsemble, subsystem: int, setting: PolarizerSetting) 
             out.append(retag(LinearTag(theta0), branch.weight * half))
             out.append(retag(LinearTag(perp), branch.weight * half))
         elif isinstance(tag, SourceTag):
-            split = graded_backend(theta0, beta)
+            split = split_backend(theta0, ALPHA, beta)
             out.append(
                 retag(LinearTag(theta0), angle_weight=_times_angle_factor(branch, split["pass"]))
             )
@@ -408,16 +406,16 @@ def mstar_bell_coincidence(
 
     A kernel width ``sigma`` regularizes the point masses, which equal or
     orthogonal settings need: the pair is then the two-arm
-    :func:`_mstar_contracted`, the second arm reflected so that the shared
-    angle becomes a sum constraint.  It needs a numeric ``beta``; the knobs
+    :func:`_mstar_contracted`, the second arm's split reflected so that the
+    shared angle becomes a sum constraint.  It needs a numeric ``beta``; the knobs
     are checked by :class:`~bellfield.bell.Mrf3Params`.
     """
     if sigma is not None:
         if beta is None:
             raise ValueError("regularized mode requires numeric beta")
         params = Mrf3Params(theta_a, theta_b, alpha=alpha, beta=beta, sigma=sigma)
-        right = tuple(f.reflected() for f in _kernel_split(theta_b, params))
-        return _mstar_contracted((_kernel_split(theta_a, params), right), params)
+        left, right = (split_backend(t, alpha, beta) for t in (theta_a, theta_b))
+        return _mstar_contracted((left, {p: right[p].reflected() for p in ("pass", "block")}), params)
 
     ens = bell_source_ensemble()
     for arm, theta in enumerate((theta_a, theta_b)):
@@ -448,18 +446,13 @@ def mstar_bell_coincidence(
     return coeff_ratio_limit(num, den)
 
 
-def _kernel_split(theta: PolAngle, params: Mrf3Params) -> tuple[KernelFn, KernelFn]:
-    """One arm's (pass, block) split on the closed-form kernel backend."""
-    split = kernel_backend(theta.value, params.alpha, params.beta)
-    return split["pass"], split["block"]
-
-
-def _mstar_contracted(arms: Sequence[tuple[KernelFn, KernelFn]], params: Mrf3Params) -> float:
+def _mstar_contracted(splits: Sequence[Mapping[str, DistFn]], params: Mrf3Params) -> float:
     """Branch-ensemble pipeline over an angle-constrained source (numeric).
 
-    ``arms`` holds each arm's (pass, block) split as a function of its own
-    photon's angle, in application order; the source constrains the angles
-    to sum to zero (mod pi).  A branch's weight is the contraction of its
+    ``splits`` holds each arm's "pass" and "block" split (float
+    :func:`~bellfield.bell.split_backend`) as functions of its own photon's
+    angle, in application order; the source constrains the angles to sum to
+    zero (mod pi).  A branch's weight is the contraction of its
     arms' factors along that constraint.  The contraction is linear in each
     slot, so the 2^N branch weights add up to one contraction of the per-arm
     totals ``pass + block``, and the detected weight is the all-pass branch
@@ -467,8 +460,8 @@ def _mstar_contracted(arms: Sequence[tuple[KernelFn, KernelFn]], params: Mrf3Par
     (detected, undetected).
     """
     # Every arm ends in an absorber of the same cost, passed or blocked.
-    cost = primitive_product(ABSORBER_COST, {"alpha": params.alpha, "beta": params.beta}) ** len(arms)
-    num, den = contract_channels(arms, params.sigma)
+    cost = primitive_product(ABSORBER_COST, {"alpha": params.alpha, "beta": params.beta}) ** len(splits)
+    num, den = contract_channels([(split["pass"], split["block"]) for split in splits], params.sigma)
     return partition_ratio(num * cost, den * cost)
 
 
@@ -506,7 +499,7 @@ def triphoton_compare(
         raise ValueError(f"{model} model needs numeric params")
     elif model == "Mstar":
         # The source treats its photons alike, so they take the slots in application order.
-        p = _mstar_contracted([_kernel_split(settings[arm], params) for arm in order], params)
+        p = _mstar_contracted([split_backend(settings[arm], params.alpha, params.beta) for arm in order], params)
     else:
         relabeled = tuple(settings[i] for i in order)
         p = build_triphoton_graph(relabeled, params).triple_coincidence()

@@ -33,11 +33,10 @@ from bellfield.bell import (
     channel_sums,
     coincidence_probability,
     factor_tables,
-    graded_backend,
     grid_backend,
-    kernel_backend,
     partition_ratio,
     primitive_product,
+    split_backend,
     sum_out_channel,
     var,
 )
@@ -46,7 +45,6 @@ from bellfield.dist import (
     MAX_SIGMA,
     DeltaCollision,
     DistFn,
-    KernelFn,
     RegularizedDistFn,
     SigmaTooCoarse,
     dist_integrate,
@@ -465,11 +463,8 @@ class TestFeatures:
                 out = feat.eval(dict(zip(feat.depends_on, bits)))
                 numeric = out.substitute(0.01, 0.001)
                 for _, w in numeric.atoms:
-                    assert float(w.constant_value()) >= 0.0
-                smooth = np.array(
-                    [numeric.smooth_at(float(t)).constant_value() for t in grid[::8]],
-                    dtype=float,
-                )
+                    assert w >= 0.0
+                smooth = np.array([numeric.smooth_at(float(t)) for t in grid[::8]], dtype=float)
                 assert smooth.min() >= -1e-15
 
 
@@ -519,13 +514,10 @@ class TestChannelSums:
     def test_plan_equals_sixteen_assignment_walk(self, theta):
         theta_p = PolAngle(theta)
         assert len(bell.CHANNEL_PLAN) == 3
-        assert list(sum_out_channel(graded_backend(theta_p))) == self.sixteen_assignment_walk(
-            graded_backend(theta_p)
-        )
-        got = sum_out_channel(kernel_backend(theta_p.value, 1e-2, 1e-3))
-        want = self.sixteen_assignment_walk(kernel_backend(theta_p.value, 1e-2, 1e-3))
-        for g, w in zip(got, want, strict=True):
-            assert (g.atoms, g.c0, g.c1) == (w.atoms, w.c0, w.c1)  # bit for bit
+        for alpha, beta in ((ALPHA, BETA), (1e-2, 1e-3)):
+            backend = split_backend(theta_p, alpha, beta)
+            # graded values exactly, float ones bit for bit
+            assert list(sum_out_channel(backend)) == self.sixteen_assignment_walk(backend)
         grid = grid_points(1000)
         got = sum_out_channel(grid_backend(grid, theta_p.value, 1e-2, 1e-3, 0.01))
         want = self.sixteen_assignment_walk(grid_backend(grid, theta_p.value, 1e-2, 1e-3, 0.01))
@@ -564,6 +556,30 @@ class TestChannelSums:
         assert minus_e == minus_c
 
 
+class TestSplitBackend:
+    """One split function for both coefficient types: at numeric (alpha, beta)
+    it gives the graded split evaluated there, and so do its channel sums."""
+
+    @staticmethod
+    def coefficients(f: DistFn) -> list:
+        return [w for _, w in f.atoms] + [f.c0, *f.cos_coeffs, *f.sin_coeffs]
+
+    @given(st.floats(0.0, PI, exclude_max=True), st.floats(1e-4, MAX_ALPHA), st.floats(1e-9, MAX_BETA))
+    @settings(max_examples=60, deadline=None)
+    def test_float_split_is_the_graded_split_evaluated(self, theta, alpha, beta):
+        theta_p = PolAngle(theta)
+        graded = split_backend(theta_p, ALPHA, BETA)
+        numeric = split_backend(theta_p, alpha, beta)
+        pairs = [(graded[p], numeric[p]) for p in ("pass", "block")]
+        pairs += zip(sum_out_channel(graded), sum_out_channel(numeric), strict=True)
+        for exact, got in pairs:
+            assert [loc for loc, _ in got.atoms] == [loc for loc, _ in exact.atoms]
+            for want, value in zip(self.coefficients(exact), self.coefficients(got), strict=True):
+                assert type(value) is float
+                # below the smallest normal float only steps of 5e-324 remain
+                assert value == pytest.approx(want.eval(alpha, beta), rel=1e-15, abs=1e-321)
+
+
 class TestPrimitiveProduct:
     #: Every product a factor lists, and every live assignment's whole product.
     PRODUCTS = sorted(
@@ -574,11 +590,13 @@ class TestPrimitiveProduct:
 
     @staticmethod
     def backend(kind: str) -> dict:
+        """The split backend with graded or float ("kernel": its atoms become
+        the contraction's kernels) coefficients, or the grid backend."""
         theta_p = PolAngle.from_degrees(20.0)
         if kind == "graded":
-            return graded_backend(theta_p)
+            return split_backend(theta_p, ALPHA, BETA)
         if kind == "kernel":
-            return kernel_backend(theta_p.value, 1e-2, 1e-3)
+            return split_backend(theta_p, 1e-2, 1e-3)
         return grid_backend(grid_points(1000), theta_p.value, 1e-2, 1e-3, 0.01)
 
     @pytest.mark.parametrize("kind", ["graded", "kernel", "grid"])
@@ -596,8 +614,6 @@ class TestPrimitiveProduct:
             want = functools.reduce(operator.mul, (values.get(p, p) for p in prims), 1)
             if isinstance(want, np.ndarray):
                 assert np.array_equal(got, want), prims
-            elif isinstance(want, KernelFn):
-                assert (got.atoms, got.c0, got.c1) == (want.atoms, want.c0, want.c1), prims
             else:
                 assert got == want, prims
 

@@ -26,6 +26,13 @@ PI_FRAC = Fraction(math.pi)
 HALF = Fraction(1, 2)
 
 
+def cos_squared(center: PolAngle) -> DistFn:
+    """``cos^2(theta - center)``, that is 1/2 + (1/2) cos 2(theta - center), graded."""
+    tail = [GradedCoeff.constant(HALF * Fraction(f(2 * center.value))) for f in (math.cos, math.sin)]
+    rest = [GradedCoeff.zero()] * (MAX_HARMONIC - 1)
+    return DistFn(c0=GradedCoeff.constant(HALF), cos_coeffs=tail[:1] + rest, sin_coeffs=tail[1:] + rest)
+
+
 class TestPolAngle:
     def test_reduced_into_half_turn(self):
         assert 0 <= PolAngle(7.0).value < PI
@@ -60,7 +67,7 @@ class TestPolAngle:
 class TestDistMul:
     def test_atom_sifts_smooth(self):
         ta, tb = PolAngle(0.7), PolAngle(0.2)
-        out = dist_mul(DistFn.atom(ta), DistFn.cos_squared(tb))
+        out = dist_mul(DistFn.atom(ta), cos_squared(tb))
         assert len(out.atoms) == 1
         loc, w = out.atoms[0]
         assert loc == ta
@@ -81,18 +88,18 @@ class TestDistMul:
 
     def test_cos_squared_product_matches_quadrature(self):
         x, y = 0.35, 1.1
-        out = dist_mul(DistFn.cos_squared(PolAngle(x)), DistFn.cos_squared(PolAngle(y)))
+        out = dist_mul(cos_squared(PolAngle(x)), cos_squared(PolAngle(y)))
         grid = grid_points(4096)
         direct = (np.cos(grid - x) ** 2 * np.cos(grid - y) ** 2).sum() * PI / 4096
         assert float(dist_integrate(out).constant_value()) == pytest.approx(direct, abs=1e-12)
 
     def test_harmonic_overflow_raises(self):
-        top = [GradedCoeff.zero()] * (MAX_HARMONIC - 1) + [GradedCoeff.one()]  # cos(16 theta)
+        top = [GradedCoeff.zero()] * (MAX_HARMONIC - 1) + [GradedCoeff.one()]  # cos(2 K theta)
         f = DistFn(cos_coeffs=top)
         with pytest.raises(HarmonicOverflow):
-            dist_mul(f, DistFn.cos_squared(PolAngle(0.9)))
+            dist_mul(f, cos_squared(PolAngle(0.9)))
         # a product within the harmonic range does not raise
-        assert not dist_mul(DistFn.cos_squared(PolAngle(0.3)), DistFn.cos_squared(PolAngle(0.9))).is_zero
+        assert not dist_mul(cos_squared(PolAngle(0.3)), cos_squared(PolAngle(0.9))).is_zero
 
 
 #: Atom locations: distinct points of a fine lattice on [0, pi), far enough
@@ -147,7 +154,7 @@ class TestDistInner:
             dist_inner(f, g)
 
     def test_never_overflows_the_harmonics(self):
-        # dist_mul refuses this product; its integral needs no harmonic above 8
+        # dist_mul refuses this product; its integral needs no harmonic above K
         top = [GradedCoeff.zero()] * (MAX_HARMONIC - 1) + [GradedCoeff.one()]
         f = DistFn(cos_coeffs=top)
         with pytest.raises(HarmonicOverflow):
@@ -179,8 +186,18 @@ class TestConstruction:
         f = DistFn.atom(t, 2) + DistFn.atom(t, 3)
         assert f.atom_weight_at(t) == GradedCoeff.constant(5)
 
+    def test_reflection_mirrors_atoms_and_negates_sines(self):
+        f = DistFn(atoms=[(PolAngle(0.3), 2.0)], c0=0.5, cos_coeffs=[0.25, -0.5], sin_coeffs=[0.125, 0.75])
+        r = f.reflected()
+        assert r == DistFn(
+            atoms=[(PolAngle(PI - 0.3), 2.0)], c0=0.5, cos_coeffs=[0.25, -0.5], sin_coeffs=[-0.125, -0.75]
+        )
+        for t in (0.0, 0.4, 1.3, 2.9):
+            assert r.smooth_at(t) == pytest.approx(f.smooth_at(-t), abs=1e-15)
+        assert r.reflected() == f
+
     def test_coefficient_times_distribution_scales(self):
-        f = DistFn.atom(PolAngle(0.3)) + DistFn.cos_squared(PolAngle(0.3))
+        f = DistFn.atom(PolAngle(0.3)) + cos_squared(PolAngle(0.3))
         alpha = GradedCoeff.alpha()
         assert f * alpha == alpha * f == f.scale(alpha)
         assert 1 * f is f
@@ -211,17 +228,17 @@ class TestIntegrate:
 
 class TestRegularize:
     def test_unit_atom_has_unit_mass(self):
-        reg = regularize(DistFn.atom(PolAngle(0.4)), sigma=0.01, n=8192)
+        reg = regularize(DistFn.atom(PolAngle(0.4)).substitute(1, 1), sigma=0.01, n=8192)
         assert reg.integral() == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_distribution(self):
-        reg = regularize(DistFn.zero(), sigma=0.01, n=512)
+        reg = regularize(DistFn.zero().substitute(1, 1), sigma=0.01, n=512)
         assert np.all(reg.samples == 0.0)
 
     def test_orthogonal_atoms_do_not_overlap(self):
         ta = PolAngle(0.4)
-        ga = regularize(DistFn.atom(ta), sigma=0.01, n=8192)
-        gp = regularize(DistFn.atom(ta.perpendicular()), sigma=0.01, n=8192)
+        ga = regularize(DistFn.atom(ta).substitute(1, 1), sigma=0.01, n=8192)
+        gp = regularize(DistFn.atom(ta.perpendicular()).substitute(1, 1), sigma=0.01, n=8192)
         # closed-form overlap bound: exp(-(pi/2)^2 / (4 sigma^2))
         assert (ga * gp).integral() < 1e-12
 
@@ -242,6 +259,23 @@ class TestRegularize:
     def test_formal_weights_rejected(self):
         with pytest.raises(ValueError, match="substitute"):
             regularize(DistFn.constant(GradedCoeff.beta()), sigma=0.01, n=512)
+
+    def test_samples_substituted_coefficients(self):
+        f = DistFn(
+            atoms=[(PolAngle(0.4), GradedCoeff.alpha())],
+            c0=GradedCoeff.beta(),
+            cos_coeffs=[GradedCoeff.constant(-0.25), GradedCoeff.beta()],
+            sin_coeffs=[GradedCoeff.alpha(), GradedCoeff.zero()],
+        )
+        numeric = f.substitute(0.5, 0.125)
+        assert (numeric.c0, numeric.cos_coeffs, numeric.sin_coeffs) == (0.125, (-0.25, 0.125), (0.5, 0.0))
+        assert numeric.atoms == ((PolAngle(0.4), 0.5),)
+        assert all(type(c) is float for c in (numeric.c0, *numeric.cos_coeffs, *numeric.sin_coeffs))
+        grid = grid_points(512)
+        want = 0.5 * wrapped_gaussian(grid, 0.4, 0.01) + (
+            0.125 - 0.25 * np.cos(2 * grid) + 0.125 * np.cos(4 * grid) + 0.5 * np.sin(2 * grid)
+        )
+        np.testing.assert_allclose(regularize(numeric, 0.01, 512).samples, want, rtol=0, atol=1e-13)
 
     def test_wrapped_gaussian_wraps(self):
         grid = grid_points(4096)
@@ -305,22 +339,26 @@ small_coeff = st.integers(-3, 3).map(GradedCoeff.constant)
 
 @st.composite
 def distfn_triple(draw):
-    """Three DistFns whose atoms all sit at distinct lattice points."""
+    """Three DistFns whose atoms all sit at distinct lattice points and whose
+    harmonics reach orders that sum to at most MAX_HARMONIC, so that no
+    product of them overflows."""
     locs = draw(st.permutations(_LATTICE))
     counts = [draw(st.integers(0, 2)) for _ in range(3)]
+    tops = draw(st.permutations((MAX_HARMONIC // 2, MAX_HARMONIC - MAX_HARMONIC // 2, 0)))
     fns = []
     offset = 0
-    for c in counts:
+    for c, top in zip(counts, tops):
         atoms = []
         for i in range(c):
             w = draw(small_coeff)
             atoms.append((PolAngle(locs[offset + i]), w))
         offset += c
+        rest = [GradedCoeff.zero()] * (MAX_HARMONIC - top)
         f = DistFn(
             atoms=atoms,
             c0=draw(small_coeff),
-            cos_coeffs=[draw(small_coeff), draw(small_coeff)] + [GradedCoeff.zero()] * 6,
-            sin_coeffs=[draw(small_coeff), draw(small_coeff)] + [GradedCoeff.zero()] * 6,
+            cos_coeffs=[draw(small_coeff) for _ in range(top)] + rest,
+            sin_coeffs=[draw(small_coeff) for _ in range(top)] + rest,
         )
         fns.append(f)
     return tuple(fns)
@@ -374,10 +412,9 @@ class TestDistributionAlgebra:
         bound = 0.0
         for d in (fn, gn):
             bound += sum(
-                2 * k * (abs(d.cos_coeffs[k - 1].eval(1, 1)) + abs(d.sin_coeffs[k - 1].eval(1, 1)))
-                for k in range(1, MAX_HARMONIC + 1)
+                2 * k * (abs(d.cos_coeffs[k - 1]) + abs(d.sin_coeffs[k - 1])) for k in range(1, MAX_HARMONIC + 1)
             )
-            bound += sum(abs(w.eval(1, 1)) for _, w in d.atoms) + abs(d.c0.eval(1, 1))
+            bound += sum(abs(w) for _, w in d.atoms) + abs(d.c0)
         assert abs(exact - reg) < 10 * sigma * bound + 1e-9
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bellfield.angles import PolAngle
-from bellfield.dist import DistFn
+from bellfield.dist import MAX_HARMONIC, DistFn
 from bellfield.graded import GradedCoeff
 from bellfield.mrf import (
     ALWAYS,
@@ -27,6 +27,13 @@ from bellfield.mrf import (
 )
 
 PI_FRAC = Fraction(math.pi)
+
+
+def cos_squared(center: PolAngle, scale: Fraction) -> DistFn:
+    """``scale * cos^2(theta - center)``, that is scale/2 + (scale/2) cos 2(theta - center)."""
+    tail = [GradedCoeff.constant(scale / 2 * Fraction(f(2 * center.value))) for f in (math.cos, math.sin)]
+    rest = [GradedCoeff.zero()] * (MAX_HARMONIC - 1)
+    return DistFn(c0=GradedCoeff.constant(scale / 2), cos_coeffs=tail[:1] + rest, sin_coeffs=tail[1:] + rest)
 
 
 def constant_feature(name, value, depends=()):
@@ -138,7 +145,7 @@ def make_random_graph(rng: random.Random):
 
             def fn(a, deps=deps, center=center, scale=scale):
                 on = all(a[d] for d in deps) if deps else True
-                return DistFn.cos_squared(center, GradedCoeff.constant(scale)) if on else DistFn.one()
+                return cos_squared(center, scale) if on else DistFn.one()
 
         features.append(NodeFeature(f"f{i}", deps, fn))
     pred_var = rng.choice(names)

@@ -23,11 +23,11 @@ from bellfield.bell import (
     ABSORBER_COST,
     Mrf3Params,
     grid_backend,
-    kernel_backend,
     primitive_product,
+    split_backend,
     sum_out_channel,
 )
-from bellfield.dist import MAX_SIGMA, KernelFn, contract, grid_points, wrapped_gaussian
+from bellfield.dist import MAX_HARMONIC, MAX_SIGMA, DistFn, contract, grid_points, wrapped_gaussian
 from bellfield.quantum import triphoton_compare
 
 
@@ -160,7 +160,7 @@ class TestAgainstTwoDimensionalReference:
 
 def n_photon_mrf(settings_n, alpha: float, beta: float, sigma: float) -> float:
     """The graph route over any number of channels, in closed form."""
-    sums = [sum_out_channel(kernel_backend(s.value, alpha, beta)) for s in settings_n]
+    sums = [sum_out_channel(split_backend(s, alpha, beta)) for s in settings_n]
     num = contract([detected for detected, _ in sums], sigma)
     den = contract([detected + undetected for detected, undetected in sums], sigma)
     return num / den
@@ -213,19 +213,27 @@ class TestClosedFormContraction:
     PHOTONS = (2, 3, 4)
 
     @staticmethod
-    def random_arm(rng) -> KernelFn:
-        atoms = tuple((rng.uniform(0.0, PI), rng.uniform(0.1, 1.0)) for _ in range(rng.randint(1, 3)))
+    def random_arm(rng) -> DistFn:
+        atoms = [(PolAngle(rng.uniform(0.0, PI)), rng.uniform(0.1, 1.0)) for _ in range(rng.randint(1, 3))]
         c0 = rng.uniform(0.0, 1.0)
-        # |c1| <= c0 / 2 keeps the smooth part nonnegative
-        c1 = 0.5 * c0 * rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2 * PI))
-        return KernelFn(atoms, c0, complex(c1))
+        # amplitudes r_1 + r_2 <= c0 keep the smooth part nonnegative
+        amplitudes = [0.5 * c0 * rng.uniform(0.0, 1.0) for _ in range(MAX_HARMONIC)]
+        phases = [rng.uniform(0.0, 2 * PI) for _ in range(MAX_HARMONIC)]
+        return DistFn(
+            atoms,
+            c0,
+            [r * math.cos(phi) for r, phi in zip(amplitudes, phases)],
+            [r * math.sin(phi) for r, phi in zip(amplitudes, phases)],
+        )
 
     @staticmethod
-    def sampled(f: KernelFn, sigma: float, n: int) -> np.ndarray:
+    def sampled(f: DistFn, sigma: float, n: int) -> np.ndarray:
         axis = grid_points(n)
-        out = f.c0 + 2 * (f.c1 * np.exp(2j * axis)).real
+        out = np.full(n, f.c0)
+        for k, (ck, sk) in enumerate(zip(f.cos_coeffs, f.sin_coeffs), 1):
+            out = out + ck * np.cos(2 * k * axis) + sk * np.sin(2 * k * axis)
         for loc, w in f.atoms:
-            out = out + w * wrapped_gaussian(axis, loc, sigma)
+            out = out + w * wrapped_gaussian(axis, loc.value, sigma)
         return out
 
     def test_equals_constrained_sum_where_the_grid_resolves_the_kernel(self):
@@ -246,7 +254,7 @@ class TestClosedFormContraction:
                 n, sigma, beta = 128, 0.05, rng.choice([1e-2, 1e-4])
                 thetas = [rng.uniform(0.0, PI) for _ in range(photons)]
                 axis = grid_points(n)
-                closed = [sum_out_channel(kernel_backend(t, 1e-2, beta)) for t in thetas]
+                closed = [sum_out_channel(split_backend(PolAngle(t), 1e-2, beta)) for t in thetas]
                 grid = [sum_out_channel(grid_backend(axis, t, 1e-2, beta, sigma)) for t in thetas]
                 for part in (0, 1):
                     want = constrained_sum(*(g[part] for g in grid)) * (PI / n) ** (photons - 1)
