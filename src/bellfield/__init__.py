@@ -10,7 +10,6 @@ from .bell import (
     brute_force_oracle,
     build_bell_graph,
     build_triphoton_graph,
-    channel_sums,
     coincidence_probability,
 )
 from .dist import (
@@ -74,7 +73,6 @@ __all__ = [
     "ParameterError",
     "CoincidenceResult",
     "build_bell_graph",
-    "channel_sums",
     "coincidence_probability",
     "brute_force_oracle",
     "TriphotonGraph",

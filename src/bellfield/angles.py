@@ -56,9 +56,6 @@ class PolAngle:
         """The orthogonal polarization (a quarter turn away)."""
         return PolAngle(self.value + PI / 2)
 
-    def rotated(self, offset: float) -> "PolAngle":
-        return PolAngle(self.value + offset)
-
     def separation(self, other: "PolAngle") -> float:
         """Circular distance mod pi, in [0, pi/2]."""
         d = abs(self.value - other.value) % PI

@@ -25,7 +25,8 @@ import (:data:`CHANNEL_PLAN`); a call only values them on its backend.
 
 Three evaluation routes are provided and cross-checked:
 
-* exact: the graded split backend, eliminated per channel; the channel
+* exact: the graded split backend (``alpha`` and ``beta`` formal),
+  eliminated per channel by :func:`sum_out_channel`; the channel
   sums are integrated against each other over the shared angle without
   forming their product (:func:`~bellfield.dist.dist_inner`), and limits
   are read off the graded coefficients;
@@ -43,7 +44,9 @@ Three evaluation routes are provided and cross-checked:
   (:func:`require_resolved`).
 
 The triphoton graph contracts three channels of the float split backend
-along the source's angle constraint, with the same :func:`contract_channels`.
+along the source's angle constraint, with the same :func:`contract_channels`;
+the modified-polarizer model of :mod:`bellfield.quantum` contracts each arm's
+pass and block splits through it too, as (detected, undetected).
 """
 
 from __future__ import annotations
@@ -392,17 +395,6 @@ def build_bell_graph(params: Mrf3Params) -> ScenarioGraph:
     return ScenarioGraph(tuple(variables), tuple(features), predicates)
 
 
-def channel_sums(params: Mrf3Params, channel: str) -> tuple[DistFn, DistFn]:
-    """Summed relative probability of the channel's detection / no-detection
-    scenarios, as exact functions of the shared angle.
-
-    Detection happens two ways (one per circular mode), each weighing
-    ``(pass split) * beta * alpha``; the single no-detection scenario weighs
-    ``(blocked split) * 2 * alpha * beta``.
-    """
-    return sum_out_channel(split_backend(params.setting(channel), ALPHA, BETA))
-
-
 # -- coincidence probability -------------------------------------------------------
 
 
@@ -432,8 +424,11 @@ def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> Coincide
     reflected, so the shared angle is a sum constraint), and handles the
     equal / orthogonal special cases.
     """
+    if mode not in ("exact", "regularized"):
+        raise ValueError(f"unknown mode: {mode!r}")
+    alpha, beta = (ALPHA, BETA) if mode == "exact" else (params.alpha, params.beta)
+    (pl, ml), (pr, mr) = (sum_out_channel(split_backend(params.setting(ch), alpha, beta)) for ch in CHANNELS)
     if mode == "exact":
-        (pl, ml), (pr, mr) = (channel_sums(params, ch) for ch in CHANNELS)
         num = dist_inner(pl, pr)
         den = dist_inner(pl + ml, pr + mr)
         # Both sides must carry alpha^2 at leading beta order 3; anything
@@ -448,19 +443,13 @@ def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> Coincide
                 "near-degenerate settings cancel the beta^3 coefficient"
             )
         return CoincidenceResult(coeff_ratio_limit(num, den), num, den, "exact")
-    if mode == "regularized":
-        left, right = (
-            sum_out_channel(split_backend(params.setting(ch), params.alpha, params.beta))
-            for ch in CHANNELS
-        )
-        num, den = contract_channels((left, tuple(f.reflected() for f in right)), params.sigma)
-        return CoincidenceResult(
-            partition_ratio(num, den),
-            GradedCoeff.constant(num),
-            GradedCoeff.constant(den),
-            "regularized",
-        )
-    raise ValueError(f"unknown mode: {mode!r}")
+    num, den = contract_channels(((pl, ml), (pr.reflected(), mr.reflected())), params.sigma)
+    return CoincidenceResult(
+        partition_ratio(num, den),
+        GradedCoeff.constant(num),
+        GradedCoeff.constant(den),
+        "regularized",
+    )
 
 
 # -- brute-force oracle --------------------------------------------------------------
@@ -587,8 +576,6 @@ class TriphotonGraph:
     # No route reads it; only bench/tracer.py::_cells_measure does, until
     # that per-layer metric is dropped.
     grid_n: int
-
-    FREE_ANGLES = 2
 
     def triple_coincidence(self) -> float:
         """Probability that all three counters fire, given the emission."""

@@ -268,8 +268,10 @@ def dist_mul(f: DistFn, g: DistFn) -> DistFn:
     Atom x smooth sifts the smooth factor at the atom.  Smooth x smooth is
     the exact trigonometric product; it raises :class:`HarmonicOverflow`
     when a harmonic above :data:`MAX_HARMONIC` keeps a nonzero coefficient.
-    Both factors have graded coefficients.
+    Both factors must have graded coefficients, else ``TypeError``.
     """
+    if not (isinstance(f.c0, GradedCoeff) and isinstance(g.c0, GradedCoeff)):
+        raise TypeError("dist_mul needs graded coefficients; contract float DistFns with contract()")
     if f.is_zero or g.is_zero:
         return DistFn.zero()
     _require_distinct_atoms(f, g)
@@ -341,8 +343,10 @@ def dist_inner(f: DistFn, g: DistFn) -> GradedCoeff:
     product only the constant term survives the integral, by orthogonality
     of the harmonics: pi * (c0 c0' + 1/2 sum_k (c_k c_k' + s_k s_k')).  No
     harmonic is formed, so this never raises :class:`HarmonicOverflow`.
-    Both functions have graded coefficients.
+    Both functions must have graded coefficients, else ``TypeError``.
     """
+    if not (isinstance(f.c0, GradedCoeff) and isinstance(g.c0, GradedCoeff)):
+        raise TypeError("dist_inner needs graded coefficients; contract float DistFns with contract()")
     _require_distinct_atoms(f, g)
     harmonics = GradedCoeff.zero()
     for pairs in (zip(f.cos_coeffs, g.cos_coeffs), zip(f.sin_coeffs, g.sin_coeffs)):

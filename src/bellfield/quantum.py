@@ -20,7 +20,14 @@ Each model is written once, for N arms, and the Bell pair is its N = 2 call:
 * modified, regularized (``sigma`` given, and the triphoton ``Mstar``): the
   same pass and block splits of :func:`~bellfield.bell.split_backend`, with
   float coefficients, contracted along the source's angle constraint with
-  no grid (:func:`~bellfield.bell.contract_channels`).
+  no grid.  The contraction is linear in each arm, so the 2^N branches add
+  up to one contraction of the per-arm totals pass + block, and the detected
+  weight is the all-pass branch alone: the channel pair (detected,
+  undetected) of :func:`~bellfield.bell.contract_channels` is (pass, block).
+
+Every photon, passed or blocked, ends in an absorber of the same cost
+2*alpha*beta, so neither modified route multiplies that cost in: no ratio
+reads it.
 """
 
 from __future__ import annotations
@@ -28,18 +35,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Literal, Mapping, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
 from .angles import PolAngle
 from .bell import (
-    ABSORBER_COST,
     Mrf3Params,
     build_triphoton_graph,
     contract_channels,
     partition_ratio,
-    primitive_product,
     split_backend,
 )
 from .dist import (
@@ -397,47 +402,38 @@ def mstar_bell_coincidence(
 ) -> float:
     """Double-detection probability from the branch-ensemble pipeline.
 
-    Starts from the shared-angle pair ensemble, applies the weighted
-    polarizer on each arm, then the detector bookkeeping: a passing photon
-    converts to one of two circular modes (cost beta each) and is absorbed
-    by the counter (cost alpha); a blocked photon is absorbed internally
-    (cost 2*alpha*beta).  The probability is the graded (or numeric) ratio
-    of detected weight to total weight.
+    Starts from the shared-angle pair ensemble and applies the weighted
+    polarizer on each arm.  A branch is detected when both photons leave on
+    their pass axes; the probability is the graded (or numeric) ratio of
+    detected weight to total weight.  The detector's cost 2*alpha*beta is the
+    same for a passed and a blocked photon, so it cancels from that ratio.
 
     A kernel width ``sigma`` regularizes the point masses, which equal or
-    orthogonal settings need: the pair is then the two-arm
-    :func:`_mstar_contracted`, the second arm's split reflected so that the
-    shared angle becomes a sum constraint.  It needs a numeric ``beta``; the knobs
-    are checked by :class:`~bellfield.bell.Mrf3Params`.
+    orthogonal settings need: the arms' (pass, block) splits are then
+    contracted by :func:`~bellfield.bell.contract_channels`, the second
+    arm's reflected so that the shared angle becomes a sum constraint, and
+    ``alpha`` only feeds the knob checks of
+    :class:`~bellfield.bell.Mrf3Params`.  It needs a numeric ``beta``.
     """
     if sigma is not None:
         if beta is None:
             raise ValueError("regularized mode requires numeric beta")
-        params = Mrf3Params(theta_a, theta_b, alpha=alpha, beta=beta, sigma=sigma)
+        Mrf3Params(theta_a, theta_b, alpha=alpha, beta=beta, sigma=sigma)
         left, right = (split_backend(t, alpha, beta) for t in (theta_a, theta_b))
-        return _mstar_contracted((left, {p: right[p].reflected() for p in ("pass", "block")}), params)
+        pairs = ((left["pass"], left["block"]), (right["pass"].reflected(), right["block"].reflected()))
+        return partition_ratio(*contract_channels(pairs, sigma))
 
     ens = bell_source_ensemble()
     for arm, theta in enumerate((theta_a, theta_b)):
         ens = apply_Mstar(ens, arm, PolarizerSetting(theta, beta=beta))
-
-    # Passing and blocked photons both end in an absorber of the same cost.
-    if beta is None:
-        cost = primitive_product(ABSORBER_COST, {"alpha": ALPHA, "beta": BETA})
-    else:
-        cost = GradedCoeff.constant(primitive_product(ABSORBER_COST, {"alpha": alpha, "beta": beta}))
 
     num = GradedCoeff.zero()
     den = GradedCoeff.zero()
     axes = (theta_a, theta_b)
     for branch in ens.branches:
         w = branch.total_weight()
-        detected = True
-        for tag, axis in zip(branch.tags, axes):
-            w = w * cost
-            detected = detected and isinstance(tag, LinearTag) and tag.angle == axis
         den = den + w
-        if detected:
+        if all(isinstance(tag, LinearTag) and tag.angle == axis for tag, axis in zip(branch.tags, axes)):
             num = num + w
     if den.is_zero:
         raise ZeroEnsemble("no surviving weight after detection")
@@ -446,33 +442,7 @@ def mstar_bell_coincidence(
     return coeff_ratio_limit(num, den)
 
 
-def _mstar_contracted(splits: Sequence[Mapping[str, DistFn]], params: Mrf3Params) -> float:
-    """Branch-ensemble pipeline over an angle-constrained source (numeric).
-
-    ``splits`` holds each arm's "pass" and "block" split (float
-    :func:`~bellfield.bell.split_backend`) as functions of its own photon's
-    angle, in application order; the source constrains the angles to sum to
-    zero (mod pi).  A branch's weight is the contraction of its
-    arms' factors along that constraint.  The contraction is linear in each
-    slot, so the 2^N branch weights add up to one contraction of the per-arm
-    totals ``pass + block``, and the detected weight is the all-pass branch
-    alone: :func:`~bellfield.bell.contract_channels` with (pass, block) as
-    (detected, undetected).
-    """
-    # Every arm ends in an absorber of the same cost, passed or blocked.
-    cost = primitive_product(ABSORBER_COST, {"alpha": params.alpha, "beta": params.beta}) ** len(splits)
-    num, den = contract_channels([(split["pass"], split["block"]) for split in splits], params.sigma)
-    return partition_ratio(num * cost, den * cost)
-
-
 # -- triphoton comparison ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TriphotonResult:
-    model: str
-    order: tuple[int, int, int]
-    probability: float
 
 
 def triphoton_compare(
@@ -480,7 +450,7 @@ def triphoton_compare(
     order: Sequence[int] = (0, 1, 2),
     model: str = "M",
     params: Mrf3Params | None = None,
-) -> TriphotonResult:
+) -> float:
     """Triple-coincidence probability under one of the three models.
 
     ``order`` is the polarizer application sequence for the superoperator
@@ -492,16 +462,15 @@ def triphoton_compare(
     if sorted(order) != [0, 1, 2]:
         raise ValueError("order must be a permutation of (0, 1, 2)")
     if model == "M":
-        p = qm_coincidence(settings, order)
-    elif model not in ("Mstar", "MRF"):
+        return qm_coincidence(settings, order)
+    if model not in ("Mstar", "MRF"):
         raise ValueError(f"unknown model: {model!r}")
-    elif params is None:
+    if params is None:
         raise ValueError(f"{model} model needs numeric params")
-    elif model == "Mstar":
+    if model == "Mstar":
         # The source treats its photons alike, so they take the slots in application order.
-        p = _mstar_contracted([split_backend(settings[arm], params.alpha, params.beta) for arm in order], params)
-    else:
-        relabeled = tuple(settings[i] for i in order)
-        p = build_triphoton_graph(relabeled, params).triple_coincidence()
-    return TriphotonResult(model=model, order=order, probability=p)
+        splits = [split_backend(settings[arm], params.alpha, params.beta) for arm in order]
+        return partition_ratio(*contract_channels([(s["pass"], s["block"]) for s in splits], params.sigma))
+    relabeled = tuple(settings[i] for i in order)
+    return build_triphoton_graph(relabeled, params).triple_coincidence()
 

@@ -202,6 +202,17 @@ class TestTriphoton:
             assert float(r["target"]) == pytest.approx(qm)
             assert float(r["abs_error"]) == pytest.approx(abs(float(r["value"]) - qm), abs=1e-9)
 
+    def test_grid_n_below_the_oracle_minimum_changes_no_row(self, tmp_path):
+        # bench/workloads.py runs the scan with --grid-n 96, below MIN_GRID; no triphoton route reads it
+        rows = {}
+        for extra in ([], ["--grid-n", "96"]):
+            out = tmp_path / f"{len(extra)}.json"
+            argv = ["triphoton-compare", "--angles", "10,25,40", *extra, "--format", "json", "--output", str(out)]
+            assert main(argv) == 0
+            rows[len(extra)] = [{k: v for k, v in r.items() if k != "runtime_ms"} for r in json.loads(out.read_text())]
+        assert rows[0] == rows[2]
+        assert [r["model"] for r in rows[0]] == ["QM", "Mstar", "MRF3-oracle"]
+
     def test_wrong_angle_count(self, capsys):
         assert main(["triphoton-compare", "--angles", "10,20"]) == 2
         assert "angles" in capsys.readouterr().err

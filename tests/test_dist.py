@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bellfield.angles import PI, PolAngle
+from bellfield.bell import split_backend
 from bellfield.dist import (
     MAX_HARMONIC,
     DeltaCollision,
@@ -101,6 +102,14 @@ class TestDistMul:
         # a product within the harmonic range does not raise
         assert not dist_mul(cos_squared(PolAngle(0.3)), cos_squared(PolAngle(0.9))).is_zero
 
+    def test_float_coefficients_refused(self):
+        split = split_backend(PolAngle(0.3), 1e-2, 1e-3)
+        for f, g in ((split["pass"], split["block"]), (split["pass"], cos_squared(PolAngle(0.9)))):
+            with pytest.raises(TypeError, match="dist_mul"):
+                dist_mul(f, g)
+            with pytest.raises(TypeError, match="dist_mul"):
+                dist_mul(g, f)
+
 
 #: Atom locations: distinct points of a fine lattice on [0, pi), far enough
 #: apart for PolAngle equality to tell them apart.
@@ -160,6 +169,14 @@ class TestDistInner:
         with pytest.raises(HarmonicOverflow):
             dist_mul(f, f)
         assert dist_inner(f, f) == GradedCoeff.constant(HALF) * PI_FRAC
+
+    def test_float_coefficients_refused(self):
+        split = split_backend(PolAngle(0.3), 1e-2, 1e-3)
+        for f, g in ((split["pass"], split["block"]), (split["pass"], cos_squared(PolAngle(0.9)))):
+            with pytest.raises(TypeError, match="dist_inner"):
+                dist_inner(f, g)
+            with pytest.raises(TypeError, match="dist_inner"):
+                dist_inner(g, f)
 
 
 class TestConstruction:

@@ -183,7 +183,7 @@ class TestDiscriminatingSignature:
     def test_mrf_depends_on_the_setting_sum_only(self, first, free):
         second = (*free, (sum(first) - sum(free)) % 180.0)
         a, b = (
-            triphoton_compare(degrees(s), (0, 1, 2), "MRF", self.PARAMS).probability
+            triphoton_compare(degrees(s), (0, 1, 2), "MRF", self.PARAMS)
             for s in (first, second)
         )
         assert a == pytest.approx(b, abs=1e-12)
@@ -202,8 +202,8 @@ class TestDiscriminatingSignature:
     def test_qm_tells_equal_sums_apart(self):
         first, second = degrees((10.0, 25.0, 40.0)), degrees((20.0, 50.0, 5.0))
         assert math.isclose(sum(s.value for s in first) % PI, sum(s.value for s in second) % PI)
-        mrf = [triphoton_compare(s, (0, 1, 2), "MRF", self.PARAMS).probability for s in (first, second)]
-        qm = [triphoton_compare(s, (0, 1, 2), "M").probability for s in (first, second)]
+        mrf = [triphoton_compare(s, (0, 1, 2), "MRF", self.PARAMS) for s in (first, second)]
+        qm = [triphoton_compare(s, (0, 1, 2), "M") for s in (first, second)]
         assert mrf[0] == pytest.approx(mrf[1], abs=1e-12)
         assert qm[0] == pytest.approx(0.2671, abs=1e-4)
         assert qm[1] == pytest.approx(0.1950, abs=1e-4)
