@@ -40,8 +40,8 @@ Three evaluation routes are provided and cross-checked:
   the factors' scalar tables indexed by every scenario's bits
   (:data:`SCENARIOS`, derived at import), and only the scenarios with a
   nonzero weight multiply their grid values out, one after another in one
-  reused buffer, and integrate them.  The grid must resolve the kernel
-  (:func:`require_resolved`).
+  reused buffer, and integrate them, each distinct product once.  The grid
+  must resolve the kernel (:func:`require_resolved`).
 
 The triphoton graph contracts three channels of the float split backend
 along the source's angle constraint, with the same :func:`contract_channels`;
@@ -501,6 +501,10 @@ def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = Fal
     order, then multiply that weight by their array values over the grid,
     in one reused buffer and in feature order (the bits of
     ``weight * A_1 * A_2 * ...``), and add its integral to the sums.
+    Scenarios that share a product -- the same weight and the same array
+    objects, as the four detected x detected ones share pass_L * pass_R --
+    form and integrate it once, for the first of them, and the later ones
+    add that integral in their own turn, so the sums take the same bits.
     ``exit_beta_without_crystal`` swaps in :data:`EXIT_WITHOUT_CRYSTAL`; it
     exists to demonstrate numerically that the variant does not move the
     result at leading order.
@@ -537,14 +541,19 @@ def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = Fal
     den = 0.0
     cell = PI / params.grid_n
     product = np.empty_like(grid)
+    integrals: dict[tuple, float] = {}
     for s in np.flatnonzero(weights):
         bits = SCENARIOS[s].tolist()
         values = (table[tuple(bits[k] for k in positions)] for positions, table in array_tables)
-        first, *rest = (val for val in values if isinstance(val, np.ndarray))
-        np.multiply(first, weights[s], out=product)
-        for val in rest:
-            product *= val
-        weight = float(product.sum()) * cell
+        arrays = [val for val in values if isinstance(val, np.ndarray)]
+        key = (float(weights[s]), *map(id, arrays))
+        weight = integrals.get(key)
+        if weight is None:
+            first, *rest = arrays
+            np.multiply(first, weights[s], out=product)
+            for val in rest:
+                product *= val
+            weight = integrals[key] = float(product.sum()) * cell
         den += weight
         if COINCIDENT[s]:
             num += weight

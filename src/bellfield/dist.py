@@ -50,6 +50,11 @@ MIN_GRID = 256
 MAX_GRID = 1 << 16
 MAX_SIGMA = PI / 16
 
+#: Reach of a Gaussian image, in widths.  exp(x) is exactly 0.0 in float64
+#: for x below -745.1332, that is beyond 38.604 widths; numpy's exp also
+#: takes a slow path for every argument below -708.4 (37.64 widths).
+KERNEL_REACH = 38.7
+
 
 class DeltaCollision(ArithmeticError):
     """Two point masses met at the same location in exact mode."""
@@ -250,6 +255,15 @@ class DistFn:
         return f"DistFn({', '.join(bits) or '0'})"
 
 
+def _require_graded(name: str, *fs: DistFn) -> None:
+    """Raise ``TypeError`` naming ``name`` unless every coefficient of ``fs``
+    -- atom weights, ``c0`` and harmonics -- is a ``GradedCoeff``."""
+    for f in fs:
+        coeffs = (f.c0, *f.cos_coeffs, *f.sin_coeffs, *(w for _, w in f.atoms))
+        if not all(isinstance(c, GradedCoeff) for c in coeffs):
+            raise TypeError(f"{name} needs graded coefficients; contract float DistFns with contract()")
+
+
 def _require_distinct_atoms(f: DistFn, g: DistFn) -> None:
     """Raise :class:`DeltaCollision` when ``f`` and ``g`` hold atoms at one location."""
     for loc_f, _ in f.atoms:
@@ -268,10 +282,9 @@ def dist_mul(f: DistFn, g: DistFn) -> DistFn:
     Atom x smooth sifts the smooth factor at the atom.  Smooth x smooth is
     the exact trigonometric product; it raises :class:`HarmonicOverflow`
     when a harmonic above :data:`MAX_HARMONIC` keeps a nonzero coefficient.
-    Both factors must have graded coefficients, else ``TypeError``.
+    Every coefficient of both factors must be graded, else ``TypeError``.
     """
-    if not (isinstance(f.c0, GradedCoeff) and isinstance(g.c0, GradedCoeff)):
-        raise TypeError("dist_mul needs graded coefficients; contract float DistFns with contract()")
+    _require_graded("dist_mul", f, g)
     if f.is_zero or g.is_zero:
         return DistFn.zero()
     _require_distinct_atoms(f, g)
@@ -343,10 +356,9 @@ def dist_inner(f: DistFn, g: DistFn) -> GradedCoeff:
     product only the constant term survives the integral, by orthogonality
     of the harmonics: pi * (c0 c0' + 1/2 sum_k (c_k c_k' + s_k s_k')).  No
     harmonic is formed, so this never raises :class:`HarmonicOverflow`.
-    Both functions must have graded coefficients, else ``TypeError``.
+    Every coefficient of both functions must be graded, else ``TypeError``.
     """
-    if not (isinstance(f.c0, GradedCoeff) and isinstance(g.c0, GradedCoeff)):
-        raise TypeError("dist_inner needs graded coefficients; contract float DistFns with contract()")
+    _require_graded("dist_inner", f, g)
     _require_distinct_atoms(f, g)
     harmonics = GradedCoeff.zero()
     for pairs in (zip(f.cos_coeffs, g.cos_coeffs), zip(f.sin_coeffs, g.sin_coeffs)):
@@ -385,29 +397,30 @@ def wrapped_gaussian(grid: np.ndarray, center: float, sigma: float) -> np.ndarra
     """Unit-mass Gaussian kernel wrapped onto the period-pi circle.
 
     Sums the images ``center - m*pi``, m = -3..3, but only those within
-    40 sigma (+1e-9 for rounding) of the samples' range, and on an ascending
-    1-D grid each only on the samples within that reach of its centre: a
-    farther sample gets below exp(-800), exactly 0.0 in float64.  Any other
-    grid, or one no wider than the kernel's 2*reach, takes whole-array images.
-    Each image is evaluated in one temporary, in place, with the operations
-    of ``norm * exp(-0.5 * ((grid - center + m*pi) / sigma) ** 2)`` in that
+    :data:`KERNEL_REACH` sigma (+1e-9 for the rounding of sample and image
+    positions) of the samples' range, and on an ascending 1-D grid
+    each only on the samples within that reach of its centre: a farther
+    sample gets exp(-748) or less, exactly 0.0 in float64.  The samples
+    nearer than that whose value is subnormal (37.6 to 38.6 widths out) are
+    still evaluated.  Any other grid takes whole-array images.  Each image
+    is evaluated in one temporary, in place, with the operations of
+    ``norm * exp(-0.5 * ((grid - center + m*pi) / sigma) ** 2)`` in that
     order, so every sample has the bits the expression gives.
     """
     norm = 1.0 / (sigma * math.sqrt(2.0 * PI))
-    reach = 40.0 * abs(sigma) + 1e-9
+    reach = KERNEL_REACH * abs(sigma) + 1e-9
     ascending = grid.ndim == 1 and grid.size > 0 and bool(np.all(grid[1:] >= grid[:-1]))
     if ascending:
         first, last = grid[0], grid[-1]
     else:
         first, last = np.min(grid, initial=np.inf), np.max(grid, initial=-np.inf)
-    windowed = ascending and 2 * reach < last - first
     out = np.zeros_like(grid)
     for m in range(-3, 4):
         image = center - m * PI
         if image < first - reach or image > last + reach:
             continue
         cells = slice(None)
-        if windowed:
+        if ascending:
             cells = slice(np.searchsorted(grid, image - reach), np.searchsorted(grid, image + reach, side="right"))
         d = np.subtract(grid[cells], center)
         d += m * PI
@@ -501,14 +514,17 @@ def regularize(
 
 def _wrapped_normal(x: float, width: float) -> float:
     """Density at ``x`` of the unit-mass normal of width ``width`` wrapped onto
-    the period-pi circle, summed over the images within 40 widths (a farther
-    one weighs below exp(-800), exactly 0.0 in float64).
+    the period-pi circle, summed over the images within :data:`KERNEL_REACH`
+    widths (a farther one weighs exp(-748) or less, exactly 0.0 in float64).
+    The offset is one exact remainder, so the reach takes no rounding slack:
+    slack would let in an image up to that slack away, whose squared
+    offset/width overflows for a width near 1e-300.
 
     Each image weighs exp(-(d/width)^2 / 2), never d^2 / width^2, so a width
     as small as 1e-300 neither underflows to 0/0 nor loses the peak.
     """
     d = math.remainder(x, PI)
-    reach = 40.0 * width
+    reach = KERNEL_REACH * width
     total = 0.0
     for m in range(math.ceil((-reach - d) / PI), math.floor((reach - d) / PI) + 1):
         total += math.exp(-0.5 * ((d + m * PI) / width) ** 2)

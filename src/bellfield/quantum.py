@@ -411,14 +411,17 @@ def mstar_bell_coincidence(
     A kernel width ``sigma`` regularizes the point masses, which equal or
     orthogonal settings need: the arms' (pass, block) splits are then
     contracted by :func:`~bellfield.bell.contract_channels`, the second
-    arm's reflected so that the shared angle becomes a sum constraint, and
-    ``alpha`` only feeds the knob checks of
-    :class:`~bellfield.bell.Mrf3Params`.  It needs a numeric ``beta``.
+    arm's reflected so that the shared angle becomes a sum constraint.  It
+    needs a numeric ``beta``.  On either path ``alpha`` only feeds the knob
+    checks: ``alpha``, and ``beta`` and ``sigma`` when numeric, must pass
+    :class:`~bellfield.bell.Mrf3Params`, else
+    :class:`~bellfield.bell.ParameterError` naming the knob.
     """
+    if sigma is not None and beta is None:
+        raise ValueError("regularized mode requires numeric beta")
+    knobs = {k: v for k, v in (("beta", beta), ("sigma", sigma)) if v is not None}
+    Mrf3Params(theta_a, theta_b, alpha=alpha, **knobs)
     if sigma is not None:
-        if beta is None:
-            raise ValueError("regularized mode requires numeric beta")
-        Mrf3Params(theta_a, theta_b, alpha=alpha, beta=beta, sigma=sigma)
         left, right = (split_backend(t, alpha, beta) for t in (theta_a, theta_b))
         pairs = ((left["pass"], left["block"]), (right["pass"].reflected(), right["block"].reflected()))
         return partition_ratio(*contract_channels(pairs, sigma))

@@ -283,6 +283,18 @@ class TestBruteForceOracle:
         assert oracle.numerator == reference.numerator
         assert oracle.denominator == reference.denominator
 
+    @pytest.mark.parametrize("exit_beta", [False, True])
+    @pytest.mark.parametrize("grid_n", [256, 8192])
+    @pytest.mark.parametrize("sigma", [0.04, 0.1, MAX_SIGMA])
+    def test_wide_kernels_equal_scalar_by_scalar_walk(self, sigma, grid_n, exit_beta):
+        # a kernel's window spans the whole grid here
+        params = params_for(33.3, sigma=sigma, grid_n=grid_n)
+        reference = scalar_by_scalar_oracle(params, exit_beta)
+        oracle = brute_force_oracle(params, exit_beta_without_crystal=exit_beta)
+        assert oracle.probability == reference.probability
+        assert oracle.numerator == reference.numerator
+        assert oracle.denominator == reference.denominator
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.sampled_from([256, 257, 1000, 8192]).flatmap(

@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 from bellfield.angles import PI, PolAngle
 from bellfield.bell import split_backend
 from bellfield.dist import (
+    KERNEL_REACH,
     MAX_HARMONIC,
     DeltaCollision,
     DistFn,
     HarmonicOverflow,
     RegularizedDistFn,
     SigmaTooCoarse,
+    _wrapped_normal,
     dist_inner,
     dist_integrate,
     dist_mul,
@@ -104,7 +106,16 @@ class TestDistMul:
 
     def test_float_coefficients_refused(self):
         split = split_backend(PolAngle(0.3), 1e-2, 1e-3)
-        for f, g in ((split["pass"], split["block"]), (split["pass"], cos_squared(PolAngle(0.9)))):
+        for f, g in (
+            (split["pass"], split["block"]),
+            (split["pass"], cos_squared(PolAngle(0.9))),
+            # c0 left out is a graded zero; the floats sit in the atoms and harmonics
+            (
+                DistFn(atoms=[(PolAngle(0.3), 1.0)], cos_coeffs=[0.5, 0.0], sin_coeffs=[0.0, 0.0]),
+                DistFn(cos_coeffs=[0.25, 0.0], sin_coeffs=[0.0, 0.0]),
+            ),
+            (DistFn(atoms=[(PolAngle(0.9), 1.0)]), cos_squared(PolAngle(0.3))),
+        ):
             with pytest.raises(TypeError, match="dist_mul"):
                 dist_mul(f, g)
             with pytest.raises(TypeError, match="dist_mul"):
@@ -172,7 +183,16 @@ class TestDistInner:
 
     def test_float_coefficients_refused(self):
         split = split_backend(PolAngle(0.3), 1e-2, 1e-3)
-        for f, g in ((split["pass"], split["block"]), (split["pass"], cos_squared(PolAngle(0.9)))):
+        for f, g in (
+            (split["pass"], split["block"]),
+            (split["pass"], cos_squared(PolAngle(0.9))),
+            # c0 left out is a graded zero; the floats sit in the atoms and harmonics
+            (
+                DistFn(atoms=[(PolAngle(0.3), 1.0)], cos_coeffs=[0.5, 0.0], sin_coeffs=[0.0, 0.0]),
+                DistFn(cos_coeffs=[0.25, 0.0], sin_coeffs=[0.0, 0.0]),
+            ),
+            (DistFn(atoms=[(PolAngle(0.9), 1.0)]), cos_squared(PolAngle(0.3))),
+        ):
             with pytest.raises(TypeError, match="dist_inner"):
                 dist_inner(f, g)
             with pytest.raises(TypeError, match="dist_inner"):
@@ -345,6 +365,54 @@ class TestWrappedGaussianImages:
             got = wrapped_gaussian(grid, float(centre), sigma)
             assert np.array_equal(got, seven_image_kernel(grid, float(centre), sigma)), centre
             assert np.array_equal(grid, before), centre  # evaluated in place, but not in the grid
+
+
+class TestKernelReach:
+    """The cut at :data:`KERNEL_REACH` widths lies beyond the last sample a
+    Gaussian image can give a nonzero float64, and behind the subnormal ones."""
+
+    @staticmethod
+    def grid_reach(sigma):
+        """The reach wrapped_gaussian windows its images by."""
+        return KERNEL_REACH * sigma + 1e-9
+
+    @staticmethod
+    def image_term(x, centre, m, sigma):
+        """One image's term of the seven-image formula, before the norm."""
+        return np.exp(-0.5 * ((x - centre + m * PI) / sigma) ** 2)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("sigma", TestWrappedGaussianImages.SIGMAS)
+    @pytest.mark.parametrize("centre", [0.0, 0.3, PI - 1e-3])
+    @pytest.mark.parametrize("m", [-1, 0, 2])
+    def test_zero_just_beyond_the_reach(self, sigma, centre, m):
+        image = centre - m * PI
+        beyond = np.nextafter(self.grid_reach(sigma), math.inf)
+        outside = self.image_term(np.array([image - beyond, image + beyond]), centre, m, sigma)
+        assert np.array_equal(outside, [0.0, 0.0])
+
+    @pytest.mark.parametrize("sigma", TestWrappedGaussianImages.SIGMAS)
+    def test_nonzero_within_the_reach(self, sigma):
+        # centred on 0, so the offsets are exact even for the narrowest sigma;
+        # 37.6 widths gives a normal float, 38.5 a subnormal one
+        for widths in (37.6, 38.5):
+            inside = self.image_term(np.array([-widths * sigma, widths * sigma]), 0.0, 0, sigma)
+            assert np.all(inside > 0.0), widths
+        assert 38.5 < KERNEL_REACH
+
+    @pytest.mark.parametrize("width", [w for w in TestWrappedGaussianImages.SIGMAS if KERNEL_REACH * w < PI / 2])
+    def test_wrapped_normal_zero_just_beyond_the_reach(self, width):
+        # the offset is its own remainder, so the cut is sharp; a wider
+        # kernel's next image lies within the reach of every point
+        beyond = math.nextafter(KERNEL_REACH * width, math.inf)
+        assert _wrapped_normal(beyond, width) == 0.0
+        assert _wrapped_normal(38.5 * width, width) > 0.0
+
+    def test_wrapped_normal_tiny_offset_at_the_narrowest_width(self):
+        # the image 1e-12 away is 1e288 widths out: it weighs 0.0 and must not
+        # be squared into an overflow
+        assert _wrapped_normal(1e-12, 1e-300) == 0.0
+        assert _wrapped_normal(-1e-12, 1e-300) == 0.0
 
 
 # -- randomized algebra ------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bellfield.angles import PI, PolAngle
-from bellfield.bell import Mrf3Params, coincidence_probability
+from bellfield.bell import Mrf3Params, ParameterError, coincidence_probability
 from bellfield.dist import MAX_GRID, DeltaCollision
 from bellfield.graded import GradedCoeff
 from bellfield.quantum import (
@@ -313,6 +313,28 @@ class TestMstarBell:
         got = mstar_bell_coincidence(deg(d), deg(0.0), beta=1e-3, sigma=sigma)
         assert got == pytest.approx(mrf, rel=0, abs=1e-12)
 
+    @pytest.mark.parametrize("theta_a", [1e-12, -1e-12, 5e-324])
+    def test_regularized_near_equal_at_the_narrowest_sigma(self, theta_a):
+        # the reflected location sum misses 0 mod pi by about 1e-12, some
+        # 1e288 widths: those images weigh 0.0 and must not overflow
+        got = mstar_bell_coincidence(PolAngle(theta_a), deg(0.0), beta=1e-3, sigma=1e-300)
+        assert 0.0 <= got <= 1.0
+
+    @pytest.mark.parametrize(
+        "knobs, key",
+        [
+            ({"beta": 1e-3, "alpha": -1.0}, "alpha"),
+            ({"beta": 0.5}, "beta"),
+            ({"beta": 0.0}, "beta"),
+            ({"beta": math.nan}, "beta"),
+            ({"alpha": 5.0}, "alpha"),
+        ],
+    )
+    def test_exact_path_checks_numeric_knobs(self, knobs, key):
+        with pytest.raises(ParameterError) as err:
+            mstar_bell_coincidence(deg(60.0), deg(0.0), **knobs)
+        assert err.value.key == key
+
     def test_finite_beta_with_exact_atoms(self):
         # numeric beta, point masses kept exact: value sits a beta-sized
         # step below the limit
@@ -359,6 +381,13 @@ class TestTriphoton:
         sin = math.prod(math.sin(t.value) for t in s)
         expected = 0.5 * (cos + sin) ** 2
         assert triphoton_compare(s, (0, 1, 2), "M") == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("model", ["Mstar", "MRF"])
+    def test_near_zero_sum_at_the_narrowest_sigma(self, model):
+        # the settings sum to 1e-10 degrees, off 0 mod pi by 1e286 widths
+        s = (deg(1e-10), deg(0.0), deg(0.0))
+        params = Mrf3Params(deg(0.0), deg(0.0), sigma=1e-300)
+        assert 0.0 <= triphoton_compare(s, (0, 1, 2), model, params) <= 1.0
 
     def test_m_model_all_zero_settings(self):
         s = (deg(0.0),) * 3
