@@ -10,8 +10,8 @@ normalization is a separate, explicit step.
 
 Each model is written once, for N arms, and the Bell pair is its N = 2 call:
 
-* traditional (:func:`qm_coincidence`): the N-photon GHZ state, each arm
-  dephased in application order, then projected on its pass mode;
+* traditional (:func:`qm_coincidence`): the Born rule on the N-photon GHZ
+  state, read on the product of the arms' pass modes;
 * modified, exact (:func:`mstar_bell_coincidence` without ``sigma``): a
   branch ensemble -- a positive mixture of tagged configurations (linear at
   some angle, circular, absorbed, or linear at the shared source angle with
@@ -169,26 +169,24 @@ def apply_M(rho: DensityMatrix, subsystem: int, theta0: PolAngle) -> DensityMatr
     return DensityMatrix(dephase(rho.entries, rho.n_photons, subsystem, theta0))
 
 
-def qm_coincidence(settings: Sequence[PolAngle], order: Sequence[int]) -> float:
+def qm_coincidence(settings: Sequence[PolAngle]) -> float:
     """Probability that every photon of the N-photon GHZ state passes.
 
-    Arm ``k`` is dephased in the basis of ``settings[k]``, the arms in
-    ``order``; then each is projected on its pass mode.  The source state is
-    checked once, as a :class:`PureState`.
+    The Born rule <v|rho|v>, v the product of the pass modes.  Dephasing an
+    arm in its own basis first cannot move it (its pass projector is a
+    factor of the joint one), so the arms have no order.  The source state
+    is checked once, as a :class:`PureState`.
     """
-    n = len(settings)
-    amplitudes = PureState(ghz_state(n)).amplitudes
+    amplitudes = PureState(ghz_state(len(settings))).amplitudes
     rho = np.outer(amplitudes, amplitudes.conj())
-    for k in order:
-        rho = dephase(rho, n, k, settings[k])
-    proj = reduce(_kron, [_mode_projector(t) for t in settings])
-    return float(np.trace(proj @ rho).real)
+    v = reduce(np.multiply.outer, [linear_state(t) for t in settings]).ravel()
+    return float((v.conj() @ rho @ v).real)
 
 
 def bell_coincidence_qm(theta_a: PolAngle, theta_b: PolAngle) -> float:
     """Double-detection probability for the entangled pair: the two-photon
     :func:`qm_coincidence`."""
-    return qm_coincidence((theta_a, theta_b), (0, 1))
+    return qm_coincidence((theta_a, theta_b))
 
 
 def malus_chain(initial: PolAngle | Literal["unpolarized"], settings: Sequence[PolAngle]) -> float:
@@ -398,7 +396,6 @@ def mstar_bell_coincidence(
     beta: float | None = None,
     *,
     sigma: float | None = None,
-    alpha: float = 1e-2,
 ) -> float:
     """Double-detection probability from the branch-ensemble pipeline.
 
@@ -412,17 +409,16 @@ def mstar_bell_coincidence(
     orthogonal settings need: the arms' (pass, block) splits are then
     contracted by :func:`~bellfield.bell.contract_channels`, the second
     arm's reflected so that the shared angle becomes a sum constraint.  It
-    needs a numeric ``beta``.  On either path ``alpha`` only feeds the knob
-    checks: ``alpha``, and ``beta`` and ``sigma`` when numeric, must pass
-    :class:`~bellfield.bell.Mrf3Params`, else
+    needs a numeric ``beta``.  On either path ``beta`` and ``sigma``, when
+    numeric, must pass :class:`~bellfield.bell.Mrf3Params`, else
     :class:`~bellfield.bell.ParameterError` naming the knob.
     """
     if sigma is not None and beta is None:
         raise ValueError("regularized mode requires numeric beta")
     knobs = {k: v for k, v in (("beta", beta), ("sigma", sigma)) if v is not None}
-    Mrf3Params(theta_a, theta_b, alpha=alpha, **knobs)
+    Mrf3Params(theta_a, theta_b, **knobs)
     if sigma is not None:
-        left, right = (split_backend(t, alpha, beta) for t in (theta_a, theta_b))
+        left, right = (split_backend(t, ALPHA, beta) for t in (theta_a, theta_b))
         pairs = ((left["pass"], left["block"]), (right["pass"].reflected(), right["block"].reflected()))
         return partition_ratio(*contract_channels(pairs, sigma))
 
@@ -456,16 +452,18 @@ def triphoton_compare(
 ) -> float:
     """Triple-coincidence probability under one of the three models.
 
-    ``order`` is the polarizer application sequence for the superoperator
-    models and a channel relabeling for the graph model (which has no
-    arrival order at all).
+    ``order`` is the polarizer application sequence for ``Mstar`` and a
+    channel relabeling for the graph model (which has no arrival order at
+    all); it does not reach ``M``, whose Born-rule value has no order.
     """
     settings = tuple(settings)
     order = tuple(order)
+    if len(settings) != 3:
+        raise ValueError("exactly three polarizer settings required")
     if sorted(order) != [0, 1, 2]:
         raise ValueError("order must be a permutation of (0, 1, 2)")
     if model == "M":
-        return qm_coincidence(settings, order)
+        return qm_coincidence(settings)
     if model not in ("Mstar", "MRF"):
         raise ValueError(f"unknown model: {model!r}")
     if params is None:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -143,13 +144,23 @@ class TestQmCoincidence:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 4).flatmap(lambda n: st.lists(st.floats(-360.0, 360.0), min_size=n, max_size=n)))
     def test_ghz_overlap_in_every_order(self, degrees):
-        # dephasing before the pass projectors leaves |<phi_1 ... phi_N|GHZ>|^2
+        # dephasing each arm in its own basis, in any order, before the pass
+        # projectors leaves the Born rule |<phi_1 ... phi_N|GHZ>|^2
         phis = [deg(d) for d in degrees]
         cos = math.prod(math.cos(t.value) for t in phis)
         sin = math.prod(math.sin(t.value) for t in phis)
         expected = 0.5 * (cos + sin) ** 2
+        got = qm_coincidence(phis)
+        assert got == pytest.approx(expected, rel=0, abs=1e-12)
+        ghz = DensityMatrix.from_pure(ghz_state(len(phis)))
+        proj = reduce(_kron, [np.outer(linear_state(t), linear_state(t).conj()) for t in phis])
         for order in itertools.permutations(range(len(phis))):
-            assert qm_coincidence(phis, order) == pytest.approx(expected, rel=0, abs=1e-12)
+            rho = ghz
+            for k in order:
+                rho = apply_M(rho, k, phis[k])
+            dephased = float(np.trace(proj @ rho.entries).real)
+            assert dephased == pytest.approx(got, rel=0, abs=1e-15)
+            assert dephased == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 class TestMalusChain:
@@ -323,11 +334,9 @@ class TestMstarBell:
     @pytest.mark.parametrize(
         "knobs, key",
         [
-            ({"beta": 1e-3, "alpha": -1.0}, "alpha"),
+            ({"beta": math.nan}, "beta"),
             ({"beta": 0.5}, "beta"),
             ({"beta": 0.0}, "beta"),
-            ({"beta": math.nan}, "beta"),
-            ({"alpha": 5.0}, "alpha"),
         ],
     )
     def test_exact_path_checks_numeric_knobs(self, knobs, key):
@@ -348,7 +357,7 @@ class TestPolarizerSetting:
         # the regularized knobs now belong to mstar_bell_coincidence alone
         with pytest.raises(ValueError, match="numeric beta"):
             mstar_bell_coincidence(deg(0.0), deg(0.0), sigma=0.01)
-        for knobs in ({"sigma": 0.0}, {"sigma": math.nan}, {"sigma": 0.5}, {"alpha": 5.0}):
+        for knobs in ({"sigma": 0.0}, {"sigma": math.nan}, {"sigma": 0.5}):
             with pytest.raises(ValueError):
                 mstar_bell_coincidence(deg(0.0), deg(0.0), 1e-3, **{"sigma": 0.01, **knobs})
         with pytest.raises(ValueError, match="beta"):
@@ -374,7 +383,7 @@ class TestTriphoton:
         assert max(probs) - min(probs) < 1e-12
 
     def test_m_model_closed_form(self):
-        # the dephase-then-project pipeline must match the direct overlap
+        # the Born rule on the GHZ state, in closed form:
         # |<phi1 phi2 phi3|ghz>|^2 = (prod cos + prod sin)^2 / 2
         s = self.settings()
         cos = math.prod(math.cos(t.value) for t in s)
@@ -430,6 +439,13 @@ class TestTriphoton:
                 coincidence_probability(params, "regularized")
             else:
                 triphoton_compare((deg(0.0),) * 3, (0, 1, 2), model, params)
+
+    @pytest.mark.parametrize("model", ["M", "Mstar", "MRF"])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_needs_three_settings(self, model, n):
+        angles = (deg(10.0), deg(20.0), deg(30.0), deg(40.0))[:n]
+        with pytest.raises(ValueError, match="three"):
+            triphoton_compare(angles, (0, 1, 2), model, self.params())
 
     def test_bad_order(self):
         with pytest.raises(ValueError):
