@@ -18,7 +18,6 @@ from .dist import (
     HarmonicOverflow,
     RegularizedDistFn,
     SigmaTooCoarse,
-    dist_inner,
     dist_integrate,
     dist_mul,
     regularize,
@@ -52,7 +51,6 @@ __all__ = [
     "DistFn",
     "RegularizedDistFn",
     "dist_mul",
-    "dist_inner",
     "dist_integrate",
     "regularize",
     "DeltaCollision",

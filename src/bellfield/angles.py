@@ -2,7 +2,12 @@
 
 Linear polarization is orientation, not direction: an angle and the same
 angle plus a half turn describe the same state, so every value is reduced
-modulo pi at construction.  Equality is circular and carries a small
+modulo pi at construction, into [-pi/2, pi/2), by the exact and odd IEEE
+remainder.  Negation is therefore exact: ``PolAngle(-a.value).value`` is
+``-a.value`` for every angle but -pi/2 itself, so a reflected function's
+atoms keep the cos 2theta of theirs and negate the sin 2theta, bit for bit.
+An angle in the upper half turn has a negative ``value`` and ``degrees``
+(120 degrees reads -60).  Equality is circular and carries a small
 tolerance, which makes instances unhashable by design.
 """
 
@@ -27,7 +32,7 @@ def reduce_degrees(degrees: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PolAngle:
-    """An angle in radians, canonically reduced into [0, pi)."""
+    """An angle in radians, canonically reduced into [-pi/2, pi/2)."""
 
     value: float
 
@@ -37,9 +42,9 @@ class PolAngle:
         v = float(value)
         if not math.isfinite(v):
             raise ValueError(f"non-finite angle: {v!r}")
-        v = v % PI
-        if v >= PI:  # ``%`` can round up to the modulus itself
-            v = 0.0
+        v = math.remainder(v, PI)  # exact, and odd: remainder(-x) == -remainder(x)
+        if v == PI / 2:  # the one tie; the range is half-open
+            v = -v
         object.__setattr__(self, "value", v)
 
     @classmethod

@@ -26,13 +26,13 @@ import (:data:`CHANNEL_PLAN`); a call only values them on its backend.
 Three evaluation routes are provided and cross-checked:
 
 * exact: the graded split backend (``alpha`` and ``beta`` formal),
-  eliminated per channel by :func:`sum_out_channel`; the channel
-  sums are integrated against each other over the shared angle without
-  forming their product (:func:`~bellfield.dist.dist_inner`), and limits
-  are read off the graded coefficients;
-* regularized: the same factorized sums on the float split backend,
-  contracted in closed form by :func:`contract_channels` with no grid
-  (handles the degenerate equal/orthogonal polarizer settings);
+  eliminated per channel by :func:`sum_out_channel`; the channel sums are
+  contracted by :func:`contract_channels` at width 0, which integrates them
+  against each other over the shared angle without forming their product,
+  and limits are read off the graded coefficients;
+* regularized: the same factorized sums on the float split backend, and the
+  same :func:`contract_channels` at width sigma, with no grid (handles the
+  degenerate equal/orthogonal polarizer settings);
 * brute-force oracle: numeric parameters, full 2^8 scenario enumeration on
   the grid backend with no graded algebra and no channel factorization.
   Each factor is evaluated once per assignment of the bits it reads; the
@@ -69,7 +69,6 @@ from .dist import (
     DistFn,
     SigmaTooCoarse,
     contract,
-    dist_inner,
     grid_points,
     wrapped_gaussian,
     _unchecked,
@@ -331,18 +330,18 @@ def sum_out_channel(backend: Mapping) -> tuple:
     return tuple(functools.reduce(operator.add, terms) for terms in sums)
 
 
-def contract_channels(sums: Sequence[tuple[DistFn, DistFn]], sigma: float) -> tuple[float, float]:
+def contract_channels(sums: Sequence[tuple[DistFn, DistFn]], width: float) -> tuple:
     """Detected weight and partition of N channels fed by one source.
 
-    ``sums`` holds each channel's (detected, undetected) sums on the float
+    ``sums`` holds each channel's (detected, undetected) sums on the
     :func:`split_backend`, as functions of its own photon's angle; the
-    source constrains the angles to sum to zero (mod pi).  The detected weight contracts the
-    detected sums, the partition each channel's total, both in closed form
-    by :func:`~bellfield.dist.contract`.  A Bell pair shares one angle: it is
-    N = 2 with the second channel :meth:`~bellfield.dist.DistFn.reflected`.
+    source constrains the angles to sum to zero (mod pi).  The detected
+    weight contracts the detected sums, the partition each channel's total,
+    both by :func:`~bellfield.dist.contract` (exact and graded at width 0).
+    A Bell pair is N = 2 with the second channel reflected.
     """
-    num = contract([detected for detected, _ in sums], sigma)
-    den = contract([detected + undetected for detected, undetected in sums], sigma)
+    num = contract([detected for detected, _ in sums], width)
+    den = contract([detected + undetected for detected, undetected in sums], width)
     return num, den
 
 
@@ -416,40 +415,34 @@ def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> Coincide
 
     Both modes multiply the two channels' summed weights and integrate over
     the shared angle: the numerator pairs the detected sums, the partition
-    pairs each channel's total.  Exact mode does so on the split backend
-    with formal small parameters and :func:`~bellfield.dist.dist_inner`
-    (no product is formed), and takes their joint limit; it requires
-    non-degenerate settings.  Regularized mode does so on the split backend
-    with numeric parameters, in closed form with no grid (the right channel
-    reflected, so the shared angle is a sum constraint), and handles the
-    equal / orthogonal special cases.
+    pairs each channel's total, both by :func:`contract_channels` with the
+    right channel reflected, so that the shared angle is a sum constraint.
+    Exact mode takes formal small parameters at width 0 and their joint
+    limit; it requires non-degenerate settings.  Regularized mode takes
+    numeric ones at width ``sigma`` and handles equal / orthogonal settings.
     """
     if mode not in ("exact", "regularized"):
         raise ValueError(f"unknown mode: {mode!r}")
-    alpha, beta = (ALPHA, BETA) if mode == "exact" else (params.alpha, params.beta)
+    exact = mode == "exact"
+    alpha, beta, width = (ALPHA, BETA, 0) if exact else (params.alpha, params.beta, params.sigma)
     (pl, ml), (pr, mr) = (sum_out_channel(split_backend(params.setting(ch), alpha, beta)) for ch in CHANNELS)
-    if mode == "exact":
-        num = dist_inner(pl, pr)
-        den = dist_inner(pl + ml, pr + mr)
-        # Both sides must carry alpha^2 at leading beta order 3; anything
-        # else means the detector bookkeeping broke or a coefficient cancelled.
-        alpha_orders = (num.min_alpha_order(), den.min_alpha_order())
-        if alpha_orders != (2, 2):
-            raise UnexpectedLeadingOrder(f"leading alpha orders {alpha_orders}, expected (2, 2)")
-        beta_orders = (min(num.at_alpha_order(2)), min(den.at_alpha_order(2)))
-        if beta_orders != (3, 3):
-            raise UnexpectedLeadingOrder(
-                f"leading beta orders {beta_orders} at alpha^2, expected (3, 3); "
-                "near-degenerate settings cancel the beta^3 coefficient"
-            )
-        return CoincidenceResult(coeff_ratio_limit(num, den), num, den, "exact")
-    num, den = contract_channels(((pl, ml), (pr.reflected(), mr.reflected())), params.sigma)
-    return CoincidenceResult(
-        partition_ratio(num, den),
-        GradedCoeff.constant(num),
-        GradedCoeff.constant(den),
-        "regularized",
-    )
+    num, den = contract_channels(((pl, ml), (pr.reflected(), mr.reflected())), width)
+    if not exact:
+        return CoincidenceResult(
+            partition_ratio(num, den), GradedCoeff.constant(num), GradedCoeff.constant(den), "regularized"
+        )
+    # Both sides must carry alpha^2 at leading beta order 3; anything
+    # else means the detector bookkeeping broke or a coefficient cancelled.
+    alpha_orders = (num.min_alpha_order(), den.min_alpha_order())
+    if alpha_orders != (2, 2):
+        raise UnexpectedLeadingOrder(f"leading alpha orders {alpha_orders}, expected (2, 2)")
+    beta_orders = (min(num.at_alpha_order(2)), min(den.at_alpha_order(2)))
+    if beta_orders != (3, 3):
+        raise UnexpectedLeadingOrder(
+            f"leading beta orders {beta_orders} at alpha^2, expected (3, 3); "
+            "near-degenerate settings cancel the beta^3 coefficient"
+        )
+    return CoincidenceResult(coeff_ratio_limit(num, den), num, den, "exact")
 
 
 # -- brute-force oracle --------------------------------------------------------------

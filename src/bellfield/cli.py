@@ -250,11 +250,11 @@ def _triphoton_rows(config: ExperimentConfig, degs: Sequence[float]) -> list[Res
     settings = tuple(PolAngle.from_degrees(d) for d in degs)
     params = _mrf_params(config, 0.0)  # its two settings are unused here
     p = {"phi1_deg": degs[0], "phi2_deg": degs[1], "phi3_deg": degs[2]}
-    qm, ms_qm = _timed(lambda: triphoton_compare(settings, (0, 1, 2), "M"))
+    qm, ms_qm = _timed(lambda: triphoton_compare(settings, "M"))
     rows = [ResultRow(config.experiment, "QM", p, qm, None, ms_qm)]
-    mstar, ms = _timed(lambda: triphoton_compare(settings, (0, 1, 2), "Mstar", params))
+    mstar, ms = _timed(lambda: triphoton_compare(settings, "Mstar", params))
     rows.append(ResultRow(config.experiment, "Mstar", p, mstar, qm, ms))
-    mrf, ms = _timed(lambda: triphoton_compare(settings, (0, 1, 2), "MRF", params))
+    mrf, ms = _timed(lambda: triphoton_compare(settings, "MRF", params))
     rows.append(ResultRow(config.experiment, "MRF3-oracle", p, mrf, qm, ms))
     return rows
 

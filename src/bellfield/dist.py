@@ -8,20 +8,21 @@ matching the mod-pi angle domain).  It is generic in its coefficient:
 products and integrals stay exact in the small parameters, and floats on the
 regularized routes.  Every ``DistFn`` carries exactly :data:`MAX_HARMONIC`
 cos and sin coefficients; a product that would need a higher harmonic raises
-:class:`HarmonicOverflow` instead of dropping it.  :func:`dist_inner`
-integrates a product without forming it, so it never does.
+:class:`HarmonicOverflow` instead of dropping it.
 
-Exact mode refuses to multiply two atoms at the same location -- the square
-of a point mass is not a distribution.  Callers then switch to a
-regularized representation, which replaces every atom by a narrow
-unit-mass wrapped Gaussian and does plain float arithmetic: either kept in
-closed form, a float ``DistFn`` contracted by :func:`contract` with no grid,
-or sampled on a uniform grid (:class:`RegularizedDistFn`).
+One function, :func:`contract`, integrates the product of N arms along
+sum_j theta_j = 0 (mod pi) without forming it, on either coefficient type.
+At width 0 the atoms stay point masses and the result is exact; two atoms
+that meet -- the square of a point mass is not a distribution -- raise
+:class:`DeltaCollision`, as :func:`dist_mul` does.  Callers then switch to a
+positive width, which widens every atom into a unit-mass wrapped Gaussian
+and does plain float arithmetic, still in closed form.
+:class:`RegularizedDistFn` samples a float ``DistFn`` on a uniform grid
+instead, as a reference.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import operator
@@ -31,7 +32,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .angles import PI, PolAngle
+from .angles import ANGLE_TOL, PI, PolAngle
 from .graded import GradedCoeff
 
 #: Highest harmonic ``cos/sin(2K*theta)`` a ``DistFn`` holds.  The model's
@@ -261,17 +262,7 @@ def _require_graded(name: str, *fs: DistFn) -> None:
     for f in fs:
         coeffs = (f.c0, *f.cos_coeffs, *f.sin_coeffs, *(w for _, w in f.atoms))
         if not all(isinstance(c, GradedCoeff) for c in coeffs):
-            raise TypeError(f"{name} needs graded coefficients; contract float DistFns with contract()")
-
-
-def _require_distinct_atoms(f: DistFn, g: DistFn) -> None:
-    """Raise :class:`DeltaCollision` when ``f`` and ``g`` hold atoms at one location."""
-    for loc_f, _ in f.atoms:
-        for loc_g, _ in g.atoms:
-            if loc_f == loc_g:
-                raise DeltaCollision(
-                    f"atoms collide at angle {loc_f.value:.6g}; use regularized mode"
-                )
+            raise TypeError(f"{name} needs graded coefficients")
 
 
 def dist_mul(f: DistFn, g: DistFn) -> DistFn:
@@ -287,7 +278,10 @@ def dist_mul(f: DistFn, g: DistFn) -> DistFn:
     _require_graded("dist_mul", f, g)
     if f.is_zero or g.is_zero:
         return DistFn.zero()
-    _require_distinct_atoms(f, g)
+    for loc_f, _ in f.atoms:
+        for loc_g, _ in g.atoms:
+            if loc_f == loc_g:
+                raise DeltaCollision(f"atoms collide at angle {loc_f.value:.6g}; use regularized mode")
 
     atoms: list[tuple[PolAngle, GradedCoeff]] = []
     for loc, w in f.atoms:
@@ -345,32 +339,6 @@ def dist_mul(f: DistFn, g: DistFn) -> DistFn:
     if any(ncos[k + 1 :]) or any(nsin[k + 1 :]):
         raise HarmonicOverflow(f"product needs a harmonic above {MAX_HARMONIC}")
     return DistFn(atoms=atoms, c0=ncos[0], cos_coeffs=ncos[1 : k + 1], sin_coeffs=nsin[1 : k + 1])
-
-
-def dist_inner(f: DistFn, g: DistFn) -> GradedCoeff:
-    """Integral over [0, pi) of ``f * g``, without forming the product.
-
-    Equals ``dist_integrate(dist_mul(f, g))`` exactly: atoms at the same
-    location raise :class:`DeltaCollision`, each atom weighs the other
-    function's smooth part at its location, and of the smooth x smooth
-    product only the constant term survives the integral, by orthogonality
-    of the harmonics: pi * (c0 c0' + 1/2 sum_k (c_k c_k' + s_k s_k')).  No
-    harmonic is formed, so this never raises :class:`HarmonicOverflow`.
-    Every coefficient of both functions must be graded, else ``TypeError``.
-    """
-    _require_graded("dist_inner", f, g)
-    _require_distinct_atoms(f, g)
-    harmonics = GradedCoeff.zero()
-    for pairs in (zip(f.cos_coeffs, g.cos_coeffs), zip(f.sin_coeffs, g.sin_coeffs)):
-        for x, y in pairs:
-            if x and y:
-                harmonics = harmonics + x * y
-    total = (f.c0 * g.c0 + harmonics * HALF) * PI_FRAC
-    for loc, w in f.atoms:
-        total = total + w * g.smooth_at(loc)
-    for loc, w in g.atoms:
-        total = total + w * f.smooth_at(loc)
-    return total
 
 
 def dist_integrate(f: DistFn) -> GradedCoeff:
@@ -531,51 +499,88 @@ def _wrapped_normal(x: float, width: float) -> float:
     return total / (width * math.sqrt(2.0 * PI))
 
 
-def contract(fs: Sequence[DistFn], sigma: float) -> float:
+def _fourier(f: DistFn, k: int, zero, number, damping: float) -> tuple:
+    """``f``'s atoms A = damping sum_j w_j e^{2ik c_j} and smooth part
+    S = c_k + i s_k (c0 at k = 0), as (A.real, A.imag, S.real, S.imag):
+    its coefficients of e^{-2ik theta}, the conjugates of those of
+    e^{2ik theta}, without the atoms' 1/pi and the smooth part's 1/2.
+    ``number`` converts cos and sin values, and a zero coefficient becomes
+    ``zero``: a float ``DistFn`` built without a ``c0`` holds a graded one."""
+    if not k:
+        return sum((w for _, w in f.atoms), zero), zero, f.c0 or zero, zero
+    re = im = zero
+    for loc, w in f.atoms:
+        t = 2 * k * loc.value
+        re = re + w * number(math.cos(t))
+        im = im + w * number(math.sin(t))
+    if damping != 1.0:
+        re, im = re * damping, im * damping
+    return re, im, f.cos_coeffs[k - 1] or zero, f.sin_coeffs[k - 1] or zero
+
+
+def contract(fs: Sequence[DistFn], width: float) -> GradedCoeff | float:
     """Integral of prod_j f_j(theta_j) along sum_j theta_j = 0 (mod pi).
 
-    For any number N of float ``DistFn`` arms, each atom a wrapped Gaussian
-    of width ``sigma``, it equals pi^(N-1) sum_k prod_j F_{j,k}, where
-    F_{j,k} is f_j's coefficient of e^{2ik theta}; an atom at c has
-    F_k = e^{-2 k^2 sigma^2} e^{-2ikc} / pi, the smooth part
-    F_0 = c0 and F_k = (c_k - i s_k) / 2.  The sum splits by which part each
-    arm takes:
+    The N arms' atoms are wrapped normals of width ``width``, or at width 0
+    point masses.  The integral is pi^(N-1) sum_k prod_j F_{j,k}, where
+    F_{j,k} is f_j's coefficient of e^{2ik theta}: an atom at c has
+    F_k = e^{-2 k^2 width^2} e^{-2ikc} / pi, the smooth part F_0 = c0 and
+    F_k = (c_k - i s_k) / 2.  The sum splits by which part each arm takes:
 
     * every arm its atoms: each choice of one atom per arm adds the product
-      of their weights times the wrapped normal of width sigma sqrt(N) at the
-      sum of their locations, with no truncation in k;
+      of their weights times the wrapped normal of width ``width`` sqrt(N)
+      at the sum of their locations, with no truncation in k.  At width 0
+      that is a point mass: a choice whose locations sum to 0 mod pi (within
+      :data:`~bellfield.angles.ANGLE_TOL`) raises :class:`DeltaCollision`,
+      any other adds nothing;
     * any other term holds a smooth arm, so only the orders up to the
       highest harmonic some arm's smooth part holds remain (at most
-      :data:`MAX_HARMONIC`).  One pass
-      over the arms per k carries the all-atom product and the sum of the
-      products with a smooth arm, never forming prod(A + S) - prod(A), which
-      cancels at small beta.
+      :data:`MAX_HARMONIC`).  With A and S an arm's atoms and smooth part at
+      order k (:func:`_fourier`), a term in which m arms take S carries
+      pi^(m-1), and for k > 0 also 2^(1-m) (their halves, and the conjugate
+      -k term).  One pass over the arms per k applies it in Horner form and
+      never forms prod(A + S) - prod(A), which cancels at small beta.
 
-    A Bell pair is N = 2 with one arm :meth:`DistFn.reflected`.
+    Coefficients are floats at a positive width.  At width 0 they must be
+    graded, else ``TypeError``, and cos and sin values enter as exact
+    ``Fraction`` values, pi as :data:`PI_FRAC`: the result is exact in the formal
+    small parameters.  A Bell pair is N = 2 with one arm
+    :meth:`DistFn.reflected`; ``contract([f, g.reflected()], 0)`` equals
+    ``dist_integrate(dist_mul(f, g))``, but as no product is formed it
+    never raises :class:`HarmonicOverflow`.
     """
-    # (weight product, location sum) of every choice of one atom per arm
-    choices = [(1.0, 0.0)]
+    exact = width == 0
+    if exact:
+        _require_graded("contract at width 0", *fs)
+    zero, number, pi = (GradedCoeff.zero(), Fraction, PI_FRAC) if exact else (0.0, float, PI)
+    # every choice of one atom per arm: (its location sum, its weight product)
+    choices = [(0.0, 1.0)]
     for f in fs:
-        choices = [(weight * w, location + loc.value) for weight, location in choices for loc, w in f.atoms]
-    width = sigma * math.sqrt(len(fs))
-    peaked = 0.0
-    for weight, location in choices:
-        peaked += weight * _wrapped_normal(location, width)
+        choices = [(c + loc.value, p if exact else p * w) for c, p in choices for loc, w in f.atoms]
+    total = zero
+    for location, product in choices:
+        if not exact:
+            total += product * _wrapped_normal(location, width * math.sqrt(len(fs)))
+        elif abs(math.remainder(location, PI)) < ANGLE_TOL:
+            raise DeltaCollision(f"atoms meet at location sum {location:.6g}; use regularized mode")
     top = MAX_HARMONIC
     while top and not any(f.cos_coeffs[top - 1] or f.sin_coeffs[top - 1] for f in fs):
         top -= 1
-    mixed = 0.0
     for k in range(top + 1):
-        damping = math.exp(-2.0 * k * k * sigma * sigma) / PI
-        all_atoms, some_smooth = 1.0, 0j
-        for f in fs:
-            a = 0.0
-            for loc, w in f.atoms:
-                a += w * cmath.exp(-2j * k * loc.value) if k else w
-            a *= damping
-            smooth = 0.5 * complex(f.cos_coeffs[k - 1], -f.sin_coeffs[k - 1]) if k else f.c0
-            some_smooth = some_smooth * (a + smooth) + all_atoms * smooth
-            all_atoms *= a
-        # the -k term is the conjugate of the k term
-        mixed += (2.0 if k else 1.0) * some_smooth.real
-    return peaked + PI ** (len(fs) - 1) * mixed
+        damping = math.exp(-2.0 * k * k * width * width)
+        scale = pi / 2 if k else pi
+        # Over the arms so far, x = prod_j A_j and z = sum_(m>=1) scale^(m-1)
+        # P_m, P_m the terms in which m arms take S.  A further arm turns P_m
+        # into P_m A + P_(m-1) S, so z into z A + S (x + scale z).
+        xr, xi, zr, zi = _fourier(fs[0], k, zero, number, damping)
+        for f in fs[1:-1]:
+            ar, ai, sr, si = _fourier(f, k, zero, number, damping)
+            br, bi = xr + scale * zr, xi + scale * zi
+            zr, zi = zr * ar - zi * ai + sr * br - si * bi, zr * ai + zi * ar + sr * bi + si * br
+            xr, xi = xr * ar - xi * ai, xr * ai + xi * ar
+        # the last arm: only the real part of z A + S (x + scale z)
+        ar, ai, sr, si = _fourier(fs[-1], k, zero, number, damping)
+        total = total + zr * ar + sr * (xr + scale * zr)
+        if k:  # at k = 0 every imaginary part is zero
+            total = total - (zi * ai + si * (xi + scale * zi))
+    return total

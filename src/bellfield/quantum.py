@@ -16,14 +16,17 @@ Each model is written once, for N arms, and the Bell pair is its N = 2 call:
   branch ensemble -- a positive mixture of tagged configurations (linear at
   some angle, circular, absorbed, or linear at the shared source angle with
   a graded distribution-valued correlation) -- in which each polarizer
-  splits every branch into its pass and blocked descendants;
+  splits every branch into its pass and blocked descendants (by
+  :func:`~bellfield.dist.dist_mul`, not the contraction);
 * modified, regularized (``sigma`` given, and the triphoton ``Mstar``): the
   same pass and block splits of :func:`~bellfield.bell.split_backend`, with
   float coefficients, contracted along the source's angle constraint with
-  no grid.  The contraction is linear in each arm, so the 2^N branches add
-  up to one contraction of the per-arm totals pass + block, and the detected
-  weight is the all-pass branch alone: the channel pair (detected,
-  undetected) of :func:`~bellfield.bell.contract_channels` is (pass, block).
+  no grid by :func:`~bellfield.dist.contract`, the one contraction of
+  every Bell and triphoton route but the oracle, the branch ensemble and QM.
+  The contraction is linear in each arm, so the 2^N branches add up to one
+  contraction of the per-arm totals pass + block, and the detected weight
+  is the all-pass branch alone: the channel pair (detected, undetected) of
+  :func:`~bellfield.bell.contract_channels` is (pass, block).
 
 Every photon, passed or blocked, ends in an absorber of the same cost
 2*alpha*beta, so neither modified route multiplies that cost in: no ratio
@@ -446,22 +449,17 @@ def mstar_bell_coincidence(
 
 def triphoton_compare(
     settings: Sequence[PolAngle],
-    order: Sequence[int] = (0, 1, 2),
     model: str = "M",
     params: Mrf3Params | None = None,
 ) -> float:
     """Triple-coincidence probability under one of the three models.
 
-    ``order`` is the polarizer application sequence for ``Mstar`` and a
-    channel relabeling for the graph model (which has no arrival order at
-    all); it does not reach ``M``, whose Born-rule value has no order.
+    No model has an arrival order: the source treats its photons alike, so
+    permuting ``settings`` is the only relabeling there is.
     """
     settings = tuple(settings)
-    order = tuple(order)
     if len(settings) != 3:
         raise ValueError("exactly three polarizer settings required")
-    if sorted(order) != [0, 1, 2]:
-        raise ValueError("order must be a permutation of (0, 1, 2)")
     if model == "M":
         return qm_coincidence(settings)
     if model not in ("Mstar", "MRF"):
@@ -469,9 +467,7 @@ def triphoton_compare(
     if params is None:
         raise ValueError(f"{model} model needs numeric params")
     if model == "Mstar":
-        # The source treats its photons alike, so they take the slots in application order.
-        splits = [split_backend(settings[arm], params.alpha, params.beta) for arm in order]
+        splits = [split_backend(s, params.alpha, params.beta) for s in settings]
         return partition_ratio(*contract_channels([(s["pass"], s["block"]) for s in splits], params.sigma))
-    relabeled = tuple(settings[i] for i in order)
-    return build_triphoton_graph(relabeled, params).triple_coincidence()
+    return build_triphoton_graph(settings, params).triple_coincidence()
 

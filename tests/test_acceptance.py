@@ -192,14 +192,8 @@ def test_criterion_9_triphoton_properties(tmp_path):
     params = Mrf3Params(PolAngle(0.0), PolAngle(0.0), sigma=0.05, grid_n=96)
     settings = tuple(PolAngle.from_degrees(d) for d in (10.0, 25.0, 40.0))
 
-    mrf_vals = [
-        triphoton_compare(settings, order, "MRF", params)
-        for order in itertools.permutations((0, 1, 2))
-    ]
-    m_vals = [
-        triphoton_compare(settings, order, "M")
-        for order in itertools.permutations((0, 1, 2))
-    ]
+    mrf_vals = [triphoton_compare(permuted, "MRF", params) for permuted in itertools.permutations(settings)]
+    m_vals = [triphoton_compare(permuted, "M") for permuted in itertools.permutations(settings)]
     relabel_ok = max(mrf_vals) - min(mrf_vals) < 1e-12
     order_ok = max(m_vals) - min(m_vals) < 1e-12
 

@@ -673,6 +673,36 @@ class TestCoincidenceExact:
             assert r.denominator == partition
             checked += 1
 
+    @staticmethod
+    def closed_form(params: Mrf3Params) -> tuple[dict, dict]:
+        """The exact route's (numerator, denominator) terms derived by hand:
+        with c2 = cos 2(theta_a - theta_b) in the settings' own Fractions,
+        16 a^2 b^3 + 4 pi a^2 b^4 over the partition, and
+        4 (1 + c2) a^2 b^3 + pi (1 + c2 / 2) a^2 b^4 over the coincidences."""
+        a, b = 2 * params.theta_a.value, 2 * params.theta_b.value
+        c2 = Fraction(math.cos(a)) * Fraction(math.cos(b)) + Fraction(math.sin(a)) * Fraction(math.sin(b))
+        numerator = {(2, 3): 4 * (1 + c2), (2, 4): PI_FRAC * (1 + c2 / 2)}
+        return numerator, {(2, 3): 16, (2, 4): 4 * PI_FRAC}
+
+    def test_closed_form_on_the_tenth_degree_lattice(self):
+        for tenths in range(1, 1800):
+            if tenths == 900:
+                continue
+            params = params_for(tenths / 10)
+            r = coincidence_probability(params, "exact")
+            assert (r.numerator.terms, r.denominator.terms) == self.closed_form(params), tenths
+
+    def test_closed_form_on_random_settings(self):
+        rng = random.Random(23)
+        checked = 0
+        while checked < 300:
+            params = Mrf3Params(PolAngle(rng.uniform(-10, 10)), PolAngle(rng.uniform(-10, 10)))
+            if abs(math.remainder(params.theta_a.value - params.theta_b.value, PI / 2)) < 1e-3:
+                continue  # the exact route refuses equal and orthogonal settings
+            r = coincidence_probability(params, "exact")
+            assert (r.numerator.terms, r.denominator.terms) == self.closed_form(params)
+            checked += 1
+
     def test_cancelled_leading_order_is_typed(self):
         # cos^2 of a near-right angle rounds the beta^3 coefficient to zero
         with pytest.raises(UnexpectedLeadingOrder, match="beta orders"):
@@ -888,8 +918,8 @@ class TestCrossRoute:
         st.permutations((0, 1, 2)),
     )
     def test_triphoton_mrf_equals_mstar(self, thetas, beta, sigma, order):
-        settings3 = tuple(PolAngle(t) for t in thetas)
+        settings3 = tuple(PolAngle(thetas[i]) for i in order)
         params = Mrf3Params(PolAngle(0.0), PolAngle(0.0), beta=beta, sigma=sigma, grid_n=64)
-        mrf = triphoton_compare(settings3, order, "MRF", params)
-        mstar = triphoton_compare(settings3, order, "Mstar", params)
+        mrf = triphoton_compare(settings3, "MRF", params)
+        mstar = triphoton_compare(settings3, "Mstar", params)
         assert mrf == pytest.approx(mstar, rel=1e-12, abs=0)

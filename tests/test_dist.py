@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bellfield.angles import PI, PolAngle
-from bellfield.bell import split_backend
+from bellfield.bell import ALPHA, BETA, split_backend
 from bellfield.dist import (
     KERNEL_REACH,
     MAX_HARMONIC,
@@ -16,7 +17,7 @@ from bellfield.dist import (
     RegularizedDistFn,
     SigmaTooCoarse,
     _wrapped_normal,
-    dist_inner,
+    contract,
     dist_integrate,
     dist_mul,
     grid_points,
@@ -38,7 +39,11 @@ def cos_squared(center: PolAngle) -> DistFn:
 
 class TestPolAngle:
     def test_reduced_into_half_turn(self):
-        assert 0 <= PolAngle(7.0).value < PI
+        rng = random.Random(21)
+        for x in [7.0, PI / 2, -PI / 2, 3 * PI / 2, PI] + [rng.uniform(-1e3, 1e3) for _ in range(1000)]:
+            assert -PI / 2 <= PolAngle(x).value < PI / 2
+        assert PolAngle(PI / 2).value == -PI / 2  # the one tie goes to the lower end
+        assert PolAngle.from_degrees(120.0).degrees == pytest.approx(-60.0)
         assert PolAngle(-0.1) == PolAngle(PI - 0.1)
 
     @given(st.floats(-50, 50), st.integers(-5, 5))
@@ -65,6 +70,37 @@ class TestPolAngle:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             PolAngle(float("inf"))
+
+
+class TestExactReflection:
+    """Negating an angle is exact, so reflecting a function negates the sine
+    of every atom location and keeps its cosine, bit for bit."""
+
+    ANGLES = [random.Random(22).uniform(-10.0, 10.0) for _ in range(2000)]
+
+    @staticmethod
+    def trig(theta: PolAngle) -> tuple[Fraction, Fraction]:
+        return Fraction(math.cos(2 * theta.value)), Fraction(math.sin(2 * theta.value))
+
+    def test_negation_is_exact(self):
+        for x in self.ANGLES:
+            theta = PolAngle(x)
+            assert PolAngle(-theta.value).value == -theta.value
+
+    def test_cos_kept_and_sin_negated(self):
+        for x in self.ANGLES:
+            theta = PolAngle(x)
+            cos, sin = self.trig(theta)
+            assert self.trig(PolAngle(-theta.value)) == (cos, -sin)
+
+    @pytest.mark.parametrize("part", ["pass", "block"])
+    def test_reflected_split_is_the_split_at_minus_theta(self, part):
+        for x in self.ANGLES[:300]:
+            theta = PolAngle(x)
+            reflected = split_backend(theta, ALPHA, BETA)[part].reflected()
+            direct = split_backend(PolAngle(-theta.value), ALPHA, BETA)[part]
+            assert reflected == direct
+            assert [loc.value for loc, _ in reflected.atoms] == [loc.value for loc, _ in direct.atoms]
 
 
 class TestDistMul:
@@ -155,12 +191,15 @@ def distfn_pair(draw):
 
 
 class TestDistInner:
+    """The inner product of two graded distributions, the integral of f g:
+    ``contract`` at width 0 of f and g reflected, a Bell pair's exact route."""
+
     @given(distfn_pair())
     @settings(max_examples=60, deadline=None)
     def test_equals_integral_of_product(self, fns):
         f, g = fns
-        assert dist_inner(f, g) == dist_integrate(dist_mul(f, g))
-        assert dist_inner(g, f) == dist_inner(f, g)
+        assert contract([f, g.reflected()], 0) == dist_integrate(dist_mul(f, g))
+        assert contract([g, f.reflected()], 0) == contract([f, g.reflected()], 0)
 
     @given(distfn_pair(), st.integers(0, _ATOM_LATTICE - 1))
     @settings(max_examples=30, deadline=None)
@@ -171,7 +210,7 @@ class TestDistInner:
         with pytest.raises(DeltaCollision):
             dist_mul(f, g)
         with pytest.raises(DeltaCollision):
-            dist_inner(f, g)
+            contract([f, g.reflected()], 0)
 
     def test_never_overflows_the_harmonics(self):
         # dist_mul refuses this product; its integral needs no harmonic above K
@@ -179,7 +218,7 @@ class TestDistInner:
         f = DistFn(cos_coeffs=top)
         with pytest.raises(HarmonicOverflow):
             dist_mul(f, f)
-        assert dist_inner(f, f) == GradedCoeff.constant(HALF) * PI_FRAC
+        assert contract([f, f.reflected()], 0) == GradedCoeff.constant(HALF) * PI_FRAC
 
     def test_float_coefficients_refused(self):
         split = split_backend(PolAngle(0.3), 1e-2, 1e-3)
@@ -193,10 +232,10 @@ class TestDistInner:
             ),
             (DistFn(atoms=[(PolAngle(0.9), 1.0)]), cos_squared(PolAngle(0.3))),
         ):
-            with pytest.raises(TypeError, match="dist_inner"):
-                dist_inner(f, g)
-            with pytest.raises(TypeError, match="dist_inner"):
-                dist_inner(g, f)
+            with pytest.raises(TypeError, match="contract"):
+                contract([f, g.reflected()], 0)
+            with pytest.raises(TypeError, match="contract"):
+                contract([g, f.reflected()], 0)
 
 
 class TestConstruction:

@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 from bellfield.angles import PI, PolAngle
 from bellfield.bell import (
     ABSORBER_COST,
+    ALPHA,
+    BETA,
     Mrf3Params,
     grid_backend,
     primitive_product,
@@ -28,6 +30,7 @@ from bellfield.bell import (
     sum_out_channel,
 )
 from bellfield.dist import MAX_HARMONIC, MAX_SIGMA, DistFn, contract, grid_points, wrapped_gaussian
+from bellfield.graded import coeff_ratio_limit
 from bellfield.quantum import triphoton_compare
 
 
@@ -183,7 +186,7 @@ class TestDiscriminatingSignature:
     def test_mrf_depends_on_the_setting_sum_only(self, first, free):
         second = (*free, (sum(first) - sum(free)) % 180.0)
         a, b = (
-            triphoton_compare(degrees(s), (0, 1, 2), "MRF", self.PARAMS)
+            triphoton_compare(degrees(s), "MRF", self.PARAMS)
             for s in (first, second)
         )
         assert a == pytest.approx(b, abs=1e-12)
@@ -202,8 +205,8 @@ class TestDiscriminatingSignature:
     def test_qm_tells_equal_sums_apart(self):
         first, second = degrees((10.0, 25.0, 40.0)), degrees((20.0, 50.0, 5.0))
         assert math.isclose(sum(s.value for s in first) % PI, sum(s.value for s in second) % PI)
-        mrf = [triphoton_compare(s, (0, 1, 2), "MRF", self.PARAMS) for s in (first, second)]
-        qm = [triphoton_compare(s, (0, 1, 2), "M") for s in (first, second)]
+        mrf = [triphoton_compare(s, "MRF", self.PARAMS) for s in (first, second)]
+        qm = [triphoton_compare(s, "M") for s in (first, second)]
         assert mrf[0] == pytest.approx(mrf[1], abs=1e-12)
         assert qm[0] == pytest.approx(0.2671, abs=1e-4)
         assert qm[1] == pytest.approx(0.1950, abs=1e-4)
@@ -273,3 +276,25 @@ class TestClosedFormContraction:
                 continue  # near a zero of the limit a relative bound says nothing
             got = n_photon_mrf([PolAngle(t) for t in thetas], 1e-2, 1e-12, 1e-8)
             assert got == pytest.approx(limit, rel=1e-9, abs=0), thetas
+
+    def test_float_arms_without_c0_give_a_float(self):
+        # DistFn's c0 defaults to a graded zero, which must not turn the sum graded
+        arm = DistFn(atoms=[(PolAngle(0.3), 1.0)], cos_coeffs=[0.5, 0.0], sin_coeffs=[0.0, 0.0])
+        with_c0 = DistFn(atoms=[(PolAngle(0.3), 1.0)], c0=0.0, cos_coeffs=[0.5, 0.0], sin_coeffs=[0.0, 0.0])
+        got = contract([arm, arm, arm], 0.01)
+        assert type(got) is float
+        assert got == contract([with_c0] * 3, 0.01)
+
+    def test_exact_three_photon_limit(self):
+        # at width 0 on the graded split the contraction is exact in alpha and
+        # beta, and its joint limit is the model's cos^2(theta_1 + theta_2 + theta_3) / 4
+        rng = random.Random(16)
+        for _ in range(30):
+            thetas = [rng.uniform(0.0, PI) for _ in range(3)]
+            limit = math.cos(sum(thetas)) ** 2 / 4
+            if limit < 0.01 / 4:
+                continue  # near a zero of the limit the leading coefficient cancels
+            sums = [sum_out_channel(split_backend(PolAngle(t), ALPHA, BETA)) for t in thetas]
+            num = contract([detected for detected, _ in sums], 0)
+            den = contract([detected + undetected for detected, undetected in sums], 0)
+            assert coeff_ratio_limit(num, den) == pytest.approx(limit, abs=1e-9), thetas
