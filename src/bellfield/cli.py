@@ -1,12 +1,17 @@
 """Batch experiment runner: sweeps, limit studies, model comparisons.
 
-Emits one machine-readable table (CSV or JSON) per invocation.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure.
+``bellfield <experiment> [--key value | --key=value ...] [--config FILE]``
+emits one machine-readable table (CSV or JSON).  The command line is read
+like a config file (:func:`read_argv`): the bare word is ``experiment``, a
+flag is its key with ``-`` for ``_`` (``--grid-n``), never abbreviated, and
+its value is the next word even if it starts with ``-`` (``--angles -10,20``).
+``-h`` lists the experiments and keys.  Exit codes: 0 success, 2
+configuration error (every malformed command line too; the message names
+its ``config key``), 3 numerical failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import itertools
@@ -19,21 +24,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .angles import PolAngle, reduce_degrees
-from .bell import (
-    Mrf3Params,
-    ParameterError,
-    brute_force_oracle,
-    coincidence_probability,
-    require_resolved,
-)
+from .bell import Mrf3Params, ParameterError, brute_force_oracle, coincidence_probability, require_resolved
 from .dist import SigmaTooCoarse
-from .quantum import (
-    bell_coincidence_qm,
-    malus_chain,
-    triphoton_compare,
-)
-
-EXPERIMENTS = ("bell-sweep", "special-cases", "limit-study", "malus-chain", "triphoton-compare")
+from .quantum import bell_coincidence_qm, malus_chain, triphoton_compare
 
 #: Exit 2: a key out of its range, refused by the model's own checks or by
 #: :meth:`ExperimentConfig.validate`; ``key`` names it.
@@ -64,11 +57,12 @@ class ExperimentConfig:
 
     A field's ``metadata`` holds its reader (the function from the key's text
     and what that text must be) and its help.  The flags (``--grid-n`` for
-    ``grid_n``, ``experiment`` positional), the config-file keys and
-    :func:`build_config` all come from the fields: a key is declared here only.
+    ``grid_n``, ``experiment`` the bare word), the config-file keys, the
+    ``-h`` listing and :func:`build_config` all come from the fields: a key
+    is declared here only.
     """
 
-    experiment: str = _key(_TEXT, "one of " + ", ".join(EXPERIMENTS))
+    experiment: str = _key(_TEXT, "the experiment to run, the bare word of a command line")
     angles: list[float] = _key(_NUMBER_LIST, "comma-separated degrees", default_factory=list)
     alpha: float = _key(_NUMBER, "absorption cost alpha (numeric routes)", default=1e-2)
     beta: float = _key(_NUMBER, "conversion cost beta (numeric routes)", default=1e-3)
@@ -89,7 +83,7 @@ class ExperimentConfig:
         return {"special-cases": 0.005, "triphoton-compare": 0.05}.get(self.experiment, 0.01)
 
     def validate(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in RUNNERS:
             raise ConfigError("experiment", f"unknown experiment {self.experiment!r}")
         if self.mode not in ("exact", "regularized", "both"):
             raise ConfigError("mode", f"must be exact, regularized or both, got {self.mode!r}")
@@ -280,20 +274,9 @@ def render_rows(rows: list[ResultRow], fmt: str) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["experiment", "model", *param_keys, "value", "target", "abs_error", "runtime_ms"])
         for r in rows:
-            writer.writerow(
-                [
-                    r.experiment,
-                    r.model,
-                    *[
-                        _fmt(r.params[k]) if isinstance(r.params.get(k), float) else str(r.params.get(k, ""))
-                        for k in param_keys
-                    ],
-                    _fmt(r.value),
-                    _fmt(r.target),
-                    _fmt(r.abs_error),
-                    format(r.runtime_ms, ".3f"),
-                ]
-            )
+            cells = [_fmt(v) if isinstance(v := r.params.get(k, ""), float) else str(v) for k in param_keys]
+            numbers = [_fmt(r.value), _fmt(r.target), _fmt(r.abs_error), format(r.runtime_ms, ".3f")]
+            writer.writerow([r.experiment, r.model, *cells, *numbers])
         return buf.getvalue()
     objs = []
     for r in rows:
@@ -329,7 +312,7 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
 def read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {path!r}: {exc}") from None
     for lineno, line in enumerate(lines, 1):
@@ -364,52 +347,61 @@ def build_config(file_values: dict[str, str], flag_values: dict[str, str]) -> Ex
             except ValueError:
                 raise ConfigError(key, f"cannot parse {raw!r} as {expected}") from None
     if "experiment" not in merged:
-        raise ConfigError("experiment", "no experiment selected (positional argument or config file)")
+        raise ConfigError("experiment", "no experiment selected (bare word or config file)")
     return ExperimentConfig(**merged)
 
 
-#: Built once, at import: each flag takes its key's text; a flag left out is absent.
-_PARSER = argparse.ArgumentParser(
-    prog="bellfield",
-    description="Coincidence-experiment sweeps for the random-field and quantum models.",
-    argument_default=argparse.SUPPRESS,
-    # A prefix such as --ang would bypass _attach_dash_values; config-file keys take no prefixes either.
-    allow_abbrev=False,
-)
-_PARSER.add_argument("--config", help="key=value config file; flags override file keys")
-#: The flags that take a value: all of them, argparse's ``--help`` aside.
-_VALUE_FLAGS = {"--config"}
-for _key_field in fields(ExperimentConfig):
-    if _key_field.name == "experiment":
-        _PARSER.add_argument("experiment", nargs="?", help=_key_field.metadata["help"])
-    else:
-        _flag = "--" + _key_field.name.replace("_", "-")
-        _VALUE_FLAGS.add(_flag)
-        _PARSER.add_argument(_flag, help=_key_field.metadata["help"])
+def read_argv(argv: Sequence[str]) -> dict[str, str] | None:
+    """A command line's key texts, as :func:`read_config_file` gives a file's.
 
-
-def _attach_dash_values(argv: Sequence[str]) -> list[str]:
-    """``--flag -10,20`` as ``--flag=-10,20``.
-
-    argparse takes a word that starts with ``-`` for an option unless it is
-    a plain negative number; attached, a value such as ``-10,20`` reaches
-    the key's reader as the same text on a config-file line would.
+    A bare word is ``experiment``; ``--key value`` or ``--key=value`` is the
+    key written with ``-`` for ``_`` and its text, the next word whatever it
+    starts with, as a file line's value is whatever follows ``=``.  ``-h`` or
+    ``--help`` in a flag's place gives None.  :func:`build_config` refuses
+    unknown keys, so ``--ang`` fails as a file line ``ang`` does.
     """
-    out: list[str] = []
-    for word in argv:
-        if out and out[-1] in _VALUE_FLAGS and word.startswith("-") and word not in _VALUE_FLAGS:
-            out[-1] = f"{out[-1]}={word}"
-        else:
-            out.append(word)
-    return out
+    values: dict[str, str] = {}
+    words = iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            return None
+        flag = word.startswith("--")
+        name, eq, text = word[2:].partition("=") if flag else ("experiment", "=", word)
+        key = name.replace("-", "_")
+        if "_" in name:
+            raise ConfigError(key, f"unknown flag --{name}; a flag writes '-' for '_'")
+        if key == "experiment" and (flag or key in values):
+            raise ConfigError(key, f"{word!r}: one bare word names the experiment")
+        if not eq and (text := next(words, None)) is None:
+            raise ConfigError(key, f"the flag --{name} has no value")
+        values[key] = text
+    return values
+
+
+def _help_text() -> str:
+    """The ``-h`` listing: the experiments, then every key's flag and help."""
+    lines = [
+        "usage: bellfield <experiment> [--key value | --key=value ...] [--config FILE]",
+        "",
+        "experiments: " + ", ".join(RUNNERS),
+        "",
+        "keys, each a flag or a config-file line 'key = value' (the flag writes '-' for '_'):",
+    ]
+    for f in fields(ExperimentConfig):
+        flag = "<experiment>" if f.name == "experiment" else "--" + f.name.replace("_", "-")
+        lines.append(f"  {flag:<14} {f.metadata['help']}")
+    lines.append(f"  {'--config FILE':<14} key = value config file; flags override its keys")
+    return "\n".join(lines) + "\n"
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    flags = vars(_PARSER.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv)))
-    path = flags.pop("config", None)
     try:
-        config = build_config(read_config_file(path) if path else {}, flags)
-        run(config)
+        flags = read_argv(sys.argv[1:] if argv is None else argv)
+        if flags is None:
+            sys.stdout.write(_help_text())
+            return 0
+        path = flags.pop("config", None)
+        run(build_config(read_config_file(path) if path else {}, flags))
     except ConfigError as exc:
         print(f"configuration error: config key '{exc.key}': {exc.reason}", file=sys.stderr)
         return 2

@@ -541,10 +541,10 @@ def contract(fs: Sequence[DistFn], width: float) -> GradedCoeff | float:
       -k term).  One pass over the arms per k applies it in Horner form and
       never forms prod(A + S) - prod(A), which cancels at small beta.
 
-    Coefficients are floats at a positive width.  At width 0 they must be
-    graded, else ``TypeError``, and cos and sin values enter as exact
-    ``Fraction`` values, pi as :data:`PI_FRAC`: the result is exact in the formal
-    small parameters.  A Bell pair is N = 2 with one arm
+    Coefficients are floats at a positive width and graded at width 0,
+    else ``TypeError``.  At width 0 cos and sin values enter as exact
+    ``Fraction`` values, pi as :data:`PI_FRAC`: the result is exact in the
+    formal small parameters.  A Bell pair is N = 2 with one arm
     :meth:`DistFn.reflected`; ``contract([f, g.reflected()], 0)`` equals
     ``dist_integrate(dist_mul(f, g))``, but as no product is formed it
     never raises :class:`HarmonicOverflow`.
@@ -583,4 +583,6 @@ def contract(fs: Sequence[DistFn], width: float) -> GradedCoeff | float:
         total = total + zr * ar + sr * (xr + scale * zr)
         if k:  # at k = 0 every imaginary part is zero
             total = total - (zi * ai + si * (xi + scale * zi))
+    if not exact and isinstance(total, GradedCoeff):
+        raise TypeError("contract at a positive width needs float coefficients")
     return total

@@ -1,10 +1,14 @@
-import argparse
 import contextlib
 import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
 from dataclasses import fields
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -276,6 +280,16 @@ class TestConfigFile:
         assert read_config_file(str(cfg)) == {"a": "1", "b": "two"}
 
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        rows = []
+        for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            cfg, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.json"
+            cfg.write_bytes(bom + f"experiment = malus-chain\nangles = 0,45,120\nformat = json\noutput = {out}\n".encode())
+            assert main(["--config", str(cfg)]) == 0
+            rows.append([{k: v for k, v in r.items() if k != "runtime_ms"} for r in json.loads(out.read_text())])
+        assert rows[0] == rows[1]
+        assert rows[0][0]["settings"] == "0,45,120"
+
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"experiment = malus-chain\nangles = 0\xff\n")
@@ -365,24 +379,139 @@ class TestOneDeclaration:
 
     @pytest.mark.parametrize("argv", [["--ang", "-10,20"], ["--ang=-10,20"], ["--ang", "10"]])
     def test_flag_prefix_is_refused_like_an_unknown_file_key(self, argv, tmp_path, capsys):
-        # a config file has no key 'ang' either
+        # a config file has no key 'ang' either, and the two refusals read alike
         cfg = tmp_path / "run.cfg"
         cfg.write_text("experiment = malus-chain\nang = 10\n")
         assert main(["--config", str(cfg)]) == 2
-        with pytest.raises(SystemExit) as exc:
-            main(["malus-chain", *argv])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --ang" in capsys.readouterr().err
+        from_file = capsys.readouterr().err
+        assert main(["malus-chain", *argv]) == 2
+        assert capsys.readouterr().err == from_file == "configuration error: config key 'ang': unknown configuration key\n"
 
-    def test_no_call_builds_a_parser(self, monkeypatch, tmp_path):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a parser was built during a call")
 
-        monkeypatch.setattr(argparse, "ArgumentParser", refuse)
-        out = tmp_path / "malus.csv"
-        assert main(["malus-chain", "--angles", "0,45,90", "--output", str(out)]) == 0
-        (row,) = read_csv(out)
-        assert float(row["value"]) == pytest.approx(0.25, abs=1e-12)
+class TestCommandLine:
+    """The argv reader: one key text per flag, refusals naming the key."""
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["malus-chain", "--angles"], "angles"),
+            (["malus-chain", "--angles", "0", "--config"], "config"),
+            (["malus-chain", "--grid_n", "512"], "grid_n"),
+            (["malus-chain", "--angles=0", "--grid_n=512"], "grid_n"),
+            (["malus-chain", "bell-sweep"], "experiment"),
+            (["--experiment", "malus-chain"], "experiment"),
+            (["malus-chain", "--angles", "0", "--grid-n"], "grid_n"),
+            (["malus-chain", "--foo-bar", "1"], "foo_bar"),
+            (["malus-chain", "--help=1"], "help"),
+            (["malus-chain", "--angles", "0", "-x"], "experiment"),
+        ],
+    )
+    def test_malformed_command_line_exits_2_naming_the_key(self, argv, key, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config key '{key}': ")
+        assert err.count("\n") == 1
+
+    def test_unknown_flag_reads_as_its_file_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("experiment = malus-chain\nfoo_bar = 1\n")
+        messages = []
+        for argv in (["--config", str(cfg)], ["malus-chain", "--foo-bar", "1"]):
+            assert main(argv) == 2
+            messages.append(capsys.readouterr().err)
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["bell-sweep", "-h"], ["--angles", "0", "--help", "--ang"]])
+    def test_help_lists_experiments_and_keys(self, argv, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        for experiment in cli.RUNNERS:
+            assert experiment in out
+        for f in fields(ExperimentConfig):
+            flag = "<experiment>" if f.name == "experiment" else "--" + f.name.replace("_", "-")
+            assert f"  {flag} " in out and f.metadata["help"] in out
+        assert "--config FILE" in out
+
+    def test_help_as_a_value_is_the_value(self, tmp_path):
+        assert main(["malus-chain", "--angles", "0", "--initial", "-h", "--output", str(tmp_path / "x.csv")]) == 2
+        out = tmp_path / "-h"
+        assert main(["malus-chain", "--angles", "0", "--output", str(out)]) == 0
+        assert out.is_file()
+
+    def test_later_flag_wins(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run", seen.append)
+        assert main(["malus-chain", "--angles", "10", "--angles=-20,30"]) == 0
+        assert seen[0].angles == [-20.0, 30.0]
+
+    def test_no_argparse_at_import(self):
+        code = "import sys, bellfield.cli; print('argparse' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), check=True)
+        assert result.stdout == "False\n"
+
+    def test_program_help_names_every_flag(self):
+        result = _run_program("-h")
+        assert result.returncode == 0
+        for f in fields(ExperimentConfig):
+            if f.name != "experiment":
+                assert "--" + f.name.replace("_", "-") in result.stdout
+        assert "--config" in result.stdout
+        assert result.stderr == ""
+
+    def test_program_flag_without_value_exits_2(self):
+        result = _run_program("malus-chain", "--angles")
+        assert result.returncode == 2
+        assert "config key 'angles'" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+
+SRC = str(os.path.dirname(os.path.dirname(cli.__file__)))
+
+
+def _child_env() -> dict:
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+
+
+def _run_program(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m bellfield.cli`` as its own process."""
+    return subprocess.run(
+        [sys.executable, "-m", "bellfield.cli", *argv], capture_output=True, text=True, env=_child_env(), timeout=60
+    )
+
+
+FLAGS = ["--" + f.name.replace("_", "-") for f in fields(ExperimentConfig) if f.name != "experiment"]
+#: Words that are no flag: unknown, abbreviated and underscored keys, the bare word as a flag, single dashes.
+BAD_FLAGS = ["--foo", "--ang", "--grid", "--grid_n", "--sigma_s", "--experiment", "--", "--=1", "-x", "-5"]
+VALUES = ["-10,20", "-5", "30", "0,45,90", "1e-3", "0.02", "unpolarized", "json", "exact", "-", "--mode", "-h", "", "x"]
+words = st.one_of(
+    st.sampled_from(FLAGS),
+    st.sampled_from(BAD_FLAGS),
+    st.sampled_from([*cli.RUNNERS, "foo"]),
+    st.sampled_from(VALUES),
+    st.builds(lambda flag, value: f"{flag}={value}", st.sampled_from(FLAGS + BAD_FLAGS), st.sampled_from(VALUES)),
+    st.just("-h"),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(words, max_size=8))
+def test_every_word_list_exits_0_2_or_3(argv):
+    # the reader is under test: each experiment validates and writes no rows
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(cli.RUNNERS, {e: lambda config: [] for e in cli.RUNNERS}):
+        os.chdir(tmp)  # --output takes any of the words
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("configuration error: config key '"), (argv, err.getvalue())
+        assert err.getvalue().count("\n") == 1
 
 
 class TestValidation:
@@ -538,10 +667,7 @@ def test_every_input_exits_0_2_or_3(experiment, alpha, beta, sigma, angles, grid
     ]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects its own input with 2
-            code = exc.code
+        code = main(argv)
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code == 0:

@@ -285,6 +285,12 @@ class TestClosedFormContraction:
         assert type(got) is float
         assert got == contract([with_c0] * 3, 0.01)
 
+    def test_graded_arms_at_a_positive_width_are_refused(self):
+        # a positive width means float kernel values, which would turn a graded sum into floats in disguise
+        left, right = (sum_out_channel(split_backend(PolAngle(t), ALPHA, BETA))[0] for t in (0.3, 1.1))
+        with pytest.raises(TypeError, match="contract"):
+            contract([left, right.reflected()], 0.01)
+
     def test_exact_three_photon_limit(self):
         # at width 0 on the graded split the contraction is exact in alpha and
         # beta, and its joint limit is the model's cos^2(theta_1 + theta_2 + theta_3) / 4
