@@ -36,12 +36,12 @@ Three evaluation routes are provided and cross-checked:
 * brute-force oracle: numeric parameters, full 2^8 scenario enumeration on
   the grid backend with no graded algebra and no channel factorization.
   Each factor is evaluated once per assignment of the bits it reads; the
-  scalar weights of all 2^8 scenarios are then one vector, the product of
-  the factors' scalar tables indexed by every scenario's bits
-  (:data:`SCENARIOS`, derived at import), and only the scenarios with a
-  nonzero weight multiply their grid values out, one after another in one
-  reused buffer, and integrate them, each distinct product once.  The grid
-  must resolve the kernel (:func:`require_resolved`).
+  scenarios that every factor lists are derived at import
+  (:data:`ORACLE_PLAN`), and each multiplies its scalar weight and then its
+  grid values out, one after another in one reused buffer, and integrates
+  them, each distinct product once.  The grid must resolve the kernel
+  (:func:`require_resolved`); the CLI sizes it from sigma
+  (:func:`sized_grid_n`).
 
 The triphoton graph contracts three channels of the float split backend
 along the source's angle constraint, with the same :func:`contract_channels`;
@@ -99,6 +99,10 @@ MAX_BETA = 0.1
 #: at most about 2 exp(-(sigma * grid_n)^2): 8e-13 at 1.7 cells, 1e-4 at one cell.
 MIN_KERNEL_CELLS = 1.7
 
+#: Grid cells per kernel width of the oracle's default grid
+#: (:func:`sized_grid_n`): a mass error of about 2 exp(-(3 pi)^2), 5e-39.
+SIZED_KERNEL_CELLS = 3
+
 
 class ParameterError(ValueError):
     """A parameter outside its range; ``key`` names it (on the command line,
@@ -129,6 +133,19 @@ def require_resolved(sigma: float, grid_n: int) -> None:
         )
 
 
+def sized_grid_n(sigma: float) -> int:
+    """The oracle's default grid for a width-``sigma`` kernel:
+    ceil(:data:`SIZED_KERNEL_CELLS` pi / sigma) points, clamped to
+    [:data:`~bellfield.dist.MIN_GRID`, :data:`~bellfield.dist.MAX_GRID`].
+
+    The trapezoid rule converges exponentially on a periodic integrand, so a
+    few cells per width reach float64 accuracy.  A ``sigma`` that is not a
+    positive number gets ``MAX_GRID``; :class:`Mrf3Params` refuses it by name.
+    """
+    n = SIZED_KERNEL_CELLS * PI / sigma if sigma > 0 else math.inf
+    return MAX_GRID if not n < MAX_GRID else max(MIN_GRID, math.ceil(n))
+
+
 class UnexpectedLeadingOrder(ArithmeticError):
     """The exact sums do not lead with alpha^2 beta^3; the detector
     bookkeeping broke or the beta^3 coefficient cancelled numerically."""
@@ -140,7 +157,8 @@ class Mrf3Params:
     construction.
 
     ``alpha``, ``beta`` and ``sigma`` only matter to the numeric
-    (regularized / oracle) routes, ``grid_n`` only to the oracle; the exact
+    (regularized / oracle) routes, ``grid_n`` only to the oracle (the CLI
+    sizes it from ``sigma`` by :func:`sized_grid_n` unless given); the exact
     route treats the two small parameters as formal symbols.  A knob out of
     range raises :class:`ParameterError` naming it, whichever route will
     run; a finite ``sigma`` above pi/16 raises
@@ -289,17 +307,26 @@ def factor_tables(backend: Mapping, factors: Mapping[str, Factor] = CHANNEL_FACT
     }
 
 
-def _elimination_plan(factors: Mapping[str, Factor]) -> tuple[tuple[bool, tuple[tuple, ...]], ...]:
+def _live_assignments(factors: Mapping[str, Factor]) -> list[tuple[bool, tuple[tuple[str, tuple], ...]]]:
     """The channel assignments every factor lists, in lexicographic order:
-    whether the counter fires in each, and the nonempty primitive products
-    of its factors, in factor order."""
-    plan = []
+    whether the counter fires in each, and each factor's (name, bits read),
+    in factor order."""
+    live = []
     for bits in itertools.product((0, 1), repeat=len(CHANNEL_BITS)):
         local = dict(zip(CHANNEL_BITS, bits))
-        values = [table.get(tuple(local[r] for r in reads)) for reads, table in factors.values()]
-        if all(v is not None for v in values):
-            plan.append((bool(local["gamma_C"] or local["gamma_W"]), tuple(v for v in values if v)))
-    return tuple(plan)
+        keys = tuple((name, tuple(local[r] for r in reads)) for name, (reads, _) in factors.items())
+        if all(key in factors[name][1] for name, key in keys):
+            live.append((bool(local["gamma_C"] or local["gamma_W"]), keys))
+    return live
+
+
+def _elimination_plan(factors: Mapping[str, Factor]) -> tuple[tuple[bool, tuple[tuple, ...]], ...]:
+    """The live channel assignments: whether the counter fires in each, and
+    the nonempty primitive products of its factors, in factor order."""
+    return tuple(
+        (fires, tuple(prims for name, key in keys if (prims := factors[name][1][key])))
+        for fires, keys in _live_assignments(factors)
+    )
 
 
 #: One channel's live assignments (three of the sixteen), derived once from
@@ -458,97 +485,99 @@ def partition_ratio(num: float, den: float) -> float:
     return num / den
 
 
-#: Position of each channel bit in a scenario's bit tuple, channel by channel.
-SCENARIO_SLOTS = {var(ch, g): k for k, (ch, g) in enumerate(itertools.product(CHANNELS, CHANNEL_BITS))}
+#: The oracle's factors under each exit rule, by ``exit_beta_without_crystal``.
+EXIT_RULES: dict[bool, dict[str, Factor]] = {
+    False: CHANNEL_FACTORS,
+    True: {**CHANNEL_FACTORS, "exit": EXIT_WITHOUT_CRYSTAL},
+}
 
-#: Every scenario's bits, one row each, the first slot most significant, so
-#: the rows run in lexicographic order.
-SCENARIOS = (np.arange(1 << len(SCENARIO_SLOTS))[:, None] >> np.arange(len(SCENARIO_SLOTS) - 1, -1, -1)) & 1
 
-#: The scenarios the numerator counts: every channel's counter fires.
-COINCIDENT = np.all(
-    [
-        SCENARIOS[:, SCENARIO_SLOTS[var(ch, "gamma_C")]] | SCENARIOS[:, SCENARIO_SLOTS[var(ch, "gamma_W")]]
-        for ch in CHANNELS
-    ],
-    axis=0,
-)
+def _oracle_plan(factors: Mapping[str, Factor]) -> tuple[tuple[bool, tuple[tuple[str, str, tuple], ...]], ...]:
+    """The scenarios of both channels that every factor lists, in
+    lexicographic order of their eight bits (the left channel's most
+    significant): whether every counter fires, and per feature in order,
+    channel by channel and factor by factor, its (channel, factor, bits) key.
+    They are the pairs of live channel assignments, since the channels share
+    no bit."""
+    live = _live_assignments(factors)
+    channels = [[(fires, tuple((ch, name, key) for name, key in keys)) for fires, keys in live] for ch in CHANNELS]
+    return tuple(
+        (all(fires for fires, _ in pair), tuple(itertools.chain.from_iterable(keys for _, keys in pair)))
+        for pair in itertools.product(*channels)
+    )
+
+
+#: The oracle's live scenarios under each exit rule, derived once: 9 of the
+#: 2^8 under :data:`CHANNEL_FACTORS`, 25 under :data:`EXIT_WITHOUT_CRYSTAL`.
+ORACLE_PLAN = {rule: _oracle_plan(factors) for rule, factors in EXIT_RULES.items()}
 
 
 def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = False) -> CoincidenceResult:
     """Fully independent numeric evaluation of the coincidence probability.
 
-    Enumerates all 2^8 binary scenarios, multiplies each one's relative
-    probability out over the angle grid, and integrates it by the trapezoid
-    rule.  No graded algebra, no channel factorization -- this is the
-    cross-check the other routes are measured against.
+    Enumerates the 2^8 binary scenarios, multiplies each one's relative
+    probability out over the ``params.grid_n``-point angle grid, and
+    integrates it by the trapezoid rule.  No graded algebra, no channel
+    factorization -- this is the cross-check the other routes are measured
+    against.  The CLI's default grid follows sigma (:func:`sized_grid_n`).
 
     Each factor's value table comes from the grid backend, evaluated once
     per assignment of the bits the factor reads, so the grid kernels are
-    sampled four times per call.  The scalar weights of all 2^8 scenarios
-    are one float vector: each factor's scalars form a dense table over the
-    bits it reads (an array value counts one there, an unlisted assignment
-    zero), indexed by every scenario's bits (:data:`SCENARIOS`) and
-    multiplied in feature order, the products a scenario-by-scenario walk
-    takes.  Only the scenarios with a nonzero weight, in lexicographic
-    order, then multiply that weight by their array values over the grid,
-    in one reused buffer and in feature order (the bits of
-    ``weight * A_1 * A_2 * ...``), and add its integral to the sums.
-    Scenarios that share a product -- the same weight and the same array
-    objects, as the four detected x detected ones share pass_L * pass_R --
-    form and integrate it once, for the first of them, and the later ones
-    add that integral in their own turn, so the sums take the same bits.
-    ``exit_beta_without_crystal`` swaps in :data:`EXIT_WITHOUT_CRYSTAL`; it
-    exists to demonstrate numerically that the variant does not move the
-    result at leading order.
+    sampled four times per call.  The scenarios that some factor leaves out
+    weigh zero; the others, in lexicographic order, are listed once, at
+    import (:data:`ORACLE_PLAN`), with the key of each feature's value.  A
+    scenario's scalar weight is the product of its scalar values in feature
+    order, the products a scenario-by-scenario walk takes; one that
+    underflowed to zero is skipped.  The rest multiply that weight by their
+    array values over the grid, in one reused buffer and in feature order
+    (the bits of ``weight * A_1 * A_2 * ...``), and add its integral to the
+    sums.  Scenarios that share a product -- the same weight and the same
+    array objects, as the four detected x detected ones share pass_L *
+    pass_R -- form and integrate it once, for the first of them, and the
+    later ones add that integral in their own turn, so the sums take the
+    same bits.  ``exit_beta_without_crystal`` swaps in
+    :data:`EXIT_WITHOUT_CRYSTAL`; it exists to demonstrate numerically that
+    the variant does not move the result at leading order.
     """
     require_resolved(params.sigma, params.grid_n)
     grid = grid_points(params.grid_n)
-    factors = dict(CHANNEL_FACTORS)
-    if exit_beta_without_crystal:
-        factors["exit"] = EXIT_WITHOUT_CRYSTAL
-    tables = [
-        (tuple(SCENARIO_SLOTS[var(ch, r)] for r in reads), table)
+    factors = EXIT_RULES[exit_beta_without_crystal]
+    values = {
+        (ch, name, key): value
         for ch in CHANNELS
-        for reads, table in factor_tables(
+        for name, (_, table) in factor_tables(
             grid_backend(grid, params.setting(ch).value, params.alpha, params.beta, params.sigma),
             factors,
-        ).values()
-    ]
-
-    # Each factor's scalar weight, dense over the bits it reads: an array value
-    # weighs one here (it joins the scenario's product below), an unlisted
-    # assignment zero.  Multiplied in feature order, as scenario by scenario.
-    # Only the factors with an array value are looked up again per scenario.
-    weights = np.ones(len(SCENARIOS))
-    array_tables = []
-    for positions, table in tables:
-        dense = np.zeros((2,) * len(positions))
-        for key, val in table.items():
-            dense[key] = 1.0 if isinstance(val, np.ndarray) else val
-        weights *= dense[tuple(SCENARIOS[:, k] for k in positions)]
-        if any(isinstance(val, np.ndarray) for val in table.values()):
-            array_tables.append((positions, table))
+        ).items()
+        for key, value in table.items()
+    }
 
     num = 0.0
     den = 0.0
     cell = PI / params.grid_n
     product = np.empty_like(grid)
     integrals: dict[tuple, float] = {}
-    for s in np.flatnonzero(weights):
-        bits = SCENARIOS[s].tolist()
-        values = (table[tuple(bits[k] for k in positions)] for positions, table in array_tables)
-        arrays = [val for val in values if isinstance(val, np.ndarray)]
-        key = (float(weights[s]), *map(id, arrays))
-        weight = integrals.get(key)
+    for coincident, keys in ORACLE_PLAN[exit_beta_without_crystal]:
+        scalar = 1.0
+        arrays = []
+        for key in keys:
+            value = values[key]
+            if isinstance(value, np.ndarray):
+                arrays.append(value)
+            else:
+                scalar *= value
+        if scalar == 0.0:
+            continue
+        shared = (scalar, *map(id, arrays))
+        weight = integrals.get(shared)
         if weight is None:
             first, *rest = arrays
-            np.multiply(first, weights[s], out=product)
-            for val in rest:
-                product *= val
-            weight = integrals[key] = float(product.sum()) * cell
+            np.multiply(first, scalar, out=product)
+            for array in rest:
+                product *= array
+            weight = integrals[shared] = float(product.sum()) * cell
         den += weight
-        if COINCIDENT[s]:
+        if coincident:
             num += weight
     return CoincidenceResult(
         partition_ratio(num, den), GradedCoeff.constant(num), GradedCoeff.constant(den), "regularized"

@@ -5,6 +5,8 @@ emits one machine-readable table (CSV or JSON).  The command line is read
 like a config file (:func:`read_argv`): the bare word is ``experiment``, a
 flag is its key with ``-`` for ``_`` (``--grid-n``), never abbreviated, and
 its value is the next word even if it starts with ``-`` (``--angles -10,20``).
+A key given twice on the command line, or twice in the file, is refused;
+flags override the file's keys.
 ``-h`` lists the experiments and keys.  Exit codes: 0 success, 2
 configuration error (every malformed command line too; the message names
 its ``config key``), 3 numerical failure.
@@ -24,7 +26,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .angles import PolAngle, reduce_degrees
-from .bell import Mrf3Params, ParameterError, brute_force_oracle, coincidence_probability, require_resolved
+from .bell import Mrf3Params, ParameterError, brute_force_oracle, coincidence_probability, require_resolved, sized_grid_n
 from .dist import SigmaTooCoarse
 from .quantum import bell_coincidence_qm, malus_chain, triphoton_compare
 
@@ -67,7 +69,7 @@ class ExperimentConfig:
     alpha: float = _key(_NUMBER, "absorption cost alpha (numeric routes)", default=1e-2)
     beta: float = _key(_NUMBER, "conversion cost beta (numeric routes)", default=1e-3)
     sigma: float | None = _key(_NUMBER, "kernel width in radians; per-experiment default when omitted", default=None)
-    grid_n: int = _key(_INTEGER, "grid points on [0, pi) of the oracle, the one grid route", default=8192)
+    grid_n: int | None = _key(_INTEGER, "oracle grid points on [0, pi); sized from sigma when omitted", default=None)
     mode: str = _key(_TEXT, "bell-sweep route: exact, regularized or both", default="both")
     output: str = _key(_TEXT, "output path, '-' for stdout", default="-")
     format: str = _key(_TEXT, "csv or json", default="csv")
@@ -81,6 +83,10 @@ class ExperimentConfig:
         if self.sigma is not None:
             return self.sigma
         return {"special-cases": 0.005, "triphoton-compare": 0.05}.get(self.experiment, 0.01)
+
+    def resolved_grid_n(self, sigma: float) -> int:
+        """``grid_n`` as given, else the oracle's grid sized for ``sigma``."""
+        return sized_grid_n(sigma) if self.grid_n is None else self.grid_n
 
     def validate(self):
         if self.experiment not in RUNNERS:
@@ -121,13 +127,13 @@ class ExperimentConfig:
                 for beta in self.betas:
                     replace(base, beta=beta)
                 for sigma in self.sigmas:
-                    replace(base, sigma=sigma)
-                    require_resolved(sigma, self.grid_n)
+                    params = replace(base, sigma=sigma, grid_n=self.resolved_grid_n(sigma))
+                    require_resolved(params.sigma, params.grid_n)
             except ConfigError as exc:
                 raise ConfigError({"beta": "betas", "sigma": "sigmas"}.get(exc.key, exc.key), exc.reason) from None
         # Only the oracle has a grid, and it must resolve the kernel.
         if self.experiment == "special-cases" or (self.experiment == "bell-sweep" and self.mode != "exact"):
-            require_resolved(base.sigma, self.grid_n)
+            require_resolved(base.sigma, base.grid_n)
         if self.experiment == "malus-chain":
             if not (self.angles or []):
                 raise ConfigError("angles", "malus-chain needs at least one polarizer setting")
@@ -167,13 +173,14 @@ def _timed(fn):
 
 
 def _mrf_params(config: ExperimentConfig, delta_deg: float) -> Mrf3Params:
+    sigma = config.resolved_sigma()
     return Mrf3Params(
         theta_a=PolAngle.from_degrees(delta_deg),
         theta_b=PolAngle.from_degrees(0.0),
         alpha=config.alpha,
         beta=config.beta,
-        sigma=config.resolved_sigma(),
-        grid_n=config.grid_n,
+        sigma=sigma,
+        grid_n=config.resolved_grid_n(sigma),
     )
 
 
@@ -217,7 +224,7 @@ def _run_limit_study(config: ExperimentConfig) -> list[ResultRow]:
     for beta in sorted(config.betas):
         previous: tuple[float, float] | None = None  # (sigma, value)
         for sigma in sorted(config.sigmas, reverse=True):
-            params = replace(base, beta=beta, sigma=sigma)
+            params = replace(base, beta=beta, sigma=sigma, grid_n=config.resolved_grid_n(sigma))
             value, ms = _timed(lambda: brute_force_oracle(params).probability)
             p: dict = {"delta_deg": delta, "sigma": sigma, "beta": beta}
             if previous is not None:
@@ -322,7 +329,10 @@ def read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError("config", f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise ConfigError(key, f"{path}:{lineno}: the key is given twice")
+        values[key] = value.strip()
     return values
 
 
@@ -357,8 +367,9 @@ def read_argv(argv: Sequence[str]) -> dict[str, str] | None:
     A bare word is ``experiment``; ``--key value`` or ``--key=value`` is the
     key written with ``-`` for ``_`` and its text, the next word whatever it
     starts with, as a file line's value is whatever follows ``=``.  ``-h`` or
-    ``--help`` in a flag's place gives None.  :func:`build_config` refuses
-    unknown keys, so ``--ang`` fails as a file line ``ang`` does.
+    ``--help`` in a flag's place gives None.  A key given twice is refused,
+    as in a file; :func:`build_config` refuses unknown keys, so ``--ang``
+    fails as a file line ``ang`` does.
     """
     values: dict[str, str] = {}
     words = iter(argv)
@@ -372,6 +383,8 @@ def read_argv(argv: Sequence[str]) -> dict[str, str] | None:
             raise ConfigError(key, f"unknown flag --{name}; a flag writes '-' for '_'")
         if key == "experiment" and (flag or key in values):
             raise ConfigError(key, f"{word!r}: one bare word names the experiment")
+        if key in values:
+            raise ConfigError(key, f"{word!r}: the key is given twice")
         if not eq and (text := next(words, None)) is None:
             raise ConfigError(key, f"the flag --{name} has no value")
         values[key] = text

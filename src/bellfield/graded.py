@@ -6,7 +6,7 @@ conversion cost (``beta``).  Keeping both formal makes small-parameter
 limits exact: the limiting value of a ratio is read off the lowest
 surviving orders instead of being estimated at some finite parameter value.
 Every polynomial drops the terms above one fixed total degree,
-:data:`MAX_TOTAL_DEGREE`, far above the orders any limit reads.
+:data:`MAX_TOTAL_DEGREE`, above the orders any limit reads.
 
 Coefficients are exact rationals internally, so addition and multiplication
 are commutative, associative and distributive *exactly* -- several
@@ -24,9 +24,10 @@ from typing import Mapping, Tuple, Union
 Scalar = Union[int, float, Fraction]
 Key = Tuple[int, int]  # (alpha exponent, beta exponent)
 
-#: Highest total degree ``i + j`` kept; the model's sums lead at degree 5
-#: (alpha^2 beta^3), well below it.
-MAX_TOTAL_DEGREE = 8
+#: Highest total degree ``i + j`` kept.  N photons' sums lead at alpha^N
+#: beta^(N+1): degree 5 for a Bell pair, 9 for four photons, so the exact
+#: contraction holds up to N = 4.
+MAX_TOTAL_DEGREE = 10
 
 
 class MismatchedAlphaOrder(ArithmeticError):

@@ -24,6 +24,7 @@ from bellfield.bell import (
     CHANNEL_BITS,
     CHANNEL_FACTORS,
     MIN_KERNEL_CELLS,
+    SIZED_KERNEL_CELLS,
     KernelUnresolved,
     ParameterError,
     brute_force_oracle,
@@ -35,6 +36,8 @@ from bellfield.bell import (
     grid_backend,
     partition_ratio,
     primitive_product,
+    require_resolved,
+    sized_grid_n,
     split_backend,
     sum_out_channel,
     var,
@@ -42,6 +45,7 @@ from bellfield.bell import (
 from bellfield.dist import (
     MAX_GRID,
     MAX_SIGMA,
+    MIN_GRID,
     DeltaCollision,
     DistFn,
     RegularizedDistFn,
@@ -350,6 +354,34 @@ class TestBruteForceOracle:
         oracle = brute_force_oracle(params, exit_beta_without_crystal=exit_beta)
         assert oracle.probability == pytest.approx(num / den, abs=1e-14)
 
+    @pytest.mark.parametrize("exit_beta, live", [(False, 9), (True, 25)])
+    def test_plan_lists_every_live_scenario_in_lexicographic_order(self, exit_beta, live):
+        # a walk over all 2^8 scenarios keeps those every factor lists
+        factors = bell.EXIT_RULES[exit_beta]
+        want = []
+        for bits in itertools.product((0, 1), repeat=8):
+            local = {ch: dict(zip(CHANNEL_BITS, bits[4 * i : 4 * i + 4])) for i, ch in enumerate(CHANNELS)}
+            keys = tuple(
+                (ch, name, tuple(local[ch][r] for r in reads)) for ch in CHANNELS for name, (reads, _) in factors.items()
+            )
+            if all(key in factors[name][1] for _, name, key in keys):
+                want.append((all(local[ch]["gamma_C"] or local[ch]["gamma_W"] for ch in CHANNELS), keys))
+        assert bell.ORACLE_PLAN[exit_beta] == tuple(want)
+        assert len(want) == live
+        assert factors["exit"] is (bell.EXIT_WITHOUT_CRYSTAL if exit_beta else CHANNEL_FACTORS["exit"])
+
+    def test_weights_that_underflow_match_the_scalar_walk(self):
+        # at alpha beta = 1e-100 the scenarios of the alternative exit rule in
+        # which both channels convert without a crystal photon weigh
+        # 4 (alpha beta)^4 = 0.0; the others weigh (alpha beta)^2 or so
+        params = params_for(30.0, alpha=1e-2, beta=1e-98)
+        assert 4 * (params.alpha * params.beta) ** 4 == 0.0
+        reference = scalar_by_scalar_oracle(params, True)
+        oracle = brute_force_oracle(params, exit_beta_without_crystal=True)
+        assert oracle.numerator == reference.numerator
+        assert oracle.denominator == reference.denominator
+        assert oracle.probability == brute_force_oracle(params).probability
+
     @pytest.mark.parametrize("params", ORACLE_SETTINGS, ids=ORACLE_SETTING_IDS)
     @pytest.mark.parametrize("exit_beta", [False, True])
     def test_equals_name_keyed_scenario_loop(self, params, exit_beta):
@@ -398,6 +430,34 @@ class TestBruteForceOracle:
         oracle = brute_force_oracle(params, exit_beta_without_crystal=exit_beta)
         assert oracle.numerator.constant_value() == num
         assert oracle.denominator.constant_value() == den
+
+
+class TestSizedGrid:
+    """The oracle's default grid: ceil(3 pi / sigma) points, clamped."""
+
+    def test_grids_of_the_grid_study_widths(self):
+        assert [sized_grid_n(s) for s in (0.04, 0.02, 0.01, 0.005)] == [256, 472, 943, 1885]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(5e-324, MAX_SIGMA))
+    def test_fewest_points_with_three_cells_per_width(self, sigma):
+        n = sized_grid_n(sigma)
+        assert MIN_GRID <= n <= MAX_GRID
+        if MIN_GRID < n < MAX_GRID:
+            assert sigma * n / PI >= SIZED_KERNEL_CELLS > sigma * (n - 1) / PI
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(MIN_KERNEL_CELLS * PI / MAX_GRID, MAX_SIGMA))
+    def test_every_width_down_to_the_largest_grids_bound_is_resolved(self, sigma):
+        require_resolved(sigma, sized_grid_n(sigma))
+
+    @pytest.mark.parametrize("sigma", [math.nan, 0.0, -0.0, -1.0, -math.inf, 5e-324])
+    def test_no_positive_width_or_a_tiny_one_gets_the_largest_grid(self, sigma):
+        # no ZeroDivisionError or OverflowError: Mrf3Params refuses sigma by name
+        assert sized_grid_n(sigma) == MAX_GRID
+
+    def test_an_infinite_width_gets_the_smallest_grid(self):
+        assert sized_grid_n(math.inf) == MIN_GRID
 
 
 # -- feature tables ----------------------------------------------------------------

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import fields
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -23,7 +24,9 @@ from bellfield.cli import (
     read_config_file,
     render_rows,
 )
-from bellfield.dist import MAX_GRID
+from bellfield.angles import PI, PolAngle
+from bellfield.bell import MIN_KERNEL_CELLS, Mrf3Params, coincidence_probability
+from bellfield.dist import MAX_GRID, MAX_SIGMA
 
 
 def read_csv(path):
@@ -115,7 +118,7 @@ class TestBellSweep:
 
 class TestSpecialCases:
     def test_unresolved_kernel_is_config_error(self, tmp_path, capsys):
-        # the 8192-point oracle grid cannot resolve a kernel this narrow
+        # no oracle grid resolves a kernel this narrow, not even the 65536-point one sized for it
         assert main(["special-cases", "--sigma", "1e-300", "--output", str(tmp_path / "x.csv")]) == 2
         assert "config key 'sigma'" in capsys.readouterr().err
 
@@ -128,6 +131,64 @@ class TestSpecialCases:
         by_delta = {float(r["delta_deg"]): r for r in oracle_rows}
         assert float(by_delta[0.0]["value"]) == pytest.approx(0.5, abs=1e-3)
         assert float(by_delta[90.0]["value"]) == pytest.approx(0.0, abs=1e-6)
+
+
+class TestSizedGrid:
+    """With no ``--grid-n`` the oracle's grid is sized from sigma."""
+
+    @staticmethod
+    def oracle_row(tmp_path, *argv):
+        out = tmp_path / "rows.json"
+        assert main([*argv, "--format", "json", "--output", str(out)]) == 0
+        return [r["value"] for r in json.loads(out.read_text()) if r["model"] == "MRF3-oracle"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(MIN_KERNEL_CELLS * PI / MAX_GRID, MAX_SIGMA))
+    def test_every_width_down_to_the_largest_grids_bound_runs(self, sigma):
+        with tempfile.TemporaryDirectory() as tmp:
+            (value,) = self.oracle_row(Path(tmp), "bell-sweep", "--mode", "regularized", "--angles", "30", f"--sigma={sigma!r}")
+        params = Mrf3Params(PolAngle.from_degrees(30.0), PolAngle.from_degrees(0.0), sigma=sigma)
+        assert abs(value - coincidence_probability(params, "regularized").probability) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["bell-sweep", "--mode", "regularized", "--angles", "30", "--sigma"], "sigma"),
+            (["special-cases", "--sigma"], "sigma"),
+            (["limit-study", "--sigmas"], "sigmas"),
+        ],
+    )
+    @pytest.mark.parametrize("sigma", ["nan", "0", "-1", "inf", repr(math.nextafter(MIN_KERNEL_CELLS * PI / MAX_GRID, 0))])
+    def test_a_width_out_of_range_exits_2(self, argv, key, sigma, tmp_path, capsys):
+        # the grid is sized only once sigma is known to be a positive number
+        value = f"{sigma},0.01" if key == "sigmas" else sigma
+        assert main([*argv, value, "--output", str(tmp_path / "x.csv")]) == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bell-sweep", "--mode", "regularized", "--angles", "30", "--sigma", "0.2"],
+            ["special-cases", "--sigma", "0.2"],
+            ["limit-study", "--sigmas", "0.2,0.01"],
+        ],
+    )
+    def test_a_width_above_pi_over_16_exits_3(self, argv, tmp_path, capsys):
+        assert main([*argv, "--output", str(tmp_path / "x.csv")]) == 3
+        assert "SigmaTooCoarse" in capsys.readouterr().err
+
+    def test_grid_n_8192_gives_the_8192_point_rows(self, tmp_path):
+        # an explicit grid is used as given: these are the 8192-point values, bit for bit
+        argv = ["bell-sweep", "--mode", "regularized", "--angles", "0,33.3,90", "--grid-n", "8192"]
+        assert self.oracle_row(tmp_path, *argv) == [0.4999999894957818, 0.34922817352751245, 1.0504217916142657e-08]
+        argv = ["limit-study", "--grid-n", "8192"]
+        assert self.oracle_row(tmp_path, *argv) == [0.374551903866547, 0.3748510695738064, 0.37492597325509047]
+
+    def test_sized_grid_moves_no_row_by_more_than_1e_12(self, tmp_path):
+        argv = ["bell-sweep", "--mode", "regularized", "--angles", "0,33.3,90", "--sigma", "0.01"]
+        fixed = self.oracle_row(tmp_path, *argv, "--grid-n", "8192")
+        for got, want in zip(self.oracle_row(tmp_path, *argv), fixed, strict=True):
+            assert abs(got - want) <= 1e-12
 
 
 class TestLimitStudy:
@@ -273,6 +334,23 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("experiment malus-chain\n")
         assert main(["--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "text, key, lineno",
+        [
+            ("experiment = bell-sweep\nexperiment = malus-chain\nangles = 0\n", "experiment", 2),
+            ("experiment = malus-chain\nangles = 0\nangles = 0 # the same text\n", "angles", 3),
+        ],
+        ids=["experiment", "angles"],
+    )
+    def test_repeated_key_exits_2(self, text, key, lineno, tmp_path, capsys):
+        # a file gives each key once, as a command line gives one bare word
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: config key '{key}': {cfg}:{lineno}: the key is given twice\n"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_read_config_file_parses_comments(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -438,11 +516,21 @@ class TestCommandLine:
         assert main(["malus-chain", "--angles", "0", "--output", str(out)]) == 0
         assert out.is_file()
 
-    def test_later_flag_wins(self, monkeypatch):
-        seen = []
-        monkeypatch.setattr(cli, "run", seen.append)
-        assert main(["malus-chain", "--angles", "10", "--angles=-20,30"]) == 0
-        assert seen[0].angles == [-20.0, 30.0]
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["malus-chain", "--angles", "10", "--angles=-20,30"], "angles"),
+            (["malus-chain", "--angles=10", "--grid-n", "512", "--grid-n", "512"], "grid_n"),
+            (["--config", "a.cfg", "malus-chain", "--config=b.cfg"], "config"),
+        ],
+    )
+    def test_repeated_flag_exits_2(self, argv, key, monkeypatch, capsys):
+        # a key given twice is refused, as a file's repeated line is
+        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("a repeated flag ran"))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config key '{key}': ")
+        assert err.count("\n") == 1
 
     def test_no_argparse_at_import(self):
         code = "import sys, bellfield.cli; print('argparse' in sys.modules)"
@@ -649,7 +737,7 @@ degrees = st.one_of(st.floats(-720.0, 720.0), st.sampled_from([0.0, 90.0, 1e-10,
     numbers,
     numbers,
     st.lists(degrees, min_size=3, max_size=3),
-    st.sampled_from([-1, 0, 1, 96, 256, 300, MAX_GRID + 1]),
+    st.sampled_from([-1, 0, 1, 96, 256, 300, MAX_GRID + 1, None]),
     st.sampled_from(["exact", "regularized", "both"]),
 )
 # the triphoton partition overflows; once printed as nan with exit 0
@@ -661,7 +749,7 @@ def test_every_input_exits_0_2_or_3(experiment, alpha, beta, sigma, angles, grid
         f"--beta={beta!r}",
         f"--sigma={sigma!r}",
         f"--angles={','.join(repr(a) for a in angles)}",
-        f"--grid-n={grid_n}",
+        *([] if grid_n is None else [f"--grid-n={grid_n}"]),  # None: sized from sigma
         f"--mode={mode}",
         "--format=json",
     ]

@@ -73,12 +73,13 @@ class TestConstruction:
         assert GradedCoeff({(1, 1): 0}).is_zero
 
     def test_truncation_at_construction(self):
-        g = GradedCoeff({(5, 5): 3, (1, 1): 2})
-        assert g.terms == {(1, 1): Fraction(2)}
+        g = GradedCoeff({(6, 5): 3, (5, 5): 4, (1, 1): 2})  # degree 11 > 10
+        assert g.terms == {(5, 5): Fraction(4), (1, 1): Fraction(2)}
 
     def test_truncation_in_product(self):
-        g = GradedCoeff({(3, 2): 1}) * GradedCoeff({(2, 3): 1})
-        assert g.is_zero  # degree 10 > 8
+        g = GradedCoeff({(3, 3): 1}) * GradedCoeff({(3, 2): 1})
+        assert g.is_zero  # degree 11 > 10
+        assert (GradedCoeff({(3, 2): 1}) * GradedCoeff({(2, 3): 1})).terms == {(5, 5): Fraction(1)}
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):

@@ -304,3 +304,17 @@ class TestClosedFormContraction:
             num = contract([detected for detected, _ in sums], 0)
             den = contract([detected + undetected for detected, undetected in sums], 0)
             assert coeff_ratio_limit(num, den) == pytest.approx(limit, abs=1e-9), thetas
+
+    def test_exact_four_photon_limit(self):
+        # four photons lead at alpha^4 beta^5, total degree 9, which the graded
+        # arithmetic keeps; the limit is cos^2(theta_1 + ... + theta_4) / 8
+        rng = random.Random(17)
+        for _ in range(30):
+            thetas = [rng.uniform(0.0, PI) for _ in range(4)]
+            limit = math.cos(sum(thetas)) ** 2 / 8
+            if limit < 0.01 / 8:
+                continue  # near a zero of the limit the leading coefficient cancels
+            sums = [sum_out_channel(split_backend(PolAngle(t), ALPHA, BETA)) for t in thetas]
+            num = contract([detected for detected, _ in sums], 0)
+            den = contract([detected + undetected for detected, undetected in sums], 0)
+            assert coeff_ratio_limit(num, den) == pytest.approx(limit, abs=1e-9), thetas
