@@ -40,7 +40,9 @@ from .graded import GradedCoeff
 #: harmonic 2.
 MAX_HARMONIC = 2
 
-#: Exact rational standing in for the integration-domain length pi.
+#: The float pi as an exact rational: the integration-domain length pi that
+#: :func:`dist_integrate` multiplies by, and the value a graded coefficient
+#: takes from the float :data:`~bellfield.angles.PI`.
 PI_FRAC = Fraction(math.pi)
 
 HALF = Fraction(1, 2)
@@ -173,9 +175,9 @@ class DistFn:
         out = self.c0
         for k, (ck, sk) in enumerate(zip(self.cos_coeffs, self.sin_coeffs), 1):
             if ck:
-                out = out + ck * Fraction(math.cos(2 * k * t))
+                out = out + ck * math.cos(2 * k * t)
             if sk:
-                out = out + sk * Fraction(math.sin(2 * k * t))
+                out = out + sk * math.sin(2 * k * t)
         return out
 
     def atom_weight_at(self, location: PolAngle) -> GradedCoeff:
@@ -499,20 +501,21 @@ def _wrapped_normal(x: float, width: float) -> float:
     return total / (width * math.sqrt(2.0 * PI))
 
 
-def _fourier(f: DistFn, k: int, zero, number, damping: float) -> tuple:
+def _fourier(f: DistFn, k: int, zero, damping: float) -> tuple:
     """``f``'s atoms A = damping sum_j w_j e^{2ik c_j} and smooth part
     S = c_k + i s_k (c0 at k = 0), as (A.real, A.imag, S.real, S.imag):
     its coefficients of e^{-2ik theta}, the conjugates of those of
     e^{2ik theta}, without the atoms' 1/pi and the smooth part's 1/2.
-    ``number`` converts cos and sin values, and a zero coefficient becomes
-    ``zero``: a float ``DistFn`` built without a ``c0`` holds a graded one."""
+    The weights multiply the float cos and sin values directly (a graded
+    weight takes a float exactly), and a zero coefficient becomes ``zero``:
+    a float ``DistFn`` built without a ``c0`` holds a graded one."""
     if not k:
         return sum((w for _, w in f.atoms), zero), zero, f.c0 or zero, zero
     re = im = zero
     for loc, w in f.atoms:
         t = 2 * k * loc.value
-        re = re + w * number(math.cos(t))
-        im = im + w * number(math.sin(t))
+        re = re + w * math.cos(t)
+        im = im + w * math.sin(t)
     if damping != 1.0:
         re, im = re * damping, im * damping
     return re, im, f.cos_coeffs[k - 1] or zero, f.sin_coeffs[k - 1] or zero
@@ -542,9 +545,10 @@ def contract(fs: Sequence[DistFn], width: float) -> GradedCoeff | float:
       never forms prod(A + S) - prod(A), which cancels at small beta.
 
     Coefficients are floats at a positive width and graded at width 0,
-    else ``TypeError``.  At width 0 cos and sin values enter as exact
-    ``Fraction`` values, pi as :data:`PI_FRAC`: the result is exact in the
-    formal small parameters.  A Bell pair is N = 2 with one arm
+    else ``TypeError``.  At width 0 cos and sin values and pi enter as the
+    floats they are, and a graded coefficient takes each exactly (float pi
+    *is* :data:`PI_FRAC`, and pi/2 halves it exactly): the result is exact
+    in the formal small parameters.  A Bell pair is N = 2 with one arm
     :meth:`DistFn.reflected`; ``contract([f, g.reflected()], 0)`` equals
     ``dist_integrate(dist_mul(f, g))``, but as no product is formed it
     never raises :class:`HarmonicOverflow`.
@@ -552,7 +556,7 @@ def contract(fs: Sequence[DistFn], width: float) -> GradedCoeff | float:
     exact = width == 0
     if exact:
         _require_graded("contract at width 0", *fs)
-    zero, number, pi = (GradedCoeff.zero(), Fraction, PI_FRAC) if exact else (0.0, float, PI)
+    zero = GradedCoeff.zero() if exact else 0.0
     # every choice of one atom per arm: (its location sum, its weight product)
     choices = [(0.0, 1.0)]
     for f in fs:
@@ -568,18 +572,18 @@ def contract(fs: Sequence[DistFn], width: float) -> GradedCoeff | float:
         top -= 1
     for k in range(top + 1):
         damping = math.exp(-2.0 * k * k * width * width)
-        scale = pi / 2 if k else pi
+        scale = PI / 2 if k else PI
         # Over the arms so far, x = prod_j A_j and z = sum_(m>=1) scale^(m-1)
         # P_m, P_m the terms in which m arms take S.  A further arm turns P_m
         # into P_m A + P_(m-1) S, so z into z A + S (x + scale z).
-        xr, xi, zr, zi = _fourier(fs[0], k, zero, number, damping)
+        xr, xi, zr, zi = _fourier(fs[0], k, zero, damping)
         for f in fs[1:-1]:
-            ar, ai, sr, si = _fourier(f, k, zero, number, damping)
+            ar, ai, sr, si = _fourier(f, k, zero, damping)
             br, bi = xr + scale * zr, xi + scale * zi
             zr, zi = zr * ar - zi * ai + sr * br - si * bi, zr * ai + zi * ar + sr * bi + si * br
             xr, xi = xr * ar - xi * ai, xr * ai + xi * ar
         # the last arm: only the real part of z A + S (x + scale z)
-        ar, ai, sr, si = _fourier(fs[-1], k, zero, number, damping)
+        ar, ai, sr, si = _fourier(fs[-1], k, zero, damping)
         total = total + zr * ar + sr * (xr + scale * zr)
         if k:  # at k = 0 every imaginary part is zero
             total = total - (zi * ai + si * (xi + scale * zi))

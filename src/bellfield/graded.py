@@ -8,21 +8,28 @@ surviving orders instead of being estimated at some finite parameter value.
 Every polynomial drops the terms above one fixed total degree,
 :data:`MAX_TOTAL_DEGREE`, above the orders any limit reads.
 
-Coefficients are exact rationals internally, so addition and multiplication
-are commutative, associative and distributive *exactly* -- several
-downstream identities are asserted term-by-term and would not survive float
-reassociation.  Floats are accepted at the boundary and converted
-losslessly (every float is a rational).
+Coefficients are exact rationals, so addition and multiplication are
+commutative, associative and distributive *exactly* -- several downstream
+identities are asserted term-by-term and would not survive float
+reassociation.  Each is held as a reduced pair of Python ints (numerator,
+positive denominator) and combined with integer arithmetic and
+:func:`math.gcd`, not as a ``Fraction`` object: the values are the same
+rationals, built at a fraction of the cost.  Ints, ``Fraction`` values and
+finite floats are accepted at the boundary and converted losslessly (every
+float is a rational, ``float.as_integer_ratio``); the queries hand
+coefficients back as ``Fraction`` values.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Tuple, Union
 
 Scalar = Union[int, float, Fraction]
 Key = Tuple[int, int]  # (alpha exponent, beta exponent)
+Ratio = Tuple[int, int]  # (numerator, denominator), reduced, denominator > 0
 
 #: Highest total degree ``i + j`` kept.  N photons' sums lead at alpha^N
 #: beta^(N+1): degree 5 for a Bell pair, 9 for four photons, so the exact
@@ -43,43 +50,60 @@ class DivergentLimit(ArithmeticError):
     """The numerator dominates the denominator as beta goes to zero."""
 
 
-def _as_fraction(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _ratio(x: Scalar) -> Ratio:
+    """``x`` as a reduced (numerator, positive denominator) pair, exactly."""
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValueError(f"non-finite coefficient: {x!r}")
-        return Fraction(x)
+        return x.as_integer_ratio()
+    if isinstance(x, int):
+        return int(x), 1  # int() reads a bool as 0 or 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"unsupported coefficient type: {type(x).__name__}")
+
+
+def _sum(n1: int, d1: int, n2: int, d2: int) -> Ratio:
+    """``n1/d1 + n2/d2`` of two reduced pairs, reduced: the denominators'
+    common factor found once, and only it can divide the new numerator."""
+    g = gcd(d1, d2)
+    if g == 1:
+        return n1 * d2 + n2 * d1, d1 * d2
+    s = d1 // g
+    t = n1 * (d2 // g) + n2 * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return t, s * d2
+    return t // g2, s * (d2 // g2)
 
 
 class GradedCoeff:
     """Polynomial ``sum c_ij * alpha^i * beta^j`` truncated by total degree.
 
-    Immutable.  Terms with a zero coefficient or with ``i + j`` above
-    :data:`MAX_TOTAL_DEGREE` are never stored.
+    Immutable.  Holds ``{(i, j): (numerator, denominator)}``, each pair
+    reduced with a positive denominator, so that equal polynomials hold equal
+    dicts and hash alike.  Terms with a zero coefficient or with ``i + j``
+    above :data:`MAX_TOTAL_DEGREE` are never stored.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Key, Scalar] | None = None):
-        clean: dict[Key, Fraction] = {}
+        clean: dict[Key, Ratio] = {}
         for (i, j), c in (terms or {}).items():
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent in term ({i}, {j})")
             if i + j > MAX_TOTAL_DEGREE:
                 continue
-            f = _as_fraction(c)
-            if f != 0:
-                clean[(i, j)] = f
+            r = _ratio(c)
+            if r[0]:
+                clean[(i, j)] = r
         object.__setattr__(self, "_terms", clean)
 
     @classmethod
-    def _trusted(cls, terms: dict[Key, Fraction]) -> "GradedCoeff":
+    def _trusted(cls, terms: dict[Key, Ratio]) -> "GradedCoeff":
         """Wrap ``terms`` without re-checking them: the arithmetic's results,
-        already nonzero ``Fraction`` values at total degree at most
+        already reduced nonzero pairs at total degree at most
         :data:`MAX_TOTAL_DEGREE`."""
         out = object.__new__(cls)
         object.__setattr__(out, "_terms", terms)
@@ -118,7 +142,7 @@ class GradedCoeff:
 
     @property
     def terms(self) -> dict[Key, Fraction]:
-        return dict(self._terms)
+        return {k: Fraction(n, d) for k, (n, d) in self._terms.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -131,44 +155,48 @@ class GradedCoeff:
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError(f"not a constant: {self!r}")
-        return self._terms.get((0, 0), Fraction(0))
+        return Fraction(*self._terms.get((0, 0), (0, 1)))
 
     def min_alpha_order(self) -> int:
         if not self._terms:
             raise ValueError("zero polynomial has no alpha order")
         return min(i for i, _ in self._terms)
 
-    def min_beta_order(self) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no beta order")
-        return min(j for _, j in self._terms)
+    def min_beta_order(self, alpha_order: int | None = None) -> int:
+        """Lowest beta exponent, among the terms of alpha^alpha_order if given."""
+        orders = [j for i, j in self._terms if alpha_order is None or i == alpha_order]
+        if not orders:
+            where = "" if alpha_order is None else f" at alpha^{alpha_order}"
+            raise ValueError(f"no beta order: {self!r} has no term{where}")
+        return min(orders)
+
+    def _by_beta(self, order: int) -> dict[int, Ratio]:
+        return {j: c for (i, j), c in self._terms.items() if i == order}
 
     def at_alpha_order(self, order: int) -> dict[int, Fraction]:
         """Coefficients of alpha^order, keyed by beta exponent."""
-        return {j: c for (i, j), c in self._terms.items() if i == order}
+        return {j: Fraction(n, d) for j, (n, d) in self._by_beta(order).items()}
 
     def leading_terms(self) -> dict[Key, Fraction]:
         """Terms at the minimal total degree (empty for zero)."""
         if not self._terms:
             return {}
         lead = min(i + j for i, j in self._terms)
-        return {k: c for k, c in self._terms.items() if k[0] + k[1] == lead}
+        return {(i, j): Fraction(n, d) for (i, j), (n, d) in self._terms.items() if i + j == lead}
 
     def eval(self, alpha: float, beta: float) -> float:
         """Numeric value at concrete parameter values."""
-        return float(
-            sum(c * Fraction(alpha) ** i * Fraction(beta) ** j for (i, j), c in self._terms.items())
-        )
+        a, b = Fraction(alpha), Fraction(beta)
+        return float(sum(Fraction(n, d) * a**i * b**j for (i, j), (n, d) in self._terms.items()))
 
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other) -> "GradedCoeff | None":
         if isinstance(other, GradedCoeff):
             return other
-        if isinstance(other, Fraction):  # already exact: no conversion to check
-            return GradedCoeff._trusted({(0, 0): other}) if other else _ZERO
-        if isinstance(other, (int, float)):
-            return GradedCoeff.constant(other)
+        if isinstance(other, (int, float, Fraction)):
+            r = _ratio(other)
+            return GradedCoeff._trusted({(0, 0): r}) if r[0] else _ZERO
         return None
 
     def __add__(self, other) -> "GradedCoeff":
@@ -180,18 +208,21 @@ class GradedCoeff:
         if not self._terms:
             return o
         out = dict(self._terms)
-        for k, c in o._terms.items():
-            total = out[k] + c if k in out else c
-            if total:
-                out[k] = total
+        for k, (n2, d2) in o._terms.items():
+            if k in out:
+                total = _sum(*out[k], n2, d2)
+                if total[0]:
+                    out[k] = total
+                else:
+                    del out[k]
             else:
-                del out[k]
+                out[k] = (n2, d2)
         return GradedCoeff._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GradedCoeff":
-        return GradedCoeff._trusted({k: -c for k, c in self._terms.items()})
+        return GradedCoeff._trusted({k: (-n, d) for k, (n, d) in self._terms.items()})
 
     def __sub__(self, other) -> "GradedCoeff":
         o = self._coerce(other)
@@ -211,15 +242,26 @@ class GradedCoeff:
             return NotImplemented
         if not (self._terms and o._terms):
             return _ZERO
-        out: dict[Key, Fraction] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in o._terms.items():
+        out: dict[Key, Ratio] = {}
+        for (i1, j1), (n1, d1) in self._terms.items():
+            for (i2, j2), (n2, d2) in o._terms.items():
                 i, j = i1 + i2, j1 + j2
                 if i + j > MAX_TOTAL_DEGREE:
                     continue
+                # (n1/d1)(n2/d2) with each numerator's common factor with the
+                # other denominator divided out: reduced, as both pairs are
+                g1, g2 = gcd(n1, d2), gcd(n2, d1)
+                n, d = (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
                 k = (i, j)
-                out[k] = out[k] + c1 * c2 if k in out else c1 * c2
-        return GradedCoeff._trusted({k: c for k, c in out.items() if c})
+                if k in out:
+                    total = _sum(*out[k], n, d)
+                    if total[0]:
+                        out[k] = total
+                    else:
+                        del out[k]
+                else:
+                    out[k] = (n, d)
+        return GradedCoeff._trusted(out)
 
     __rmul__ = __mul__
 
@@ -240,7 +282,7 @@ class GradedCoeff:
             return "GradedCoeff(0)"
         parts = []
         for (i, j), c in sorted(self._terms.items()):
-            factors = [f"{float(c):g}"]
+            factors = [f"{c[0] / c[1]:g}"]
             if i:
                 factors.append(f"a^{i}" if i > 1 else "a")
             if j:
@@ -271,8 +313,8 @@ def coeff_ratio_limit(num: GradedCoeff, den: GradedCoeff) -> float:
             f"numerator carries alpha^{a_num} but denominator alpha^{a_den}; "
             "the limit depends on alpha"
         )
-    num_by_beta = num.at_alpha_order(a_num)
-    den_by_beta = den.at_alpha_order(a_den)
+    num_by_beta = num._by_beta(a_num)
+    den_by_beta = den._by_beta(a_den)
     b_den = min(den_by_beta)
     b_num = min(num_by_beta)
     if b_num > b_den:
@@ -281,4 +323,5 @@ def coeff_ratio_limit(num: GradedCoeff, den: GradedCoeff) -> float:
         raise DivergentLimit(
             f"numerator is beta^{b_num} against denominator beta^{b_den}"
         )
-    return float(num_by_beta[b_den] / den_by_beta[b_den])
+    (n1, d1), (n2, d2) = num_by_beta[b_den], den_by_beta[b_den]
+    return (n1 * d2) / (d1 * n2)  # int division rounds the exact ratio once

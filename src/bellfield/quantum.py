@@ -10,8 +10,15 @@ normalization is a separate, explicit step.
 
 Each model is written once, for N arms, and the Bell pair is its N = 2 call:
 
-* traditional (:func:`qm_coincidence`): the Born rule on the N-photon GHZ
-  state, read on the product of the arms' pass modes;
+* traditional (:func:`qm_coincidence`): the Born rule on an N-photon state,
+  read on the product of the arms' pass modes.  Every QM row the package
+  reports (the Bell pair's ``QM``, the triphoton ``M``) reads the linear GHZ
+  state (|H...H> + |V...V>)/sqrt(2) (:func:`ghz_state`), which gives
+  cos^2(theta_a - theta_b)/2 for the pair.  The circular GHZ state
+  (|R...R> + |L...L>)/sqrt(2) (:func:`circular_ghz_state`) gives
+  cos^2(sum theta)/2^(N-1), the random-field model's N-photon limit; for
+  N = 2 the two differ by reflecting one arm, for N >= 3 they give
+  different statistics;
 * modified, exact (:func:`mstar_bell_coincidence` without ``sigma``): a
   branch ensemble -- a positive mixture of tagged configurations (linear at
   some angle, circular, absorbed, or linear at the shared source angle with
@@ -88,6 +95,15 @@ def ghz_state(n: int = 3) -> np.ndarray:
     v = np.zeros(2**n, dtype=complex)
     v[0] = v[-1] = 1.0 / math.sqrt(2.0)
     return v
+
+
+def circular_ghz_state(n: int = 3) -> np.ndarray:
+    """(|R...R> + |L...L>) / sqrt(2), with R = (|H> + i|V>) / sqrt(2) and L
+    its conjugate: a linear polarizer at theta passes R with amplitude
+    e^(i theta)/sqrt(2), so every arm passing has probability
+    cos^2(theta_1 + ... + theta_N) / 2^(N-1)."""
+    right = reduce(np.multiply.outer, [np.array([1.0, 1j]) / math.sqrt(2.0)] * n).ravel()
+    return (right + right.conj()) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -172,15 +188,20 @@ def apply_M(rho: DensityMatrix, subsystem: int, theta0: PolAngle) -> DensityMatr
     return DensityMatrix(dephase(rho.entries, rho.n_photons, subsystem, theta0))
 
 
-def qm_coincidence(settings: Sequence[PolAngle]) -> float:
-    """Probability that every photon of the N-photon GHZ state passes.
+def qm_coincidence(settings: Sequence[PolAngle], state: np.ndarray | None = None) -> float:
+    """Probability that every photon of ``state`` passes, by default of the
+    linear N-photon GHZ state :func:`ghz_state`.
 
     The Born rule <v|rho|v>, v the product of the pass modes.  Dephasing an
     arm in its own basis first cannot move it (its pass projector is a
     factor of the joint one), so the arms have no order.  The source state
-    is checked once, as a :class:`PureState`.
+    is checked once, as a :class:`PureState`; it must hold one photon per
+    setting, else :class:`NotAState`.
     """
-    amplitudes = PureState(ghz_state(len(settings))).amplitudes
+    source = PureState(ghz_state(len(settings)) if state is None else state)
+    if source.n_photons != len(settings):
+        raise NotAState(f"a {source.n_photons}-photon state read with {len(settings)} settings")
+    amplitudes = source.amplitudes
     rho = np.outer(amplitudes, amplitudes.conj())
     v = reduce(np.multiply.outer, [linear_state(t) for t in settings]).ravel()
     return float((v.conj() @ rho @ v).real)

@@ -103,6 +103,14 @@ class TestConstruction:
         assert g.min_beta_order() == 3
         assert g.at_alpha_order(2) == {3: Fraction(8)}
 
+    def test_beta_order_at_an_alpha_order(self):
+        g = GradedCoeff({(2, 3): 1, (1, 5): 2, (2, 6): 1})
+        assert g.min_beta_order() == 3
+        assert g.min_beta_order(1) == 5
+        assert g.min_beta_order(2) == 3
+        with pytest.raises(ValueError):
+            g.min_beta_order(4)
+
 
 small_terms = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)),
@@ -167,22 +175,133 @@ operand = st.one_of(
 )
 
 
+# An independent reference: the same polynomials as plain {key: Fraction}
+# dicts, truncated at MAX_TOTAL_DEGREE by hand.
+
+
+def ref_terms(x) -> dict:
+    """``x`` (a GradedCoeff or a scalar operand) as a reference dict."""
+    if isinstance(x, GradedCoeff):
+        return x.terms
+    return {(0, 0): Fraction(x)} if x else {}
+
+
+def ref_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for k, c in q.items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_neg(p: dict) -> dict:
+    return {k: -c for k, c in p.items()}
+
+
+def ref_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
+            if i1 + i2 + j1 + j2 <= MAX_TOTAL_DEGREE:
+                k = (i1 + i2, j1 + j2)
+                out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
 class TestStoredTerms:
     """The arithmetic builds its results without re-validating them; they
-    must still hold exactly what the validated constructor would keep."""
+    must still hold exactly what the validated constructor would keep, and
+    the terms the reference computes."""
 
     @given(wide_graded, st.lists(st.tuples(st.sampled_from("+-*"), operand), max_size=8))
     def test_arithmetic_chains_keep_the_invariants(self, x, steps):
         ops = {"+": lambda u, v: u + v, "-": lambda u, v: u - v, "*": lambda u, v: u * v}
+        ref_ops = {"+": ref_add, "-": lambda p, q: ref_add(p, ref_neg(q)), "*": ref_mul}
+        ref = x.terms
         for op, y in steps:
-            for result in (ops[op](x, y), ops[op](y, x), -x):
+            q = ref_terms(y)
+            for result, want in (
+                (ops[op](x, y), ref_ops[op](ref, q)),
+                (ops[op](y, x), ref_ops[op](q, ref)),
+                (-x, ref_neg(ref)),
+            ):
                 terms = result.terms
+                assert terms == want
                 assert all(type(c) is Fraction and c != 0 for c in terms.values())
                 assert all(i + j <= MAX_TOTAL_DEGREE for i, j in terms)
                 assert result == GradedCoeff(terms)
-            x = ops[op](x, y)
+            x, ref = ops[op](x, y), ref_ops[op](ref, q)
+
+    @given(wide_graded, wide_graded)
+    def test_equal_values_built_differently_are_equal_and_hash_alike(self, x, y):
+        for same in ((x + y) - y, y + x - y, x * 2 * Fraction(1, 2), x * 0.5 * 2, x * 3 * Fraction(1, 3), -(-x)):
+            assert same == x
+            assert hash(same) == hash(x)
+            assert same.terms == x.terms
 
     @given(st.fractions(-3, 3, max_denominator=4).filter(bool), st.fractions(-3, 3, max_denominator=4).filter(bool))
     def test_cancelling_cross_term_of_a_product_is_dropped(self, c, d):
         # (cA + dB)(cA - dB): the alpha*beta terms -cd and +dc cancel
         assert ((c * A + d * B) * (c * A - d * B)).terms == {(2, 0): c * c, (0, 2): -d * d}
+
+
+class TestBoundary:
+    """Coefficients at the edges of what the boundary accepts."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises_value_error(self, bad):
+        x = GradedCoeff({(1, 0): 1})
+        with pytest.raises(ValueError):
+            GradedCoeff({(0, 0): bad})
+        with pytest.raises(ValueError):
+            GradedCoeff.constant(bad)
+        for op in (lambda: x + bad, lambda: bad + x, lambda: x - bad, lambda: bad - x, lambda: x * bad, lambda: bad * x):
+            with pytest.raises(ValueError):
+                op()
+        with pytest.raises(ValueError):
+            x == bad  # noqa: B015
+
+    @pytest.mark.parametrize("bad", [1j, 1 + 0j, "1"])
+    def test_complex_or_str_raises_type_error(self, bad):
+        with pytest.raises(TypeError):
+            GradedCoeff({(0, 0): bad})
+        with pytest.raises(TypeError):
+            GradedCoeff.term(bad, 1, 1)
+
+    def test_complex_arithmetic_raises_type_error(self):
+        x = GradedCoeff({(1, 0): 1})
+        for op in (lambda: x + 1j, lambda: 1j + x, lambda: x * 1j, lambda: 1j * x, lambda: x - 1j):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_negative_zero_is_dropped(self):
+        assert GradedCoeff({(0, 0): -0.0, (1, 1): 0.0}).is_zero
+        assert (GradedCoeff.alpha() * -0.0).is_zero
+        assert GradedCoeff.alpha() + -0.0 == GradedCoeff.alpha()
+
+    @pytest.mark.parametrize("x", [5e-324, -5e-324, 1e308, -1e308, 0.1, 2.0**-1074 * 3, 1 / 3])
+    def test_floats_round_trip_exactly(self, x):
+        assert GradedCoeff({(2, 3): x}).terms == {(2, 3): Fraction(x)}
+        assert GradedCoeff.constant(x).constant_value() == Fraction(x)
+        assert float(GradedCoeff.constant(x).constant_value()) == x
+        assert (GradedCoeff.beta() * x).terms == {(0, 1): Fraction(x)}
+
+    def test_tiny_times_huge_stays_exact(self):
+        g = GradedCoeff.constant(5e-324) * 1e308
+        assert g.constant_value() == Fraction(5e-324) * Fraction(1e308)
+
+    def test_bools_read_as_zero_and_one(self):
+        assert GradedCoeff({(0, 0): True}) == GradedCoeff.one()
+        assert GradedCoeff({(0, 0): True}).terms == {(0, 0): Fraction(1)}
+        assert type(GradedCoeff.constant(True).terms[(0, 0)]) is Fraction
+        assert GradedCoeff({(0, 0): False}).is_zero
+        assert GradedCoeff.alpha() * True == GradedCoeff.alpha()
+        assert (GradedCoeff.alpha() * False).is_zero
+
+    def test_queries_hand_out_fractions(self):
+        g = GradedCoeff({(2, 3): 0.25, (2, 4): Fraction(-2, 6), (0, 0): 3})
+        values = [*g.terms.values(), *g.at_alpha_order(2).values(), *g.leading_terms().values()]
+        assert all(type(c) is Fraction for c in values)
+        assert g.at_alpha_order(2) == {3: Fraction(1, 4), 4: Fraction(-1, 3)}
+        assert g.leading_terms() == {(0, 0): Fraction(3)}
+        assert GradedCoeff.constant(Fraction(6, -4)).constant_value() == Fraction(-3, 2)
+        assert GradedCoeff.zero().constant_value() == 0

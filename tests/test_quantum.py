@@ -8,7 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bellfield.angles import PI, PolAngle
-from bellfield.bell import Mrf3Params, ParameterError, coincidence_probability
+from bellfield.bell import (
+    Mrf3Params,
+    ParameterError,
+    coincidence_probability,
+    contract_channels,
+    split_backend,
+    sum_out_channel,
+)
 from bellfield.dist import MAX_GRID, DeltaCollision
 from bellfield.graded import GradedCoeff
 from bellfield.quantum import (
@@ -26,6 +33,7 @@ from bellfield.quantum import (
     apply_Mstar,
     bell_coincidence_qm,
     bell_source_ensemble,
+    circular_ghz_state,
     ghz_state,
     linear_state,
     malus_chain,
@@ -161,6 +169,46 @@ class TestQmCoincidence:
             dephased = float(np.trace(proj @ rho.entries).real)
             assert dephased == pytest.approx(got, rel=0, abs=1e-15)
             assert dephased == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+class TestCircularGhz:
+    """The circular GHZ state (|R...R> + |L...L>)/sqrt(2) gives the random-field
+    model's N-photon limit cos^2(sum theta)/2^(N-1)."""
+
+    @pytest.mark.parametrize("photons", [2, 3, 4])
+    def test_coincidence_is_the_cosine_of_the_angle_sum(self, photons):
+        rng = np.random.default_rng(30 + photons)
+        state = circular_ghz_state(photons)
+        assert PureState(state).n_photons == photons
+        for _ in range(50):
+            settings_n = [PolAngle(t) for t in rng.uniform(-PI, PI, photons)]
+            want = math.cos(sum(t.value for t in settings_n)) ** 2 / 2 ** (photons - 1)
+            assert qm_coincidence(settings_n, state) == pytest.approx(want, rel=0, abs=1e-12)
+
+    def test_three_photon_closed_form_route_matches(self):
+        # the graph route in closed form, near its limit: sigma 1e-6, beta 1e-9;
+        # its distance from the limit is first order in beta, at most about
+        # 0.0987 beta (3000 random settings), so 9.9e-11 here
+        rng = np.random.default_rng(33)
+        state = circular_ghz_state(3)
+        for _ in range(50):
+            settings3 = [PolAngle(t) for t in rng.uniform(-PI, PI, 3)]
+            sums = [sum_out_channel(split_backend(t, 1e-2, 1e-9)) for t in settings3]
+            num, den = contract_channels(sums, 1e-6)
+            assert num / den == pytest.approx(qm_coincidence(settings3, state), rel=0, abs=1e-10)
+
+    def test_the_linear_state_differs_from_three_photons_up(self):
+        settings3 = [deg(10), deg(25), deg(40)]
+        assert qm_coincidence(settings3, circular_ghz_state(3)) == pytest.approx(0.016747, abs=1e-6)
+        assert qm_coincidence(settings3) == pytest.approx(0.267105, abs=1e-6)
+
+    def test_default_state_is_the_linear_ghz_state(self):
+        settings3 = [deg(10), deg(-25), deg(70)]
+        assert qm_coincidence(settings3) == qm_coincidence(settings3, ghz_state(3))
+
+    def test_state_must_hold_one_photon_per_setting(self):
+        with pytest.raises(NotAState):
+            qm_coincidence([deg(10), deg(20)], circular_ghz_state(3))
 
 
 class TestMalusChain:
