@@ -463,7 +463,7 @@ def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> Coincide
     alpha_orders = (num.min_alpha_order(), den.min_alpha_order())
     if alpha_orders != (2, 2):
         raise UnexpectedLeadingOrder(f"leading alpha orders {alpha_orders}, expected (2, 2)")
-    beta_orders = (num.min_beta_order(2), den.min_beta_order(2))
+    beta_orders = (min(num.at_alpha_order(2)), min(den.at_alpha_order(2)))
     if beta_orders != (3, 3):
         raise UnexpectedLeadingOrder(
             f"leading beta orders {beta_orders} at alpha^2, expected (3, 3); "

@@ -27,7 +27,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -39,13 +38,6 @@ from .graded import GradedCoeff
 #: smooth parts are quadratic in cos/sin, so its products never exceed
 #: harmonic 2.
 MAX_HARMONIC = 2
-
-#: The float pi as an exact rational: the integration-domain length pi that
-#: :func:`dist_integrate` multiplies by, and the value a graded coefficient
-#: takes from the float :data:`~bellfield.angles.PI`.
-PI_FRAC = Fraction(math.pi)
-
-HALF = Fraction(1, 2)
 
 MIN_GRID = 256
 #: Largest grid of the one grid route, the brute-force oracle.  The other
@@ -322,19 +314,19 @@ def dist_mul(f: DistFn, g: DistFn) -> DistFn:
             if not (c2 or s2):
                 continue
             if c1 and c2:
-                half = c1 * c2 * HALF
+                half = c1 * c2 * 0.5
                 add_cos(k1 + k2, half)
                 add_cos(abs(k1 - k2), half)
             if s1 and s2:
-                half = s1 * s2 * HALF
+                half = s1 * s2 * 0.5
                 add_cos(abs(k1 - k2), half)
                 add_cos(k1 + k2, -half)
             if s1 and c2:
-                half = s1 * c2 * HALF
+                half = s1 * c2 * 0.5
                 add_sin(k1 + k2, half)
                 add_sin(k1 - k2, half)
             if c1 and s2:
-                half = c1 * s2 * HALF
+                half = c1 * s2 * 0.5
                 add_sin(k1 + k2, half)
                 add_sin(k2 - k1, half)
 
@@ -349,7 +341,7 @@ def dist_integrate(f: DistFn) -> GradedCoeff:
     Atoms carry their full weight; every nonconstant even harmonic
     integrates to zero over the half-turn period, leaving ``pi * c0``.
     """
-    total = f.c0 * PI_FRAC
+    total = f.c0 * PI
     for _, w in f.atoms:
         total = total + w
     return total
@@ -546,9 +538,9 @@ def contract(fs: Sequence[DistFn], width: float) -> GradedCoeff | float:
 
     Coefficients are floats at a positive width and graded at width 0,
     else ``TypeError``.  At width 0 cos and sin values and pi enter as the
-    floats they are, and a graded coefficient takes each exactly (float pi
-    *is* :data:`PI_FRAC`, and pi/2 halves it exactly): the result is exact
-    in the formal small parameters.  A Bell pair is N = 2 with one arm
+    floats they are, and a graded coefficient takes each exactly (every
+    float is a rational, and pi/2 halves :data:`PI` exactly): the result is
+    exact in the formal small parameters.  A Bell pair is N = 2 with one arm
     :meth:`DistFn.reflected`; ``contract([f, g.reflected()], 0)`` equals
     ``dist_integrate(dist_mul(f, g))``, but as no product is formed it
     never raises :class:`HarmonicOverflow`.

@@ -77,6 +77,19 @@ def _sum(n1: int, d1: int, n2: int, d2: int) -> Ratio:
     return t // g2, s * (d2 // g2)
 
 
+def _accumulate(out: dict[Key, Ratio], k: Key, n: int, d: int) -> None:
+    """Add the reduced pair ``n/d`` into ``out[k]``, keeping ``out`` in its
+    stored form: a sum that cancels to zero removes the key."""
+    if k in out:
+        total = _sum(*out[k], n, d)
+        if total[0]:
+            out[k] = total
+        else:
+            del out[k]
+    else:
+        out[k] = (n, d)
+
+
 class GradedCoeff:
     """Polynomial ``sum c_ij * alpha^i * beta^j`` truncated by total degree.
 
@@ -162,13 +175,10 @@ class GradedCoeff:
             raise ValueError("zero polynomial has no alpha order")
         return min(i for i, _ in self._terms)
 
-    def min_beta_order(self, alpha_order: int | None = None) -> int:
-        """Lowest beta exponent, among the terms of alpha^alpha_order if given."""
-        orders = [j for i, j in self._terms if alpha_order is None or i == alpha_order]
-        if not orders:
-            where = "" if alpha_order is None else f" at alpha^{alpha_order}"
-            raise ValueError(f"no beta order: {self!r} has no term{where}")
-        return min(orders)
+    def min_beta_order(self) -> int:
+        if not self._terms:
+            raise ValueError("zero polynomial has no beta order")
+        return min(j for _, j in self._terms)
 
     def _by_beta(self, order: int) -> dict[int, Ratio]:
         return {j: c for (i, j), c in self._terms.items() if i == order}
@@ -209,14 +219,7 @@ class GradedCoeff:
             return o
         out = dict(self._terms)
         for k, (n2, d2) in o._terms.items():
-            if k in out:
-                total = _sum(*out[k], n2, d2)
-                if total[0]:
-                    out[k] = total
-                else:
-                    del out[k]
-            else:
-                out[k] = (n2, d2)
+            _accumulate(out, k, n2, d2)
         return GradedCoeff._trusted(out)
 
     __radd__ = __add__
@@ -252,15 +255,7 @@ class GradedCoeff:
                 # other denominator divided out: reduced, as both pairs are
                 g1, g2 = gcd(n1, d2), gcd(n2, d1)
                 n, d = (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
-                k = (i, j)
-                if k in out:
-                    total = _sum(*out[k], n, d)
-                    if total[0]:
-                        out[k] = total
-                    else:
-                        del out[k]
-                else:
-                    out[k] = (n, d)
+                _accumulate(out, (i, j), n, d)
         return GradedCoeff._trusted(out)
 
     __rmul__ = __mul__

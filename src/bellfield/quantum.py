@@ -10,15 +10,15 @@ normalization is a separate, explicit step.
 
 Each model is written once, for N arms, and the Bell pair is its N = 2 call:
 
-* traditional (:func:`qm_coincidence`): the Born rule on an N-photon state,
-  read on the product of the arms' pass modes.  Every QM row the package
-  reports (the Bell pair's ``QM``, the triphoton ``M``) reads the linear GHZ
-  state (|H...H> + |V...V>)/sqrt(2) (:func:`ghz_state`), which gives
+* traditional (:func:`qm_coincidence`): the Born rule on the linear
+  N-photon GHZ state (|H...H> + |V...V>)/sqrt(2) (:func:`ghz_state`), read
+  on the product of the arms' pass modes.  Every QM row the package reports
+  (the Bell pair's ``QM``, the triphoton ``M``) is this value; it gives
   cos^2(theta_a - theta_b)/2 for the pair.  The circular GHZ state
-  (|R...R> + |L...L>)/sqrt(2) (:func:`circular_ghz_state`) gives
+  (|R...R> + |L...L>)/sqrt(2) (:func:`circular_ghz_state`) would give
   cos^2(sum theta)/2^(N-1), the random-field model's N-photon limit; for
   N = 2 the two differ by reflecting one arm, for N >= 3 they give
-  different statistics;
+  different statistics, and no row reads it yet;
 * modified, exact (:func:`mstar_bell_coincidence` without ``sigma``): a
   branch ensemble -- a positive mixture of tagged configurations (linear at
   some angle, circular, absorbed, or linear at the shared source angle with
@@ -188,20 +188,15 @@ def apply_M(rho: DensityMatrix, subsystem: int, theta0: PolAngle) -> DensityMatr
     return DensityMatrix(dephase(rho.entries, rho.n_photons, subsystem, theta0))
 
 
-def qm_coincidence(settings: Sequence[PolAngle], state: np.ndarray | None = None) -> float:
-    """Probability that every photon of ``state`` passes, by default of the
-    linear N-photon GHZ state :func:`ghz_state`.
+def qm_coincidence(settings: Sequence[PolAngle]) -> float:
+    """Probability that every photon of the N-photon GHZ state passes.
 
     The Born rule <v|rho|v>, v the product of the pass modes.  Dephasing an
     arm in its own basis first cannot move it (its pass projector is a
     factor of the joint one), so the arms have no order.  The source state
-    is checked once, as a :class:`PureState`; it must hold one photon per
-    setting, else :class:`NotAState`.
+    is checked once, as a :class:`PureState`.
     """
-    source = PureState(ghz_state(len(settings)) if state is None else state)
-    if source.n_photons != len(settings):
-        raise NotAState(f"a {source.n_photons}-photon state read with {len(settings)} settings")
-    amplitudes = source.amplitudes
+    amplitudes = PureState(ghz_state(len(settings))).amplitudes
     rho = np.outer(amplitudes, amplitudes.conj())
     v = reduce(np.multiply.outer, [linear_state(t) for t in settings]).ravel()
     return float((v.conj() @ rho @ v).real)

@@ -103,14 +103,6 @@ class TestConstruction:
         assert g.min_beta_order() == 3
         assert g.at_alpha_order(2) == {3: Fraction(8)}
 
-    def test_beta_order_at_an_alpha_order(self):
-        g = GradedCoeff({(2, 3): 1, (1, 5): 2, (2, 6): 1})
-        assert g.min_beta_order() == 3
-        assert g.min_beta_order(1) == 5
-        assert g.min_beta_order(2) == 3
-        with pytest.raises(ValueError):
-            g.min_beta_order(4)
-
 
 small_terms = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)),
