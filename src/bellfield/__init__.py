@@ -8,7 +8,6 @@ from .bell import (
     TriphotonGraph,
     UnexpectedLeadingOrder,
     brute_force_oracle,
-    build_bell_graph,
     build_triphoton_graph,
     coincidence_probability,
 )
@@ -28,19 +27,6 @@ from .graded import (
     MismatchedAlphaOrder,
     coeff_ratio_limit,
 )
-from .mrf import (
-    EventPredicate,
-    NodeFeature,
-    Scenario,
-    ScenarioGraph,
-    VariableDecl,
-    ZeroPartition,
-    event_probability,
-    event_unnormalized,
-    forward_fold,
-    partition_function,
-    relative_probability,
-)
 
 __all__ = [
     "PolAngle",
@@ -56,21 +42,9 @@ __all__ = [
     "DeltaCollision",
     "HarmonicOverflow",
     "SigmaTooCoarse",
-    "VariableDecl",
-    "Scenario",
-    "NodeFeature",
-    "EventPredicate",
-    "ScenarioGraph",
-    "ZeroPartition",
-    "relative_probability",
-    "event_unnormalized",
-    "partition_function",
-    "event_probability",
-    "forward_fold",
     "Mrf3Params",
     "ParameterError",
     "CoincidenceResult",
-    "build_bell_graph",
     "coincidence_probability",
     "brute_force_oracle",
     "TriphotonGraph",

@@ -75,12 +75,9 @@ from .dist import (
 )
 from .graded import GradedCoeff, coeff_ratio_limit
 from .mrf import (
-    BINARY,
-    SHARED_ANGLE,
     EventPredicate,
     NodeFeature,
     ScenarioGraph,
-    VariableDecl,
     # Unused here, but bench/tests checks that tracing rebinds it in this module.
     tally_events,  # noqa: F401
 )
@@ -389,36 +386,25 @@ def channel_features(channel: str, theta_p: PolAngle) -> tuple[NodeFeature, ...]
     return tuple(features)
 
 
-def detection_predicate(channel: str) -> EventPredicate:
-    c, w = var(channel, "gamma_C"), var(channel, "gamma_W")
-    return EventPredicate(f"D_{channel}", (c, w), lambda a: bool(a[c] or a[w]))
-
-
-def coincidence_predicate() -> EventPredicate:
-    deps = tuple(var(ch, g) for ch in CHANNELS for g in ("gamma_C", "gamma_W"))
-
-    def fn(a: Mapping[str, int]) -> bool:
-        return bool((a[var("L", "gamma_C")] or a[var("L", "gamma_W")]) and (
-            a[var("R", "gamma_C")] or a[var("R", "gamma_W")]
-        ))
-
-    return EventPredicate("D", deps, fn)
-
-
 def build_bell_graph(params: Mrf3Params) -> ScenarioGraph:
-    """Two-channel graph: eight binary variables plus the shared angle.
+    """Two-channel graph: eight binary variables, five features per channel,
+    and the events ``D`` (both counters fire), ``D_L`` and ``D_R``.
 
     The source is folded into the conditioning (both emission bits fixed to
-    one, one shared angle), leaving five features per channel.
+    one), and the shared angle is the argument of the features' values.
     """
-    variables = [VariableDecl("theta", SHARED_ANGLE)]
-    features: list[NodeFeature] = []
-    for ch in CHANNELS:
-        for g in CHANNEL_BITS:
-            variables.append(VariableDecl(var(ch, g), BINARY))
-        features.extend(channel_features(ch, params.setting(ch)))
-    predicates = (coincidence_predicate(), detection_predicate("L"), detection_predicate("R"))
-    return ScenarioGraph(tuple(variables), tuple(features), predicates)
+
+    def fires(ch: str) -> EventPredicate:
+        c, w = var(ch, "gamma_C"), var(ch, "gamma_W")
+        return EventPredicate(f"D_{ch}", (c, w), lambda a: bool(a[c] or a[w]))
+
+    left, right = fires("L"), fires("R")
+    both = EventPredicate("D", left.depends_on + right.depends_on, lambda a: left.holds(a) and right.holds(a))
+    return ScenarioGraph(
+        tuple(var(ch, g) for ch in CHANNELS for g in CHANNEL_BITS),
+        tuple(f for ch in CHANNELS for f in channel_features(ch, params.setting(ch))),
+        (both, left, right),
+    )
 
 
 # -- coincidence probability -------------------------------------------------------

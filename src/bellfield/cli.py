@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .angles import PolAngle, reduce_degrees
-from .bell import Mrf3Params, ParameterError, brute_force_oracle, coincidence_probability, require_resolved, sized_grid_n
+from .bell import Mrf3Params, ParameterError, brute_force_oracle, coincidence_probability, sized_grid_n
 from .dist import SigmaTooCoarse
 from .quantum import bell_coincidence_qm, malus_chain, triphoton_compare
 
@@ -46,6 +46,16 @@ _TEXT = (str, "text")
 _NUMBER = (float, "a number")
 _INTEGER = (int, "an integer")
 _NUMBER_LIST = (lambda raw: [float(x) for x in raw.split(",") if x.strip() != ""], "a comma-separated number list")
+
+
+def _read_initial(raw: str) -> str:
+    """The text itself, once it is 'unpolarized' or a finite number of degrees."""
+    if raw != "unpolarized" and not math.isfinite(float(raw)):
+        raise ValueError(raw)
+    return raw
+
+
+_INITIAL = (_read_initial, "finite degrees or 'unpolarized'")
 
 
 def _key(read: tuple, help: str, **default):
@@ -73,7 +83,7 @@ class ExperimentConfig:
     mode: str = _key(_TEXT, "bell-sweep route: exact, regularized or both", default="both")
     output: str = _key(_TEXT, "output path, '-' for stdout", default="-")
     format: str = _key(_TEXT, "csv or json", default="csv")
-    initial: str = _key(_TEXT, "malus-chain entry polarization (degrees or 'unpolarized')", default="0")
+    initial: str = _key(_INITIAL, "malus-chain entry polarization (degrees or 'unpolarized')", default="0")
     sigmas: list[float] = _key(
         _NUMBER_LIST, "comma-separated kernel widths (limit-study)", default_factory=lambda: [0.04, 0.02, 0.01]
     )
@@ -99,7 +109,7 @@ class ExperimentConfig:
             if not all(math.isfinite(v) for v in vals):
                 raise ConfigError(key, "values must be finite numbers")
         # The model checks its knobs, under their own keys, on every experiment.
-        base = _mrf_params(self, 0.0)
+        _mrf_params(self, 0.0)
         # The angles the exact route evaluates: limit-study's target is exact too.
         exact_angles = []
         if self.experiment == "bell-sweep" and self.mode in ("exact", "both"):
@@ -122,28 +132,8 @@ class ExperimentConfig:
             for key, vals in (("sigmas", self.sigmas), ("betas", self.betas)):
                 if len(set(vals)) != len(vals):
                     raise ConfigError(key, "values must be distinct")
-            # Each value is checked as the knob it sets, and each sigma against the oracle's grid.
-            try:
-                for beta in self.betas:
-                    replace(base, beta=beta)
-                for sigma in self.sigmas:
-                    params = replace(base, sigma=sigma, grid_n=self.resolved_grid_n(sigma))
-                    require_resolved(params.sigma, params.grid_n)
-            except ConfigError as exc:
-                raise ConfigError({"beta": "betas", "sigma": "sigmas"}.get(exc.key, exc.key), exc.reason) from None
-        # Only the oracle has a grid, and it must resolve the kernel.
-        if self.experiment == "special-cases" or (self.experiment == "bell-sweep" and self.mode != "exact"):
-            require_resolved(base.sigma, base.grid_n)
-        if self.experiment == "malus-chain":
-            if not (self.angles or []):
-                raise ConfigError("angles", "malus-chain needs at least one polarizer setting")
-            if self.initial != "unpolarized":
-                try:
-                    initial = float(self.initial)
-                except ValueError:
-                    raise ConfigError("initial", "must be degrees or 'unpolarized'") from None
-                if not math.isfinite(initial):
-                    raise ConfigError("initial", "must be a finite number of degrees")
+        if self.experiment == "malus-chain" and not self.angles:
+            raise ConfigError("angles", "malus-chain needs at least one polarizer setting")
         if self.experiment == "triphoton-compare" and self.angles and len(self.angles) != 3:
             raise ConfigError("angles", "triphoton-compare takes exactly three settings (or none to scan)")
 
@@ -224,8 +214,12 @@ def _run_limit_study(config: ExperimentConfig) -> list[ResultRow]:
     for beta in sorted(config.betas):
         previous: tuple[float, float] | None = None  # (sigma, value)
         for sigma in sorted(config.sigmas, reverse=True):
-            params = replace(base, beta=beta, sigma=sigma, grid_n=config.resolved_grid_n(sigma))
-            value, ms = _timed(lambda: brute_force_oracle(params).probability)
+            # Each value is checked as the knob it sets, and the oracle checks its grid.
+            try:
+                params = replace(base, beta=beta, sigma=sigma, grid_n=config.resolved_grid_n(sigma))
+                value, ms = _timed(lambda: brute_force_oracle(params).probability)
+            except ConfigError as exc:
+                raise ConfigError({"beta": "betas", "sigma": "sigmas"}.get(exc.key, exc.key), exc.reason) from None
             p: dict = {"delta_deg": delta, "sigma": sigma, "beta": beta}
             if previous is not None:
                 s1, f1 = previous

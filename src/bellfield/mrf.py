@@ -1,11 +1,12 @@
-"""Exhaustive-enumeration engine for scenario graphs.
+"""Scenario-graph reference: enumeration tally and forward fold.
 
-A graph declares binary variables (plus at most one shared angle variable),
-node feature functions, and named event predicates.  A scenario assigns
-every binary variable; the shared angle stays symbolic inside the
-:class:`~bellfield.dist.DistFn` values the features return.  Event
-probabilities are ratios of sums of integrated feature products, evaluated
-in the small-parameter limit.
+A graph declares binary variables, node feature functions, and named event
+predicates.  A scenario assigns every binary variable; the shared angle
+stays symbolic as the argument of the :class:`~bellfield.dist.DistFn`
+values the features return.  :func:`tally_events` sums every scenario's
+integrated feature product once, per predicate and in total;
+:func:`forward_fold` gets the same sums by eliminating variables as they
+die.  Event probabilities are their ratios in the small-parameter limit.
 
 Enumeration is exhaustive -- the graphs of interest have at most ten binary
 variables, and exactness at that scale beats clever inference.
@@ -22,22 +23,9 @@ from .graded import GradedCoeff, coeff_ratio_limit
 
 Assignment = Mapping[str, int]
 
-BINARY = "binary"
-SHARED_ANGLE = "shared_angle"
-
 
 class ZeroPartition(ArithmeticError):
     """Every scenario has zero relative probability; nothing to normalize."""
-
-
-@dataclass(frozen=True)
-class VariableDecl:
-    name: str
-    kind: str = BINARY
-
-    def __post_init__(self):
-        if self.kind not in (BINARY, SHARED_ANGLE):
-            raise ValueError(f"unknown variable kind: {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -83,26 +71,18 @@ class EventPredicate:
         return bool(self.fn(assignment))
 
 
-ALWAYS = EventPredicate("always", (), lambda a: True)
-NEVER = EventPredicate("never", (), lambda a: False)
-
-
 @dataclass(frozen=True)
 class ScenarioGraph:
-    variables: tuple[VariableDecl, ...]
+    binary_names: tuple[str, ...]
     features: tuple[NodeFeature, ...]
     predicates: tuple[EventPredicate, ...] = ()
 
     def __post_init__(self):
-        names = [v.name for v in self.variables]
-        if len(set(names)) != len(names):
+        if len(set(self.binary_names)) != len(self.binary_names):
             raise ValueError("duplicate variable names")
         fnames = [f.name for f in self.features]
         if len(set(fnames)) != len(fnames):
             raise ValueError("duplicate feature names")
-        angles = [v for v in self.variables if v.kind == SHARED_ANGLE]
-        if len(angles) > 1:
-            raise ValueError("at most one shared-angle variable per graph")
         declared = set(self.binary_names)
         for f in self.features:
             missing = set(f.depends_on) - declared
@@ -112,17 +92,6 @@ class ScenarioGraph:
             missing = set(p.depends_on) - declared
             if missing:
                 raise ValueError(f"predicate {p.name!r} depends on undeclared {sorted(missing)}")
-
-    @property
-    def binary_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables if v.kind == BINARY)
-
-    @property
-    def angle_name(self) -> str | None:
-        for v in self.variables:
-            if v.kind == SHARED_ANGLE:
-                return v.name
-        return None
 
     def predicate(self, name: str) -> EventPredicate:
         for p in self.predicates:
@@ -136,25 +105,14 @@ class ScenarioGraph:
             yield Scenario(dict(zip(names, bits)))
 
 
-def relative_probability(graph: ScenarioGraph, scenario: Scenario | Assignment) -> DistFn:
+def relative_probability(graph: ScenarioGraph, scenario: Scenario) -> DistFn:
     """Product of all node features under the scenario's assignment."""
-    assignment = scenario.assignment if isinstance(scenario, Scenario) else scenario
     out = DistFn.one()
     for feat in graph.features:
-        out = dist_mul(out, feat.eval(assignment))
+        out = dist_mul(out, feat.eval(scenario.assignment))
         if out.is_zero:
             break  # annihilated; remaining factors cannot revive it
     return out
-
-
-def event_unnormalized(graph: ScenarioGraph, pred: EventPredicate) -> GradedCoeff:
-    """Sum over satisfying scenarios of the integrated feature product."""
-    total = GradedCoeff.zero()
-    for scenario in graph.scenarios():
-        if not pred.holds(scenario.assignment):
-            continue
-        total = total + dist_integrate(relative_probability(graph, scenario))
-    return total
 
 
 def tally_events(
@@ -172,17 +130,6 @@ def tally_events(
             if p.holds(scenario.assignment):
                 totals[p.name] = totals[p.name] + weight
     return totals, partition
-
-
-def partition_function(graph: ScenarioGraph) -> GradedCoeff:
-    z = event_unnormalized(graph, ALWAYS)
-    if z.is_zero:
-        raise ZeroPartition("all scenarios have zero relative probability")
-    return z
-
-
-def event_probability(graph: ScenarioGraph, pred: EventPredicate) -> float:
-    return coeff_ratio_limit(event_unnormalized(graph, pred), partition_function(graph))
 
 
 # -- forward fold ---------------------------------------------------------------

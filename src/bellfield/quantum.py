@@ -191,15 +191,12 @@ def apply_M(rho: DensityMatrix, subsystem: int, theta0: PolAngle) -> DensityMatr
 def qm_coincidence(settings: Sequence[PolAngle]) -> float:
     """Probability that every photon of the N-photon GHZ state passes.
 
-    The Born rule <v|rho|v>, v the product of the pass modes.  Dephasing an
-    arm in its own basis first cannot move it (its pass projector is a
-    factor of the joint one), so the arms have no order.  The source state
-    is checked once, as a :class:`PureState`.
+    The Born rule |<ghz|v>|^2, v the product of the pass modes.  Dephasing
+    an arm in its own basis first cannot move it (its pass projector is a
+    factor of the joint one), so the arms have no order.
     """
-    amplitudes = PureState(ghz_state(len(settings))).amplitudes
-    rho = np.outer(amplitudes, amplitudes.conj())
     v = reduce(np.multiply.outer, [linear_state(t) for t in settings]).ravel()
-    return float((v.conj() @ rho @ v).real)
+    return float(abs(np.vdot(ghz_state(len(settings)), v)) ** 2)
 
 
 def bell_coincidence_qm(theta_a: PolAngle, theta_b: PolAngle) -> float:

@@ -56,8 +56,8 @@ from bellfield.dist import (
     regularize,
     wrapped_gaussian,
 )
-from bellfield.graded import GradedCoeff
-from bellfield.mrf import event_probability, forward_fold, relative_probability, tally_events
+from bellfield.graded import GradedCoeff, coeff_ratio_limit
+from bellfield.mrf import forward_fold, relative_probability, tally_events
 from bellfield.quantum import triphoton_compare
 
 PI_FRAC = Fraction(math.pi)
@@ -543,7 +543,6 @@ class TestGraphStructure:
     def test_variable_and_feature_counts(self):
         g = build_bell_graph(params_for(30.0))
         assert len(g.binary_names) == 8
-        assert g.angle_name == "theta"
         assert len(g.features) == 10
 
     def test_channel_scenario_counts(self):
@@ -800,10 +799,11 @@ class TestCoincidenceExact:
 
     def test_generic_event_probability_on_graph(self):
         g = build_bell_graph(params_for(60.0))
-        assert event_probability(g, g.predicate("D")) == pytest.approx(0.125, abs=1e-12)
+        totals, partition = tally_events(g, (g.predicate("D"), g.predicate("D_R")))
+        assert coeff_ratio_limit(totals["D"], partition) == pytest.approx(0.125, abs=1e-12)
         # one-sided detection: the channel fires in 2 of its 3 scenarios at
         # matched leading order, but the joint limit weighs them 1/2 each
-        assert event_probability(g, g.predicate("D_R")) == pytest.approx(0.5, abs=1e-12)
+        assert coeff_ratio_limit(totals["D_R"], partition) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestCoincidenceRegularized:

@@ -644,11 +644,16 @@ class TestValidation:
             (["malus-chain", "--angles", "10", "--grid-n", "0"], "grid_n"),
             (["bell-sweep", "--mode", "exact", "--angles", "30", "--sigma", "inf"], "sigma"),
             (["limit-study", "--sigmas", "0.01,nan"], "sigmas"),
+            # refused by a route after it computed rows: the table is written whole or not at all
+            (["limit-study", "--sigmas", "0.02,1e-300"], "sigmas"),
+            (["bell-sweep", "--mode", "both", "--angles", "30", "--sigma", "1e-300"], "sigma"),
         ],
     )
     def test_rejected_input_exits_2(self, argv, key, tmp_path, capsys):
-        assert main([*argv, "--output", str(tmp_path / "x.csv")]) == 2
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--output", str(out)]) == 2
         assert f"config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exact_route_takes_any_grid_n_in_range(self, tmp_path):
         # no grid is built, so the oracle's minimum of 256 points does not apply
@@ -676,11 +681,12 @@ class TestValidation:
         # a model error neither typed nor numerical would escape main: exit 1
         import bellfield
         from bellfield.bell import KernelUnresolved
+        from bellfield.mrf import ZeroPartition
         from bellfield.quantum import ZeroEnsemble
 
         exported = {getattr(bellfield, name) for name in bellfield.__all__}
         errors = {c for c in exported if isinstance(c, type) and issubclass(c, BaseException)}
-        errors |= {KernelUnresolved, ZeroEnsemble, ConfigError}
+        errors |= {KernelUnresolved, ZeroEnsemble, ZeroPartition, ConfigError}
         assert len(errors) >= 10
         for error in errors:
             assert issubclass(error, ConfigError) != issubclass(error, cli.NUMERICAL_ERRORS), error

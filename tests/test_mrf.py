@@ -5,28 +5,23 @@ from fractions import Fraction
 import pytest
 
 from bellfield.angles import PolAngle
-from bellfield.dist import MAX_HARMONIC, DistFn
-from bellfield.graded import GradedCoeff
+from bellfield.dist import MAX_HARMONIC, DistFn, dist_integrate
+from bellfield.graded import GradedCoeff, coeff_ratio_limit
 from bellfield.mrf import (
-    ALWAYS,
-    BINARY,
-    NEVER,
-    SHARED_ANGLE,
     EventPredicate,
     NodeFeature,
     Scenario,
     ScenarioGraph,
-    VariableDecl,
     ZeroPartition,
-    event_probability,
-    event_unnormalized,
     forward_fold,
-    partition_function,
     relative_probability,
     tally_events,
 )
 
 PI_FRAC = Fraction(math.pi)
+
+ALWAYS = EventPredicate("always", (), lambda a: True)
+NEVER = EventPredicate("never", (), lambda a: False)
 
 
 def cos_squared(center: PolAngle, scale: Fraction) -> DistFn:
@@ -41,10 +36,13 @@ def constant_feature(name, value, depends=()):
 
 
 def single_var_graph(feature_value=1):
-    return ScenarioGraph(
-        (VariableDecl("x", BINARY),),
-        (constant_feature("f", feature_value),),
-    )
+    return ScenarioGraph(("x",), (constant_feature("f", feature_value),))
+
+
+def probability(graph, pred) -> float:
+    """The predicate's probability from one enumeration pass."""
+    totals, partition = tally_events(graph, (pred,))
+    return coeff_ratio_limit(totals[pred.name], partition)
 
 
 class TestEnumeration:
@@ -54,54 +52,46 @@ class TestEnumeration:
         assert out == DistFn.one()
 
     def test_zero_feature_annihilates(self):
-        g = ScenarioGraph(
-            (VariableDecl("x", BINARY),),
-            (constant_feature("f", 1), constant_feature("g", 0)),
-        )
+        g = ScenarioGraph(("x",), (constant_feature("f", 1), constant_feature("g", 0)))
         assert relative_probability(g, Scenario({"x": 1})).is_zero
 
     def test_false_predicate_sums_to_zero(self):
-        assert event_unnormalized(single_var_graph(), NEVER).is_zero
+        totals, _ = tally_events(single_var_graph(), (NEVER,))
+        assert totals["never"].is_zero
 
     def test_constant_graph_partition(self):
         # two scenarios, each integrating c over the half-turn domain
         c = 3
-        z = partition_function(single_var_graph(c))
+        _, z = tally_events(single_var_graph(c), ())
         assert z == GradedCoeff.constant(2 * c) * PI_FRAC
 
     def test_always_one_feature_partition(self):
-        assert partition_function(single_var_graph()) == GradedCoeff.constant(2) * PI_FRAC
+        g = single_var_graph()
+        assert forward_fold(g, g.features, ()).partition == GradedCoeff.constant(2) * PI_FRAC
 
     def test_zero_partition_raises(self):
+        g = single_var_graph(0)
+        assert tally_events(g, ())[1].is_zero
         with pytest.raises(ZeroPartition):
-            partition_function(single_var_graph(0))
+            forward_fold(g, g.features, ())
 
     def test_probability_normalization(self):
         g = single_var_graph(5)
-        assert event_probability(g, ALWAYS) == 1.0
-        assert event_probability(g, NEVER) == 0.0
+        assert probability(g, ALWAYS) == 1.0
+        assert probability(g, NEVER) == 0.0
 
     def test_predicate_splits_partition(self):
-        g = ScenarioGraph(
-            (VariableDecl("x", BINARY),),
-            (NodeFeature("f", ("x",), lambda a: DistFn.constant(3 if a["x"] else 1)),),
-        )
+        g = ScenarioGraph(("x",), (NodeFeature("f", ("x",), lambda a: DistFn.constant(3 if a["x"] else 1)),))
         picks_one = EventPredicate("x1", ("x",), lambda a: a["x"] == 1)
-        assert event_probability(g, picks_one) == pytest.approx(0.75)
+        assert probability(g, picks_one) == pytest.approx(0.75)
 
     def test_duplicate_variable_rejected(self):
         with pytest.raises(ValueError):
-            ScenarioGraph((VariableDecl("x"), VariableDecl("x")), ())
-
-    def test_two_shared_angles_rejected(self):
-        with pytest.raises(ValueError):
-            ScenarioGraph(
-                (VariableDecl("t1", SHARED_ANGLE), VariableDecl("t2", SHARED_ANGLE)), ()
-            )
+            ScenarioGraph(("x", "x"), ())
 
     def test_undeclared_dependency_rejected(self):
         with pytest.raises(ValueError):
-            ScenarioGraph((VariableDecl("x"),), (constant_feature("f", 1, depends=("y",)),))
+            ScenarioGraph(("x",), (constant_feature("f", 1, depends=("y",)),))
 
 
 # -- random graphs ------------------------------------------------------------
@@ -112,9 +102,6 @@ _ATOM_SLOTS = [0.2, 0.7, 1.2, 1.9, 2.6]
 def make_random_graph(rng: random.Random):
     n_vars = rng.randint(1, 3)
     names = [f"v{i}" for i in range(n_vars)]
-    variables = tuple(VariableDecl(n, BINARY) for n in names) + (
-        VariableDecl("theta", SHARED_ANGLE),
-    )
     features = []
     n_feats = rng.randint(1, 4)
     slots = list(_ATOM_SLOTS)
@@ -150,7 +137,7 @@ def make_random_graph(rng: random.Random):
         features.append(NodeFeature(f"f{i}", deps, fn))
     pred_var = rng.choice(names)
     pred = EventPredicate("P", (pred_var,), lambda a, v=pred_var: a[v] == 1)
-    return ScenarioGraph(variables, tuple(features), (pred,))
+    return ScenarioGraph(tuple(names), tuple(features), (pred,))
 
 
 def _all_bits(n):
@@ -165,37 +152,35 @@ def test_complement_identity_exact(seed):
     g = make_random_graph(random.Random(seed))
     p = g.predicates[0]
     not_p = EventPredicate("notP", p.depends_on, lambda a: not p.fn(a))
-    total = event_unnormalized(g, p) + event_unnormalized(g, not_p)
-    assert total == event_unnormalized(g, ALWAYS)  # exact term-by-term
+    totals, partition = tally_events(g, (p, not_p))
+    assert totals["P"] + totals["notP"] == partition  # exact term-by-term
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_probability_in_unit_interval(seed):
     g = make_random_graph(random.Random(seed + 100))
-    try:
-        value = event_probability(g, g.predicates[0])
-    except ZeroPartition:
+    totals, partition = tally_events(g, g.predicates)
+    if partition.is_zero:
         return
-    assert 0.0 <= value <= 1.0
+    assert 0.0 <= coeff_ratio_limit(totals["P"], partition) <= 1.0
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_forward_fold_matches_enumeration(seed):
     rng = random.Random(seed + 200)
     g = make_random_graph(rng)
-    try:
-        expected = event_probability(g, g.predicates[0])
-    except ZeroPartition:
-        expected = None
+    totals, partition = tally_events(g, g.predicates)
     order = list(g.features)
     rng.shuffle(order)
-    if expected is None:
+    if partition.is_zero:
         with pytest.raises(ZeroPartition):
             forward_fold(g, order)
         return
     result = forward_fold(g, order)
-    assert result.probabilities["P"] == pytest.approx(expected, abs=1e-12)
-    assert result.partition == partition_function(g)  # fraction-exact reassociation
+    assert result.probabilities["P"] == pytest.approx(coeff_ratio_limit(totals["P"], partition), abs=1e-12)
+    # fraction-exact reassociation
+    assert result.partition == partition
+    assert result.unnormalized == totals
 
 
 def test_forward_fold_single_feature_graph():
@@ -217,5 +202,6 @@ def test_tally_events_matches_separate_sums():
     g = make_random_graph(random.Random(7))
     p = g.predicates[0]
     totals, partition = tally_events(g, (p,))
-    assert totals["P"] == event_unnormalized(g, p)
-    assert partition == event_unnormalized(g, ALWAYS)
+    weights = [(s, dist_integrate(relative_probability(g, s))) for s in g.scenarios()]
+    assert totals["P"] == sum((w for s, w in weights if p.holds(s.assignment)), GradedCoeff.zero())
+    assert partition == sum((w for _, w in weights), GradedCoeff.zero())

@@ -77,6 +77,12 @@ class TestStates:
     def test_ghz_dimension(self):
         assert PureState(ghz_state(3)).n_photons == 3
 
+    @pytest.mark.parametrize("photons", [2, 3, 4])
+    def test_source_states_are_pure_states(self, photons):
+        # qm_coincidence reads ghz_state's amplitudes unchecked
+        for state in (ghz_state(photons), circular_ghz_state(photons)):
+            assert PureState(state).n_photons == photons
+
 
 class TestApplyM:
     def test_eigenstate_fixed_point(self):
