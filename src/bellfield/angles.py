@@ -6,6 +6,8 @@ modulo pi at construction, into [-pi/2, pi/2), by the exact and odd IEEE
 remainder.  Negation is therefore exact: ``PolAngle(-a.value).value`` is
 ``-a.value`` for every angle but -pi/2 itself, so a reflected function's
 atoms keep the cos 2theta of theirs and negate the sin 2theta, bit for bit.
+-pi/2 maps onto itself, so its sin 2k theta, sin(-k fl(pi)), cannot change
+sign; every user of it takes that sine as 0, its exact value.
 An angle in the upper half turn has a negative ``value`` and ``degrees``
 (120 degrees reads -60).  Equality is circular and carries a small
 tolerance, which makes instances unhashable by design.

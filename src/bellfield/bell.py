@@ -250,13 +250,14 @@ def split_backend(theta_p: PolAngle, alpha, beta) -> dict:
     beta cos^2(theta - theta_p) = beta/2 + (beta/2)(cos 2theta_p cos 2theta
     + sin 2theta_p sin 2theta), the block split a point mass at the
     orthogonal axis plus beta sin^2, the same tail with its harmonic negated.
+    At theta_p = -pi/2 sin 2theta_p is taken as 0 (see :mod:`~bellfield.angles`).
     ``alpha`` and ``beta`` are the formal :data:`ALPHA` and :data:`BETA`
     (graded coefficients, the exact route) or numbers (float coefficients,
     the point masses widened by the contraction).
     """
     unit, zero = (GradedCoeff.one(), GradedCoeff.zero()) if isinstance(beta, GradedCoeff) else (1.0, 0.0)
     c = beta * (0.5 * math.cos(2 * theta_p.value))
-    s = beta * (0.5 * math.sin(2 * theta_p.value))
+    s = beta * (0.5 * math.sin(2 * theta_p.value)) if theta_p.value != -PI / 2 else zero
     half = beta * 0.5
     higher = (zero,) * (MAX_HARMONIC - 1)
     # One nonzero atom each and full harmonic slots: nothing to merge or check.

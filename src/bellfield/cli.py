@@ -92,7 +92,7 @@ class ExperimentConfig:
     def resolved_sigma(self) -> float:
         if self.sigma is not None:
             return self.sigma
-        return {"special-cases": 0.005, "triphoton-compare": 0.05}.get(self.experiment, 0.01)
+        return {"special-cases": 0.005, "triphoton-compare": 1e-3}.get(self.experiment, 0.01)
 
     def resolved_grid_n(self, sigma: float) -> int:
         """``grid_n`` as given, else the oracle's grid sized for ``sigma``."""

@@ -162,13 +162,14 @@ class DistFn:
         return not self.atoms and self.smooth_is_zero
 
     def smooth_at(self, theta: float | PolAngle):
-        """Value of the smooth part at a point, in the coefficient type."""
+        """Value of the smooth part at a point, in the coefficient type; at
+        -pi/2 every sin 2k theta is taken as 0 (see :mod:`~bellfield.angles`)."""
         t = theta.value if isinstance(theta, PolAngle) else float(theta)
         out = self.c0
         for k, (ck, sk) in enumerate(zip(self.cos_coeffs, self.sin_coeffs), 1):
             if ck:
                 out = out + ck * math.cos(2 * k * t)
-            if sk:
+            if sk and t != -PI / 2:
                 out = out + sk * math.sin(2 * k * t)
         return out
 
@@ -192,7 +193,7 @@ class DistFn:
 
     def scale(self, c) -> "DistFn":
         """Every coefficient times ``c``; an atom whose weight becomes zero
-        (graded truncation, say) drops."""
+        (``c`` zero) drops."""
         return _unchecked(
             tuple([(loc, v) for loc, w in self.atoms if (v := w * c)]),
             self.c0 * c,
@@ -500,14 +501,16 @@ def _fourier(f: DistFn, k: int, zero, damping: float) -> tuple:
     e^{2ik theta}, without the atoms' 1/pi and the smooth part's 1/2.
     The weights multiply the float cos and sin values directly (a graded
     weight takes a float exactly), and a zero coefficient becomes ``zero``:
-    a float ``DistFn`` built without a ``c0`` holds a graded one."""
+    a float ``DistFn`` built without a ``c0`` holds a graded one.  An atom
+    at -pi/2 adds no sine (see :mod:`~bellfield.angles`)."""
     if not k:
         return sum((w for _, w in f.atoms), zero), zero, f.c0 or zero, zero
     re = im = zero
     for loc, w in f.atoms:
         t = 2 * k * loc.value
         re = re + w * math.cos(t)
-        im = im + w * math.sin(t)
+        if loc.value != -PI / 2:
+            im = im + w * math.sin(t)
     if damping != 1.0:
         re, im = re * damping, im * damping
     return re, im, f.cos_coeffs[k - 1] or zero, f.sin_coeffs[k - 1] or zero

@@ -1,12 +1,13 @@
-"""Truncated bivariate polynomials in the model's two small parameters.
+"""Exact bivariate polynomials in the model's two small parameters.
 
 Relative probabilities in the random-field model are polynomials in the
 detector absorption scale (``alpha`` throughout) and the polarizer
 conversion cost (``beta``).  Keeping both formal makes small-parameter
 limits exact: the limiting value of a ratio is read off the lowest
 surviving orders instead of being estimated at some finite parameter value.
-Every polynomial drops the terms above one fixed total degree,
-:data:`MAX_TOTAL_DEGREE`, above the orders any limit reads.
+Every term is kept, so a polynomial also evaluates exactly at finite
+parameter values; no degree cap is needed, as N photons' sums reach total
+degree 3N.
 
 Coefficients are exact rationals, so addition and multiplication are
 commutative, associative and distributive *exactly* -- several downstream
@@ -30,11 +31,6 @@ from typing import Mapping, Tuple, Union
 Scalar = Union[int, float, Fraction]
 Key = Tuple[int, int]  # (alpha exponent, beta exponent)
 Ratio = Tuple[int, int]  # (numerator, denominator), reduced, denominator > 0
-
-#: Highest total degree ``i + j`` kept.  N photons' sums lead at alpha^N
-#: beta^(N+1): degree 5 for a Bell pair, 9 for four photons, so the exact
-#: contraction holds up to N = 4.
-MAX_TOTAL_DEGREE = 10
 
 
 class MismatchedAlphaOrder(ArithmeticError):
@@ -91,12 +87,11 @@ def _accumulate(out: dict[Key, Ratio], k: Key, n: int, d: int) -> None:
 
 
 class GradedCoeff:
-    """Polynomial ``sum c_ij * alpha^i * beta^j`` truncated by total degree.
+    """Polynomial ``sum c_ij * alpha^i * beta^j``.
 
     Immutable.  Holds ``{(i, j): (numerator, denominator)}``, each pair
     reduced with a positive denominator, so that equal polynomials hold equal
-    dicts and hash alike.  Terms with a zero coefficient or with ``i + j``
-    above :data:`MAX_TOTAL_DEGREE` are never stored.
+    dicts and hash alike.  Terms with a zero coefficient are never stored.
     """
 
     __slots__ = ("_terms",)
@@ -106,8 +101,6 @@ class GradedCoeff:
         for (i, j), c in (terms or {}).items():
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent in term ({i}, {j})")
-            if i + j > MAX_TOTAL_DEGREE:
-                continue
             r = _ratio(c)
             if r[0]:
                 clean[(i, j)] = r
@@ -116,8 +109,7 @@ class GradedCoeff:
     @classmethod
     def _trusted(cls, terms: dict[Key, Ratio]) -> "GradedCoeff":
         """Wrap ``terms`` without re-checking them: the arithmetic's results,
-        already reduced nonzero pairs at total degree at most
-        :data:`MAX_TOTAL_DEGREE`."""
+        already reduced nonzero pairs."""
         out = object.__new__(cls)
         object.__setattr__(out, "_terms", terms)
         return out
@@ -248,14 +240,11 @@ class GradedCoeff:
         out: dict[Key, Ratio] = {}
         for (i1, j1), (n1, d1) in self._terms.items():
             for (i2, j2), (n2, d2) in o._terms.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j > MAX_TOTAL_DEGREE:
-                    continue
                 # (n1/d1)(n2/d2) with each numerator's common factor with the
                 # other denominator divided out: reduced, as both pairs are
                 g1, g2 = gcd(n1, d2), gcd(n2, d1)
                 n, d = (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
-                _accumulate(out, (i, j), n, d)
+                _accumulate(out, (i1 + i2, j1 + j2), n, d)
         return GradedCoeff._trusted(out)
 
     __rmul__ = __mul__

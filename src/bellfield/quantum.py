@@ -51,6 +51,8 @@ import numpy as np
 
 from .angles import PolAngle
 from .bell import (
+    ALPHA,
+    BETA,
     Mrf3Params,
     build_triphoton_graph,
     contract_channels,
@@ -69,9 +71,6 @@ from .graded import GradedCoeff, coeff_ratio_limit
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGEN_TOL = 1e-10
-
-ALPHA = GradedCoeff.alpha()
-BETA = GradedCoeff.beta()
 
 
 class NotAState(ValueError):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bellfield.graded import (
-    MAX_TOTAL_DEGREE,
     DivergentLimit,
     GradedCoeff,
     MismatchedAlphaOrder,
@@ -72,13 +71,9 @@ class TestConstruction:
     def test_zero_coefficients_dropped(self):
         assert GradedCoeff({(1, 1): 0}).is_zero
 
-    def test_truncation_at_construction(self):
-        g = GradedCoeff({(6, 5): 3, (5, 5): 4, (1, 1): 2})  # degree 11 > 10
-        assert g.terms == {(5, 5): Fraction(4), (1, 1): Fraction(2)}
-
-    def test_truncation_in_product(self):
+    def test_products_keep_every_degree(self):
         g = GradedCoeff({(3, 3): 1}) * GradedCoeff({(3, 2): 1})
-        assert g.is_zero  # degree 11 > 10
+        assert g.terms == {(6, 5): Fraction(1)}
         assert (GradedCoeff({(3, 2): 1}) * GradedCoeff({(2, 3): 1})).terms == {(5, 5): Fraction(1)}
 
     def test_negative_exponent_rejected(self):
@@ -126,8 +121,7 @@ class TestRingAxioms:
         assert (x + y) + z == x + (y + z)
 
     @given(graded, graded, graded)
-    def test_multiplication_associates_within_truncation(self, x, y, z):
-        # exponents <= 2 per variable keep every product within degree 8
+    def test_multiplication_associates(self, x, y, z):
         assert (x * y) * z == x * (y * z)
 
     @given(graded, graded, graded)
@@ -149,8 +143,8 @@ class TestRingAxioms:
         assert x + c == x + GradedCoeff.constant(c)
 
 
-# Exponents up to 6 per variable, so products cross MAX_TOTAL_DEGREE, and
-# small rationals, so sums cancel term by term.
+# Exponents up to 6 per variable, so chained products reach high degrees,
+# and small rationals, so sums cancel term by term.
 wide_graded = st.builds(
     GradedCoeff,
     st.dictionaries(
@@ -168,7 +162,7 @@ operand = st.one_of(
 
 
 # An independent reference: the same polynomials as plain {key: Fraction}
-# dicts, truncated at MAX_TOTAL_DEGREE by hand.
+# dicts.
 
 
 def ref_terms(x) -> dict:
@@ -193,9 +187,8 @@ def ref_mul(p: dict, q: dict) -> dict:
     out: dict = {}
     for (i1, j1), c1 in p.items():
         for (i2, j2), c2 in q.items():
-            if i1 + i2 + j1 + j2 <= MAX_TOTAL_DEGREE:
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, 0) + c1 * c2
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, 0) + c1 * c2
     return {k: c for k, c in out.items() if c}
 
 
@@ -219,7 +212,6 @@ class TestStoredTerms:
                 terms = result.terms
                 assert terms == want
                 assert all(type(c) is Fraction and c != 0 for c in terms.values())
-                assert all(i + j <= MAX_TOTAL_DEGREE for i, j in terms)
                 assert result == GradedCoeff(terms)
             x, ref = ops[op](x, y), ref_ops[op](ref, q)
 

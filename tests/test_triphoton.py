@@ -10,6 +10,7 @@ cell by cell; it checks ``constrained_sum``, which in turn checks
 """
 
 import itertools
+import json
 import math
 import random
 
@@ -24,11 +25,14 @@ from bellfield.bell import (
     ALPHA,
     BETA,
     Mrf3Params,
+    contract_channels,
     grid_backend,
+    partition_ratio,
     primitive_product,
     split_backend,
     sum_out_channel,
 )
+from bellfield.cli import main
 from bellfield.dist import MAX_HARMONIC, MAX_SIGMA, DistFn, contract, grid_points, wrapped_gaussian
 from bellfield.graded import coeff_ratio_limit
 from bellfield.quantum import triphoton_compare
@@ -173,6 +177,26 @@ def degrees(values):
     return tuple(PolAngle.from_degrees(d) for d in values)
 
 
+def model_value(setting_sum: float, beta: float, photons: int) -> float:
+    """The model's zero-width value P_N(beta) = 2^(-N) [1 + V_N cos 2 sum theta],
+    with x = pi beta and V_N = 2 [(1 + x/4)^N - 1] / [(1 + x/2)^N - 1].  Each
+    power minus one is taken as expm1(N log1p(.)): written out, (1 + x/4)^N - 1
+    loses about 1e-10 relative at beta 1e-6."""
+    x = PI * beta
+    v = 2 * math.expm1(photons * math.log1p(x / 4)) / math.expm1(photons * math.log1p(x / 2))
+    return (1 + v * math.cos(2 * setting_sum)) / 2**photons
+
+
+def settings_off_collisions(rng, photons: int, margin: float) -> list[float]:
+    """Random settings whose sum lies at least ``margin`` from a multiple of
+    pi/2, where the arms' atoms (at each setting and a quarter turn from it)
+    meet and where the model's value comes nearest zero."""
+    while True:
+        thetas = [rng.uniform(0.0, PI) for _ in range(photons)]
+        if abs(math.remainder(sum(thetas), PI / 2)) >= margin:
+            return thetas
+
+
 class TestDiscriminatingSignature:
     """MRF sees the settings only through their sum mod 180 degrees; QM does not."""
 
@@ -306,8 +330,8 @@ class TestClosedFormContraction:
             assert coeff_ratio_limit(num, den) == pytest.approx(limit, abs=1e-9), thetas
 
     def test_exact_four_photon_limit(self):
-        # four photons lead at alpha^4 beta^5, total degree 9, which the graded
-        # arithmetic keeps; the limit is cos^2(theta_1 + ... + theta_4) / 8
+        # four photons' sums lead at alpha^4 beta^5; the limit is
+        # cos^2(theta_1 + ... + theta_4) / 8
         rng = random.Random(17)
         for _ in range(30):
             thetas = [rng.uniform(0.0, PI) for _ in range(4)]
@@ -318,3 +342,47 @@ class TestClosedFormContraction:
             num = contract([detected for detected, _ in sums], 0)
             den = contract([detected + undetected for detected, undetected in sums], 0)
             assert coeff_ratio_limit(num, den) == pytest.approx(limit, abs=1e-9), thetas
+
+    @pytest.mark.parametrize("photons", PHOTONS)
+    def test_graded_split_equals_the_model_value(self, photons):
+        # exact in alpha and beta at width 0, so its ratio at any (alpha, beta)
+        # is the model's closed form; four photons' sums reach total degree 12
+        rng = random.Random(18 + photons)
+        for _ in range(20):
+            thetas = settings_off_collisions(rng, photons, 0.05)
+            sums = [sum_out_channel(split_backend(PolAngle(t), ALPHA, BETA)) for t in thetas]
+            num, den = contract_channels(sums, 0)
+            for beta in (1e-6, 1e-3, 1e-1):
+                want = model_value(sum(thetas), beta, photons)
+                got = num.eval(1e-2, beta) / den.eval(1e-2, beta)
+                assert got == pytest.approx(want, rel=1e-12, abs=0), (thetas, beta)
+
+    @pytest.mark.parametrize("photons", PHOTONS)
+    def test_narrow_width_equals_the_model_value(self, photons):
+        # the float route at finite beta
+        rng = random.Random(21 + photons)
+        for _ in range(30):
+            thetas = settings_off_collisions(rng, photons, 0.02)
+            beta = 10 ** rng.uniform(-6.0, -1.0)
+            sums = [sum_out_channel(split_backend(PolAngle(t), 1e-2, beta)) for t in thetas]
+            if photons == 2:  # a Bell pair: its second arm at minus its angle, reflected
+                minus = sum_out_channel(split_backend(PolAngle(-thetas[1]), 1e-2, beta))
+                sums[1] = tuple(f.reflected() for f in minus)
+            got = partition_ratio(*contract_channels(sums, 1e-8))
+            assert got == pytest.approx(model_value(sum(thetas), beta, photons), rel=1e-11, abs=0), (thetas, beta)
+
+
+def test_default_scan_lies_on_the_model_value(tmp_path):
+    # triphoton-compare's default sigma has converged: every scan setting off
+    # a collision (sum not a multiple of 180 degrees) lies on P_3 at its beta
+    out = tmp_path / "scan.json"
+    assert main(["triphoton-compare", "--format", "json", "--output", str(out)]) == 0
+    checked = 0
+    for row in json.loads(out.read_text()):
+        setting_sum = row["phi1_deg"] + row["phi2_deg"] + row["phi3_deg"]
+        if row["model"] == "QM" or setting_sum % 180.0 == 0.0:
+            continue
+        want = model_value(math.radians(setting_sum), 1e-3, 3)
+        assert row["value"] == pytest.approx(want, rel=1e-4, abs=0), row
+        checked += 1
+    assert checked == 200
