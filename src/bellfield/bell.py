@@ -43,6 +43,13 @@ Three evaluation routes are provided and cross-checked:
   (:func:`require_resolved`); the CLI sizes it from sigma
   (:func:`sized_grid_n`).
 
+A channel's sums on the split backend depend on nothing but its setting and
+the two small parameters, so the exact and regularized routes and the
+triphoton graph take them from :func:`channel_sums`, which memoizes them per
+setting in a bounded LRU: the Bell rows' second arm, always at 0 degrees, is
+summed out once per process.  The oracle keeps no memo; it stays the
+independent path, and a memo of its grid tables would hold arrays.
+
 The triphoton graph contracts three channels of the float split backend
 along the source's angle constraint, with the same :func:`contract_channels`;
 the modified-polarizer model of :mod:`bellfield.quantum` contracts each arm's
@@ -70,6 +77,7 @@ from .dist import (
     SigmaTooCoarse,
     contract,
     grid_points,
+    is_ascending,
     wrapped_gaussian,
     _unchecked,
 )
@@ -269,22 +277,25 @@ def split_backend(theta_p: PolAngle, alpha, beta) -> dict:
     }
 
 
-def grid_backend(theta: np.ndarray, theta_p: float, alpha: float, beta: float, sigma: float) -> dict:
+def grid_backend(
+    theta: np.ndarray, theta_p: float, alpha: float, beta: float, sigma: float, *, ascending: bool | None = None
+) -> dict:
     """Primitives sampled at the photon angles ``theta`` (any shape).
 
     The split's point masses widen into width-``sigma`` wrapped Gaussians;
     ``alpha`` and ``beta`` are numbers.  Both tails come from one cosine:
     with u = (beta/2) cos 2(theta - theta_p), beta cos^2 = beta/2 + u and
     beta sin^2 = beta/2 - u, each added in place onto its kernel.
+    ``ascending`` goes to both :func:`~bellfield.dist.wrapped_gaussian` calls.
     """
     half = 0.5 * beta
     u = np.subtract(theta, theta_p)
     u *= 2.0
     np.cos(u, out=u)
     u *= half
-    passed = wrapped_gaussian(theta, theta_p, sigma)
+    passed = wrapped_gaussian(theta, theta_p, sigma, ascending=ascending)
     passed += half + u
-    blocked = wrapped_gaussian(theta, theta_p + PI / 2, sigma)
+    blocked = wrapped_gaussian(theta, theta_p + PI / 2, sigma, ascending=ascending)
     blocked += np.subtract(half, u, out=u)
     return {"pass": passed, "block": blocked, "alpha": alpha, "beta": beta}
 
@@ -353,6 +364,39 @@ def sum_out_channel(backend: Mapping) -> tuple:
             products[factors] = functools.reduce(operator.mul, values, 1)
         sums[0 if detected else 1].append(products[factors])
     return tuple(functools.reduce(operator.add, terms) for terms in sums)
+
+
+#: Distinct (setting, alpha, beta, reflected) channel sums :func:`channel_sums`
+#: keeps, least recently used first out.
+CHANNEL_SUMS_MEMO = 64
+
+
+def channel_sums(theta_p: PolAngle, alpha, beta, reflected: bool = False) -> tuple:
+    """``sum_out_channel(split_backend(theta_p, alpha, beta))``, each sum
+    :meth:`~bellfield.dist.DistFn.reflected` if ``reflected``, memoized.
+
+    A channel's sums depend on nothing but its setting and the two small
+    parameters, so every route that pairs channels on the split backend
+    shares them: a Bell row's second arm at 0 degrees is summed out once per
+    process, not once per row.  The memo keeps :data:`CHANNEL_SUMS_MEMO`
+    entries, keyed on the exact ``theta_p.value`` with 0.0 and -0.0 apart
+    (their sin coefficients differ in sign), ``alpha`` and ``beta`` by value
+    and type, and ``reflected``.  The returned sums are shared between
+    callers and must not be modified; a call that raises caches nothing.
+    """
+    value = theta_p.value
+    return _memo_channel_sums(value, math.copysign(1.0, value), alpha, beta, reflected)
+
+
+@functools.lru_cache(maxsize=CHANNEL_SUMS_MEMO, typed=True)
+def _memo_channel_sums(value: float, sign: float, alpha, beta, reflected: bool) -> tuple:
+    # value is already reduced, so PolAngle keeps it bit for bit.
+    sums = sum_out_channel(split_backend(PolAngle(value), alpha, beta))
+    return tuple(f.reflected() for f in sums) if reflected else sums
+
+
+channel_sums.cache_clear = _memo_channel_sums.cache_clear  # type: ignore[attr-defined]
+channel_sums.cache_info = _memo_channel_sums.cache_info  # type: ignore[attr-defined]
 
 
 def contract_channels(sums: Sequence[tuple[DistFn, DistFn]], width: float) -> tuple:
@@ -439,8 +483,8 @@ def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> Coincide
         raise ValueError(f"unknown mode: {mode!r}")
     exact = mode == "exact"
     alpha, beta, width = (ALPHA, BETA, 0) if exact else (params.alpha, params.beta, params.sigma)
-    (pl, ml), (pr, mr) = (sum_out_channel(split_backend(params.setting(ch), alpha, beta)) for ch in CHANNELS)
-    num, den = contract_channels(((pl, ml), (pr.reflected(), mr.reflected())), width)
+    sums = (channel_sums(params.theta_a, alpha, beta), channel_sums(params.theta_b, alpha, beta, reflected=True))
+    num, den = contract_channels(sums, width)
     if not exact:
         return CoincidenceResult(
             partition_ratio(num, den), GradedCoeff.constant(num), GradedCoeff.constant(den), "regularized"
@@ -528,12 +572,13 @@ def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = Fal
     """
     require_resolved(params.sigma, params.grid_n)
     grid = grid_points(params.grid_n)
+    ascending = is_ascending(grid)
     factors = EXIT_RULES[exit_beta_without_crystal]
     values = {
         (ch, name, key): value
         for ch in CHANNELS
         for name, (_, table) in factor_tables(
-            grid_backend(grid, params.setting(ch).value, params.alpha, params.beta, params.sigma),
+            grid_backend(grid, params.setting(ch).value, params.alpha, params.beta, params.sigma, ascending=ascending),
             factors,
         ).items()
         for key, value in table.items()
@@ -597,7 +642,7 @@ class TriphotonGraph:
 
     def triple_coincidence(self) -> float:
         """Probability that all three counters fire, given the emission."""
-        sums = [sum_out_channel(split_backend(s, self.alpha, self.beta)) for s in self.settings]
+        sums = [channel_sums(s, self.alpha, self.beta) for s in self.settings]
         return partition_ratio(*contract_channels(sums, self.sigma))
 
 

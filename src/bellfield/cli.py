@@ -289,7 +289,8 @@ def render_rows(rows: list[ResultRow], fmt: str) -> str:
         obj["abs_error"] = None if r.abs_error is None else float(r.abs_error)
         obj["runtime_ms"] = round(r.runtime_ms, 3)
         objs.append(obj)
-    return json.dumps(objs, indent=2) + "\n"
+    # One row object a line: ``indent`` would force the pure-Python encoder.
+    return "[\n" + ",\n".join(map(json.dumps, objs)) + "\n]\n"
 
 
 def run(config: ExperimentConfig) -> list[ResultRow]:

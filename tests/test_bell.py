@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bellfield.angles import PI, PolAngle
@@ -31,6 +31,7 @@ from bellfield.bell import (
     build_bell_graph,
     build_triphoton_graph,
     channel_features,
+    channel_sums,
     coincidence_probability,
     factor_tables,
     grid_backend,
@@ -184,7 +185,7 @@ ORACLE_SETTINGS = [
 ORACLE_SETTING_IDS = ["0deg", "30deg", "90deg", "11.6deg-sigma0.04", "45deg-sigma0.005-beta1e-2"]
 
 
-def two_transcendental_grid_backend(theta, theta_p, alpha, beta, sigma):
+def two_transcendental_grid_backend(theta, theta_p, alpha, beta, sigma, **_):
     """The grid backend's tails as their definition reads, one cosine or sine each."""
     return {
         "pass": wrapped_gaussian(theta, theta_p, sigma) + beta * np.cos(theta - theta_p) ** 2,
@@ -201,7 +202,7 @@ class TestGridBackend:
         axis = grid_points(8192 if shape == "1d" else 96)
         theta = axis if shape == "1d" else axis[:, None] + axis[None, :]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bell, "wrapped_gaussian", lambda grid, center, sigma: np.zeros_like(grid))
+            mp.setattr(bell, "wrapped_gaussian", lambda grid, center, sigma, **_: np.zeros_like(grid))
             tails = grid_backend(theta, theta_p, 1e-2, beta, 0.01)
         bound = 4 * np.finfo(float).eps * beta
         assert np.max(np.abs(tails["pass"] - beta * np.cos(theta - theta_p) ** 2)) <= bound
@@ -263,9 +264,9 @@ class TestBruteForceOracle:
     def test_four_kernel_evaluations_per_call(self, monkeypatch, exit_beta):
         calls = []
 
-        def counting(grid, center, sigma):
+        def counting(grid, center, sigma, **kwargs):
             calls.append(center)
-            return wrapped_gaussian(grid, center, sigma)
+            return wrapped_gaussian(grid, center, sigma, **kwargs)
 
         monkeypatch.setattr(bell, "wrapped_gaussian", counting)
         brute_force_oracle(params_for(30.0), exit_beta_without_crystal=exit_beta)
@@ -624,6 +625,69 @@ class TestChannelSums:
         plus_c, minus_c = sum_out_channel(split_backend(PolAngle.from_degrees(20.0), ALPHA, BETA))
         assert plus_e == plus_c
         assert minus_e == minus_c
+
+
+def exact_parts(f: DistFn) -> list:
+    """Every atom location and coefficient of ``f``, in order: floats by
+    their bits (``float.hex``, so -0.0 differs from 0.0), graded ones as
+    they are, with each coefficient's type."""
+    values = [loc.value for loc, _ in f.atoms] + [w for _, w in f.atoms] + [f.c0, *f.cos_coeffs, *f.sin_coeffs]
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
+
+
+class TestChannelSumsMemo:
+    """The memoized channel sums are a fresh elimination's, bit for bit, and
+    the memo stays within its bound."""
+
+    @given(
+        st.floats(-PI / 2, PI / 2, exclude_max=True),
+        st.one_of(st.just((ALPHA, BETA)), st.tuples(st.floats(1e-4, MAX_ALPHA), st.floats(1e-9, MAX_BETA))),
+        st.booleans(),
+    )
+    @example(0.0, (ALPHA, BETA), True)
+    @example(-0.0, (ALPHA, BETA), True)
+    @example(0.0, (1e-2, 1e-3), True)
+    @example(-0.0, (1e-2, 1e-3), True)
+    @example(-PI / 2, (ALPHA, BETA), False)
+    @example(-PI / 2, (1e-2, 1e-3), True)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_a_fresh_elimination(self, theta, alpha_beta, reflected):
+        theta_p = PolAngle(theta)
+        assert theta_p.value.hex() == theta.hex()
+        fresh = sum_out_channel(split_backend(theta_p, *alpha_beta))
+        if reflected:
+            fresh = tuple(f.reflected() for f in fresh)
+        for _ in range(2):  # the call that fills the memo, then one it serves
+            got = channel_sums(theta_p, *alpha_beta, reflected=reflected)
+            assert [exact_parts(f) for f in got] == [exact_parts(f) for f in fresh]
+
+    def test_plus_and_minus_zero_are_kept_apart(self):
+        channel_sums.cache_clear()
+        plus, minus = (channel_sums(PolAngle(v), 1e-2, 1e-3)[0] for v in (0.0, -0.0))
+        assert plus.sin_coeffs[0].hex() == "0x0.0p+0"
+        assert minus.sin_coeffs[0].hex() == "-0x0.0p+0"
+        assert channel_sums.cache_info().currsize == 2
+
+    def test_holds_no_more_than_its_bound(self):
+        channel_sums.cache_clear()
+        for k in range(bell.CHANNEL_SUMS_MEMO + 10):
+            channel_sums(PolAngle.from_degrees(k * 0.7), 1e-2, 1e-3, reflected=k % 2 == 1)
+        assert channel_sums.cache_info().currsize == bell.CHANNEL_SUMS_MEMO
+
+    def test_serves_a_repeated_setting(self):
+        channel_sums.cache_clear()
+        first = channel_sums(PolAngle.from_degrees(0.0), ALPHA, BETA, reflected=True)
+        assert channel_sums(PolAngle.from_degrees(0.0), ALPHA, BETA, reflected=True) is first
+        # the float and the graded split of one setting are separate entries
+        assert channel_sums(PolAngle.from_degrees(0.0), 1e-2, 1e-3) is not channel_sums(
+            PolAngle.from_degrees(0.0), ALPHA, BETA
+        )
+
+    def test_caches_no_failure(self):
+        channel_sums.cache_clear()
+        with pytest.raises(TypeError):
+            channel_sums(PolAngle(0.3), 1e-2, "1e-3")
+        assert channel_sums.cache_info().currsize == 0
 
 
 class TestSplitBackend:

@@ -25,7 +25,7 @@ from bellfield.cli import (
     render_rows,
 )
 from bellfield.angles import PI, PolAngle
-from bellfield.bell import MIN_KERNEL_CELLS, Mrf3Params, coincidence_probability
+from bellfield.bell import MIN_KERNEL_CELLS, Mrf3Params, channel_sums, coincidence_probability
 from bellfield.dist import MAX_GRID, MAX_SIGMA
 
 
@@ -726,6 +726,30 @@ class TestValidation:
         assert obj["value"] == 1 / 3
         assert obj["abs_error"] == abs(1 / 3 - 0.5)
         assert obj["delta_deg"] == 0.1 + 0.2
+
+    def test_render_json_writes_one_row_object_a_line(self):
+        from bellfield.cli import ResultRow
+
+        rows = [ResultRow("bell-sweep", m, {"delta_deg": 30.0}, 0.375, 0.375, 1.0) for m in ("MRF3-exact", "QM")]
+        lines = render_rows(rows, "json").splitlines()
+        assert lines[0] == "[" and lines[-1] == "]" and len(lines) == 4
+        assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == json.loads("\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "argv", [["bell-sweep", "--mode", "both"], ["triphoton-compare"]], ids=["bell-sweep", "triphoton-compare"]
+)
+def test_rows_do_not_depend_on_the_channel_sums_memo(tmp_path, argv):
+    def rows(name):
+        out = tmp_path / name
+        assert main([*argv, "--format", "json", "--output", str(out)]) == 0
+        return [{k: v for k, v in r.items() if k != "runtime_ms"} for r in json.loads(out.read_text())]
+
+    channel_sums.cache_clear()
+    cold = rows("cold.json")
+    hits = channel_sums.cache_info().hits
+    assert rows("warm.json") == cold
+    assert channel_sums.cache_info().hits > hits
 
 
 numbers = st.one_of(

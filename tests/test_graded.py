@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bellfield.graded import (
     DivergentLimit,
@@ -197,6 +197,9 @@ class TestStoredTerms:
     must still hold exactly what the validated constructor would keep, and
     the terms the reference computes."""
 
+    # A chain of eight products of wide operands grows to ~1300 terms and can
+    # take longer than Hypothesis's default deadline; the examples stay as many.
+    @settings(deadline=None)
     @given(wide_graded, st.lists(st.tuples(st.sampled_from("+-*"), operand), max_size=8))
     def test_arithmetic_chains_keep_the_invariants(self, x, steps):
         ops = {"+": lambda u, v: u + v, "-": lambda u, v: u - v, "*": lambda u, v: u * v}
