@@ -47,7 +47,7 @@ A channel's sums on the split backend depend on nothing but its setting and
 the two small parameters, so the exact and regularized routes and the
 triphoton graph take them from :func:`channel_sums`, which memoizes them per
 setting in a bounded LRU: the Bell rows' second arm, always at 0 degrees, is
-summed out once per process.  The oracle keeps no memo; it stays the
+summed out once per sweep, not once per row.  The oracle keeps no memo; it stays the
 independent path, and a memo of its grid tables would hold arrays.
 
 The triphoton graph contracts three channels of the float split backend
@@ -77,7 +77,6 @@ from .dist import (
     SigmaTooCoarse,
     contract,
     grid_points,
-    is_ascending,
     wrapped_gaussian,
     _unchecked,
 )
@@ -277,25 +276,22 @@ def split_backend(theta_p: PolAngle, alpha, beta) -> dict:
     }
 
 
-def grid_backend(
-    theta: np.ndarray, theta_p: float, alpha: float, beta: float, sigma: float, *, ascending: bool | None = None
-) -> dict:
+def grid_backend(theta: np.ndarray, theta_p: float, alpha: float, beta: float, sigma: float) -> dict:
     """Primitives sampled at the photon angles ``theta`` (any shape).
 
     The split's point masses widen into width-``sigma`` wrapped Gaussians;
     ``alpha`` and ``beta`` are numbers.  Both tails come from one cosine:
     with u = (beta/2) cos 2(theta - theta_p), beta cos^2 = beta/2 + u and
     beta sin^2 = beta/2 - u, each added in place onto its kernel.
-    ``ascending`` goes to both :func:`~bellfield.dist.wrapped_gaussian` calls.
     """
     half = 0.5 * beta
     u = np.subtract(theta, theta_p)
     u *= 2.0
     np.cos(u, out=u)
     u *= half
-    passed = wrapped_gaussian(theta, theta_p, sigma, ascending=ascending)
+    passed = wrapped_gaussian(theta, theta_p, sigma)
     passed += half + u
-    blocked = wrapped_gaussian(theta, theta_p + PI / 2, sigma, ascending=ascending)
+    blocked = wrapped_gaussian(theta, theta_p + PI / 2, sigma)
     blocked += np.subtract(half, u, out=u)
     return {"pass": passed, "block": blocked, "alpha": alpha, "beta": beta}
 
@@ -367,8 +363,11 @@ def sum_out_channel(backend: Mapping) -> tuple:
 
 
 #: Distinct (setting, alpha, beta, reflected) channel sums :func:`channel_sums`
-#: keeps, least recently used first out.
-CHANNEL_SUMS_MEMO = 64
+#: keeps, least recently used first out.  A Bell sweep reuses one arm (its
+#: 0-degree one) between rows and the default triphoton scan cycles through
+#: its 5 angles, so 8 entries keep every repeat of a default experiment;
+#: settings that recur only between unrelated calls are not worth holding.
+CHANNEL_SUMS_MEMO = 8
 
 
 def channel_sums(theta_p: PolAngle, alpha, beta, reflected: bool = False) -> tuple:
@@ -378,7 +377,7 @@ def channel_sums(theta_p: PolAngle, alpha, beta, reflected: bool = False) -> tup
     A channel's sums depend on nothing but its setting and the two small
     parameters, so every route that pairs channels on the split backend
     shares them: a Bell row's second arm at 0 degrees is summed out once per
-    process, not once per row.  The memo keeps :data:`CHANNEL_SUMS_MEMO`
+    sweep, not once per row.  The memo keeps :data:`CHANNEL_SUMS_MEMO`
     entries, keyed on the exact ``theta_p.value`` with 0.0 and -0.0 apart
     (their sin coefficients differ in sign), ``alpha`` and ``beta`` by value
     and type, and ``reflected``.  The returned sums are shared between
@@ -572,13 +571,12 @@ def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = Fal
     """
     require_resolved(params.sigma, params.grid_n)
     grid = grid_points(params.grid_n)
-    ascending = is_ascending(grid)
     factors = EXIT_RULES[exit_beta_without_crystal]
     values = {
         (ch, name, key): value
         for ch in CHANNELS
         for name, (_, table) in factor_tables(
-            grid_backend(grid, params.setting(ch).value, params.alpha, params.beta, params.sigma, ascending=ascending),
+            grid_backend(grid, params.setting(ch).value, params.alpha, params.beta, params.sigma),
             factors,
         ).items()
         for key, value in table.items()

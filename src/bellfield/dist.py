@@ -356,12 +356,7 @@ def grid_points(n: int) -> np.ndarray:
     return np.arange(n) * (PI / n)
 
 
-def is_ascending(grid: np.ndarray) -> bool:
-    """Whether ``grid`` is a nonempty 1-D array in ascending order."""
-    return grid.ndim == 1 and grid.size > 0 and bool(np.all(grid[1:] >= grid[:-1]))
-
-
-def wrapped_gaussian(grid: np.ndarray, center: float, sigma: float, *, ascending: bool | None = None) -> np.ndarray:
+def wrapped_gaussian(grid: np.ndarray, center: float, sigma: float) -> np.ndarray:
     """Unit-mass Gaussian kernel wrapped onto the period-pi circle.
 
     Sums the images ``center - m*pi``, m = -3..3, but only those within
@@ -374,13 +369,10 @@ def wrapped_gaussian(grid: np.ndarray, center: float, sigma: float, *, ascending
     is evaluated in one temporary, in place, with the operations of
     ``norm * exp(-0.5 * ((grid - center + m*pi) / sigma) ** 2)`` in that
     order, so every sample has the bits the expression gives.
-    ``ascending`` is :func:`is_ascending` of ``grid``, checked here when
-    None; a caller that samples several kernels on one grid checks it once.
     """
     norm = 1.0 / (sigma * math.sqrt(2.0 * PI))
     reach = KERNEL_REACH * abs(sigma) + 1e-9
-    if ascending is None:
-        ascending = is_ascending(grid)
+    ascending = grid.ndim == 1 and grid.size > 0 and bool(np.all(grid[1:] >= grid[:-1]))
     if ascending:
         first, last = grid[0], grid[-1]
     else:

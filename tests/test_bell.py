@@ -185,7 +185,7 @@ ORACLE_SETTINGS = [
 ORACLE_SETTING_IDS = ["0deg", "30deg", "90deg", "11.6deg-sigma0.04", "45deg-sigma0.005-beta1e-2"]
 
 
-def two_transcendental_grid_backend(theta, theta_p, alpha, beta, sigma, **_):
+def two_transcendental_grid_backend(theta, theta_p, alpha, beta, sigma):
     """The grid backend's tails as their definition reads, one cosine or sine each."""
     return {
         "pass": wrapped_gaussian(theta, theta_p, sigma) + beta * np.cos(theta - theta_p) ** 2,
@@ -202,7 +202,7 @@ class TestGridBackend:
         axis = grid_points(8192 if shape == "1d" else 96)
         theta = axis if shape == "1d" else axis[:, None] + axis[None, :]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bell, "wrapped_gaussian", lambda grid, center, sigma, **_: np.zeros_like(grid))
+            mp.setattr(bell, "wrapped_gaussian", lambda grid, center, sigma: np.zeros_like(grid))
             tails = grid_backend(theta, theta_p, 1e-2, beta, 0.01)
         bound = 4 * np.finfo(float).eps * beta
         assert np.max(np.abs(tails["pass"] - beta * np.cos(theta - theta_p) ** 2)) <= bound
@@ -264,9 +264,9 @@ class TestBruteForceOracle:
     def test_four_kernel_evaluations_per_call(self, monkeypatch, exit_beta):
         calls = []
 
-        def counting(grid, center, sigma, **kwargs):
+        def counting(grid, center, sigma):
             calls.append(center)
-            return wrapped_gaussian(grid, center, sigma, **kwargs)
+            return wrapped_gaussian(grid, center, sigma)
 
         monkeypatch.setattr(bell, "wrapped_gaussian", counting)
         brute_force_oracle(params_for(30.0), exit_beta_without_crystal=exit_beta)

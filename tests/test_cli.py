@@ -737,9 +737,14 @@ class TestValidation:
 
 
 @pytest.mark.parametrize(
-    "argv", [["bell-sweep", "--mode", "both"], ["triphoton-compare"]], ids=["bell-sweep", "triphoton-compare"]
+    ("argv", "distinct"),
+    [
+        (["bell-sweep", "--mode", "both"], 8 + 1),  # each row's first arm, and the shared 0-degree arm
+        (["triphoton-compare"], len(cli.TRIPHOTON_SCAN_DEGREES)),
+    ],
+    ids=["bell-sweep", "triphoton-compare"],
 )
-def test_rows_do_not_depend_on_the_channel_sums_memo(tmp_path, argv):
+def test_rows_do_not_depend_on_the_channel_sums_memo(tmp_path, argv, distinct):
     def rows(name):
         out = tmp_path / name
         assert main([*argv, "--format", "json", "--output", str(out)]) == 0
@@ -747,6 +752,8 @@ def test_rows_do_not_depend_on_the_channel_sums_memo(tmp_path, argv):
 
     channel_sums.cache_clear()
     cold = rows("cold.json")
+    # The memo's bound holds the experiment's repeats: each setting is summed once.
+    assert channel_sums.cache_info().misses == distinct
     hits = channel_sums.cache_info().hits
     assert rows("warm.json") == cold
     assert channel_sums.cache_info().hits > hits
