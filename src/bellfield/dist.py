@@ -63,9 +63,6 @@ class SigmaTooCoarse(ValueError):
     """Kernel width too large for atoms a quarter turn apart to separate."""
 
 
-_NO_HARMONICS = (GradedCoeff.zero(),) * MAX_HARMONIC
-
-
 def _merged(atoms: tuple, more: Iterable[tuple[PolAngle, GradedCoeff | float]]) -> tuple:
     """``atoms`` (distinct locations, nonzero weights) with the atoms of
     ``more`` added in: those at an equal location summed, zero weights
@@ -104,7 +101,8 @@ class DistFn:
     and ``sin(2k*theta)`` for ``k`` up to :data:`MAX_HARMONIC`; ``c0`` is
     the smooth part's constant term.  Both coefficient lists, when given,
     must have exactly ``MAX_HARMONIC`` entries.  Coefficients are all
-    ``GradedCoeff`` or all floats; left out, they are graded zeros.  Atoms at
+    ``GradedCoeff`` or all floats; left out, they are zeros of the type the
+    given ones have (graded when none is given).  Atoms at
     equal locations merge and zero-weight atoms drop.  Instances are not
     modified after construction.
     """
@@ -118,14 +116,21 @@ class DistFn:
         cos_coeffs: Sequence[GradedCoeff | float] | None = None,
         sin_coeffs: Sequence[GradedCoeff | float] | None = None,
     ):
-        cos = tuple(cos_coeffs) if cos_coeffs is not None else _NO_HARMONICS
-        sin = tuple(sin_coeffs) if sin_coeffs is not None else _NO_HARMONICS
+        atoms = tuple(atoms)
+        cos = tuple(cos_coeffs) if cos_coeffs is not None else None
+        sin = tuple(sin_coeffs) if sin_coeffs is not None else None
+        if None in (c0, cos, sin):
+            given = [w for _, w in atoms] + [c for c in (c0, *(cos or ()), *(sin or ())) if c is not None]
+            zero = GradedCoeff.zero() if all(isinstance(c, GradedCoeff) for c in given) else 0.0
+            c0 = zero if c0 is None else c0
+            cos = (zero,) * MAX_HARMONIC if cos is None else cos
+            sin = (zero,) * MAX_HARMONIC if sin is None else sin
         if len(cos) != MAX_HARMONIC or len(sin) != MAX_HARMONIC:
             raise ValueError(
                 f"need {MAX_HARMONIC} cos and sin coefficients, got {len(cos)} and {len(sin)}"
             )
         self.atoms = _merged((), atoms)
-        self.c0 = c0 if c0 is not None else GradedCoeff.zero()
+        self.c0 = c0
         self.cos_coeffs = cos
         self.sin_coeffs = sin
 
@@ -501,7 +506,7 @@ def _fourier(f: DistFn, k: int, zero, damping: float) -> tuple:
     e^{2ik theta}, without the atoms' 1/pi and the smooth part's 1/2.
     The weights multiply the float cos and sin values directly (a graded
     weight takes a float exactly), and a zero coefficient becomes ``zero``:
-    a float ``DistFn`` built without a ``c0`` holds a graded one.  An atom
+    ``DistFn()``, built with no coefficient at all, holds graded ones.  An atom
     at -pi/2 adds no sine (see :mod:`~bellfield.angles`)."""
     if not k:
         return sum((w for _, w in f.atoms), zero), zero, f.c0 or zero, zero

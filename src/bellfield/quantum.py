@@ -23,8 +23,10 @@ Each model is written once, for N arms, and the Bell pair is its N = 2 call:
   branch ensemble -- a positive mixture of tagged configurations (linear at
   some angle, circular, absorbed, or linear at the shared source angle with
   a graded distribution-valued correlation) -- in which each polarizer
-  splits every branch into its pass and blocked descendants (by
-  :func:`~bellfield.dist.dist_mul`, not the contraction);
+  splits every branch into its pass and blocked descendants, each weighed
+  by the arm's pass or block split of :func:`~bellfield.bell.split_backend`
+  (a source correlation by :func:`~bellfield.dist.dist_mul`, not the
+  contraction);
 * modified, regularized (``sigma`` given, and the triphoton ``Mstar``): the
   same pass and block splits of :func:`~bellfield.bell.split_backend`, with
   float coefficients, contracted along the source's angle constraint with
@@ -106,27 +108,6 @@ def circular_ghz_state(n: int = 3) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PureState:
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        object.__setattr__(self, "amplitudes", amp)
-        n = amp.size
-        if n == 0 or n & (n - 1):
-            raise NotAState(f"length {n} is not a power of two")
-        if abs(np.linalg.norm(amp) - 1.0) > 1e-12:
-            raise NotAState(f"norm {np.linalg.norm(amp)!r} is not 1")
-
-    @property
-    def n_photons(self) -> int:
-        return self.amplitudes.size.bit_length() - 1
-
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-@dataclass(frozen=True)
 class DensityMatrix:
     entries: np.ndarray
 
@@ -151,7 +132,10 @@ class DensityMatrix:
 
     @classmethod
     def from_pure(cls, amplitudes: np.ndarray) -> "DensityMatrix":
-        return PureState(amplitudes).density()
+        """The pure state's projector; amplitudes whose length is not a power
+        of two, or whose norm is not 1, fail the matrix's own checks."""
+        amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        return cls(np.outer(amp, amp.conj()))
 
 
 def _mode_projector(theta: PolAngle | float) -> np.ndarray:
@@ -159,19 +143,12 @@ def _mode_projector(theta: PolAngle | float) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices: the products ``np.kron`` computes,
-    without its general-rank bookkeeping."""
-    (ra, ca), (rb, cb) = a.shape, b.shape
-    return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(ra * rb, ca * cb)
-
-
 def _embed(op: np.ndarray, n: int, subsystem: int) -> np.ndarray:
     if not (0 <= subsystem < n):
         raise IndexError(f"subsystem {subsystem} out of range for {n} photons")
     factors = [np.eye(2, dtype=complex)] * n
     factors[subsystem] = op
-    return reduce(_kron, factors)
+    return reduce(np.kron, factors)
 
 
 def dephase(entries: np.ndarray, n: int, subsystem: int, theta0: PolAngle) -> np.ndarray:
@@ -317,64 +294,46 @@ class PolarizerSetting:
         return BETA if self.beta is None else GradedCoeff.constant(self.beta)
 
 
-def _times_angle_factor(branch: Branch, factor: DistFn) -> DistFn:
-    if branch.angle_weight is None:
-        raise ValueError("branch has no source-angle correlation to weigh")
-    return dist_mul(branch.angle_weight, factor)
-
-
 def apply_Mstar(ens: BranchEnsemble, subsystem: int, setting: PolarizerSetting) -> BranchEnsemble:
     """Weighted polarizer map, branch by branch, *without* normalization.
 
-    Aligned linear branches pass untouched (no conversion cost); orthogonal
-    ones continue on the blocked axis untouched; anything else splits into
-    both axes at cost beta with the usual cos^2/sin^2 division.  Circular
-    branches split evenly at cost beta.  Source-angle branches multiply
-    their angle correlation by the pass/block weighting and become fixed
-    linear branches.  Normalization is a separate, explicitly nonlinear
-    step (:func:`normalize_ensemble`).
+    Every weight is read off the arm's pass and block split,
+    :func:`~bellfield.bell.split_backend`: source-angle branches multiply
+    their angle correlation by each split and become fixed linear branches;
+    a linear photon on either axis takes that side's point mass alone (no
+    conversion cost), any other linear photon each side's tail at its angle,
+    beta cos^2 and beta sin^2 of its offset, and a circular photon each
+    tail's mean, beta/2.  Absorbed photons stay.  Normalization is a
+    separate, explicitly nonlinear step (:func:`normalize_ensemble`).
     """
-    theta0 = setting.theta0
-    perp = theta0.perpendicular()
-    beta = setting.beta_coeff
+    split = split_backend(setting.theta0, ALPHA, setting.beta_coeff)
+    perp = setting.theta0.perpendicular()
+    sides = ((LinearTag(setting.theta0), split["pass"]), (LinearTag(perp), split["block"]))
     out: list[Branch] = []
     for branch in ens.branches:
         tag = branch.tags[subsystem]
-
-        def retag(new_tag, weight=None, angle_weight="keep"):
-            tags = branch.tags[:subsystem] + (new_tag,) + branch.tags[subsystem + 1 :]
-            return Branch(
-                weight=branch.weight if weight is None else weight,
-                tags=tags,
-                angle_weight=branch.angle_weight if angle_weight == "keep" else angle_weight,
-            )
-
         if isinstance(tag, AbsorbedTag):
             out.append(branch)
+            continue
+        if isinstance(tag, SourceTag):
+            if branch.angle_weight is None:
+                raise ValueError("branch has no source-angle correlation to weigh")
+            parts = [(axis, branch.weight, dist_mul(branch.angle_weight, f)) for axis, f in sides]
         elif isinstance(tag, LinearTag):
-            if tag.angle == theta0:
-                out.append(retag(LinearTag(theta0)))
-            elif tag.angle == perp:
-                out.append(retag(LinearTag(perp)))
-            else:
-                d = tag.angle.value - theta0.value
-                c2 = math.cos(d) ** 2
-                out.append(retag(LinearTag(theta0), branch.weight * beta * c2))
-                out.append(retag(LinearTag(perp), branch.weight * beta * (1.0 - c2)))
+            weights = [(axis, w) for axis, f in sides if (w := f.atom_weight_at(tag.angle))]
+            if not weights:
+                # Within about 1e-8 rad of an axis the far tail, beta times the
+                # offset squared, is below the split's rounding and can come
+                # out negative (-2e-47 beta at 1e-9 rad): it is zero there.
+                tails = [(axis, f.smooth_at(tag.angle)) for axis, f in sides]
+                weights = [(axis, t if t.eval(1.0, 1.0) >= 0 else GradedCoeff.zero()) for axis, t in tails]
+            parts = [(axis, branch.weight * w, branch.angle_weight) for axis, w in weights]
         elif isinstance(tag, CircularTag):
-            half = beta * GradedCoeff.constant(0.5)
-            out.append(retag(LinearTag(theta0), branch.weight * half))
-            out.append(retag(LinearTag(perp), branch.weight * half))
-        elif isinstance(tag, SourceTag):
-            split = split_backend(theta0, ALPHA, beta)
-            out.append(
-                retag(LinearTag(theta0), angle_weight=_times_angle_factor(branch, split["pass"]))
-            )
-            out.append(
-                retag(LinearTag(perp), angle_weight=_times_angle_factor(branch, split["block"]))
-            )
+            parts = [(axis, branch.weight * f.c0, branch.angle_weight) for axis, f in sides]
         else:
             raise TypeError(f"unknown tag: {tag!r}")
+        before, after = branch.tags[:subsystem], branch.tags[subsystem + 1 :]
+        out.extend(Branch(w, before + (axis,) + after, angle) for axis, w, angle in parts)
     return BranchEnsemble(tuple(out))
 
 
@@ -383,8 +342,9 @@ def normalize_ensemble(ens: BranchEnsemble) -> tuple[BranchEnsemble, GradedCoeff
 
     With formal parameters the division keeps only the matched leading
     order (a branch of strictly higher order gets weight zero); with
-    numeric weights it is plain division.  Returns the discarded total for
-    probability bookkeeping.
+    numeric weights it is plain division, rounded once: both are
+    :func:`~bellfield.graded.coeff_ratio_limit`.  Returns the discarded
+    total for probability bookkeeping.
     """
     totals = [b.total_weight() for b in ens.branches]
     grand = GradedCoeff.zero()
@@ -392,16 +352,10 @@ def normalize_ensemble(ens: BranchEnsemble) -> tuple[BranchEnsemble, GradedCoeff
         grand = grand + t
     if grand.is_zero:
         raise ZeroEnsemble("total ensemble weight is zero")
-    numeric = grand.is_constant and all(t.is_constant for t in totals)
-    new_branches = []
-    for branch, t in zip(ens.branches, totals):
-        if numeric:
-            share = float(t.constant_value() / grand.constant_value())
-        else:
-            share = coeff_ratio_limit(t, grand)
-        new_branches.append(
-            Branch(weight=GradedCoeff.constant(share), tags=branch.tags, angle_weight=None)
-        )
+    new_branches = [
+        Branch(weight=GradedCoeff.constant(coeff_ratio_limit(t, grand)), tags=branch.tags)
+        for branch, t in zip(ens.branches, totals)
+    ]
     return BranchEnsemble(tuple(new_branches)), grand
 
 
@@ -451,8 +405,6 @@ def mstar_bell_coincidence(
             num = num + w
     if den.is_zero:
         raise ZeroEnsemble("no surviving weight after detection")
-    if num.is_constant and den.is_constant:
-        return float(num.constant_value() / den.constant_value())
     return coeff_ratio_limit(num, den)
 
 

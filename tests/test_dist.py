@@ -261,6 +261,19 @@ class TestConstruction:
         f = DistFn(atoms=[(PolAngle(0.3), GradedCoeff.zero())])
         assert f.is_zero
 
+    def test_left_out_coefficients_take_the_given_type(self):
+        # a float DistFn given atoms alone samples and integrates as floats
+        f = DistFn(atoms=[(PolAngle(0.3), 0.5)])
+        assert all(type(c) is float for c in (f.c0, *f.cos_coeffs, *f.sin_coeffs))
+        got = dist_integrate(f)
+        assert type(got) is float and got == 0.5
+        np.testing.assert_array_equal(
+            regularize(f, 0.05, 256).samples, 0.5 * wrapped_gaussian(grid_points(256), 0.3, 0.05)
+        )
+        # graded coefficients, or none at all, leave graded zeros
+        for g in (DistFn(), DistFn.atom(PolAngle(0.3)), DistFn(c0=GradedCoeff.beta())):
+            assert all(isinstance(c, GradedCoeff) for c in (g.c0, *g.cos_coeffs, *g.sin_coeffs))
+
     def test_addition_merges_atoms(self):
         t = PolAngle(0.3)
         f = DistFn.atom(t, 2) + DistFn.atom(t, 3)

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bellfield.graded import (
     DivergentLimit,
@@ -65,6 +65,27 @@ class TestRatioLimit:
         num = GradedCoeff({(2, 3): 4, (3, 2): 100})
         den = GradedCoeff({(2, 3): 8, (3, 5): -7})
         assert coeff_ratio_limit(num, den) == 0.5
+
+    scalars = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**200), 2**200))
+
+    @settings(max_examples=500, deadline=None)
+    @given(scalars, scalars)
+    @example(0.0, -3.0)
+    @example(-0.0, 5e-324)
+    @example(2**53 + 1, 3)
+    @example(-5e-324, 1e308)
+    def test_constant_ratio_is_the_correctly_rounded_quotient(self, a, b):
+        # two constants divide as float(Fraction(a) / Fraction(b)): the same
+        # double, sign of zero included, or the same OverflowError
+        assume(b != 0)
+        num, den = GradedCoeff.constant(a), GradedCoeff.constant(b)
+        try:
+            want = float(Fraction(a) / Fraction(b))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                coeff_ratio_limit(num, den)
+            return
+        assert float.hex(coeff_ratio_limit(num, den)) == float.hex(want)
 
 
 class TestConstruction:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from bellfield.angles import PI, PolAngle
 from bellfield.bell import (
+    ALPHA,
+    BETA,
     Mrf3Params,
     ParameterError,
     coincidence_probability,
@@ -16,7 +18,7 @@ from bellfield.bell import (
     split_backend,
     sum_out_channel,
 )
-from bellfield.dist import MAX_GRID, DeltaCollision
+from bellfield.dist import MAX_GRID, DeltaCollision, DistFn, dist_mul
 from bellfield.graded import GradedCoeff
 from bellfield.quantum import (
     AbsorbedTag,
@@ -27,7 +29,6 @@ from bellfield.quantum import (
     LinearTag,
     NotAState,
     PolarizerSetting,
-    PureState,
     ZeroEnsemble,
     apply_M,
     apply_Mstar,
@@ -41,7 +42,6 @@ from bellfield.quantum import (
     normalize_ensemble,
     qm_coincidence,
     triphoton_compare,
-    _kron,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -61,7 +61,7 @@ def deg(x) -> PolAngle:
 class TestStates:
     def test_pure_state_norm_checked(self):
         with pytest.raises(NotAState):
-            PureState(np.array([1.0, 1.0]))
+            DensityMatrix.from_pure(np.array([1.0, 1.0]))
 
     def test_density_invariants_checked(self):
         with pytest.raises(NotAState):
@@ -72,16 +72,16 @@ class TestStates:
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))  # negative eigenvalue
 
     def test_bell_pair_is_two_photons(self):
-        assert PureState(ghz_state(2)).n_photons == 2
+        assert DensityMatrix.from_pure(ghz_state(2)).n_photons == 2
 
     def test_ghz_dimension(self):
-        assert PureState(ghz_state(3)).n_photons == 3
+        assert DensityMatrix.from_pure(ghz_state(3)).n_photons == 3
 
     @pytest.mark.parametrize("photons", [2, 3, 4])
     def test_source_states_are_pure_states(self, photons):
         # qm_coincidence reads ghz_state's amplitudes unchecked
         for state in (ghz_state(photons), circular_ghz_state(photons)):
-            assert PureState(state).n_photons == photons
+            assert DensityMatrix.from_pure(state).n_photons == photons
 
 
 class TestApplyM:
@@ -128,21 +128,6 @@ class TestApplyM:
             apply_M(random_density(1), 1, deg(0.0))
 
 
-class TestKron:
-    @staticmethod
-    def matrix(rng, n, dtype):
-        m = rng.normal(size=(n, n))
-        return m + 1j * rng.normal(size=(n, n)) if dtype is complex else m
-
-    @pytest.mark.parametrize("n", [2, 4, 8])
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_equals_np_kron(self, n, dtype):
-        rng = np.random.default_rng(n)
-        a, b, small = self.matrix(rng, n, dtype), self.matrix(rng, n, dtype), self.matrix(rng, 2, dtype)
-        for x, y in ((a, b), (small, a), (a, small)):
-            assert np.array_equal(_kron(x, y), np.kron(x, y))
-
-
 class TestBellCoincidenceQm:
     @pytest.mark.parametrize("d,expected", [(0.0, 0.5), (90.0, 0.0), (30.0, 0.375)])
     def test_closed_form(self, d, expected):
@@ -167,7 +152,7 @@ class TestQmCoincidence:
         got = qm_coincidence(phis)
         assert got == pytest.approx(expected, rel=0, abs=1e-12)
         ghz = DensityMatrix.from_pure(ghz_state(len(phis)))
-        proj = reduce(_kron, [np.outer(linear_state(t), linear_state(t).conj()) for t in phis])
+        proj = reduce(np.kron, [np.outer(linear_state(t), linear_state(t).conj()) for t in phis])
         for order in itertools.permutations(range(len(phis))):
             rho = ghz
             for k in order:
@@ -192,7 +177,7 @@ class TestCircularGhz:
     def test_coincidence_is_the_cosine_of_the_angle_sum(self, photons):
         rng = np.random.default_rng(30 + photons)
         state = circular_ghz_state(photons)
-        assert PureState(state).n_photons == photons
+        assert DensityMatrix.from_pure(state).n_photons == photons
         for _ in range(50):
             settings_n = [PolAngle(t) for t in rng.uniform(-PI, PI, photons)]
             want = math.cos(sum(t.value for t in settings_n)) ** 2 / 2 ** (photons - 1)
@@ -279,6 +264,80 @@ class TestApplyMstar:
         assert len(out.branches) == 2
         passed = next(b for b in out.branches if b.tags[0] == LinearTag(deg(30.0)))
         assert passed.angle_weight.atom_weight_at(deg(30.0)) == GradedCoeff.one()
+
+
+class TestApplyMstarReadsTheSplit:
+    """Every weight ``apply_Mstar`` gives comes from the arm's pass and block
+    split (``split_backend``), at a formal or a numeric beta."""
+
+    angles = st.floats(-PI, PI)
+    betas = st.one_of(st.none(), st.floats(1e-6, 0.1))
+    weights = st.one_of(
+        st.floats(1e-3, 10.0).map(GradedCoeff.constant),
+        st.floats(1e-3, 10.0).map(lambda c: GradedCoeff({(0, 1): c, (2, 0): -c})),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(angles, betas, weights)
+    def test_on_axis_photon_keeps_its_weight(self, theta0, beta, w):
+        setting = PolarizerSetting(PolAngle(theta0), beta)
+        for axis in (setting.theta0, setting.theta0.perpendicular()):
+            out = apply_Mstar(one_branch(LinearTag(axis), w), 0, setting)
+            assert [(b.tags, b.weight) for b in out.branches] == [((LinearTag(axis),), w)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(angles, angles, betas, weights)
+    def test_oblique_photon_takes_both_tails(self, theta0, theta, beta, w):
+        setting = PolarizerSetting(PolAngle(theta0), beta)
+        perp = setting.theta0.perpendicular()
+        tag = LinearTag(PolAngle(theta))
+        assume(tag.angle != setting.theta0 and tag.angle != perp)
+        passed, blocked = apply_Mstar(one_branch(tag), 0, setting).branches
+        assert (passed.tags, blocked.tags) == ((LinearTag(setting.theta0),), (LinearTag(perp),))
+        d = tag.angle.value - setting.theta0.value
+        scale = 1.0 if beta is None else beta
+        assert abs(passed.weight.eval(1.0, 1.0) - scale * math.cos(d) ** 2) <= 1e-15
+        assert abs(blocked.weight.eval(1.0, 1.0) - scale * math.sin(d) ** 2) <= 1e-15
+        # the two tails add up to beta exactly, no weight lost to rounding,
+        # unless the far one rounded below zero and was taken as zero
+        passed, blocked = apply_Mstar(one_branch(tag, w), 0, setting).branches
+        if not (passed.weight.is_zero or blocked.weight.is_zero):
+            assert passed.weight + blocked.weight == w * setting.beta_coeff
+
+    @pytest.mark.parametrize("beta", [None, 1e-3])
+    @pytest.mark.parametrize("offset", [1e-9, -1e-9, 5e-9])
+    def test_far_tail_below_rounding_is_zero(self, beta, offset):
+        # beta sin^2(1e-9) is 1e-18 beta, below the split's rounding of
+        # beta/2 (cos 2theta_p cos 2theta + sin 2theta_p sin 2theta); it may
+        # round to a negative weight, which no ensemble may hold
+        rng = np.random.default_rng(int(offset * 1e9) + 10)
+        for theta0 in rng.uniform(-PI, PI, 50):
+            setting = PolarizerSetting(PolAngle(theta0), beta)
+            for axis in (setting.theta0, setting.theta0.perpendicular()):
+                out = apply_Mstar(one_branch(LinearTag(PolAngle(axis.value + offset))), 0, setting)
+                near, far = sorted(out.branches, key=lambda b: b.tags[0] != LinearTag(axis))
+                assert near.tags == (LinearTag(axis),)
+                assert abs(near.weight.eval(1.0, 1.0) - (beta or 1.0)) <= 1e-15
+                assert 0 <= far.weight.eval(1.0, 1.0) <= 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(angles, betas, weights)
+    def test_circular_photon_takes_half_beta_on_each_side(self, theta0, beta, w):
+        setting = PolarizerSetting(PolAngle(theta0), beta)
+        half = (BETA if beta is None else GradedCoeff.constant(beta)) * 0.5
+        for weight in (GradedCoeff.one(), w):
+            out = apply_Mstar(one_branch(CircularTag(), weight), 0, setting)
+            assert [b.weight for b in out.branches] == [weight * half] * 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(angles, betas)
+    def test_source_branch_takes_each_split(self, theta0, beta):
+        setting = PolarizerSetting(PolAngle(theta0), beta)
+        split = split_backend(setting.theta0, ALPHA, setting.beta_coeff)
+        out = apply_Mstar(bell_source_ensemble(), 0, setting)
+        assert [b.angle_weight for b in out.branches] == [
+            dist_mul(DistFn.one(), split[side]) for side in ("pass", "block")
+        ]
 
 
 class TestNormalizeEnsemble:
