@@ -40,8 +40,8 @@ Three evaluation routes are provided and cross-checked:
   (:data:`ORACLE_PLAN`), and each multiplies its scalar weight and then its
   grid values out, one after another in one reused buffer, and integrates
   them, each distinct product once.  The grid must resolve the kernel
-  (:func:`require_resolved`); the CLI sizes it from sigma
-  (:func:`sized_grid_n`).
+  (:func:`require_resolved`); unless given, :class:`Mrf3Params` sizes it
+  from sigma (:func:`sized_grid_n`).
 
 A channel's sums on the split backend depend on nothing but its setting and
 the two small parameters, so the exact and regularized routes and the
@@ -161,11 +161,12 @@ class Mrf3Params:
     construction.
 
     ``alpha``, ``beta`` and ``sigma`` only matter to the numeric
-    (regularized / oracle) routes, ``grid_n`` only to the oracle (the CLI
-    sizes it from ``sigma`` by :func:`sized_grid_n` unless given); the exact
-    route treats the two small parameters as formal symbols.  A knob out of
-    range raises :class:`ParameterError` naming it, whichever route will
-    run; a finite ``sigma`` above pi/16 raises
+    (regularized / oracle) routes, ``grid_n`` only to the oracle (unless
+    given, sized from ``sigma`` by :func:`sized_grid_n` at construction, so
+    a ``replace`` of ``sigma`` must pass ``grid_n=None`` to size it anew);
+    the exact route treats the two small parameters as formal symbols.  A
+    knob out of range raises :class:`ParameterError` naming it, whichever
+    route will run; a finite ``sigma`` above pi/16 raises
     :class:`~bellfield.dist.SigmaTooCoarse`.  Whether the oracle's grid
     resolves the kernel is :func:`require_resolved`'s check.
     """
@@ -175,7 +176,7 @@ class Mrf3Params:
     alpha: float = 1e-2
     beta: float = 1e-3
     sigma: float = 1e-2
-    grid_n: int = 8192
+    grid_n: int | None = None
 
     def __post_init__(self):
         if not 0 < self.alpha <= MAX_ALPHA:
@@ -184,6 +185,8 @@ class Mrf3Params:
             raise ParameterError("beta", f"must lie in (0, {MAX_BETA:g}], got {self.beta}")
         if not 0 < self.sigma < math.inf:
             raise ParameterError("sigma", f"must be a positive finite number, got {self.sigma}")
+        if self.grid_n is None:
+            object.__setattr__(self, "grid_n", sized_grid_n(self.sigma))
         if not 1 <= self.grid_n <= MAX_GRID:
             raise ParameterError("grid_n", f"must lie in [1, {MAX_GRID}], got {self.grid_n}")
         if self.sigma > MAX_SIGMA:
@@ -241,13 +244,6 @@ CHANNEL_FACTORS: dict[str, Factor] = {
     "hidden_plus": ((), {(): ()}),
 }
 
-#: The oracle's alternative exit rule: circular output without a crystal
-#: photon, at weight beta.  It does not move the result at leading order.
-EXIT_WITHOUT_CRYSTAL: Factor = (
-    CHANNEL_FACTORS["exit"][0],
-    {**CHANNEL_FACTORS["exit"][1], (0, 1, 0): ("beta",), (0, 0, 1): ("beta",)},
-)
-
 
 def split_backend(theta_p: PolAngle, alpha, beta) -> dict:
     """Primitives in closed form, for the exact route and for
@@ -304,39 +300,39 @@ def primitive_product(primitives: tuple, backend: Mapping):
     return functools.reduce(operator.mul, values) if values else 1
 
 
-def factor_tables(backend: Mapping, factors: Mapping[str, Factor] = CHANNEL_FACTORS) -> dict[str, Factor]:
+def factor_tables(backend: Mapping) -> dict[str, Factor]:
     """Each factor's value for every assignment it lists, evaluated once."""
     return {
         name: (reads, {bits: primitive_product(prims, backend) for bits, prims in values.items()})
-        for name, (reads, values) in factors.items()
+        for name, (reads, values) in CHANNEL_FACTORS.items()
     }
 
 
-def _live_assignments(factors: Mapping[str, Factor]) -> list[tuple[bool, tuple[tuple[str, tuple], ...]]]:
+def _live_assignments() -> list[tuple[bool, tuple[tuple[str, tuple], ...]]]:
     """The channel assignments every factor lists, in lexicographic order:
     whether the counter fires in each, and each factor's (name, bits read),
     in factor order."""
     live = []
     for bits in itertools.product((0, 1), repeat=len(CHANNEL_BITS)):
         local = dict(zip(CHANNEL_BITS, bits))
-        keys = tuple((name, tuple(local[r] for r in reads)) for name, (reads, _) in factors.items())
-        if all(key in factors[name][1] for name, key in keys):
+        keys = tuple((name, tuple(local[r] for r in reads)) for name, (reads, _) in CHANNEL_FACTORS.items())
+        if all(key in CHANNEL_FACTORS[name][1] for name, key in keys):
             live.append((bool(local["gamma_C"] or local["gamma_W"]), keys))
     return live
 
 
-def _elimination_plan(factors: Mapping[str, Factor]) -> tuple[tuple[bool, tuple[tuple, ...]], ...]:
+def _elimination_plan() -> tuple[tuple[bool, tuple[tuple, ...]], ...]:
     """The live channel assignments: whether the counter fires in each, and
     the nonempty primitive products of its factors, in factor order."""
     return tuple(
-        (fires, tuple(prims for name, key in keys if (prims := factors[name][1][key])))
-        for fires, keys in _live_assignments(factors)
+        (fires, tuple(prims for name, key in keys if (prims := CHANNEL_FACTORS[name][1][key])))
+        for fires, keys in _live_assignments()
     )
 
 
 #: One channel's live assignments (three of the sixteen), derived once from
 #: :data:`CHANNEL_FACTORS`.
-CHANNEL_PLAN = _elimination_plan(CHANNEL_FACTORS)
+CHANNEL_PLAN = _elimination_plan()
 
 
 def sum_out_channel(backend: Mapping) -> tuple:
@@ -515,21 +511,14 @@ def partition_ratio(num: float, den: float) -> float:
     return num / den
 
 
-#: The oracle's factors under each exit rule, by ``exit_beta_without_crystal``.
-EXIT_RULES: dict[bool, dict[str, Factor]] = {
-    False: CHANNEL_FACTORS,
-    True: {**CHANNEL_FACTORS, "exit": EXIT_WITHOUT_CRYSTAL},
-}
-
-
-def _oracle_plan(factors: Mapping[str, Factor]) -> tuple[tuple[bool, tuple[tuple[str, str, tuple], ...]], ...]:
+def _oracle_plan() -> tuple[tuple[bool, tuple[tuple[str, str, tuple], ...]], ...]:
     """The scenarios of both channels that every factor lists, in
     lexicographic order of their eight bits (the left channel's most
     significant): whether every counter fires, and per feature in order,
     channel by channel and factor by factor, its (channel, factor, bits) key.
     They are the pairs of live channel assignments, since the channels share
     no bit."""
-    live = _live_assignments(factors)
+    live = _live_assignments()
     channels = [[(fires, tuple((ch, name, key) for name, key in keys)) for fires, keys in live] for ch in CHANNELS]
     return tuple(
         (all(fires for fires, _ in pair), tuple(itertools.chain.from_iterable(keys for _, keys in pair)))
@@ -537,19 +526,18 @@ def _oracle_plan(factors: Mapping[str, Factor]) -> tuple[tuple[bool, tuple[tuple
     )
 
 
-#: The oracle's live scenarios under each exit rule, derived once: 9 of the
-#: 2^8 under :data:`CHANNEL_FACTORS`, 25 under :data:`EXIT_WITHOUT_CRYSTAL`.
-ORACLE_PLAN = {rule: _oracle_plan(factors) for rule, factors in EXIT_RULES.items()}
+#: The oracle's live scenarios, derived once: 9 of the 2^8.
+ORACLE_PLAN = _oracle_plan()
 
 
-def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = False) -> CoincidenceResult:
+def brute_force_oracle(params: Mrf3Params) -> CoincidenceResult:
     """Fully independent numeric evaluation of the coincidence probability.
 
     Enumerates the 2^8 binary scenarios, multiplies each one's relative
     probability out over the ``params.grid_n``-point angle grid, and
     integrates it by the trapezoid rule.  No graded algebra, no channel
     factorization -- this is the cross-check the other routes are measured
-    against.  The CLI's default grid follows sigma (:func:`sized_grid_n`).
+    against.  The grid follows sigma unless given (:func:`sized_grid_n`).
 
     Each factor's value table comes from the grid backend, evaluated once
     per assignment of the bits the factor reads, so the grid kernels are
@@ -565,19 +553,15 @@ def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = Fal
     array objects, as the four detected x detected ones share pass_L *
     pass_R -- form and integrate it once, for the first of them, and the
     later ones add that integral in their own turn, so the sums take the
-    same bits.  ``exit_beta_without_crystal`` swaps in
-    :data:`EXIT_WITHOUT_CRYSTAL`; it exists to demonstrate numerically that
-    the variant does not move the result at leading order.
+    same bits.
     """
     require_resolved(params.sigma, params.grid_n)
     grid = grid_points(params.grid_n)
-    factors = EXIT_RULES[exit_beta_without_crystal]
     values = {
         (ch, name, key): value
         for ch in CHANNELS
         for name, (_, table) in factor_tables(
-            grid_backend(grid, params.setting(ch).value, params.alpha, params.beta, params.sigma),
-            factors,
+            grid_backend(grid, params.setting(ch).value, params.alpha, params.beta, params.sigma)
         ).items()
         for key, value in table.items()
     }
@@ -587,7 +571,7 @@ def brute_force_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = Fal
     cell = PI / params.grid_n
     product = np.empty_like(grid)
     integrals: dict[tuple, float] = {}
-    for coincident, keys in ORACLE_PLAN[exit_beta_without_crystal]:
+    for coincident, keys in ORACLE_PLAN:
         scalar = 1.0
         arrays = []
         for key in keys:

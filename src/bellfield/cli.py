@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .angles import PolAngle, reduce_degrees
-from .bell import Mrf3Params, ParameterError, brute_force_oracle, coincidence_probability, sized_grid_n
+from .bell import Mrf3Params, ParameterError, brute_force_oracle, coincidence_probability
 from .dist import SigmaTooCoarse
 from .quantum import bell_coincidence_qm, malus_chain, triphoton_compare
 
@@ -94,10 +94,6 @@ class ExperimentConfig:
             return self.sigma
         return {"special-cases": 0.005, "triphoton-compare": 1e-3}.get(self.experiment, 0.01)
 
-    def resolved_grid_n(self, sigma: float) -> int:
-        """``grid_n`` as given, else the oracle's grid sized for ``sigma``."""
-        return sized_grid_n(sigma) if self.grid_n is None else self.grid_n
-
     def validate(self):
         if self.experiment not in RUNNERS:
             raise ConfigError("experiment", f"unknown experiment {self.experiment!r}")
@@ -127,11 +123,13 @@ class ExperimentConfig:
                     + (" -- use mode=regularized" if self.experiment == "bell-sweep" else ""),
                 )
         if self.experiment == "limit-study":
-            if len(self.sigmas) < 2 and len(self.betas) < 2:
-                raise ConfigError("sigmas", "limit study needs at least two sigma or two beta values")
             for key, vals in (("sigmas", self.sigmas), ("betas", self.betas)):
+                if not vals:
+                    raise ConfigError(key, "limit study needs at least one value")
                 if len(set(vals)) != len(vals):
                     raise ConfigError(key, "values must be distinct")
+            if len(self.sigmas) < 2 and len(self.betas) < 2:
+                raise ConfigError("sigmas", "limit study needs at least two sigma or two beta values")
         if self.experiment == "malus-chain" and not self.angles:
             raise ConfigError("angles", "malus-chain needs at least one polarizer setting")
         if self.experiment == "triphoton-compare" and self.angles and len(self.angles) != 3:
@@ -163,14 +161,13 @@ def _timed(fn):
 
 
 def _mrf_params(config: ExperimentConfig, delta_deg: float) -> Mrf3Params:
-    sigma = config.resolved_sigma()
     return Mrf3Params(
         theta_a=PolAngle.from_degrees(delta_deg),
         theta_b=PolAngle.from_degrees(0.0),
         alpha=config.alpha,
         beta=config.beta,
-        sigma=sigma,
-        grid_n=config.resolved_grid_n(sigma),
+        sigma=config.resolved_sigma(),
+        grid_n=config.grid_n,
     )
 
 
@@ -214,9 +211,10 @@ def _run_limit_study(config: ExperimentConfig) -> list[ResultRow]:
     for beta in sorted(config.betas):
         previous: tuple[float, float] | None = None  # (sigma, value)
         for sigma in sorted(config.sigmas, reverse=True):
-            # Each value is checked as the knob it sets, and the oracle checks its grid.
+            # Each value is checked as the knob it sets, and the oracle checks its grid;
+            # the configured grid_n, not base's, so that each sigma is sized anew.
             try:
-                params = replace(base, beta=beta, sigma=sigma, grid_n=config.resolved_grid_n(sigma))
+                params = replace(base, beta=beta, sigma=sigma, grid_n=config.grid_n)
                 value, ms = _timed(lambda: brute_force_oracle(params).probability)
             except ConfigError as exc:
                 raise ConfigError({"beta": "betas", "sigma": "sigmas"}.get(exc.key, exc.key), exc.reason) from None

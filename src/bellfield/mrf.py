@@ -144,7 +144,7 @@ class FoldResult:
 
 def forward_fold(
     graph: ScenarioGraph,
-    node_order: Sequence[NodeFeature | str],
+    node_order: Sequence[NodeFeature],
     predicates: Sequence[EventPredicate] | None = None,
 ) -> FoldResult:
     """Fold features in the given order, marginalizing variables as they die.
@@ -156,11 +156,8 @@ def forward_fold(
     final per-predicate probabilities equal the global-product answer for
     every ordering, because the factor product reassociates freely.
     """
-    by_name = {f.name: f for f in graph.features}
-    order: list[NodeFeature] = []
-    for item in node_order:
-        order.append(by_name[item] if isinstance(item, str) else item)
-    if sorted(f.name for f in order) != sorted(by_name):
+    order = list(node_order)
+    if sorted(f.name for f in order) != sorted(f.name for f in graph.features):
         raise ValueError("node_order must be a permutation of the graph's features")
 
     preds = tuple(predicates) if predicates is not None else graph.predicates

@@ -80,23 +80,41 @@ def feature(channel: str, name: str, theta_p: PolAngle = PolAngle.from_degrees(2
     return {f.name: f for f in channel_features(channel, theta_p)}[f"{channel}.{name}"]
 
 
-def scalar_by_scalar_oracle(params: Mrf3Params, exit_beta_without_crystal: bool = False) -> CoincidenceResult:
+#: An alternative exit rule: circular output without a crystal photon, at
+#: weight beta.  The oracle does not run it; the scalar walk shows that it
+#: does not move the result at leading order.
+WITHOUT_CRYSTAL_FACTORS = {
+    **CHANNEL_FACTORS,
+    "exit": (
+        CHANNEL_FACTORS["exit"][0],
+        {**CHANNEL_FACTORS["exit"][1], (0, 1, 0): ("beta",), (0, 0, 1): ("beta",)},
+    ),
+}
+
+
+#: The exit rule every oracle case runs, named in the case's id: False, no
+#: circular output without a crystal photon.  Only the scalar walk runs the
+#: alternative, :data:`WITHOUT_CRYSTAL_FACTORS`.
+oracle_exit_rule = pytest.mark.parametrize("exit_beta", [False])
+
+
+def scalar_by_scalar_oracle(params: Mrf3Params, factors=CHANNEL_FACTORS) -> CoincidenceResult:
     """The oracle's scenario walk one scenario at a time: each factor's value
     is looked up by the scenario's bits and its scalars multiplied one by one,
     stopping at the first zero; the surviving scenarios build their
     ``RegularizedDistFn`` product and add to num and den in lexicographic order."""
     grid = grid_points(params.grid_n)
-    factors = dict(CHANNEL_FACTORS)
-    if exit_beta_without_crystal:
-        factors["exit"] = bell.EXIT_WITHOUT_CRYSTAL
     slot = {var(ch, g): k for k, (ch, g) in enumerate(itertools.product(CHANNELS, CHANNEL_BITS))}
+    backends = {
+        ch: grid_backend(grid, params.setting(ch).value, params.alpha, params.beta, params.sigma) for ch in CHANNELS
+    }
     tables = [
-        (tuple(slot[var(ch, r)] for r in reads), table)
+        (
+            tuple(slot[var(ch, r)] for r in reads),
+            {bits: primitive_product(prims, backends[ch]) for bits, prims in values.items()},
+        )
         for ch in CHANNELS
-        for reads, table in factor_tables(
-            grid_backend(grid, params.setting(ch).value, params.alpha, params.beta, params.sigma),
-            factors,
-        ).values()
+        for reads, values in factors.values()
     ]
     counters = [(slot[var(ch, "gamma_C")], slot[var(ch, "gamma_W")]) for ch in CHANNELS]
     num = den = 0.0
@@ -160,6 +178,12 @@ class TestMrf3Params:
         with pytest.raises(SigmaTooCoarse):
             params_for(30.0, sigma=sigma)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(5e-324, MAX_SIGMA), st.integers(1, MAX_GRID))
+    def test_the_grid_is_sized_from_sigma_unless_given(self, sigma, grid_n):
+        assert params_for(30.0, sigma=sigma).grid_n == sized_grid_n(sigma)
+        assert params_for(30.0, sigma=sigma, grid_n=grid_n).grid_n == grid_n
+
     def test_the_bounds_themselves_are_in_range(self):
         params_for(30.0, alpha=MAX_ALPHA, beta=MAX_BETA, sigma=MAX_SIGMA, grid_n=MAX_GRID)
         params_for(30.0, alpha=5e-324, beta=5e-324, sigma=5e-324, grid_n=1)
@@ -209,11 +233,11 @@ class TestGridBackend:
         assert np.max(np.abs(tails["block"] - beta * np.sin(theta - theta_p) ** 2)) <= bound
 
     @pytest.mark.parametrize("params", ORACLE_SETTINGS, ids=ORACLE_SETTING_IDS)
-    @pytest.mark.parametrize("exit_beta", [False, True])
+    @oracle_exit_rule
     def test_oracle_barely_moves_from_the_two_transcendental_tails(self, monkeypatch, params, exit_beta):
-        got = brute_force_oracle(params, exit_beta_without_crystal=exit_beta).probability
+        got = brute_force_oracle(params).probability
         monkeypatch.setattr(bell, "grid_backend", two_transcendental_grid_backend)
-        want = brute_force_oracle(params, exit_beta_without_crystal=exit_beta).probability
+        want = brute_force_oracle(params).probability
         assert abs(got - want) <= 1e-15
 
 
@@ -251,7 +275,7 @@ class TestBruteForceOracle:
 
     def test_alternative_exit_rule_is_immaterial(self):
         base = brute_force_oracle(params_for(30.0)).probability
-        toggled = brute_force_oracle(params_for(30.0), exit_beta_without_crystal=True).probability
+        toggled = scalar_by_scalar_oracle(params_for(30.0), WITHOUT_CRYSTAL_FACTORS).probability
         assert abs(base - toggled) < 1e-3
 
     def test_oracle_bounds_enforced(self):
@@ -260,7 +284,7 @@ class TestBruteForceOracle:
         with pytest.raises(ValueError):
             brute_force_oracle(params_for(30.0, grid_n=128))
 
-    @pytest.mark.parametrize("exit_beta", [False, True])
+    @oracle_exit_rule
     def test_four_kernel_evaluations_per_call(self, monkeypatch, exit_beta):
         calls = []
 
@@ -269,7 +293,7 @@ class TestBruteForceOracle:
             return wrapped_gaussian(grid, center, sigma)
 
         monkeypatch.setattr(bell, "wrapped_gaussian", counting)
-        brute_force_oracle(params_for(30.0), exit_beta_without_crystal=exit_beta)
+        brute_force_oracle(params_for(30.0))
         assert len(calls) == 4
 
     @settings(max_examples=40, deadline=None)
@@ -277,25 +301,24 @@ class TestBruteForceOracle:
         st.one_of(st.sampled_from([0.0, 90.0]), st.floats(0.0, 180.0)),
         resolved_sigma_and_grid,
         st.floats(1e-9, MAX_BETA),
-        st.booleans(),
     )
-    def test_weight_vector_equals_scalar_by_scalar_walk(self, delta, sigma_and_grid, beta, exit_beta):
+    def test_weight_vector_equals_scalar_by_scalar_walk(self, delta, sigma_and_grid, beta):
         sigma, grid_n = sigma_and_grid
         params = params_for(delta, sigma=sigma, beta=beta, grid_n=grid_n)
-        reference = scalar_by_scalar_oracle(params, exit_beta)
-        oracle = brute_force_oracle(params, exit_beta_without_crystal=exit_beta)
+        reference = scalar_by_scalar_oracle(params)
+        oracle = brute_force_oracle(params)
         assert oracle.probability == reference.probability
         assert oracle.numerator == reference.numerator
         assert oracle.denominator == reference.denominator
 
-    @pytest.mark.parametrize("exit_beta", [False, True])
+    @oracle_exit_rule
     @pytest.mark.parametrize("grid_n", [256, 8192])
     @pytest.mark.parametrize("sigma", [0.04, 0.1, MAX_SIGMA])
     def test_wide_kernels_equal_scalar_by_scalar_walk(self, sigma, grid_n, exit_beta):
         # a kernel's window spans the whole grid here
         params = params_for(33.3, sigma=sigma, grid_n=grid_n)
-        reference = scalar_by_scalar_oracle(params, exit_beta)
-        oracle = brute_force_oracle(params, exit_beta_without_crystal=exit_beta)
+        reference = scalar_by_scalar_oracle(params)
+        oracle = brute_force_oracle(params)
         assert oracle.probability == reference.probability
         assert oracle.numerator == reference.numerator
         assert oracle.denominator == reference.denominator
@@ -323,15 +346,12 @@ class TestBruteForceOracle:
         brute_force_oracle(params_for(30.0, sigma=sigma, grid_n=n))
 
     @pytest.mark.parametrize("delta", [30.0, 0.0, 90.0])
-    @pytest.mark.parametrize("exit_beta", [False, True])
+    @oracle_exit_rule
     def test_matches_scenario_by_scenario_reference(self, delta, exit_beta):
         # Every factor is re-evaluated from its primitives in every scenario,
         # the way the oracle's definition reads.
         params = params_for(delta)
         grid = grid_points(params.grid_n)
-        factors = dict(CHANNEL_FACTORS)
-        if exit_beta:
-            factors["exit"] = bell.EXIT_WITHOUT_CRYSTAL
         backends = {
             ch: grid_backend(grid, params.setting(ch).value, params.alpha, params.beta, params.sigma)
             for ch in CHANNELS
@@ -341,7 +361,7 @@ class TestBruteForceOracle:
             product = np.ones_like(grid)
             for i, ch in enumerate(CHANNELS):
                 local = dict(zip(CHANNEL_BITS, bits[4 * i : 4 * i + 4]))
-                for reads, values in factors.values():
+                for reads, values in CHANNEL_FACTORS.values():
                     prims = values.get(tuple(local[r] for r in reads))
                     if prims is None:
                         product = product * 0.0
@@ -352,13 +372,13 @@ class TestBruteForceOracle:
             den += weight
             if (bits[2] or bits[3]) and (bits[6] or bits[7]):
                 num += weight
-        oracle = brute_force_oracle(params, exit_beta_without_crystal=exit_beta)
+        oracle = brute_force_oracle(params)
         assert oracle.probability == pytest.approx(num / den, abs=1e-14)
 
-    @pytest.mark.parametrize("exit_beta, live", [(False, 9), (True, 25)])
+    @pytest.mark.parametrize("exit_beta, live", [(False, 9)])
     def test_plan_lists_every_live_scenario_in_lexicographic_order(self, exit_beta, live):
         # a walk over all 2^8 scenarios keeps those every factor lists
-        factors = bell.EXIT_RULES[exit_beta]
+        factors = CHANNEL_FACTORS
         want = []
         for bits in itertools.product((0, 1), repeat=8):
             local = {ch: dict(zip(CHANNEL_BITS, bits[4 * i : 4 * i + 4])) for i, ch in enumerate(CHANNELS)}
@@ -367,9 +387,8 @@ class TestBruteForceOracle:
             )
             if all(key in factors[name][1] for _, name, key in keys):
                 want.append((all(local[ch]["gamma_C"] or local[ch]["gamma_W"] for ch in CHANNELS), keys))
-        assert bell.ORACLE_PLAN[exit_beta] == tuple(want)
+        assert bell.ORACLE_PLAN == tuple(want)
         assert len(want) == live
-        assert factors["exit"] is (bell.EXIT_WITHOUT_CRYSTAL if exit_beta else CHANNEL_FACTORS["exit"])
 
     def test_weights_that_underflow_match_the_scalar_walk(self):
         # at alpha beta = 1e-100 the scenarios of the alternative exit rule in
@@ -377,25 +396,26 @@ class TestBruteForceOracle:
         # 4 (alpha beta)^4 = 0.0; the others weigh (alpha beta)^2 or so
         params = params_for(30.0, alpha=1e-2, beta=1e-98)
         assert 4 * (params.alpha * params.beta) ** 4 == 0.0
-        reference = scalar_by_scalar_oracle(params, True)
-        oracle = brute_force_oracle(params, exit_beta_without_crystal=True)
-        assert oracle.numerator == reference.numerator
-        assert oracle.denominator == reference.denominator
-        assert oracle.probability == brute_force_oracle(params).probability
+        variant = scalar_by_scalar_oracle(params, WITHOUT_CRYSTAL_FACTORS)
+        assert variant.probability == brute_force_oracle(params).probability
+
+    def test_a_partition_that_underflows_is_refused(self):
+        # at alpha 1 and beta 1e-162, 8 of the 9 live scalar weights are below
+        # half the smallest subnormal, and the last one's products underflow
+        params = params_for(30.0, alpha=1.0, beta=1e-162)
+        for route in (brute_force_oracle, scalar_by_scalar_oracle):
+            with pytest.raises(ZeroDivisionError, match="partition vanished"):
+                route(params)
 
     @pytest.mark.parametrize("params", ORACLE_SETTINGS, ids=ORACLE_SETTING_IDS)
-    @pytest.mark.parametrize("exit_beta", [False, True])
+    @oracle_exit_rule
     def test_equals_name_keyed_scenario_loop(self, params, exit_beta):
         # The same loop keyed by variable names instead of bit positions: the
         # same factor values, multiplied and summed in the same order.
         grid = grid_points(params.grid_n)
-        factors = dict(CHANNEL_FACTORS)
-        if exit_beta:
-            factors["exit"] = bell.EXIT_WITHOUT_CRYSTAL
         tables = {
             ch: factor_tables(
-                grid_backend(grid, params.setting(ch).value, params.alpha, params.beta, params.sigma),
-                factors,
+                grid_backend(grid, params.setting(ch).value, params.alpha, params.beta, params.sigma)
             ).values()
             for ch in CHANNELS
         }
@@ -428,7 +448,7 @@ class TestBruteForceOracle:
             den += weight
             if all(assign[var(ch, "gamma_C")] or assign[var(ch, "gamma_W")] for ch in CHANNELS):
                 num += weight
-        oracle = brute_force_oracle(params, exit_beta_without_crystal=exit_beta)
+        oracle = brute_force_oracle(params)
         assert oracle.numerator.constant_value() == num
         assert oracle.denominator.constant_value() == den
 
@@ -717,7 +737,7 @@ class TestSplitBackend:
 class TestPrimitiveProduct:
     #: Every product a factor lists, and every live assignment's whole product.
     PRODUCTS = sorted(
-        {prims for _, values in (*CHANNEL_FACTORS.values(), bell.EXIT_WITHOUT_CRYSTAL) for prims in values.values()}
+        {prims for _, values in WITHOUT_CRYSTAL_FACTORS.values() for prims in values.values()}
         | {tuple(itertools.chain(*factors)) for _, factors in bell.CHANNEL_PLAN},
         key=repr,
     )

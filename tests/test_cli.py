@@ -25,7 +25,7 @@ from bellfield.cli import (
     render_rows,
 )
 from bellfield.angles import PI, PolAngle
-from bellfield.bell import MIN_KERNEL_CELLS, Mrf3Params, channel_sums, coincidence_probability
+from bellfield.bell import MIN_KERNEL_CELLS, Mrf3Params, brute_force_oracle, channel_sums, coincidence_probability
 from bellfield.dist import MAX_GRID, MAX_SIGMA
 
 
@@ -183,6 +183,22 @@ class TestSizedGrid:
         assert self.oracle_row(tmp_path, *argv) == [0.4999999894957818, 0.34922817352751245, 1.0504217916142657e-08]
         argv = ["limit-study", "--grid-n", "8192"]
         assert self.oracle_row(tmp_path, *argv) == [0.374551903866547, 0.3748510695738064, 0.37492597325509047]
+
+    @pytest.mark.parametrize(
+        "argv, knobs",
+        [
+            (
+                ["bell-sweep", "--mode", "regularized", "--angles", "30", "--sigma", "0.005", "--beta", "1e-2"],
+                [(0.005, 1e-2)],
+            ),
+            # limit-study sizes each width's grid anew
+            (["limit-study", "--betas", "1e-3,1e-2"], [(s, b) for b in (1e-3, 1e-2) for s in (0.04, 0.02, 0.01)]),
+        ],
+    )
+    def test_a_library_oracle_without_grid_n_gives_the_cli_row(self, argv, knobs, tmp_path):
+        arms = PolAngle.from_degrees(30.0), PolAngle.from_degrees(0.0)
+        want = [brute_force_oracle(Mrf3Params(*arms, sigma=s, beta=b)).probability for s, b in knobs]
+        assert self.oracle_row(tmp_path, *argv) == want
 
     def test_sized_grid_moves_no_row_by_more_than_1e_12(self, tmp_path):
         argv = ["bell-sweep", "--mode", "regularized", "--angles", "0,33.3,90", "--sigma", "0.01"]
@@ -647,6 +663,9 @@ class TestValidation:
             # refused by a route after it computed rows: the table is written whole or not at all
             (["limit-study", "--sigmas", "0.02,1e-300"], "sigmas"),
             (["bell-sweep", "--mode", "both", "--angles", "30", "--sigma", "1e-300"], "sigma"),
+            # an empty list would leave the table empty
+            (["limit-study", "--sigmas", "0.04,0.02", "--betas", ","], "betas"),
+            (["limit-study", "--sigmas", ",", "--betas", "1e-3,1e-2"], "sigmas"),
         ],
     )
     def test_rejected_input_exits_2(self, argv, key, tmp_path, capsys):
