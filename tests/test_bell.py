@@ -378,14 +378,15 @@ class TestBruteForceOracle:
     @pytest.mark.parametrize("exit_beta, live", [(False, 9)])
     def test_plan_lists_every_live_scenario_in_lexicographic_order(self, exit_beta, live):
         # a walk over all 2^8 scenarios keeps those every factor lists
-        factors = CHANNEL_FACTORS
         want = []
         for bits in itertools.product((0, 1), repeat=8):
             local = {ch: dict(zip(CHANNEL_BITS, bits[4 * i : 4 * i + 4])) for i, ch in enumerate(CHANNELS)}
             keys = tuple(
-                (ch, name, tuple(local[ch][r] for r in reads)) for ch in CHANNELS for name, (reads, _) in factors.items()
+                (ch, name, tuple(local[ch][r] for r in reads))
+                for ch in CHANNELS
+                for name, (reads, _) in CHANNEL_FACTORS.items()
             )
-            if all(key in factors[name][1] for _, name, key in keys):
+            if all(key in CHANNEL_FACTORS[name][1] for _, name, key in keys):
                 want.append((all(local[ch]["gamma_C"] or local[ch]["gamma_W"] for ch in CHANNELS), keys))
         assert bell.ORACLE_PLAN == tuple(want)
         assert len(want) == live
