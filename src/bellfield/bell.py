@@ -54,6 +54,10 @@ The triphoton graph contracts three channels of the float split backend
 along the source's angle constraint, with the same :func:`contract_channels`;
 the modified-polarizer model of :mod:`bellfield.quantum` contracts each arm's
 pass and block splits through it too, as (detected, undetected).
+
+Only the oracle uses numpy: :func:`grid_backend` and
+:func:`brute_force_oracle` import it when called, so the exact and
+regularized routes and the triphoton graph run without loading it.
 """
 
 from __future__ import annotations
@@ -63,9 +67,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .angles import PI, PolAngle
 from .dist import (
@@ -88,6 +90,9 @@ from .mrf import (
     # Unused here, but bench/tests checks that tracing rebinds it in this module.
     tally_events,  # noqa: F401
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CHANNELS = ("L", "R")
 
@@ -150,6 +155,11 @@ def sized_grid_n(sigma: float) -> int:
     return MAX_GRID if not n < MAX_GRID else max(MIN_GRID, math.ceil(n))
 
 
+class _SizedGrid(int):
+    """A grid size :class:`Mrf3Params` resolved from sigma, not one the caller
+    gave: a ``replace`` that passes it on sizes the grid anew."""
+
+
 class UnexpectedLeadingOrder(ArithmeticError):
     """The exact sums do not lead with alpha^2 beta^3; the detector
     bookkeeping broke or the beta^3 coefficient cancelled numerically."""
@@ -162,9 +172,9 @@ class Mrf3Params:
 
     ``alpha``, ``beta`` and ``sigma`` only matter to the numeric
     (regularized / oracle) routes, ``grid_n`` only to the oracle (unless
-    given, sized from ``sigma`` by :func:`sized_grid_n` at construction, so
-    a ``replace`` of ``sigma`` must pass ``grid_n=None`` to size it anew);
-    the exact route treats the two small parameters as formal symbols.  A
+    given, sized from ``sigma`` by :func:`sized_grid_n`; a ``replace`` of
+    ``sigma`` sizes it anew and keeps a ``grid_n`` the caller gave); the
+    exact route treats the two small parameters as formal symbols.  A
     knob out of range raises :class:`ParameterError` naming it, whichever
     route will run; a finite ``sigma`` above pi/16 raises
     :class:`~bellfield.dist.SigmaTooCoarse`.  Whether the oracle's grid
@@ -185,8 +195,8 @@ class Mrf3Params:
             raise ParameterError("beta", f"must lie in (0, {MAX_BETA:g}], got {self.beta}")
         if not 0 < self.sigma < math.inf:
             raise ParameterError("sigma", f"must be a positive finite number, got {self.sigma}")
-        if self.grid_n is None:
-            object.__setattr__(self, "grid_n", sized_grid_n(self.sigma))
+        if self.grid_n is None or type(self.grid_n) is _SizedGrid:
+            object.__setattr__(self, "grid_n", _SizedGrid(sized_grid_n(self.sigma)))
         if not 1 <= self.grid_n <= MAX_GRID:
             raise ParameterError("grid_n", f"must lie in [1, {MAX_GRID}], got {self.grid_n}")
         if self.sigma > MAX_SIGMA:
@@ -280,6 +290,8 @@ def grid_backend(theta: np.ndarray, theta_p: float, alpha: float, beta: float, s
     with u = (beta/2) cos 2(theta - theta_p), beta cos^2 = beta/2 + u and
     beta sin^2 = beta/2 - u, each added in place onto its kernel.
     """
+    import numpy as np
+
     half = 0.5 * beta
     u = np.subtract(theta, theta_p)
     u *= 2.0
@@ -489,7 +501,7 @@ def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> Coincide
     alpha_orders = (num.min_alpha_order(), den.min_alpha_order())
     if alpha_orders != (2, 2):
         raise UnexpectedLeadingOrder(f"leading alpha orders {alpha_orders}, expected (2, 2)")
-    beta_orders = (min(num.at_alpha_order(2)), min(den.at_alpha_order(2)))
+    beta_orders = (num.min_beta_order(alpha_order=2), den.min_beta_order(alpha_order=2))
     if beta_orders != (3, 3):
         raise UnexpectedLeadingOrder(
             f"leading beta orders {beta_orders} at alpha^2, expected (3, 3); "
@@ -555,6 +567,8 @@ def brute_force_oracle(params: Mrf3Params) -> CoincidenceResult:
     later ones add that integral in their own turn, so the sums take the
     same bits.
     """
+    import numpy as np
+
     require_resolved(params.sigma, params.grid_n)
     grid = grid_points(params.grid_n)
     values = {

@@ -211,10 +211,9 @@ def _run_limit_study(config: ExperimentConfig) -> list[ResultRow]:
     for beta in sorted(config.betas):
         previous: tuple[float, float] | None = None  # (sigma, value)
         for sigma in sorted(config.sigmas, reverse=True):
-            # Each value is checked as the knob it sets, and the oracle checks its grid;
-            # the configured grid_n, not base's, so that each sigma is sized anew.
+            # Each value is checked as the knob it sets, and the oracle checks its grid.
             try:
-                params = replace(base, beta=beta, sigma=sigma, grid_n=config.grid_n)
+                params = replace(base, beta=beta, sigma=sigma)
                 value, ms = _timed(lambda: brute_force_oracle(params).probability)
             except ConfigError as exc:
                 raise ConfigError({"beta": "betas", "sigma": "sigmas"}.get(exc.key, exc.key), exc.reason) from None

@@ -19,6 +19,10 @@ positive width, which widens every atom into a unit-mass wrapped Gaussian
 and does plain float arithmetic, still in closed form.
 :class:`RegularizedDistFn` samples a float ``DistFn`` on a uniform grid
 instead, as a reference.
+
+Only the grid layer uses numpy: :func:`grid_points`, :func:`wrapped_gaussian`,
+:class:`RegularizedDistFn` and :func:`regularize` import it when called, so
+the exact and closed-form routes run without loading it.
 """
 
 from __future__ import annotations
@@ -27,12 +31,13 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .angles import ANGLE_TOL, PI, PolAngle
 from .graded import GradedCoeff
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Highest harmonic ``cos/sin(2K*theta)`` a ``DistFn`` holds.  The model's
 #: smooth parts are quadratic in cos/sin, so its products never exceed
@@ -358,6 +363,8 @@ def dist_integrate(f: DistFn) -> GradedCoeff:
 
 def grid_points(n: int) -> np.ndarray:
     """Uniform half-open grid on [0, pi)."""
+    import numpy as np
+
     return np.arange(n) * (PI / n)
 
 
@@ -375,6 +382,8 @@ def wrapped_gaussian(grid: np.ndarray, center: float, sigma: float) -> np.ndarra
     ``norm * exp(-0.5 * ((grid - center + m*pi) / sigma) ** 2)`` in that
     order, so every sample has the bits the expression gives.
     """
+    import numpy as np
+
     norm = 1.0 / (sigma * math.sqrt(2.0 * PI))
     reach = KERNEL_REACH * abs(sigma) + 1e-9
     ascending = grid.ndim == 1 and grid.size > 0 and bool(np.all(grid[1:] >= grid[:-1]))
@@ -400,9 +409,6 @@ def wrapped_gaussian(grid: np.ndarray, center: float, sigma: float) -> np.ndarra
     return out
 
 
-Kernel = Callable[[np.ndarray, float, float], np.ndarray]
-
-
 @dataclass(frozen=True)
 class RegularizedDistFn:
     """A distribution sampled on a uniform grid over [0, pi)."""
@@ -410,6 +416,8 @@ class RegularizedDistFn:
     samples: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
         if self.samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
@@ -445,7 +453,7 @@ def regularize(
     f: DistFn,
     sigma: float,
     n: int,
-    kernel: Kernel = wrapped_gaussian,
+    kernel: Callable[[np.ndarray, float, float], np.ndarray] = wrapped_gaussian,
 ) -> RegularizedDistFn:
     """Sample ``f`` on an ``n``-point grid, widening atoms into kernels.
 
@@ -463,6 +471,8 @@ def regularize(
     weights = [w for _, w in f.atoms]
     if any(isinstance(c, GradedCoeff) for c in (f.c0, *f.cos_coeffs, *f.sin_coeffs, *weights)):
         raise ValueError("DistFn has graded coefficients; call substitute(alpha, beta) first")
+
+    import numpy as np
 
     grid = grid_points(n)
     samples = np.zeros(n)

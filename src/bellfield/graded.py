@@ -92,9 +92,10 @@ class GradedCoeff:
     Immutable.  Holds ``{(i, j): (numerator, denominator)}``, each pair
     reduced with a positive denominator, so that equal polynomials hold equal
     dicts and hash alike.  Terms with a zero coefficient are never stored.
+    The hash is computed on first use and kept.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[Key, Scalar] | None = None):
         clean: dict[Key, Ratio] = {}
@@ -167,10 +168,14 @@ class GradedCoeff:
             raise ValueError("zero polynomial has no alpha order")
         return min(i for i, _ in self._terms)
 
-    def min_beta_order(self) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no beta order")
-        return min(j for _, j in self._terms)
+    def min_beta_order(self, alpha_order: int | None = None) -> int:
+        """Lowest beta exponent, among the terms of ``alpha^alpha_order`` only
+        when that is given; read off the keys, with no ``Fraction`` built."""
+        orders = [j for i, j in self._terms if alpha_order in (None, i)]
+        if not orders:
+            where = "" if alpha_order is None else f" at alpha order {alpha_order}"
+            raise ValueError(f"no beta order: no term{where}")
+        return min(orders)
 
     def _by_beta(self, order: int) -> dict[int, Ratio]:
         return {j: c for (i, j), c in self._terms.items() if i == order}
@@ -256,7 +261,12 @@ class GradedCoeff:
         return self._terms == o._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(frozenset(self._terms.items()))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -40,6 +40,11 @@ Each model is written once, for N arms, and the Bell pair is its N = 2 call:
 Every photon, passed or blocked, ends in an absorber of the same cost
 2*alpha*beta, so neither modified route multiplies that cost in: no ratio
 reads it.
+
+Only the density matrices use numpy: :func:`linear_state`, :func:`ghz_state`,
+:func:`circular_ghz_state`, :class:`DensityMatrix`, the traditional
+polarizer map and :func:`malus_chain` import it when called.  The QM row and
+both modified routes run on Python numbers.
 """
 
 from __future__ import annotations
@@ -47,9 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Literal, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Literal, Sequence
 
 from .angles import PolAngle
 from .bell import (
@@ -70,6 +73,9 @@ from .dist import (
 )
 from .graded import GradedCoeff, coeff_ratio_limit
 
+if TYPE_CHECKING:
+    import numpy as np
+
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGEN_TOL = 1e-10
@@ -86,15 +92,32 @@ class ZeroEnsemble(ArithmeticError):
 # -- states ----------------------------------------------------------------------
 
 
-def linear_state(theta: PolAngle | float) -> np.ndarray:
+def _linear_amplitudes(theta: PolAngle | float) -> tuple[complex, complex]:
+    """The H and V amplitudes of linear polarization at ``theta``."""
     t = theta.value if isinstance(theta, PolAngle) else float(theta)
-    return np.array([math.cos(t), math.sin(t)], dtype=complex)
+    return complex(math.cos(t)), complex(math.sin(t))
+
+
+def linear_state(theta: PolAngle | float) -> np.ndarray:
+    import numpy as np
+
+    return np.array(_linear_amplitudes(theta), dtype=complex)
+
+
+def _ghz_amplitudes(n: int) -> tuple[tuple[int, complex], ...]:
+    """The nonzero amplitudes of (|H...H> + |V...V>) / sqrt(2), as (basis
+    index, amplitude); the first photon is the index's highest bit, V is 1."""
+    a = complex(1.0 / math.sqrt(2.0))
+    return (0, a), (2**n - 1, a)
 
 
 def ghz_state(n: int = 3) -> np.ndarray:
     """(|H...H> + |V...V>) / sqrt(2)."""
+    import numpy as np
+
     v = np.zeros(2**n, dtype=complex)
-    v[0] = v[-1] = 1.0 / math.sqrt(2.0)
+    for index, a in _ghz_amplitudes(n):
+        v[index] = a
     return v
 
 
@@ -103,6 +126,8 @@ def circular_ghz_state(n: int = 3) -> np.ndarray:
     its conjugate: a linear polarizer at theta passes R with amplitude
     e^(i theta)/sqrt(2), so every arm passing has probability
     cos^2(theta_1 + ... + theta_N) / 2^(N-1)."""
+    import numpy as np
+
     right = reduce(np.multiply.outer, [np.array([1.0, 1j]) / math.sqrt(2.0)] * n).ravel()
     return (right + right.conj()) / math.sqrt(2.0)
 
@@ -112,6 +137,8 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         m = np.asarray(self.entries, dtype=complex)
         object.__setattr__(self, "entries", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -134,16 +161,22 @@ class DensityMatrix:
     def from_pure(cls, amplitudes: np.ndarray) -> "DensityMatrix":
         """The pure state's projector; amplitudes whose length is not a power
         of two, or whose norm is not 1, fail the matrix's own checks."""
+        import numpy as np
+
         amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
         return cls(np.outer(amp, amp.conj()))
 
 
 def _mode_projector(theta: PolAngle | float) -> np.ndarray:
+    import numpy as np
+
     v = linear_state(theta)
     return np.outer(v, v.conj())
 
 
 def _embed(op: np.ndarray, n: int, subsystem: int) -> np.ndarray:
+    import numpy as np
+
     if not (0 <= subsystem < n):
         raise IndexError(f"subsystem {subsystem} out of range for {n} photons")
     factors = [np.eye(2, dtype=complex)] * n
@@ -169,10 +202,19 @@ def qm_coincidence(settings: Sequence[PolAngle]) -> float:
 
     The Born rule |<ghz|v>|^2, v the product of the pass modes.  Dephasing
     an arm in its own basis first cannot move it (its pass projector is a
-    factor of the joint one), so the arms have no order.
+    factor of the joint one), so the arms have no order.  The overlap runs on
+    Python complex numbers over the state's nonzero amplitudes alone, each
+    product amplitude multiplied out photon by photon, first to last.
     """
-    v = reduce(np.multiply.outer, [linear_state(t) for t in settings]).ravel()
-    return float(abs(np.vdot(ghz_state(len(settings)), v)) ** 2)
+    modes = [_linear_amplitudes(t) for t in settings]
+    last = len(modes) - 1
+    overlap = 0j
+    for index, a in _ghz_amplitudes(len(modes)):
+        v = modes[0][index >> last & 1]
+        for j in range(1, len(modes)):
+            v = v * modes[j][index >> (last - j) & 1]
+        overlap += a.conjugate() * v
+    return abs(overlap) ** 2
 
 
 def bell_coincidence_qm(theta_a: PolAngle, theta_b: PolAngle) -> float:
@@ -190,6 +232,8 @@ def malus_chain(initial: PolAngle | Literal["unpolarized"], settings: Sequence[P
     """
     if not settings:
         raise ValueError("at least one polarizer setting required")
+    import numpy as np
+
     if initial == "unpolarized":
         rho = np.eye(2, dtype=complex) / 2
     else:

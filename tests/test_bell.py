@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -183,6 +184,20 @@ class TestMrf3Params:
     def test_the_grid_is_sized_from_sigma_unless_given(self, sigma, grid_n):
         assert params_for(30.0, sigma=sigma).grid_n == sized_grid_n(sigma)
         assert params_for(30.0, sigma=sigma, grid_n=grid_n).grid_n == grid_n
+
+    def test_a_replace_of_sigma_sizes_the_grid_anew(self):
+        wide = Mrf3Params(PolAngle.from_degrees(30), PolAngle.from_degrees(0), sigma=0.04)
+        narrow = dataclasses.replace(wide, sigma=0.005)
+        assert (wide.grid_n, narrow.grid_n) == (sized_grid_n(0.04), sized_grid_n(0.005)) == (256, 1885)
+        assert brute_force_oracle(narrow).probability == brute_force_oracle(params_for(30.0, sigma=0.005)).probability
+        assert type(build_triphoton_graph((PolAngle(0.0),) * 3, narrow).grid_n ** 2) is int
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(5e-324, MAX_SIGMA), st.floats(5e-324, MAX_SIGMA), st.integers(1, MAX_GRID))
+    def test_a_replace_keeps_a_given_grid(self, sigma, other, grid_n):
+        given_grid = params_for(30.0, sigma=sigma, grid_n=grid_n)
+        assert dataclasses.replace(given_grid, sigma=other).grid_n == grid_n
+        assert dataclasses.replace(given_grid, sigma=other, grid_n=None).grid_n == sized_grid_n(other)
 
     def test_the_bounds_themselves_are_in_range(self):
         params_for(30.0, alpha=MAX_ALPHA, beta=MAX_BETA, sigma=MAX_SIGMA, grid_n=MAX_GRID)

@@ -584,6 +584,35 @@ def _run_program(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
+#: Run in a fresh interpreter, so that no earlier import in the test process
+#: can hide one: whether numpy is loaded after importing the CLI, after the
+#: exact Bell sweep and the triphoton comparison, and after an oracle sweep.
+NUMPY_PROBE = """
+import json, sys
+from bellfield import cli
+loaded = ["numpy" in sys.modules]
+for argv in (["bell-sweep", "--mode", "exact"], ["triphoton-compare", "--angles", "10,25,40"]):
+    assert cli.main([*argv, "--output", sys.argv[1]]) == 0
+    loaded.append("numpy" in sys.modules)
+assert cli.main(["bell-sweep", "--mode", "regularized", "--format", "json", "--output", sys.argv[1]]) == 0
+loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_loads_only_for_the_oracle(tmp_path):
+    child = tmp_path / "child.json"
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, str(child)], capture_output=True, text=True, env=_child_env(), timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [False, False, False, True]
+    here = tmp_path / "here.json"
+    assert main(["bell-sweep", "--mode", "regularized", "--format", "json", "--output", str(here)]) == 0
+    rows = [[{k: v for k, v in r.items() if k != "runtime_ms"} for r in json.loads(p.read_text())] for p in (child, here)]
+    assert rows[0] == rows[1] and len(rows[0]) == 2 * len(cli.DEFAULT_SWEEP)
+
+
 FLAGS = ["--" + f.name.replace("_", "-") for f in fields(ExperimentConfig) if f.name != "experiment"]
 #: Words that are no flag: unknown, abbreviated and underscored keys, the bare word as a flag, single dashes.
 BAD_FLAGS = ["--foo", "--ang", "--grid", "--grid_n", "--sigma_s", "--experiment", "--", "--=1", "-x", "-5"]

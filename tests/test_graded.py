@@ -118,6 +118,10 @@ class TestConstruction:
         assert g.min_alpha_order() == 1
         assert g.min_beta_order() == 3
         assert g.at_alpha_order(2) == {3: Fraction(8)}
+        assert (g.min_beta_order(alpha_order=2), g.min_beta_order(alpha_order=1)) == (3, 4)
+        for empty, order in ((g, 0), (GradedCoeff.zero(), None), (GradedCoeff.zero(), 2)):
+            with pytest.raises(ValueError):
+                empty.min_beta_order(alpha_order=order)
 
 
 small_terms = st.dictionaries(
@@ -313,3 +317,8 @@ class TestBoundary:
         assert g.leading_terms() == {(0, 0): Fraction(3)}
         assert GradedCoeff.constant(Fraction(6, -4)).constant_value() == Fraction(-3, 2)
         assert GradedCoeff.zero().constant_value() == 0
+
+    @given(graded, st.integers(0, 2))
+    def test_beta_order_at_an_alpha_order_is_the_lowest_key(self, g, order):
+        assume(g.at_alpha_order(order))
+        assert g.min_beta_order(alpha_order=order) == min(g.at_alpha_order(order))

@@ -161,6 +161,15 @@ class TestQmCoincidence:
             assert dephased == pytest.approx(got, rel=0, abs=1e-15)
             assert dephased == pytest.approx(expected, rel=0, abs=1e-12)
 
+    @pytest.mark.parametrize("photons", [2, 3, 4])
+    def test_python_amplitudes_match_the_numpy_born_rule(self, photons):
+        # the row multiplies Python complex amplitudes; numpy's product with
+        # the dense ghz_state may round the pair's sum differently, by an ulp
+        rng = np.random.default_rng(40 + photons)
+        for _ in range(500):
+            phis = [PolAngle(t) for t in rng.uniform(-PI, PI, photons)]
+            assert abs(qm_coincidence(phis) - born_all_pass(phis, ghz_state(photons))) <= 2.2e-16
+
 
 def born_all_pass(settings_n, state) -> float:
     """Probability that every photon of ``state`` passes: the Born rule on
