@@ -14,50 +14,39 @@ for each, the channel bits it reads and, per assignment of those bits, its
 value as a product of primitives -- the entry surface's pass and block
 split, ``alpha`` and ``beta``.  Two backends give the primitives values:
 :func:`split_backend` (point masses plus trigonometric tails in closed form,
-as :class:`~bellfield.dist.DistFn` values whose coefficients are graded for
-the formal small parameters and floats for numeric ones) and
-:func:`grid_backend` (the point masses widened into width-sigma kernels and
-sampled on an angle grid).  The channels meet only through the shared
-angle, so summing each channel's bits out on its own
-(:func:`sum_out_channel`) is the variable elimination the graph admits.
-The live assignments and their primitive products are derived once, at
-import (:data:`CHANNEL_PLAN`); a call only values them on its backend.
+with graded coefficients for a formal ``beta`` and float ones for a numeric
+one) and :func:`grid_backend` (the point masses widened into width-sigma
+kernels and sampled on an angle grid).  ``alpha`` is formal only: every live
+channel assignment pays it exactly once, at the counter or at the internal
+absorber, so N channels carry alpha^N in every term of every numerator and
+partition, and it cancels from each ratio.  The exact route keeps it graded
+(:data:`ALPHA`) and checks its order; the numeric backends give it the
+value 1, since any other number could only move the rounding.
 
-Three evaluation routes are provided and cross-checked:
+The channels meet only through the shared angle, so summing each channel's
+bits out on its own (:func:`sum_out_channel`) is the variable elimination
+the graph admits; its live assignments are derived once, at import
+(:data:`CHANNEL_PLAN`).  Three evaluation routes are cross-checked:
 
-* exact: the graded split backend (``alpha`` and ``beta`` formal),
-  eliminated per channel by :func:`sum_out_channel`; the channel sums are
-  contracted by :func:`contract_channels` at width 0, which integrates them
-  against each other over the shared angle without forming their product,
-  and limits are read off the graded coefficients;
+* exact: the graded split backend, eliminated per channel; the channel sums
+  are contracted by :func:`contract_channels` at width 0, and limits are
+  read off the graded coefficients;
 * regularized: the same factorized sums on the float split backend, and the
   same :func:`contract_channels` at width sigma, with no grid (handles the
   degenerate equal/orthogonal polarizer settings);
-* brute-force oracle: numeric parameters, full 2^8 scenario enumeration on
-  the grid backend with no graded algebra and no channel factorization.
-  Each factor is evaluated once per assignment of the bits it reads; the
-  scenarios that every factor lists are derived at import
-  (:data:`ORACLE_PLAN`), and each multiplies its scalar weight and then its
-  grid values out, one after another in one reused buffer, and integrates
-  them, each distinct product once.  The grid must resolve the kernel
-  (:func:`require_resolved`); unless given, :class:`Mrf3Params` sizes it
-  from sigma (:func:`sized_grid_n`).
+* brute-force oracle (:func:`brute_force_oracle`): numeric parameters, full
+  2^8 scenario enumeration on the grid backend, with no graded algebra and
+  no channel factorization.
 
 A channel's sums on the split backend depend on nothing but its setting and
-the two small parameters, so the exact and regularized routes and the
-triphoton graph take them from :func:`channel_sums`, which memoizes them per
-setting in a bounded LRU: the Bell rows' second arm, always at 0 degrees, is
-summed out once per sweep, not once per row.  The oracle keeps no memo; it stays the
-independent path, and a memo of its grid tables would hold arrays.
-
-The triphoton graph contracts three channels of the float split backend
-along the source's angle constraint, with the same :func:`contract_channels`;
-the modified-polarizer model of :mod:`bellfield.quantum` contracts each arm's
-pass and block splits through it too, as (detected, undetected).
-
-Only the oracle uses numpy: :func:`grid_backend` and
-:func:`brute_force_oracle` import it when called, so the exact and
-regularized routes and the triphoton graph run without loading it.
+``beta``, so the exact and regularized routes and the triphoton graph take
+them from the bounded memo of :func:`channel_sums`.  The oracle keeps no
+memo; it stays the independent path.  The triphoton graph contracts three
+channels of the float split backend along the source's angle constraint,
+with the same :func:`contract_channels`; the modified-polarizer model of
+:mod:`bellfield.quantum` contracts each arm's (pass, block) split through it
+too.  Only the oracle uses numpy, imported when :func:`grid_backend` or
+:func:`brute_force_oracle` is called.
 """
 
 from __future__ import annotations
@@ -99,8 +88,7 @@ CHANNELS = ("L", "R")
 ALPHA = GradedCoeff.alpha()
 BETA = GradedCoeff.beta()
 
-#: Bounds on the numeric small parameters; both are costs, far below one.
-MAX_ALPHA = 1.0
+#: Bound on the numeric conversion cost, far below one.
 MAX_BETA = 0.1
 
 #: Fewest grid cells per kernel width, sigma / (pi / grid_n), on the oracle.
@@ -170,11 +158,11 @@ class Mrf3Params:
     """Polarizer settings plus the model's numeric knobs, checked on
     construction.
 
-    ``alpha``, ``beta`` and ``sigma`` only matter to the numeric
-    (regularized / oracle) routes, ``grid_n`` only to the oracle (unless
-    given, sized from ``sigma`` by :func:`sized_grid_n`; a ``replace`` of
-    ``sigma`` sizes it anew and keeps a ``grid_n`` the caller gave); the
-    exact route treats the two small parameters as formal symbols.  A
+    ``beta`` and ``sigma`` only matter to the numeric (regularized / oracle)
+    routes, ``grid_n`` only to the oracle (unless given, sized from
+    ``sigma`` by :func:`sized_grid_n`; a ``replace`` of ``sigma`` sizes it
+    anew and keeps a ``grid_n`` the caller gave); the exact route treats
+    ``beta`` as formal, and ``alpha``, which cancels, is no knob.  A
     knob out of range raises :class:`ParameterError` naming it, whichever
     route will run; a finite ``sigma`` above pi/16 raises
     :class:`~bellfield.dist.SigmaTooCoarse`.  Whether the oracle's grid
@@ -183,14 +171,11 @@ class Mrf3Params:
 
     theta_a: PolAngle
     theta_b: PolAngle
-    alpha: float = 1e-2
     beta: float = 1e-3
     sigma: float = 1e-2
     grid_n: int | None = None
 
     def __post_init__(self):
-        if not 0 < self.alpha <= MAX_ALPHA:
-            raise ParameterError("alpha", f"must lie in (0, {MAX_ALPHA:g}], got {self.alpha}")
         if not 0 < self.beta <= MAX_BETA:
             raise ParameterError("beta", f"must lie in (0, {MAX_BETA:g}], got {self.beta}")
         if not 0 < self.sigma < math.inf:
@@ -255,7 +240,7 @@ CHANNEL_FACTORS: dict[str, Factor] = {
 }
 
 
-def split_backend(theta_p: PolAngle, alpha, beta) -> dict:
+def split_backend(theta_p: PolAngle, beta) -> dict:
     """Primitives in closed form, for the exact route and for
     :func:`~bellfield.dist.contract`.
 
@@ -264,11 +249,13 @@ def split_backend(theta_p: PolAngle, alpha, beta) -> dict:
     + sin 2theta_p sin 2theta), the block split a point mass at the
     orthogonal axis plus beta sin^2, the same tail with its harmonic negated.
     At theta_p = -pi/2 sin 2theta_p is taken as 0 (see :mod:`~bellfield.angles`).
-    ``alpha`` and ``beta`` are the formal :data:`ALPHA` and :data:`BETA`
-    (graded coefficients, the exact route) or numbers (float coefficients,
-    the point masses widened by the contraction).
+    A graded ``beta`` (:data:`BETA`, the exact route) gives graded
+    coefficients and ``alpha`` the formal :data:`ALPHA`; a float gives float
+    coefficients, the point masses widened by the contraction, and ``alpha``
+    the value 1.0.
     """
-    unit, zero = (GradedCoeff.one(), GradedCoeff.zero()) if isinstance(beta, GradedCoeff) else (1.0, 0.0)
+    graded = isinstance(beta, GradedCoeff)
+    unit, zero, alpha = (GradedCoeff.one(), GradedCoeff.zero(), ALPHA) if graded else (1.0, 0.0, 1.0)
     c = beta * (0.5 * math.cos(2 * theta_p.value))
     s = beta * (0.5 * math.sin(2 * theta_p.value)) if theta_p.value != -PI / 2 else zero
     half = beta * 0.5
@@ -282,13 +269,14 @@ def split_backend(theta_p: PolAngle, alpha, beta) -> dict:
     }
 
 
-def grid_backend(theta: np.ndarray, theta_p: float, alpha: float, beta: float, sigma: float) -> dict:
+def grid_backend(theta: np.ndarray, theta_p: float, beta: float, sigma: float) -> dict:
     """Primitives sampled at the photon angles ``theta`` (any shape).
 
     The split's point masses widen into width-``sigma`` wrapped Gaussians;
-    ``alpha`` and ``beta`` are numbers.  Both tails come from one cosine:
-    with u = (beta/2) cos 2(theta - theta_p), beta cos^2 = beta/2 + u and
-    beta sin^2 = beta/2 - u, each added in place onto its kernel.
+    ``beta`` is a number and ``alpha`` is 1.0, as on the float split.  Both
+    tails come from one cosine: with u = (beta/2) cos 2(theta - theta_p),
+    beta cos^2 = beta/2 + u and beta sin^2 = beta/2 - u, each added in place
+    onto its kernel.
     """
     import numpy as np
 
@@ -301,7 +289,7 @@ def grid_backend(theta: np.ndarray, theta_p: float, alpha: float, beta: float, s
     passed += half + u
     blocked = wrapped_gaussian(theta, theta_p + PI / 2, sigma)
     blocked += np.subtract(half, u, out=u)
-    return {"pass": passed, "block": blocked, "alpha": alpha, "beta": beta}
+    return {"pass": passed, "block": blocked, "alpha": 1.0, "beta": beta}
 
 
 def primitive_product(primitives: tuple, backend: Mapping):
@@ -370,7 +358,7 @@ def sum_out_channel(backend: Mapping) -> tuple:
     return tuple(functools.reduce(operator.add, terms) for terms in sums)
 
 
-#: Distinct (setting, alpha, beta, reflected) channel sums :func:`channel_sums`
+#: Distinct (setting, beta, reflected) channel sums :func:`channel_sums`
 #: keeps, least recently used first out.  A Bell sweep reuses one arm (its
 #: 0-degree one) between rows and the default triphoton scan cycles through
 #: its 5 angles, so 8 entries keep every repeat of a default experiment;
@@ -378,27 +366,27 @@ def sum_out_channel(backend: Mapping) -> tuple:
 CHANNEL_SUMS_MEMO = 8
 
 
-def channel_sums(theta_p: PolAngle, alpha, beta, reflected: bool = False) -> tuple:
-    """``sum_out_channel(split_backend(theta_p, alpha, beta))``, each sum
+def channel_sums(theta_p: PolAngle, beta, reflected: bool = False) -> tuple:
+    """``sum_out_channel(split_backend(theta_p, beta))``, each sum
     :meth:`~bellfield.dist.DistFn.reflected` if ``reflected``, memoized.
 
-    A channel's sums depend on nothing but its setting and the two small
-    parameters, so every route that pairs channels on the split backend
+    A channel's sums depend on nothing but its setting and ``beta`` (graded
+    or float), so every route that pairs channels on the split backend
     shares them: a Bell row's second arm at 0 degrees is summed out once per
     sweep, not once per row.  The memo keeps :data:`CHANNEL_SUMS_MEMO`
     entries, keyed on the exact ``theta_p.value`` with 0.0 and -0.0 apart
-    (their sin coefficients differ in sign), ``alpha`` and ``beta`` by value
-    and type, and ``reflected``.  The returned sums are shared between
+    (their sin coefficients differ in sign), ``beta`` by value and type, and
+    ``reflected``.  The returned sums are shared between
     callers and must not be modified; a call that raises caches nothing.
     """
     value = theta_p.value
-    return _memo_channel_sums(value, math.copysign(1.0, value), alpha, beta, reflected)
+    return _memo_channel_sums(value, math.copysign(1.0, value), beta, reflected)
 
 
 @functools.lru_cache(maxsize=CHANNEL_SUMS_MEMO, typed=True)
-def _memo_channel_sums(value: float, sign: float, alpha, beta, reflected: bool) -> tuple:
+def _memo_channel_sums(value: float, sign: float, beta, reflected: bool) -> tuple:
     # value is already reduced, so PolAngle keeps it bit for bit.
-    sums = sum_out_channel(split_backend(PolAngle(value), alpha, beta))
+    sums = sum_out_channel(split_backend(PolAngle(value), beta))
     return tuple(f.reflected() for f in sums) if reflected else sums
 
 
@@ -427,7 +415,7 @@ def contract_channels(sums: Sequence[tuple[DistFn, DistFn]], width: float) -> tu
 def channel_features(channel: str, theta_p: PolAngle) -> tuple[NodeFeature, ...]:
     """The channel's five factors as graph features, on the graded split backend."""
     features = []
-    for name, (reads, values) in factor_tables(split_backend(theta_p, ALPHA, BETA)).items():
+    for name, (reads, values) in factor_tables(split_backend(theta_p, BETA)).items():
         deps = tuple(var(channel, r) for r in reads)
         table = {bits: v if isinstance(v, DistFn) else DistFn.constant(v) for bits, v in values.items()}
 
@@ -462,6 +450,18 @@ def build_bell_graph(params: Mrf3Params) -> ScenarioGraph:
 # -- coincidence probability -------------------------------------------------------
 
 
+class ProbabilityOutOfRange(ArithmeticError):
+    """A computed probability more than 1e-9 outside [0, 1]."""
+
+
+def checked_probability(value: float) -> float:
+    """``value`` clamped into [0, 1] within 1e-9 of it (a near-collision
+    cancellation's rounding), else :class:`ProbabilityOutOfRange`."""
+    if not -1e-9 <= value <= 1 + 1e-9:
+        raise ProbabilityOutOfRange(f"probability out of range: {value!r}")
+    return min(max(value, 0.0), 1.0)
+
+
 @dataclass(frozen=True)
 class CoincidenceResult:
     probability: float
@@ -470,9 +470,7 @@ class CoincidenceResult:
     mode: str  # "exact" | "regularized"
 
     def __post_init__(self):
-        if not (-1e-9 <= self.probability <= 1 + 1e-9):
-            raise ValueError(f"probability out of range: {self.probability}")
-        object.__setattr__(self, "probability", min(max(self.probability, 0.0), 1.0))
+        object.__setattr__(self, "probability", checked_probability(self.probability))
 
 
 def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> CoincidenceResult:
@@ -483,14 +481,14 @@ def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> Coincide
     pairs each channel's total, both by :func:`contract_channels` with the
     right channel reflected, so that the shared angle is a sum constraint.
     Exact mode takes formal small parameters at width 0 and their joint
-    limit; it requires non-degenerate settings.  Regularized mode takes
-    numeric ones at width ``sigma`` and handles equal / orthogonal settings.
+    limit; it requires non-degenerate settings.  Regularized mode takes a
+    numeric ``beta`` at width ``sigma`` and handles equal / orthogonal settings.
     """
     if mode not in ("exact", "regularized"):
         raise ValueError(f"unknown mode: {mode!r}")
     exact = mode == "exact"
-    alpha, beta, width = (ALPHA, BETA, 0) if exact else (params.alpha, params.beta, params.sigma)
-    sums = (channel_sums(params.theta_a, alpha, beta), channel_sums(params.theta_b, alpha, beta, reflected=True))
+    beta, width = (BETA, 0) if exact else (params.beta, params.sigma)
+    sums = (channel_sums(params.theta_a, beta), channel_sums(params.theta_b, beta, reflected=True))
     num, den = contract_channels(sums, width)
     if not exact:
         return CoincidenceResult(
@@ -514,13 +512,14 @@ def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> Coincide
 
 
 def partition_ratio(num: float, den: float) -> float:
-    """A grid route's detected weight over its partition, once the partition
-    is checked to be nonzero and finite."""
+    """A numeric route's detected weight over its partition, once the
+    partition is checked to be nonzero and finite, as a
+    :func:`checked_probability`."""
     if den == 0.0:
         raise ZeroDivisionError("partition vanished")
     if not math.isfinite(den):
         raise OverflowError("partition is not finite; a kernel this narrow overflows float64 at its peak")
-    return num / den
+    return checked_probability(num / den)
 
 
 def _oracle_plan() -> tuple[tuple[bool, tuple[tuple[str, str, tuple], ...]], ...]:
@@ -575,7 +574,7 @@ def brute_force_oracle(params: Mrf3Params) -> CoincidenceResult:
         (ch, name, key): value
         for ch in CHANNELS
         for name, (_, table) in factor_tables(
-            grid_backend(grid, params.setting(ch).value, params.alpha, params.beta, params.sigma)
+            grid_backend(grid, params.setting(ch).value, params.beta, params.sigma)
         ).items()
         for key, value in table.items()
     }
@@ -629,7 +628,6 @@ class TriphotonGraph:
     """
 
     settings: tuple[PolAngle, PolAngle, PolAngle]
-    alpha: float
     beta: float
     sigma: float
     # No route reads it; only bench/tracer.py::_cells_measure does, until
@@ -638,7 +636,7 @@ class TriphotonGraph:
 
     def triple_coincidence(self) -> float:
         """Probability that all three counters fire, given the emission."""
-        sums = [channel_sums(s, self.alpha, self.beta) for s in self.settings]
+        sums = [channel_sums(s, self.beta) for s in self.settings]
         return partition_ratio(*contract_channels(sums, self.sigma))
 
 
@@ -650,10 +648,4 @@ def build_triphoton_graph(settings: tuple[PolAngle, PolAngle, PolAngle], params:
     """
     if len(settings) != 3:
         raise ValueError("exactly three polarizer settings required")
-    return TriphotonGraph(
-        settings=tuple(settings),
-        alpha=params.alpha,
-        beta=params.beta,
-        sigma=params.sigma,
-        grid_n=params.grid_n,
-    )
+    return TriphotonGraph(tuple(settings), beta=params.beta, sigma=params.sigma, grid_n=params.grid_n)

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .angles import PolAngle, reduce_degrees
-from .bell import Mrf3Params, ParameterError, brute_force_oracle, coincidence_probability
+from .bell import Mrf3Params, ParameterError, brute_force_oracle, checked_probability, coincidence_probability
 from .dist import SigmaTooCoarse
 from .quantum import bell_coincidence_qm, malus_chain, triphoton_compare
 
@@ -76,7 +76,6 @@ class ExperimentConfig:
 
     experiment: str = _key(_TEXT, "the experiment to run, the bare word of a command line")
     angles: list[float] = _key(_NUMBER_LIST, "comma-separated degrees", default_factory=list)
-    alpha: float = _key(_NUMBER, "absorption cost alpha (numeric routes)", default=1e-2)
     beta: float = _key(_NUMBER, "conversion cost beta (numeric routes)", default=1e-3)
     sigma: float | None = _key(_NUMBER, "kernel width in radians; per-experiment default when omitted", default=None)
     grid_n: int | None = _key(_INTEGER, "oracle grid points on [0, pi); sized from sigma when omitted", default=None)
@@ -145,6 +144,9 @@ class ResultRow:
     target: float | None
     runtime_ms: float
 
+    def __post_init__(self):
+        self.value = checked_probability(self.value)
+
     @property
     def abs_error(self) -> float | None:
         return None if self.target is None else abs(self.value - self.target)
@@ -155,6 +157,7 @@ def _fmt(x: float | None) -> str:
 
 
 def _timed(fn):
+    # A runner that reaches numpy imports it before its first call, so no runtime_ms holds the import.
     t0 = time.perf_counter()
     value = fn()
     return value, (time.perf_counter() - t0) * 1e3
@@ -164,7 +167,6 @@ def _mrf_params(config: ExperimentConfig, delta_deg: float) -> Mrf3Params:
     return Mrf3Params(
         theta_a=PolAngle.from_degrees(delta_deg),
         theta_b=PolAngle.from_degrees(0.0),
-        alpha=config.alpha,
         beta=config.beta,
         sigma=config.resolved_sigma(),
         grid_n=config.grid_n,
@@ -174,6 +176,8 @@ def _mrf_params(config: ExperimentConfig, delta_deg: float) -> Mrf3Params:
 def _run_bell_sweep(config: ExperimentConfig) -> list[ResultRow]:
     rows = []
     deltas = config.angles or DEFAULT_SWEEP
+    if config.mode in ("regularized", "both"):
+        import numpy  # noqa: F401
     for d in deltas:
         target = 0.5 * math.cos(math.radians(reduce_degrees(d))) ** 2
         params = _mrf_params(config, d)
@@ -191,6 +195,7 @@ def _run_bell_sweep(config: ExperimentConfig) -> list[ResultRow]:
 
 
 def _run_special_cases(config: ExperimentConfig) -> list[ResultRow]:
+    import numpy  # noqa: F401
     rows = []
     for d, target in ((0.0, 0.5), (90.0, 0.0)):
         params = _mrf_params(config, d)
@@ -207,6 +212,7 @@ def _run_limit_study(config: ExperimentConfig) -> list[ResultRow]:
     delta = config.angles[0] if config.angles else 30.0
     base = _mrf_params(config, delta)
     exact = coincidence_probability(base, "exact").probability
+    import numpy  # noqa: F401
     rows = []
     for beta in sorted(config.betas):
         previous: tuple[float, float] | None = None  # (sigma, value)
@@ -230,6 +236,7 @@ def _run_limit_study(config: ExperimentConfig) -> list[ResultRow]:
 def _run_malus_chain(config: ExperimentConfig) -> list[ResultRow]:
     settings = [PolAngle.from_degrees(d) for d in config.angles]
     initial = "unpolarized" if config.initial == "unpolarized" else PolAngle.from_degrees(float(config.initial))
+    import numpy  # noqa: F401
     value, ms = _timed(lambda: malus_chain(initial, settings))
     params = {
         "initial": config.initial,

@@ -39,7 +39,8 @@ Each model is written once, for N arms, and the Bell pair is its N = 2 call:
 
 Every photon, passed or blocked, ends in an absorber of the same cost
 2*alpha*beta, so neither modified route multiplies that cost in: no ratio
-reads it.
+reads it, and no modified route takes a value for alpha, which is formal
+only (see :mod:`bellfield.bell`).
 
 Only the density matrices use numpy: :func:`linear_state`, :func:`ghz_state`,
 :func:`circular_ghz_state`, :class:`DensityMatrix`, the traditional
@@ -56,7 +57,6 @@ from typing import TYPE_CHECKING, Literal, Sequence
 
 from .angles import PolAngle
 from .bell import (
-    ALPHA,
     BETA,
     Mrf3Params,
     build_triphoton_graph,
@@ -350,7 +350,7 @@ def apply_Mstar(ens: BranchEnsemble, subsystem: int, setting: PolarizerSetting) 
     tail's mean, beta/2.  Absorbed photons stay.  Normalization is a
     separate, explicitly nonlinear step (:func:`normalize_ensemble`).
     """
-    split = split_backend(setting.theta0, ALPHA, setting.beta_coeff)
+    split = split_backend(setting.theta0, setting.beta_coeff)
     perp = setting.theta0.perpendicular()
     sides = ((LinearTag(setting.theta0), split["pass"]), (LinearTag(perp), split["block"]))
     out: list[Branch] = []
@@ -431,7 +431,7 @@ def mstar_bell_coincidence(
     knobs = {k: v for k, v in (("beta", beta), ("sigma", sigma)) if v is not None}
     Mrf3Params(theta_a, theta_b, **knobs)
     if sigma is not None:
-        left, right = (split_backend(t, ALPHA, beta) for t in (theta_a, theta_b))
+        left, right = (split_backend(t, beta) for t in (theta_a, theta_b))
         pairs = ((left["pass"], left["block"]), (right["pass"].reflected(), right["block"].reflected()))
         return partition_ratio(*contract_channels(pairs, sigma))
 
@@ -475,7 +475,7 @@ def triphoton_compare(
     if params is None:
         raise ValueError(f"{model} model needs numeric params")
     if model == "Mstar":
-        splits = [split_backend(s, params.alpha, params.beta) for s in settings]
+        splits = [split_backend(s, params.beta) for s in settings]
         return partition_ratio(*contract_channels([(s["pass"], s["block"]) for s in splits], params.sigma))
     return build_triphoton_graph(settings, params).triple_coincidence()
 

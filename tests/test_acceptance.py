@@ -12,7 +12,6 @@ import numpy as np
 
 from bellfield.angles import PI, PolAngle
 from bellfield.bell import (
-    ALPHA,
     BETA,
     Mrf3Params,
     brute_force_oracle,
@@ -113,7 +112,7 @@ def test_criterion_4_factorization_identity():
         z_full = z_full + w
         if pred.holds(scenario.assignment):
             num_full = num_full + w
-    (pl, ml), (pr, mr) = (sum_out_channel(split_backend(params.setting(ch), ALPHA, BETA)) for ch in ("L", "R"))
+    (pl, ml), (pr, mr) = (sum_out_channel(split_backend(params.setting(ch), BETA)) for ch in ("L", "R"))
     ok = num_full == dist_integrate(dist_mul(pl, pr)) and z_full == dist_integrate(
         dist_mul(pl + ml, pr + mr)
     )

@@ -16,11 +16,11 @@ import bellfield.bell as bell
 from bellfield.bell import (
     ALPHA,
     BETA,
-    MAX_ALPHA,
     MAX_BETA,
     CHANNELS,
     CoincidenceResult,
     Mrf3Params,
+    ProbabilityOutOfRange,
     UnexpectedLeadingOrder,
     CHANNEL_BITS,
     CHANNEL_FACTORS,
@@ -107,7 +107,7 @@ def scalar_by_scalar_oracle(params: Mrf3Params, factors=CHANNEL_FACTORS) -> Coin
     grid = grid_points(params.grid_n)
     slot = {var(ch, g): k for k, (ch, g) in enumerate(itertools.product(CHANNELS, CHANNEL_BITS))}
     backends = {
-        ch: grid_backend(grid, params.setting(ch).value, params.alpha, params.beta, params.sigma) for ch in CHANNELS
+        ch: grid_backend(grid, params.setting(ch).value, params.beta, params.sigma) for ch in CHANNELS
     }
     tables = [
         (
@@ -160,7 +160,6 @@ class TestMrf3Params:
     @settings(max_examples=200, deadline=None)
     @given(
         st.one_of(
-            st.tuples(st.just("alpha"), beyond(MAX_ALPHA)),
             st.tuples(st.just("beta"), beyond(MAX_BETA)),
             # a finite sigma above pi/16 is the numerical SigmaTooCoarse, below
             st.tuples(st.just("sigma"), not_positive_finite),
@@ -200,8 +199,8 @@ class TestMrf3Params:
         assert dataclasses.replace(given_grid, sigma=other, grid_n=None).grid_n == sized_grid_n(other)
 
     def test_the_bounds_themselves_are_in_range(self):
-        params_for(30.0, alpha=MAX_ALPHA, beta=MAX_BETA, sigma=MAX_SIGMA, grid_n=MAX_GRID)
-        params_for(30.0, alpha=5e-324, beta=5e-324, sigma=5e-324, grid_n=1)
+        params_for(30.0, beta=MAX_BETA, sigma=MAX_SIGMA, grid_n=MAX_GRID)
+        params_for(30.0, beta=5e-324, sigma=5e-324, grid_n=1)
 
 
 # -- the oracle comes first: it is what pinned the 1/2 constant -----------------
@@ -224,12 +223,12 @@ ORACLE_SETTINGS = [
 ORACLE_SETTING_IDS = ["0deg", "30deg", "90deg", "11.6deg-sigma0.04", "45deg-sigma0.005-beta1e-2"]
 
 
-def two_transcendental_grid_backend(theta, theta_p, alpha, beta, sigma):
+def two_transcendental_grid_backend(theta, theta_p, beta, sigma):
     """The grid backend's tails as their definition reads, one cosine or sine each."""
     return {
         "pass": wrapped_gaussian(theta, theta_p, sigma) + beta * np.cos(theta - theta_p) ** 2,
         "block": wrapped_gaussian(theta, theta_p + PI / 2, sigma) + beta * np.sin(theta - theta_p) ** 2,
-        "alpha": alpha,
+        "alpha": 1.0,
         "beta": beta,
     }
 
@@ -242,7 +241,7 @@ class TestGridBackend:
         theta = axis if shape == "1d" else axis[:, None] + axis[None, :]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bell, "wrapped_gaussian", lambda grid, center, sigma: np.zeros_like(grid))
-            tails = grid_backend(theta, theta_p, 1e-2, beta, 0.01)
+            tails = grid_backend(theta, theta_p, beta, 0.01)
         bound = 4 * np.finfo(float).eps * beta
         assert np.max(np.abs(tails["pass"] - beta * np.cos(theta - theta_p) ** 2)) <= bound
         assert np.max(np.abs(tails["block"] - beta * np.sin(theta - theta_p) ** 2)) <= bound
@@ -368,7 +367,7 @@ class TestBruteForceOracle:
         params = params_for(delta)
         grid = grid_points(params.grid_n)
         backends = {
-            ch: grid_backend(grid, params.setting(ch).value, params.alpha, params.beta, params.sigma)
+            ch: grid_backend(grid, params.setting(ch).value, params.beta, params.sigma)
             for ch in CHANNELS
         }
         num = den = 0.0
@@ -407,18 +406,18 @@ class TestBruteForceOracle:
         assert len(want) == live
 
     def test_weights_that_underflow_match_the_scalar_walk(self):
-        # at alpha beta = 1e-100 the scenarios of the alternative exit rule in
-        # which both channels convert without a crystal photon weigh
-        # 4 (alpha beta)^4 = 0.0; the others weigh (alpha beta)^2 or so
-        params = params_for(30.0, alpha=1e-2, beta=1e-98)
-        assert 4 * (params.alpha * params.beta) ** 4 == 0.0
+        # at beta = 1e-98 (and alpha 1, as on every grid) the scenarios of the
+        # alternative exit rule in which both channels convert without a
+        # crystal photon weigh 4 beta^4 = 0.0; the others weigh beta^2 or so
+        params = params_for(30.0, beta=1e-98)
+        assert 4 * params.beta**4 == 0.0
         variant = scalar_by_scalar_oracle(params, WITHOUT_CRYSTAL_FACTORS)
         assert variant.probability == brute_force_oracle(params).probability
 
     def test_a_partition_that_underflows_is_refused(self):
-        # at alpha 1 and beta 1e-162, 8 of the 9 live scalar weights are below
-        # half the smallest subnormal, and the last one's products underflow
-        params = params_for(30.0, alpha=1.0, beta=1e-162)
+        # at beta 1e-162, 8 of the 9 live scalar weights are below half the
+        # smallest subnormal, and the last one's products underflow
+        params = params_for(30.0, beta=1e-162)
         for route in (brute_force_oracle, scalar_by_scalar_oracle):
             with pytest.raises(ZeroDivisionError, match="partition vanished"):
                 route(params)
@@ -431,7 +430,7 @@ class TestBruteForceOracle:
         grid = grid_points(params.grid_n)
         tables = {
             ch: factor_tables(
-                grid_backend(grid, params.setting(ch).value, params.alpha, params.beta, params.sigma)
+                grid_backend(grid, params.setting(ch).value, params.beta, params.sigma)
             ).values()
             for ch in CHANNELS
         }
@@ -621,25 +620,31 @@ class TestChannelSums:
     def test_plan_equals_sixteen_assignment_walk(self, theta):
         theta_p = PolAngle(theta)
         assert len(bell.CHANNEL_PLAN) == 3
-        for alpha, beta in ((ALPHA, BETA), (1e-2, 1e-3)):
-            backend = split_backend(theta_p, alpha, beta)
+        for beta in (BETA, 1e-3):
+            backend = split_backend(theta_p, beta)
             # graded values exactly, float ones bit for bit
             assert list(sum_out_channel(backend)) == self.sixteen_assignment_walk(backend)
         grid = grid_points(1000)
-        got = sum_out_channel(grid_backend(grid, theta_p.value, 1e-2, 1e-3, 0.01))
-        want = self.sixteen_assignment_walk(grid_backend(grid, theta_p.value, 1e-2, 1e-3, 0.01))
+        got = sum_out_channel(grid_backend(grid, theta_p.value, 1e-3, 0.01))
+        want = self.sixteen_assignment_walk(grid_backend(grid, theta_p.value, 1e-3, 0.01))
         assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+    def test_every_live_assignment_pays_alpha_once(self):
+        # at the counter or at the internal absorber: alpha^N factors out of
+        # every N-channel sum, so no ratio reads it
+        for _, factors in bell.CHANNEL_PLAN:
+            assert list(itertools.chain(*factors)).count("alpha") == 1
 
     def test_closed_form_structure(self):
         ta = PolAngle.from_degrees(20.0)
-        plus, minus = sum_out_channel(split_backend(PolAngle.from_degrees(20.0), ALPHA, BETA))
+        plus, minus = sum_out_channel(split_backend(PolAngle.from_degrees(20.0), BETA))
         two_ab = GradedCoeff.constant(2) * ALPHA * BETA
         assert plus.atom_weight_at(ta) == two_ab
         assert plus.c0 == two_ab * BETA * Fraction(1, 2)
         assert minus.atom_weight_at(ta.perpendicular()) == two_ab
 
     def test_sum_integrates_to_eighteen_form(self):
-        plus, minus = sum_out_channel(split_backend(PolAngle.from_degrees(20.0), ALPHA, BETA))
+        plus, minus = sum_out_channel(split_backend(PolAngle.from_degrees(20.0), BETA))
         expected = GradedCoeff({(1, 1): 4, (1, 2): 2 * PI_FRAC})
         assert dist_integrate(plus + minus) == expected
 
@@ -658,7 +663,7 @@ class TestChannelSums:
                 plus_e = plus_e + out
             else:
                 minus_e = minus_e + out
-        plus_c, minus_c = sum_out_channel(split_backend(PolAngle.from_degrees(20.0), ALPHA, BETA))
+        plus_c, minus_c = sum_out_channel(split_backend(PolAngle.from_degrees(20.0), BETA))
         assert plus_e == plus_c
         assert minus_e == minus_c
 
@@ -677,29 +682,29 @@ class TestChannelSumsMemo:
 
     @given(
         st.floats(-PI / 2, PI / 2, exclude_max=True),
-        st.one_of(st.just((ALPHA, BETA)), st.tuples(st.floats(1e-4, MAX_ALPHA), st.floats(1e-9, MAX_BETA))),
+        st.one_of(st.just(BETA), st.floats(1e-9, MAX_BETA)),
         st.booleans(),
     )
-    @example(0.0, (ALPHA, BETA), True)
-    @example(-0.0, (ALPHA, BETA), True)
-    @example(0.0, (1e-2, 1e-3), True)
-    @example(-0.0, (1e-2, 1e-3), True)
-    @example(-PI / 2, (ALPHA, BETA), False)
-    @example(-PI / 2, (1e-2, 1e-3), True)
+    @example(0.0, BETA, True)
+    @example(-0.0, BETA, True)
+    @example(0.0, 1e-3, True)
+    @example(-0.0, 1e-3, True)
+    @example(-PI / 2, BETA, False)
+    @example(-PI / 2, 1e-3, True)
     @settings(max_examples=60, deadline=None)
-    def test_equals_a_fresh_elimination(self, theta, alpha_beta, reflected):
+    def test_equals_a_fresh_elimination(self, theta, beta, reflected):
         theta_p = PolAngle(theta)
         assert theta_p.value.hex() == theta.hex()
-        fresh = sum_out_channel(split_backend(theta_p, *alpha_beta))
+        fresh = sum_out_channel(split_backend(theta_p, beta))
         if reflected:
             fresh = tuple(f.reflected() for f in fresh)
         for _ in range(2):  # the call that fills the memo, then one it serves
-            got = channel_sums(theta_p, *alpha_beta, reflected=reflected)
+            got = channel_sums(theta_p, beta, reflected=reflected)
             assert [exact_parts(f) for f in got] == [exact_parts(f) for f in fresh]
 
     def test_plus_and_minus_zero_are_kept_apart(self):
         channel_sums.cache_clear()
-        plus, minus = (channel_sums(PolAngle(v), 1e-2, 1e-3)[0] for v in (0.0, -0.0))
+        plus, minus = (channel_sums(PolAngle(v), 1e-3)[0] for v in (0.0, -0.0))
         assert plus.sin_coeffs[0].hex() == "0x0.0p+0"
         assert minus.sin_coeffs[0].hex() == "-0x0.0p+0"
         assert channel_sums.cache_info().currsize == 2
@@ -707,39 +712,38 @@ class TestChannelSumsMemo:
     def test_holds_no_more_than_its_bound(self):
         channel_sums.cache_clear()
         for k in range(bell.CHANNEL_SUMS_MEMO + 10):
-            channel_sums(PolAngle.from_degrees(k * 0.7), 1e-2, 1e-3, reflected=k % 2 == 1)
+            channel_sums(PolAngle.from_degrees(k * 0.7), 1e-3, reflected=k % 2 == 1)
         assert channel_sums.cache_info().currsize == bell.CHANNEL_SUMS_MEMO
 
     def test_serves_a_repeated_setting(self):
         channel_sums.cache_clear()
-        first = channel_sums(PolAngle.from_degrees(0.0), ALPHA, BETA, reflected=True)
-        assert channel_sums(PolAngle.from_degrees(0.0), ALPHA, BETA, reflected=True) is first
+        first = channel_sums(PolAngle.from_degrees(0.0), BETA, reflected=True)
+        assert channel_sums(PolAngle.from_degrees(0.0), BETA, reflected=True) is first
         # the float and the graded split of one setting are separate entries
-        assert channel_sums(PolAngle.from_degrees(0.0), 1e-2, 1e-3) is not channel_sums(
-            PolAngle.from_degrees(0.0), ALPHA, BETA
-        )
+        assert channel_sums(PolAngle.from_degrees(0.0), 1e-3) is not channel_sums(PolAngle.from_degrees(0.0), BETA)
 
     def test_caches_no_failure(self):
         channel_sums.cache_clear()
         with pytest.raises(TypeError):
-            channel_sums(PolAngle(0.3), 1e-2, "1e-3")
+            channel_sums(PolAngle(0.3), "1e-3")
         assert channel_sums.cache_info().currsize == 0
 
 
 class TestSplitBackend:
-    """One split function for both coefficient types: at numeric (alpha, beta)
-    it gives the graded split evaluated there, and so do its channel sums."""
+    """One split function for both coefficient types: at a numeric beta it
+    gives the graded split evaluated there at alpha 1, and so do its channel
+    sums."""
 
     @staticmethod
     def coefficients(f: DistFn) -> list:
         return [w for _, w in f.atoms] + [f.c0, *f.cos_coeffs, *f.sin_coeffs]
 
-    @given(st.floats(0.0, PI, exclude_max=True), st.floats(1e-4, MAX_ALPHA), st.floats(1e-9, MAX_BETA))
+    @given(st.floats(0.0, PI, exclude_max=True), st.floats(1e-9, MAX_BETA))
     @settings(max_examples=60, deadline=None)
-    def test_float_split_is_the_graded_split_evaluated(self, theta, alpha, beta):
+    def test_float_split_is_the_graded_split_evaluated(self, theta, beta):
         theta_p = PolAngle(theta)
-        graded = split_backend(theta_p, ALPHA, BETA)
-        numeric = split_backend(theta_p, alpha, beta)
+        graded = split_backend(theta_p, BETA)
+        numeric = split_backend(theta_p, beta)
         pairs = [(graded[p], numeric[p]) for p in ("pass", "block")]
         pairs += zip(sum_out_channel(graded), sum_out_channel(numeric), strict=True)
         for exact, got in pairs:
@@ -747,7 +751,7 @@ class TestSplitBackend:
             for want, value in zip(self.coefficients(exact), self.coefficients(got), strict=True):
                 assert type(value) is float
                 # below the smallest normal float only steps of 5e-324 remain
-                assert value == pytest.approx(want.eval(alpha, beta), rel=1e-15, abs=1e-321)
+                assert value == pytest.approx(want.eval(1.0, beta), rel=1e-15, abs=1e-321)
 
 
 class TestPrimitiveProduct:
@@ -764,10 +768,10 @@ class TestPrimitiveProduct:
         the contraction's kernels) coefficients, or the grid backend."""
         theta_p = PolAngle.from_degrees(20.0)
         if kind == "graded":
-            return split_backend(theta_p, ALPHA, BETA)
+            return split_backend(theta_p, BETA)
         if kind == "kernel":
-            return split_backend(theta_p, 1e-2, 1e-3)
-        return grid_backend(grid_points(1000), theta_p.value, 1e-2, 1e-3, 0.01)
+            return split_backend(theta_p, 1e-3)
+        return grid_backend(grid_points(1000), theta_p.value, 1e-3, 0.01)
 
     @pytest.mark.parametrize("kind", ["graded", "kernel", "grid"])
     def test_a_single_primitive_is_its_own_value(self, kind):
@@ -810,6 +814,13 @@ class TestCoincidenceExact:
         assert r.denominator.min_alpha_order() == 2
         assert min(r.numerator.at_alpha_order(2)) == 3
         assert min(r.denominator.at_alpha_order(2)) == 3
+
+    def test_every_term_carries_alpha_squared(self):
+        # every term, not only the leading one, so alpha^2 cancels from the ratio
+        rng = random.Random(29)
+        for _ in range(5):
+            r = coincidence_probability(params_for(rng.uniform(1.0, 89.0)), "exact")
+            assert {i for i, _ in r.numerator.terms} == {i for i, _ in r.denominator.terms} == {2}
 
     def test_degenerate_settings_collide(self):
         with pytest.raises(DeltaCollision):
@@ -948,7 +959,7 @@ class TestFactorization:
             z_full = z_full + w
             if pred.holds(scenario.assignment):
                 num_full = num_full + w
-        (pl, ml), (pr, mr) = (sum_out_channel(split_backend(params.setting(ch), ALPHA, BETA)) for ch in ("L", "R"))
+        (pl, ml), (pr, mr) = (sum_out_channel(split_backend(params.setting(ch), BETA)) for ch in ("L", "R"))
         num_fact = dist_integrate(dist_mul(pl, pr))
         z_fact = dist_integrate(dist_mul(pl + ml, pr + mr))
         assert num_full == num_fact  # exact GradedCoeff equality
@@ -957,12 +968,18 @@ class TestFactorization:
 
 class TestCoincidenceResult:
     def test_probability_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ProbabilityOutOfRange):
             CoincidenceResult(1.5, GradedCoeff.one(), GradedCoeff.one(), "exact")
 
     def test_tiny_negative_clamped(self):
         r = CoincidenceResult(-1e-12, GradedCoeff.one(), GradedCoeff.one(), "exact")
         assert r.probability == 0.0
+        assert CoincidenceResult(1 + 1e-9, GradedCoeff.one(), GradedCoeff.one(), "exact").probability == 1.0
+
+    @pytest.mark.parametrize("value", [-2e-9, 1 + 2e-9, math.nan])
+    def test_just_past_the_slack_is_refused(self, value):
+        with pytest.raises(ProbabilityOutOfRange):
+            CoincidenceResult(value, GradedCoeff.one(), GradedCoeff.one(), "exact")
 
 
 class TestTriphoton:
@@ -994,13 +1011,13 @@ class TestTriphoton:
 
     def test_channel_sums_have_two_plus_one_structure(self):
         # with all settings equal, each channel's sums on the grid must match
-        # the closed per-channel form 2*alpha*beta*(kernel + perp kernel + beta)
+        # the closed per-channel form 2*beta*(kernel + perp kernel + beta), alpha 1 on the grid
         p = self.tri_params()
         phi = PolAngle.from_degrees(30.0)
         g = build_triphoton_graph((phi, phi, phi), p)
         theta = grid_points(p.grid_n)[:, None] * np.ones((1, p.grid_n))
-        plus, minus = sum_out_channel(grid_backend(theta, phi.value, g.alpha, g.beta, g.sigma))
-        two_ab = 2 * p.alpha * p.beta
+        plus, minus = sum_out_channel(grid_backend(theta, phi.value, g.beta, g.sigma))
+        two_ab = 2 * p.beta
         expected_plus = two_ab * (
             wrapped_gaussian(theta, phi.value, p.sigma) + p.beta * np.cos(theta - phi.value) ** 2
         )
@@ -1045,16 +1062,15 @@ class TestCrossRoute:
     @settings(max_examples=25, deadline=None)
     @given(
         angles,
-        st.floats(1e-4, 1.0),
         st.floats(1e-4, 0.1),
         st.floats(0.005, PI / 16),
     )
-    def test_grid_sums_equal_regularized_graded_sums(self, theta, alpha, beta, sigma):
-        params = Mrf3Params(PolAngle(theta), PolAngle(0.0), alpha, beta, sigma, grid_n=512)
+    def test_grid_sums_equal_regularized_graded_sums(self, theta, beta, sigma):
+        params = Mrf3Params(PolAngle(theta), PolAngle(0.0), beta, sigma, grid_n=512)
         grid = grid_points(params.grid_n)
-        on_grid = sum_out_channel(grid_backend(grid, theta, alpha, beta, sigma))
-        for got, exact in zip(on_grid, sum_out_channel(split_backend(params.setting("L"), ALPHA, BETA))):
-            want = regularize(exact.substitute(alpha, beta), sigma, params.grid_n).samples
+        on_grid = sum_out_channel(grid_backend(grid, theta, beta, sigma))
+        for got, exact in zip(on_grid, sum_out_channel(split_backend(params.setting("L"), BETA))):
+            want = regularize(exact.substitute(1.0, beta), sigma, params.grid_n).samples
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @settings(max_examples=25, deadline=None)

@@ -180,9 +180,10 @@ class TestSizedGrid:
     def test_grid_n_8192_gives_the_8192_point_rows(self, tmp_path):
         # an explicit grid is used as given: these are the 8192-point values, bit for bit
         argv = ["bell-sweep", "--mode", "regularized", "--angles", "0,33.3,90", "--grid-n", "8192"]
-        assert self.oracle_row(tmp_path, *argv) == [0.4999999894957818, 0.34922817352751245, 1.0504217916142657e-08]
+        # (alpha, which cancels, is 1 on the grid; at 1e-2 they differed by rounding, up to 3e-16 relative)
+        assert self.oracle_row(tmp_path, *argv) == [0.4999999894957819, 0.3492281735275124, 1.0504217916142654e-08]
         argv = ["limit-study", "--grid-n", "8192"]
-        assert self.oracle_row(tmp_path, *argv) == [0.374551903866547, 0.3748510695738064, 0.37492597325509047]
+        assert self.oracle_row(tmp_path, *argv) == [0.3745519038665471, 0.37485106957380626, 0.37492597325509047]
 
     @pytest.mark.parametrize(
         "argv, knobs",
@@ -402,7 +403,6 @@ class TestOneDeclaration:
     TEXTS = {
         "experiment": "malus-chain",
         "angles": "10, 20,30",
-        "alpha": "0.02",
         "beta": "2e-3",
         "sigma": "0.03",
         "grid_n": "512",
@@ -438,7 +438,8 @@ class TestOneDeclaration:
     @pytest.mark.parametrize(
         "key, text",
         [
-            ("alpha", "abc"),
+            ("alpha", "abc"),  # no key: alpha cancels from every ratio
+            ("beta", "abc"),
             ("grid_n", "1.5"),
             ("mode", "quantum"),
             ("format", "xml"),
@@ -584,18 +585,29 @@ def _run_program(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
-#: Run in a fresh interpreter, so that no earlier import in the test process
-#: can hide one: whether numpy is loaded after importing the CLI, after the
-#: exact Bell sweep and the triphoton comparison, and after an oracle sweep.
-NUMPY_PROBE = """
+#: Records whether numpy is loaded as each timed call of the CLI starts.
+TIMED_PROBE = """
 import json, sys
 from bellfield import cli
+timed, at_start = cli._timed, []
+def probe(fn):
+    at_start.append("numpy" in sys.modules)
+    return timed(fn)
+cli._timed = probe
+"""
+
+#: Run in a fresh interpreter, so that no earlier import in the test process
+#: can hide one: whether numpy is loaded after importing the CLI, after the
+#: exact Bell sweep and the triphoton comparison, as an oracle sweep's first
+#: row starts its clock, and after that sweep.
+NUMPY_PROBE = TIMED_PROBE + """
 loaded = ["numpy" in sys.modules]
 for argv in (["bell-sweep", "--mode", "exact"], ["triphoton-compare", "--angles", "10,25,40"]):
     assert cli.main([*argv, "--output", sys.argv[1]]) == 0
     loaded.append("numpy" in sys.modules)
+at_start.clear()
 assert cli.main(["bell-sweep", "--mode", "regularized", "--format", "json", "--output", sys.argv[1]]) == 0
-loaded.append("numpy" in sys.modules)
+loaded += [at_start[0], "numpy" in sys.modules]
 print(json.dumps(loaded))
 """
 
@@ -606,11 +618,26 @@ def test_numpy_loads_only_for_the_oracle(tmp_path):
         [sys.executable, "-c", NUMPY_PROBE, str(child)], capture_output=True, text=True, env=_child_env(), timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == [False, False, False, True]
+    assert json.loads(result.stdout) == [False, False, False, True, True]
     here = tmp_path / "here.json"
     assert main(["bell-sweep", "--mode", "regularized", "--format", "json", "--output", str(here)]) == 0
     rows = [[{k: v for k, v in r.items() if k != "runtime_ms"} for r in json.loads(p.read_text())] for p in (child, here)]
     assert rows[0] == rows[1] and len(rows[0]) == 2 * len(cli.DEFAULT_SWEEP)
+
+
+@pytest.mark.parametrize("argv", [["special-cases"], ["limit-study"], ["malus-chain", "--angles", "0,45"]])
+def test_numpy_loads_before_the_first_timed_row(argv, tmp_path):
+    # a runner that reaches numpy imports it first, so no row's runtime_ms holds the import
+    probe = TIMED_PROBE + "assert cli.main([*sys.argv[2:], '--output', sys.argv[1]]) == 0\nprint(at_start[0])\n"
+    result = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path / "x.csv"), *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "True\n"
 
 
 FLAGS = ["--" + f.name.replace("_", "-") for f in fields(ExperimentConfig) if f.name != "experiment"]
@@ -652,13 +679,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="mode"):
             ExperimentConfig(experiment="bell-sweep", mode="quantum").validate()
 
-    def test_bad_alpha(self):
-        with pytest.raises(ConfigError, match="alpha"):
-            ExperimentConfig(experiment="bell-sweep", alpha=-1.0).validate()
+    def test_bad_alpha(self, tmp_path, capsys):
+        # alpha cancels from every ratio, so no value of it is a setting
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("experiment = bell-sweep\nalpha = 0.01\n")
+        for argv in (["bell-sweep", "--alpha", "0.01"], ["--config", str(cfg)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "configuration error: config key 'alpha': unknown configuration key\n"
 
     @pytest.mark.parametrize(
         "argv, key",
         [
+            # alpha is no key, whatever its value and on every experiment
             (["bell-sweep", "--alpha", "nan"], "alpha"),
             (["bell-sweep", "--beta", "inf"], "beta"),
             (["bell-sweep", "--sigma", "nan"], "sigma"),
@@ -695,6 +727,7 @@ class TestValidation:
             # an empty list would leave the table empty
             (["limit-study", "--sigmas", "0.04,0.02", "--betas", ","], "betas"),
             (["limit-study", "--sigmas", ",", "--betas", "1e-3,1e-2"], "sigmas"),
+            (["bell-sweep", "--alpha", "0.01"], "alpha"),
         ],
     )
     def test_rejected_input_exits_2(self, argv, key, tmp_path, capsys):
@@ -728,13 +761,13 @@ class TestValidation:
     def test_every_model_error_has_its_exit_code(self):
         # a model error neither typed nor numerical would escape main: exit 1
         import bellfield
-        from bellfield.bell import KernelUnresolved
+        from bellfield.bell import KernelUnresolved, ProbabilityOutOfRange
         from bellfield.mrf import ZeroPartition
         from bellfield.quantum import ZeroEnsemble
 
         exported = {getattr(bellfield, name) for name in bellfield.__all__}
         errors = {c for c in exported if isinstance(c, type) and issubclass(c, BaseException)}
-        errors |= {KernelUnresolved, ZeroEnsemble, ZeroPartition, ConfigError}
+        errors |= {KernelUnresolved, ProbabilityOutOfRange, ZeroEnsemble, ZeroPartition, ConfigError}
         assert len(errors) >= 10
         for error in errors:
             assert issubclass(error, ConfigError) != issubclass(error, cli.NUMERICAL_ERRORS), error
@@ -755,8 +788,8 @@ class TestValidation:
         assert "UnexpectedLeadingOrder" in capsys.readouterr().err
 
     def test_build_config_rejects_bad_number(self):
-        with pytest.raises(ConfigError, match="alpha"):
-            build_config({"alpha": "abc"}, {})
+        with pytest.raises(ConfigError, match="beta"):
+            build_config({"beta": "abc"}, {})
 
     def test_render_formats_twelve_digits(self):
         from bellfield.cli import ResultRow
@@ -820,17 +853,19 @@ degrees = st.one_of(st.floats(-720.0, 720.0), st.sampled_from([0.0, 90.0, 1e-10,
     st.sampled_from(["bell-sweep", "special-cases", "limit-study", "malus-chain", "triphoton-compare"]),
     numbers,
     numbers,
-    numbers,
     st.lists(degrees, min_size=3, max_size=3),
     st.sampled_from([-1, 0, 1, 96, 256, 300, MAX_GRID + 1, None]),
     st.sampled_from(["exact", "regularized", "both"]),
 )
 # the triphoton partition overflows; once printed as nan with exit 0
-@example("triphoton-compare", 1e-2, 1e-3, 5e-324, [0.0, 0.0, 0.0], 1, "both")
-def test_every_input_exits_0_2_or_3(experiment, alpha, beta, sigma, angles, grid_n, mode):
+@example("triphoton-compare", 1e-3, 5e-324, [0.0, 0.0, 0.0], 1, "both")
+# near-collision cancellations round the Mstar and MRF rows to about -5e-132;
+# once printed negative with exit 0
+@example("triphoton-compare", 5.316546483594361e-24, 8.075775409081829e-93, [90.0, 0.0, 0.0], None, "both")
+@example("triphoton-compare", 5.316546483594361e-24, 8.075775409081829e-93, [0.0, 1e-10, 89.9999999], 1, "both")
+def test_every_input_exits_0_2_or_3(experiment, beta, sigma, angles, grid_n, mode):
     argv = [
         experiment,
-        f"--alpha={alpha!r}",
         f"--beta={beta!r}",
         f"--sigma={sigma!r}",
         f"--angles={','.join(repr(a) for a in angles)}",

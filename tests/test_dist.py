@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bellfield.angles import PI, PolAngle
-from bellfield.bell import ALPHA, BETA, split_backend
+from bellfield.bell import BETA, split_backend
 from bellfield.dist import (
     KERNEL_REACH,
     MAX_HARMONIC,
@@ -99,8 +99,8 @@ class TestExactReflection:
         # change sign: the split takes it as 0
         for x in [-PI / 2, *self.ANGLES[:300]]:
             theta = PolAngle(x)
-            reflected = split_backend(theta, ALPHA, BETA)[part].reflected()
-            direct = split_backend(PolAngle(-theta.value), ALPHA, BETA)[part]
+            reflected = split_backend(theta, BETA)[part].reflected()
+            direct = split_backend(PolAngle(-theta.value), BETA)[part]
             assert reflected == direct
             assert [loc.value for loc, _ in reflected.atoms] == [loc.value for loc, _ in direct.atoms]
 
@@ -143,7 +143,7 @@ class TestDistMul:
         assert not dist_mul(cos_squared(PolAngle(0.3)), cos_squared(PolAngle(0.9))).is_zero
 
     def test_float_coefficients_refused(self):
-        split = split_backend(PolAngle(0.3), 1e-2, 1e-3)
+        split = split_backend(PolAngle(0.3), 1e-3)
         for f, g in (
             (split["pass"], split["block"]),
             (split["pass"], cos_squared(PolAngle(0.9))),
@@ -225,7 +225,7 @@ class TestDistInner:
         assert contract([f, f.reflected()], 0) == GradedCoeff.constant(HALF) * PI_FRAC
 
     def test_float_coefficients_refused(self):
-        split = split_backend(PolAngle(0.3), 1e-2, 1e-3)
+        split = split_backend(PolAngle(0.3), 1e-3)
         for f, g in (
             (split["pass"], split["block"]),
             (split["pass"], cos_squared(PolAngle(0.9))),

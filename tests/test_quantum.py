@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from bellfield.angles import PI, PolAngle
 from bellfield.bell import (
-    ALPHA,
     BETA,
     Mrf3Params,
     ParameterError,
@@ -200,7 +199,7 @@ class TestCircularGhz:
         state = circular_ghz_state(3)
         for _ in range(50):
             settings3 = [PolAngle(t) for t in rng.uniform(-PI, PI, 3)]
-            sums = [sum_out_channel(split_backend(t, 1e-2, 1e-9)) for t in settings3]
+            sums = [sum_out_channel(split_backend(t, 1e-9)) for t in settings3]
             num, den = contract_channels(sums, 1e-6)
             assert num / den == pytest.approx(born_all_pass(settings3, state), rel=0, abs=1e-10)
 
@@ -342,7 +341,7 @@ class TestApplyMstarReadsTheSplit:
     @given(angles, betas)
     def test_source_branch_takes_each_split(self, theta0, beta):
         setting = PolarizerSetting(PolAngle(theta0), beta)
-        split = split_backend(setting.theta0, ALPHA, setting.beta_coeff)
+        split = split_backend(setting.theta0, setting.beta_coeff)
         out = apply_Mstar(bell_source_ensemble(), 0, setting)
         assert [b.angle_weight for b in out.branches] == [
             dist_mul(DistFn.one(), split[side]) for side in ("pass", "block")

@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 from bellfield.angles import PI, PolAngle
 from bellfield.bell import (
     ABSORBER_COST,
-    ALPHA,
     BETA,
     Mrf3Params,
+    channel_sums,
     contract_channels,
     grid_backend,
     partition_ratio,
@@ -61,7 +61,7 @@ def grid_mrf(settings3, params: Mrf3Params) -> float:
     sums sampled once, contracted by :func:`constrained_sum`."""
     axis = grid_points(params.grid_n)
     sums = [
-        sum_out_channel(grid_backend(axis, s.value, params.alpha, params.beta, params.sigma)) for s in settings3
+        sum_out_channel(grid_backend(axis, s.value, params.beta, params.sigma)) for s in settings3
     ]
     num = constrained_sum(*(detected for detected, _ in sums))
     den = constrained_sum(*(detected + undetected for detected, undetected in sums))
@@ -72,7 +72,7 @@ def grid_mstar(settings3, params: Mrf3Params, order) -> float:
     """The branch ensemble on the 1-D axis: the all-pass branch over the sum
     of all 2^3 branches, each a :func:`constrained_sum` in application order."""
     axis = grid_points(params.grid_n)
-    splits = [grid_backend(axis, settings3[arm].value, params.alpha, params.beta, params.sigma) for arm in order]
+    splits = [grid_backend(axis, settings3[arm].value, params.beta, params.sigma) for arm in order]
     num = constrained_sum(*(split["pass"] for split in splits))
     den = constrained_sum(*(split["pass"] + split["block"] for split in splits))
     return num / den
@@ -87,7 +87,7 @@ def photon_angles_2d(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def reference_mrf(settings3, params: Mrf3Params) -> float:
     sums = [
-        sum_out_channel(grid_backend(theta, s.value, params.alpha, params.beta, params.sigma))
+        sum_out_channel(grid_backend(theta, s.value, params.beta, params.sigma))
         for theta, s in zip(photon_angles_2d(params.grid_n), settings3)
     ]
     num = sums[0][0] * sums[1][0] * sums[2][0]
@@ -102,13 +102,13 @@ def reference_mstar(settings3, params: Mrf3Params, order) -> float:
     thetas = photon_angles_2d(params.grid_n)
     branches = [(np.ones_like(thetas[2]), {})]
     for arm in order:
-        split = grid_backend(thetas[arm], settings3[arm].value, params.alpha, params.beta, params.sigma)
+        split = grid_backend(thetas[arm], settings3[arm].value, params.beta, params.sigma)
         branches = [
             item
             for w, passed in branches
             for item in ((w * split["pass"], {**passed, arm: True}), (w * split["block"], {**passed, arm: False}))
         ]
-    cost = primitive_product(ABSORBER_COST, {"alpha": params.alpha, "beta": params.beta}) ** 3
+    cost = primitive_product(ABSORBER_COST, {"alpha": 1.0, "beta": params.beta}) ** 3
     cell = (PI / params.grid_n) ** 2
     num = den = 0.0
     for w, passed in branches:
@@ -165,9 +165,9 @@ class TestAgainstTwoDimensionalReference:
         assert mstar == pytest.approx(reference_mstar(settings3, params, order), rel=1e-12, abs=0)
 
 
-def n_photon_mrf(settings_n, alpha: float, beta: float, sigma: float) -> float:
+def n_photon_mrf(settings_n, beta: float, sigma: float) -> float:
     """The graph route over any number of channels, in closed form."""
-    sums = [sum_out_channel(split_backend(s, alpha, beta)) for s in settings_n]
+    sums = [sum_out_channel(split_backend(s, beta)) for s in settings_n]
     num = contract([detected for detected, _ in sums], sigma)
     den = contract([detected + undetected for detected, undetected in sums], sigma)
     return num / den
@@ -223,7 +223,7 @@ class TestDiscriminatingSignature:
     def test_four_photons_depend_on_the_setting_sum_only(self, first, free):
         second = (*free, (sum(first) - sum(free)) % 180.0)
         p = self.PARAMS
-        a, b = (n_photon_mrf(degrees(s), p.alpha, p.beta, p.sigma) for s in (first, second))
+        a, b = (n_photon_mrf(degrees(s), p.beta, p.sigma) for s in (first, second))
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_qm_tells_equal_sums_apart(self):
@@ -281,8 +281,8 @@ class TestClosedFormContraction:
                 n, sigma, beta = 128, 0.05, rng.choice([1e-2, 1e-4])
                 thetas = [rng.uniform(0.0, PI) for _ in range(photons)]
                 axis = grid_points(n)
-                closed = [sum_out_channel(split_backend(PolAngle(t), 1e-2, beta)) for t in thetas]
-                grid = [sum_out_channel(grid_backend(axis, t, 1e-2, beta, sigma)) for t in thetas]
+                closed = [sum_out_channel(split_backend(PolAngle(t), beta)) for t in thetas]
+                grid = [sum_out_channel(grid_backend(axis, t, beta, sigma)) for t in thetas]
                 for part in (0, 1):
                     want = constrained_sum(*(g[part] for g in grid)) * (PI / n) ** (photons - 1)
                     got = contract([c[part] for c in closed], sigma)
@@ -298,7 +298,7 @@ class TestClosedFormContraction:
             limit = math.cos(sum(thetas)) ** 2 / 2 ** (photons - 1)
             if limit < 0.01 / 2 ** (photons - 1):
                 continue  # near a zero of the limit a relative bound says nothing
-            got = n_photon_mrf([PolAngle(t) for t in thetas], 1e-2, 1e-12, 1e-8)
+            got = n_photon_mrf([PolAngle(t) for t in thetas], 1e-12, 1e-8)
             assert got == pytest.approx(limit, rel=1e-9, abs=0), thetas
 
     def test_float_arms_without_c0_give_a_float(self):
@@ -311,7 +311,7 @@ class TestClosedFormContraction:
 
     def test_graded_arms_at_a_positive_width_are_refused(self):
         # a positive width means float kernel values, which would turn a graded sum into floats in disguise
-        left, right = (sum_out_channel(split_backend(PolAngle(t), ALPHA, BETA))[0] for t in (0.3, 1.1))
+        left, right = (sum_out_channel(split_backend(PolAngle(t), BETA))[0] for t in (0.3, 1.1))
         with pytest.raises(TypeError, match="contract"):
             contract([left, right.reflected()], 0.01)
 
@@ -324,7 +324,7 @@ class TestClosedFormContraction:
             limit = math.cos(sum(thetas)) ** 2 / 4
             if limit < 0.01 / 4:
                 continue  # near a zero of the limit the leading coefficient cancels
-            sums = [sum_out_channel(split_backend(PolAngle(t), ALPHA, BETA)) for t in thetas]
+            sums = [sum_out_channel(split_backend(PolAngle(t), BETA)) for t in thetas]
             num = contract([detected for detected, _ in sums], 0)
             den = contract([detected + undetected for detected, undetected in sums], 0)
             assert coeff_ratio_limit(num, den) == pytest.approx(limit, abs=1e-9), thetas
@@ -338,10 +338,20 @@ class TestClosedFormContraction:
             limit = math.cos(sum(thetas)) ** 2 / 8
             if limit < 0.01 / 8:
                 continue  # near a zero of the limit the leading coefficient cancels
-            sums = [sum_out_channel(split_backend(PolAngle(t), ALPHA, BETA)) for t in thetas]
+            sums = [sum_out_channel(split_backend(PolAngle(t), BETA)) for t in thetas]
             num = contract([detected for detected, _ in sums], 0)
             den = contract([detected + undetected for detected, undetected in sums], 0)
             assert coeff_ratio_limit(num, den) == pytest.approx(limit, abs=1e-9), thetas
+
+    @pytest.mark.parametrize("photons", [3, 4])
+    def test_every_term_carries_alpha_to_the_photon_count(self, photons):
+        # each channel pays alpha once, so alpha^N factors out of every term of
+        # both sums, not only the leading one, and cancels from their ratio
+        rng = random.Random(30 + photons)
+        for _ in range(5):
+            sums = [channel_sums(PolAngle(t), BETA) for t in settings_off_collisions(rng, photons, 0.05)]
+            for total in contract_channels(sums, 0):
+                assert {i for i, _ in total.terms} == {photons}
 
     @pytest.mark.parametrize("photons", PHOTONS)
     def test_graded_split_equals_the_model_value(self, photons):
@@ -350,7 +360,7 @@ class TestClosedFormContraction:
         rng = random.Random(18 + photons)
         for _ in range(20):
             thetas = settings_off_collisions(rng, photons, 0.05)
-            sums = [sum_out_channel(split_backend(PolAngle(t), ALPHA, BETA)) for t in thetas]
+            sums = [sum_out_channel(split_backend(PolAngle(t), BETA)) for t in thetas]
             num, den = contract_channels(sums, 0)
             for beta in (1e-6, 1e-3, 1e-1):
                 want = model_value(sum(thetas), beta, photons)
@@ -364,9 +374,9 @@ class TestClosedFormContraction:
         for _ in range(30):
             thetas = settings_off_collisions(rng, photons, 0.02)
             beta = 10 ** rng.uniform(-6.0, -1.0)
-            sums = [sum_out_channel(split_backend(PolAngle(t), 1e-2, beta)) for t in thetas]
+            sums = [sum_out_channel(split_backend(PolAngle(t), beta)) for t in thetas]
             if photons == 2:  # a Bell pair: its second arm at minus its angle, reflected
-                minus = sum_out_channel(split_backend(PolAngle(-thetas[1]), 1e-2, beta))
+                minus = sum_out_channel(split_backend(PolAngle(-thetas[1]), beta))
                 sums[1] = tuple(f.reflected() for f in minus)
             got = partition_ratio(*contract_channels(sums, 1e-8))
             assert got == pytest.approx(model_value(sum(thetas), beta, photons), rel=1e-11, abs=0), (thetas, beta)
