@@ -25,8 +25,10 @@ value 1, since any other number could only move the rounding.
 
 The channels meet only through the shared angle, so summing each channel's
 bits out on its own (:func:`sum_out_channel`) is the variable elimination
-the graph admits; its live assignments are derived once, at import
-(:data:`CHANNEL_PLAN`).  Three evaluation routes are cross-checked:
+the graph admits.  A channel's live assignments are derived once, at import
+(:data:`CHANNEL_PLAN`), the one view of :data:`CHANNEL_FACTORS` that the
+closed-form sums and the oracle both walk.  Three evaluation routes are
+cross-checked:
 
 * exact: the graded split backend, eliminated per channel; the channel sums
   are contracted by :func:`contract_channels` at width 0, and limits are
@@ -35,7 +37,8 @@ the graph admits; its live assignments are derived once, at import
   same :func:`contract_channels` at width sigma, with no grid (handles the
   degenerate equal/orthogonal polarizer settings);
 * brute-force oracle (:func:`brute_force_oracle`): numeric parameters, full
-  2^8 scenario enumeration on the grid backend, with no graded algebra and
+  2^8 scenario enumeration on the grid backend, its 9 live scenarios the
+  pairs of the two channels' live assignments, with no graded algebra and
   no channel factorization.
 
 A channel's sums on the split backend depend on nothing but its setting and
@@ -308,30 +311,21 @@ def factor_tables(backend: Mapping) -> dict[str, Factor]:
     }
 
 
-def _live_assignments() -> list[tuple[bool, tuple[tuple[str, tuple], ...]]]:
+def _elimination_plan() -> tuple[tuple[bool, tuple[tuple, ...]], ...]:
     """The channel assignments every factor lists, in lexicographic order:
-    whether the counter fires in each, and each factor's (name, bits read),
-    in factor order."""
-    live = []
+    whether the counter fires in each, and the nonempty primitive products
+    of its factors, in factor order."""
+    plan = []
     for bits in itertools.product((0, 1), repeat=len(CHANNEL_BITS)):
         local = dict(zip(CHANNEL_BITS, bits))
-        keys = tuple((name, tuple(local[r] for r in reads)) for name, (reads, _) in CHANNEL_FACTORS.items())
-        if all(key in CHANNEL_FACTORS[name][1] for name, key in keys):
-            live.append((bool(local["gamma_C"] or local["gamma_W"]), keys))
-    return live
-
-
-def _elimination_plan() -> tuple[tuple[bool, tuple[tuple, ...]], ...]:
-    """The live channel assignments: whether the counter fires in each, and
-    the nonempty primitive products of its factors, in factor order."""
-    return tuple(
-        (fires, tuple(prims for name, key in keys if (prims := CHANNEL_FACTORS[name][1][key])))
-        for fires, keys in _live_assignments()
-    )
+        products = [values.get(tuple(local[r] for r in reads)) for reads, values in CHANNEL_FACTORS.values()]
+        if all(prims is not None for prims in products):
+            plan.append((bool(local["gamma_C"] or local["gamma_W"]), tuple(prims for prims in products if prims)))
+    return tuple(plan)
 
 
 #: One channel's live assignments (three of the sixteen), derived once from
-#: :data:`CHANNEL_FACTORS`.
+#: :data:`CHANNEL_FACTORS`: the closed-form sums and the oracle both walk it.
 CHANNEL_PLAN = _elimination_plan()
 
 
@@ -522,25 +516,6 @@ def partition_ratio(num: float, den: float) -> float:
     return checked_probability(num / den)
 
 
-def _oracle_plan() -> tuple[tuple[bool, tuple[tuple[str, str, tuple], ...]], ...]:
-    """The scenarios of both channels that every factor lists, in
-    lexicographic order of their eight bits (the left channel's most
-    significant): whether every counter fires, and per feature in order,
-    channel by channel and factor by factor, its (channel, factor, bits) key.
-    They are the pairs of live channel assignments, since the channels share
-    no bit."""
-    live = _live_assignments()
-    channels = [[(fires, tuple((ch, name, key) for name, key in keys)) for fires, keys in live] for ch in CHANNELS]
-    return tuple(
-        (all(fires for fires, _ in pair), tuple(itertools.chain.from_iterable(keys for _, keys in pair)))
-        for pair in itertools.product(*channels)
-    )
-
-
-#: The oracle's live scenarios, derived once: 9 of the 2^8.
-ORACLE_PLAN = _oracle_plan()
-
-
 def brute_force_oracle(params: Mrf3Params) -> CoincidenceResult:
     """Fully independent numeric evaluation of the coincidence probability.
 
@@ -550,61 +525,55 @@ def brute_force_oracle(params: Mrf3Params) -> CoincidenceResult:
     factorization -- this is the cross-check the other routes are measured
     against.  The grid follows sigma unless given (:func:`sized_grid_n`).
 
-    Each factor's value table comes from the grid backend, evaluated once
-    per assignment of the bits the factor reads, so the grid kernels are
-    sampled four times per call.  The scenarios that some factor leaves out
-    weigh zero; the others, in lexicographic order, are listed once, at
-    import (:data:`ORACLE_PLAN`), with the key of each feature's value.  A
-    scenario's scalar weight is the product of its scalar values in feature
-    order, the products a scenario-by-scenario walk takes; one that
-    underflowed to zero is skipped.  The rest multiply that weight by their
-    array values over the grid, in one reused buffer and in feature order
-    (the bits of ``weight * A_1 * A_2 * ...``), and add its integral to the
-    sums.  Scenarios that share a product -- the same weight and the same
-    array objects, as the four detected x detected ones share pass_L *
-    pass_R -- form and integrate it once, for the first of them, and the
-    later ones add that integral in their own turn, so the sums take the
-    same bits.
+    The scenarios that some factor leaves out weigh zero; the others are the
+    pairs of the two channels' live assignments (:data:`CHANNEL_PLAN`), since
+    the channels share no bit, and ``itertools.product`` pairs them in the
+    lexicographic order of the eight bits.  Each channel's assignments are
+    valued on the grid backend, so the grid kernels are sampled four times
+    per call.  A scenario's scalar weight is the left channel's scalar
+    values, then the right's, multiplied left to right from one, the
+    products a scenario-by-scenario walk takes (the empty products the plan
+    drops are one); one that underflowed to zero is skipped.  The rest
+    multiply that weight by their array values over the grid, in one reused
+    buffer and in factor order (the bits of ``weight * A_1 * A_2 * ...``),
+    and add its integral to the sums.  Scenarios that pair the same two plan
+    entries share that product, as the four detected x detected ones share
+    pass_L * pass_R: it is formed and integrated once, for the first of
+    them, and the later ones add that integral in their own turn, so the
+    sums take the same bits.
     """
     import numpy as np
 
     require_resolved(params.sigma, params.grid_n)
     grid = grid_points(params.grid_n)
-    values = {
-        (ch, name, key): value
-        for ch in CHANNELS
-        for name, (_, table) in factor_tables(
-            grid_backend(grid, params.setting(ch).value, params.beta, params.sigma)
-        ).items()
-        for key, value in table.items()
-    }
+    channels = []
+    for ch in CHANNELS:
+        backend = grid_backend(grid, params.setting(ch).value, params.beta, params.sigma)
+        live = []
+        for entry in CHANNEL_PLAN:
+            values = [primitive_product(prims, backend) for prims in entry[1]]
+            scalars = [v for v in values if not isinstance(v, np.ndarray)]
+            live.append((entry, scalars, [v for v in values if isinstance(v, np.ndarray)]))
+        channels.append(live)
 
     num = 0.0
     den = 0.0
     cell = PI / params.grid_n
     product = np.empty_like(grid)
     integrals: dict[tuple, float] = {}
-    for coincident, keys in ORACLE_PLAN:
-        scalar = 1.0
-        arrays = []
-        for key in keys:
-            value = values[key]
-            if isinstance(value, np.ndarray):
-                arrays.append(value)
-            else:
-                scalar *= value
+    for (left, left_scalars, left_arrays), (right, right_scalars, right_arrays) in itertools.product(*channels):
+        scalar = functools.reduce(operator.mul, left_scalars + right_scalars, 1.0)
         if scalar == 0.0:
             continue
-        shared = (scalar, *map(id, arrays))
-        weight = integrals.get(shared)
+        weight = integrals.get((left, right))
         if weight is None:
-            first, *rest = arrays
+            first, *rest = left_arrays + right_arrays
             np.multiply(first, scalar, out=product)
             for array in rest:
                 product *= array
-            weight = integrals[shared] = float(product.sum()) * cell
+            weight = integrals[left, right] = float(product.sum()) * cell
         den += weight
-        if coincident:
+        if left[0] and right[0]:
             num += weight
     return CoincidenceResult(
         partition_ratio(num, den), GradedCoeff.constant(num), GradedCoeff.constant(den), "regularized"

@@ -61,6 +61,7 @@ from bellfield.dist import (
 from bellfield.graded import GradedCoeff, coeff_ratio_limit
 from bellfield.mrf import forward_fold, relative_probability, tally_events
 from bellfield.quantum import triphoton_compare
+from test_triphoton import model_value
 
 PI_FRAC = Fraction(math.pi)
 
@@ -91,12 +92,6 @@ WITHOUT_CRYSTAL_FACTORS = {
         {**CHANNEL_FACTORS["exit"][1], (0, 1, 0): ("beta",), (0, 0, 1): ("beta",)},
     ),
 }
-
-
-#: The exit rule every oracle case runs, named in the case's id: False, no
-#: circular output without a crystal photon.  Only the scalar walk runs the
-#: alternative, :data:`WITHOUT_CRYSTAL_FACTORS`.
-oracle_exit_rule = pytest.mark.parametrize("exit_beta", [False])
 
 
 def scalar_by_scalar_oracle(params: Mrf3Params, factors=CHANNEL_FACTORS) -> CoincidenceResult:
@@ -247,8 +242,7 @@ class TestGridBackend:
         assert np.max(np.abs(tails["block"] - beta * np.sin(theta - theta_p) ** 2)) <= bound
 
     @pytest.mark.parametrize("params", ORACLE_SETTINGS, ids=ORACLE_SETTING_IDS)
-    @oracle_exit_rule
-    def test_oracle_barely_moves_from_the_two_transcendental_tails(self, monkeypatch, params, exit_beta):
+    def test_oracle_barely_moves_from_the_two_transcendental_tails(self, monkeypatch, params):
         got = brute_force_oracle(params).probability
         monkeypatch.setattr(bell, "grid_backend", two_transcendental_grid_backend)
         want = brute_force_oracle(params).probability
@@ -287,6 +281,23 @@ class TestBruteForceOracle:
         ]
         assert all(a > b for a, b in zip(errors, errors[1:])), errors
 
+    def test_sigma_error_against_the_beta_closed_form_is_below_half_sigma_squared(self):
+        # Away from the overlap window of the equal and orthogonal settings,
+        # where the kernels at a distance d weigh g = exp(-d^2/4 sigma^2) /
+        # (2 sigma sqrt(pi)) against the tails' beta, the oracle differs from
+        # the zero-width value at the configured beta by its sigma part only.
+        checked = 0
+        for sigma, beta in itertools.product((0.04, 0.02, 0.01, 0.005), (1e-2, 1e-3)):
+            for delta in range(181):
+                d = abs(math.remainder(math.radians(delta), PI / 2))
+                if math.exp(-(d**2) / (4 * sigma**2)) / (2 * sigma * math.sqrt(PI)) > 1e-6 * beta:
+                    continue
+                got = brute_force_oracle(params_for(float(delta), sigma=sigma, beta=beta)).probability
+                want = model_value(math.radians(delta), beta, 2)
+                assert abs(got - want) <= sigma**2 / 2, (delta, sigma, beta, got, want)
+                checked += 1
+        assert checked == 1120
+
     def test_alternative_exit_rule_is_immaterial(self):
         base = brute_force_oracle(params_for(30.0)).probability
         toggled = scalar_by_scalar_oracle(params_for(30.0), WITHOUT_CRYSTAL_FACTORS).probability
@@ -298,8 +309,7 @@ class TestBruteForceOracle:
         with pytest.raises(ValueError):
             brute_force_oracle(params_for(30.0, grid_n=128))
 
-    @oracle_exit_rule
-    def test_four_kernel_evaluations_per_call(self, monkeypatch, exit_beta):
+    def test_four_kernel_evaluations_per_call(self, monkeypatch):
         calls = []
 
         def counting(grid, center, sigma):
@@ -325,10 +335,9 @@ class TestBruteForceOracle:
         assert oracle.numerator == reference.numerator
         assert oracle.denominator == reference.denominator
 
-    @oracle_exit_rule
     @pytest.mark.parametrize("grid_n", [256, 8192])
     @pytest.mark.parametrize("sigma", [0.04, 0.1, MAX_SIGMA])
-    def test_wide_kernels_equal_scalar_by_scalar_walk(self, sigma, grid_n, exit_beta):
+    def test_wide_kernels_equal_scalar_by_scalar_walk(self, sigma, grid_n):
         # a kernel's window spans the whole grid here
         params = params_for(33.3, sigma=sigma, grid_n=grid_n)
         reference = scalar_by_scalar_oracle(params)
@@ -360,8 +369,7 @@ class TestBruteForceOracle:
         brute_force_oracle(params_for(30.0, sigma=sigma, grid_n=n))
 
     @pytest.mark.parametrize("delta", [30.0, 0.0, 90.0])
-    @oracle_exit_rule
-    def test_matches_scenario_by_scenario_reference(self, delta, exit_beta):
+    def test_matches_scenario_by_scenario_reference(self, delta):
         # Every factor is re-evaluated from its primitives in every scenario,
         # the way the oracle's definition reads.
         params = params_for(delta)
@@ -389,21 +397,27 @@ class TestBruteForceOracle:
         oracle = brute_force_oracle(params)
         assert oracle.probability == pytest.approx(num / den, abs=1e-14)
 
-    @pytest.mark.parametrize("exit_beta, live", [(False, 9)])
-    def test_plan_lists_every_live_scenario_in_lexicographic_order(self, exit_beta, live):
-        # a walk over all 2^8 scenarios keeps those every factor lists
+    def test_plan_lists_every_live_scenario_in_lexicographic_order(self):
+        # a walk over all 2^8 scenarios keeps those every factor lists, each
+        # with its both-counters-fire flag and, per side, the nonempty
+        # primitive products of its factors in factor order; the oracle pairs
+        # the channel plan's entries to the same list
         want = []
         for bits in itertools.product((0, 1), repeat=8):
             local = {ch: dict(zip(CHANNEL_BITS, bits[4 * i : 4 * i + 4])) for i, ch in enumerate(CHANNELS)}
-            keys = tuple(
-                (ch, name, tuple(local[ch][r] for r in reads))
+            sides = [
+                [values.get(tuple(local[ch][r] for r in reads)) for reads, values in CHANNEL_FACTORS.values()]
                 for ch in CHANNELS
-                for name, (reads, _) in CHANNEL_FACTORS.items()
-            )
-            if all(key in CHANNEL_FACTORS[name][1] for _, name, key in keys):
-                want.append((all(local[ch]["gamma_C"] or local[ch]["gamma_W"] for ch in CHANNELS), keys))
-        assert bell.ORACLE_PLAN == tuple(want)
-        assert len(want) == live
+            ]
+            if all(prims is not None for side in sides for prims in side):
+                fires = all(local[ch]["gamma_C"] or local[ch]["gamma_W"] for ch in CHANNELS)
+                want.append((fires, tuple(tuple(prims for prims in side if prims) for side in sides)))
+        got = [
+            (left_fires and right_fires, (left, right))
+            for (left_fires, left), (right_fires, right) in itertools.product(bell.CHANNEL_PLAN, repeat=2)
+        ]
+        assert got == want
+        assert len(want) == 9
 
     def test_weights_that_underflow_match_the_scalar_walk(self):
         # at beta = 1e-98 (and alpha 1, as on every grid) the scenarios of the
@@ -423,8 +437,7 @@ class TestBruteForceOracle:
                 route(params)
 
     @pytest.mark.parametrize("params", ORACLE_SETTINGS, ids=ORACLE_SETTING_IDS)
-    @oracle_exit_rule
-    def test_equals_name_keyed_scenario_loop(self, params, exit_beta):
+    def test_equals_name_keyed_scenario_loop(self, params):
         # The same loop keyed by variable names instead of bit positions: the
         # same factor values, multiplied and summed in the same order.
         grid = grid_points(params.grid_n)

@@ -691,43 +691,79 @@ class TestValidation:
         "argv, key",
         [
             # alpha is no key, whatever its value and on every experiment
-            (["bell-sweep", "--alpha", "nan"], "alpha"),
-            (["bell-sweep", "--beta", "inf"], "beta"),
-            (["bell-sweep", "--sigma", "nan"], "sigma"),
-            (["bell-sweep", "--sigma", "-1"], "sigma"),
-            (["bell-sweep", "--grid-n", "100"], "grid_n"),
-            (["special-cases", "--grid-n", "255"], "grid_n"),
-            (["limit-study", "--grid-n", "128"], "grid_n"),
-            (["triphoton-compare", "--angles", "10,20,30", "--grid-n", "-5"], "grid_n"),
-            (["malus-chain", "--angles", "0", "--initial", "nan"], "initial"),
-            (["limit-study", "--sigmas", "0.01,0.01"], "sigmas"),
-            (["limit-study", "--sigmas", "0.01", "--betas", "1e-3,1e-3"], "betas"),
-            (["limit-study", "--sigmas", "0,0.01"], "sigmas"),
-            (["bell-sweep", "--mode", "regularized", "--angles", "30", "--beta", "0.2"], "beta"),
-            (["special-cases", "--beta", "0.2"], "beta"),
-            (["triphoton-compare", "--angles", "10,20,30", "--beta", "0.2"], "beta"),
-            (["limit-study", "--betas", "0.2,0.3"], "betas"),
-            (["bell-sweep", "--angles", "30", "--alpha", "1e300"], "alpha"),
-            (["triphoton-compare", "--angles", "10,20,30", "--alpha", "1e300"], "alpha"),
-            (["bell-sweep", "--mode", "exact", "--angles", "3e-11"], "angles"),
-            (["bell-sweep", "--mode", "regularized", "--angles", "30", "--grid-n", str(MAX_GRID + 1)], "grid_n"),
-            (["special-cases", "--grid-n", str(MAX_GRID + 1)], "grid_n"),
-            (["limit-study", "--grid-n", str(MAX_GRID + 1)], "grid_n"),
-            (["triphoton-compare", "--angles", "10,20,30", "--grid-n", str(MAX_GRID + 1)], "grid_n"),
+            pytest.param(["bell-sweep", "--alpha", "nan"], "alpha", id="alpha-nan"),
+            pytest.param(["bell-sweep", "--beta", "inf"], "beta", id="beta-inf"),
+            pytest.param(["bell-sweep", "--sigma", "nan"], "sigma", id="sigma-nan"),
+            pytest.param(["bell-sweep", "--sigma", "-1"], "sigma", id="sigma-negative"),
+            pytest.param(["bell-sweep", "--grid-n", "100"], "grid_n", id="grid_n-100-bell-sweep"),
+            pytest.param(["special-cases", "--grid-n", "255"], "grid_n", id="grid_n-255-special-cases"),
+            pytest.param(["limit-study", "--grid-n", "128"], "grid_n", id="grid_n-128-limit-study"),
+            pytest.param(
+                ["triphoton-compare", "--angles", "10,20,30", "--grid-n", "-5"],
+                "grid_n",
+                id="grid_n-negative-triphoton",
+            ),
+            pytest.param(["malus-chain", "--angles", "0", "--initial", "nan"], "initial", id="initial-nan"),
+            pytest.param(["limit-study", "--sigmas", "0.01,0.01"], "sigmas", id="sigmas-repeated"),
+            pytest.param(["limit-study", "--sigmas", "0.01", "--betas", "1e-3,1e-3"], "betas", id="betas-repeated"),
+            pytest.param(["limit-study", "--sigmas", "0,0.01"], "sigmas", id="sigmas-zero"),
+            pytest.param(
+                ["bell-sweep", "--mode", "regularized", "--angles", "30", "--beta", "0.2"],
+                "beta",
+                id="beta-0.2-bell-sweep",
+            ),
+            pytest.param(["special-cases", "--beta", "0.2"], "beta", id="beta-0.2-special-cases"),
+            pytest.param(
+                ["triphoton-compare", "--angles", "10,20,30", "--beta", "0.2"], "beta", id="beta-0.2-triphoton"
+            ),
+            pytest.param(["limit-study", "--betas", "0.2,0.3"], "betas", id="betas-above-max"),
+            pytest.param(["bell-sweep", "--angles", "30", "--alpha", "1e300"], "alpha", id="alpha-1e300-bell-sweep"),
+            pytest.param(
+                ["triphoton-compare", "--angles", "10,20,30", "--alpha", "1e300"], "alpha", id="alpha-1e300-triphoton"
+            ),
+            pytest.param(
+                ["bell-sweep", "--mode", "exact", "--angles", "3e-11"], "angles", id="angles-exact-near-equal"
+            ),
+            pytest.param(
+                ["bell-sweep", "--mode", "regularized", "--angles", "30", "--grid-n", str(MAX_GRID + 1)],
+                "grid_n",
+                id="grid_n-above-max-bell-sweep",
+            ),
+            pytest.param(
+                ["special-cases", "--grid-n", str(MAX_GRID + 1)], "grid_n", id="grid_n-above-max-special-cases"
+            ),
+            pytest.param(["limit-study", "--grid-n", str(MAX_GRID + 1)], "grid_n", id="grid_n-above-max-limit-study"),
+            pytest.param(
+                ["triphoton-compare", "--angles", "10,20,30", "--grid-n", str(MAX_GRID + 1)],
+                "grid_n",
+                id="grid_n-above-max-triphoton",
+            ),
             # the bounds hold on every experiment, as grid_n's range does
-            (["malus-chain", "--angles", "10", "--alpha", "5"], "alpha"),
-            (["malus-chain", "--angles", "10", "--beta", "0.5"], "beta"),
-            (["bell-sweep", "--mode", "exact", "--angles", "30", "--alpha", "5"], "alpha"),
-            (["malus-chain", "--angles", "10", "--grid-n", "0"], "grid_n"),
-            (["bell-sweep", "--mode", "exact", "--angles", "30", "--sigma", "inf"], "sigma"),
-            (["limit-study", "--sigmas", "0.01,nan"], "sigmas"),
+            pytest.param(["malus-chain", "--angles", "10", "--alpha", "5"], "alpha", id="alpha-5-malus-chain"),
+            pytest.param(["malus-chain", "--angles", "10", "--beta", "0.5"], "beta", id="beta-0.5-malus-chain"),
+            pytest.param(
+                ["bell-sweep", "--mode", "exact", "--angles", "30", "--alpha", "5"],
+                "alpha",
+                id="alpha-5-bell-sweep-exact",
+            ),
+            pytest.param(["malus-chain", "--angles", "10", "--grid-n", "0"], "grid_n", id="grid_n-0-malus-chain"),
+            pytest.param(
+                ["bell-sweep", "--mode", "exact", "--angles", "30", "--sigma", "inf"],
+                "sigma",
+                id="sigma-inf-bell-sweep-exact",
+            ),
+            pytest.param(["limit-study", "--sigmas", "0.01,nan"], "sigmas", id="sigmas-nan"),
             # refused by a route after it computed rows: the table is written whole or not at all
-            (["limit-study", "--sigmas", "0.02,1e-300"], "sigmas"),
-            (["bell-sweep", "--mode", "both", "--angles", "30", "--sigma", "1e-300"], "sigma"),
+            pytest.param(["limit-study", "--sigmas", "0.02,1e-300"], "sigmas", id="sigmas-unresolved-after-rows"),
+            pytest.param(
+                ["bell-sweep", "--mode", "both", "--angles", "30", "--sigma", "1e-300"],
+                "sigma",
+                id="sigma-unresolved-after-rows",
+            ),
             # an empty list would leave the table empty
-            (["limit-study", "--sigmas", "0.04,0.02", "--betas", ","], "betas"),
-            (["limit-study", "--sigmas", ",", "--betas", "1e-3,1e-2"], "sigmas"),
-            (["bell-sweep", "--alpha", "0.01"], "alpha"),
+            pytest.param(["limit-study", "--sigmas", "0.04,0.02", "--betas", ","], "betas", id="betas-empty"),
+            pytest.param(["limit-study", "--sigmas", ",", "--betas", "1e-3,1e-2"], "sigmas", id="sigmas-empty"),
+            pytest.param(["bell-sweep", "--alpha", "0.01"], "alpha", id="alpha-0.01"),
         ],
     )
     def test_rejected_input_exits_2(self, argv, key, tmp_path, capsys):
