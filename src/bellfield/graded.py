@@ -19,6 +19,14 @@ rationals, built at a fraction of the cost.  Ints, ``Fraction`` values and
 finite floats are accepted at the boundary and converted losslessly (every
 float is a rational, ``float.as_integer_ratio``); the queries hand
 coefficients back as ``Fraction`` values.
+
+The polynomials the routes combine mostly hold one or two terms, so an
+operation costs about what its integers cost only if nothing else runs per
+operand or per term: ``+`` and ``*`` read a graded operand's pairs directly,
+take a scalar operand as the one reduced pair of its (0, 0) term, with no
+polynomial built around it, write the sum of two pairs out in their loops
+rather than calling a helper per term, and build each result straight into
+its ``_terms`` slot.  ``one()`` and ``zero()`` are shared constants.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from typing import Mapping, Tuple, Union
 Scalar = Union[int, float, Fraction]
 Key = Tuple[int, int]  # (alpha exponent, beta exponent)
 Ratio = Tuple[int, int]  # (numerator, denominator), reduced, denominator > 0
+_SCALARS = (int, float, Fraction)
 
 
 class MismatchedAlphaOrder(ArithmeticError):
@@ -59,40 +68,15 @@ def _ratio(x: Scalar) -> Ratio:
     raise TypeError(f"unsupported coefficient type: {type(x).__name__}")
 
 
-def _sum(n1: int, d1: int, n2: int, d2: int) -> Ratio:
-    """``n1/d1 + n2/d2`` of two reduced pairs, reduced: the denominators'
-    common factor found once, and only it can divide the new numerator."""
-    g = gcd(d1, d2)
-    if g == 1:
-        return n1 * d2 + n2 * d1, d1 * d2
-    s = d1 // g
-    t = n1 * (d2 // g) + n2 * s
-    g2 = gcd(t, g)
-    if g2 == 1:
-        return t, s * d2
-    return t // g2, s * (d2 // g2)
-
-
-def _accumulate(out: dict[Key, Ratio], k: Key, n: int, d: int) -> None:
-    """Add the reduced pair ``n/d`` into ``out[k]``, keeping ``out`` in its
-    stored form: a sum that cancels to zero removes the key."""
-    if k in out:
-        total = _sum(*out[k], n, d)
-        if total[0]:
-            out[k] = total
-        else:
-            del out[k]
-    else:
-        out[k] = (n, d)
-
-
 class GradedCoeff:
     """Polynomial ``sum c_ij * alpha^i * beta^j``.
 
     Immutable.  Holds ``{(i, j): (numerator, denominator)}``, each pair
     reduced with a positive denominator, so that equal polynomials hold equal
-    dicts and hash alike.  Terms with a zero coefficient are never stored.
-    The hash is computed on first use and kept.
+    dicts.  Terms with a zero coefficient are never stored.  A constant
+    hashes as its value, so that it hashes like the scalar it equals; any
+    other polynomial hashes its terms.  The hash is computed on first use
+    and kept.
     """
 
     __slots__ = ("_terms", "_hash")
@@ -105,15 +89,7 @@ class GradedCoeff:
             r = _ratio(c)
             if r[0]:
                 clean[(i, j)] = r
-        object.__setattr__(self, "_terms", clean)
-
-    @classmethod
-    def _trusted(cls, terms: dict[Key, Ratio]) -> "GradedCoeff":
-        """Wrap ``terms`` without re-checking them: the arithmetic's results,
-        already reduced nonzero pairs."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "_terms", terms)
-        return out
+        _set_terms(self, clean)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("GradedCoeff is immutable")
@@ -130,7 +106,7 @@ class GradedCoeff:
 
     @classmethod
     def one(cls) -> "GradedCoeff":
-        return cls.constant(1)
+        return _ONE  # immutable, safe to share
 
     @classmethod
     def term(cls, c: Scalar, alpha_exp: int = 0, beta_exp: int = 0) -> "GradedCoeff":
@@ -197,75 +173,126 @@ class GradedCoeff:
         return float(sum(Fraction(n, d) * a**i * b**j for (i, j), (n, d) in self._terms.items()))
 
     # -- arithmetic ---------------------------------------------------------
-
-    def _coerce(self, other) -> "GradedCoeff | None":
-        if isinstance(other, GradedCoeff):
-            return other
-        if isinstance(other, (int, float, Fraction)):
-            r = _ratio(other)
-            return GradedCoeff._trusted({(0, 0): r}) if r[0] else _ZERO
-        return None
+    #
+    # Written out with no helper per operand or per term (see the module
+    # docstring): a frame would cost more than the arithmetic of the one- or
+    # two-term polynomials the routes combine.
 
     def __add__(self, other) -> "GradedCoeff":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o._terms:
+        if type(other) is GradedCoeff:
+            theirs = other._terms.items()
+            if not self._terms:
+                return other
+        else:
+            try:
+                r = _ratio(other)
+            except TypeError:
+                return NotImplemented
+            theirs = (((0, 0), r),) if r[0] else ()
+        if not theirs:
             return self
-        if not self._terms:
-            return o
         out = dict(self._terms)
-        for k, (n2, d2) in o._terms.items():
-            _accumulate(out, k, n2, d2)
-        return GradedCoeff._trusted(out)
+        for k, (n2, d2) in theirs:
+            old = out.get(k)
+            if old is None:
+                out[k] = n2, d2
+                continue
+            # n1/d1 + n2/d2, reduced: the denominators' common factor is
+            # found once, and only it can divide the new numerator
+            n1, d1 = old
+            g = gcd(d1, d2)
+            if g == 1:
+                n, d = n1 * d2 + n2 * d1, d1 * d2
+            else:
+                s = d1 // g
+                n = n1 * (d2 // g) + n2 * s
+                g = gcd(n, g)
+                n, d = n // g, s * (d2 // g)
+            if n:
+                out[k] = n, d
+            else:
+                del out[k]
+        result = _new(GradedCoeff)
+        _set_terms(result, out)
+        return result
 
     __radd__ = __add__
 
     def __neg__(self) -> "GradedCoeff":
-        return GradedCoeff._trusted({k: (-n, d) for k, (n, d) in self._terms.items()})
+        result = _new(GradedCoeff)
+        _set_terms(result, {k: (-n, d) for k, (n, d) in self._terms.items()})
+        return result
 
     def __sub__(self, other) -> "GradedCoeff":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        if type(other) is GradedCoeff or isinstance(other, _SCALARS):
+            return self + (-other)  # negating a scalar is exact
+        return NotImplemented
 
     def __rsub__(self, other) -> "GradedCoeff":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        if isinstance(other, _SCALARS):
+            return -self + other
+        return NotImplemented
 
     def __mul__(self, other) -> "GradedCoeff":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not (self._terms and o._terms):
+        if type(other) is GradedCoeff:
+            theirs = other._terms.items()
+        else:
+            try:
+                r = _ratio(other)
+            except TypeError:
+                return NotImplemented
+            theirs = (((0, 0), r),) if r[0] else ()
+        if not (self._terms and theirs):
             return _ZERO
         out: dict[Key, Ratio] = {}
         for (i1, j1), (n1, d1) in self._terms.items():
-            for (i2, j2), (n2, d2) in o._terms.items():
+            for (i2, j2), (n2, d2) in theirs:
                 # (n1/d1)(n2/d2) with each numerator's common factor with the
                 # other denominator divided out: reduced, as both pairs are
                 g1, g2 = gcd(n1, d2), gcd(n2, d1)
                 n, d = (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
-                _accumulate(out, (i1 + i2, j1 + j2), n, d)
-        return GradedCoeff._trusted(out)
+                k = (i1 + i2, j1 + j2)
+                old = out.get(k)
+                if old is None:
+                    out[k] = n, d
+                    continue
+                # old + n/d, reduced as in __add__
+                m, e = old
+                g = gcd(e, d)
+                if g == 1:
+                    n, d = m * d + n * e, e * d
+                else:
+                    s = e // g
+                    n = m * (d // g) + n * s
+                    g = gcd(n, g)
+                    n, d = n // g, s * (d // g)
+                if n:
+                    out[k] = n, d
+                else:
+                    del out[k]
+        result = _new(GradedCoeff)
+        _set_terms(result, out)
+        return result
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
+        if type(other) is GradedCoeff:
+            return self._terms == other._terms
+        try:
+            r = _ratio(other)
+        except TypeError:
             return NotImplemented
-        return self._terms == o._terms
+        except ValueError:  # NaN and the infinities equal no polynomial
+            return False
+        return self._terms == ({(0, 0): r} if r[0] else {})
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
-            h = hash(frozenset(self._terms.items()))
-            object.__setattr__(self, "_hash", h)
+            h = hash(self.constant_value()) if self.is_constant else hash(frozenset(self._terms.items()))
+            _set_hash(self, h)
             return h
 
     def __bool__(self) -> bool:
@@ -285,7 +312,13 @@ class GradedCoeff:
         return f"GradedCoeff({' + '.join(parts)})"
 
 
+#: Where results are built: past the immutability guard, into the slots.
+_new = object.__new__
+_set_terms = GradedCoeff._terms.__set__
+_set_hash = GradedCoeff._hash.__set__
+
 _ZERO = GradedCoeff()
+_ONE = GradedCoeff({(0, 0): 1})
 
 
 def coeff_ratio_limit(num: GradedCoeff, den: GradedCoeff) -> float:

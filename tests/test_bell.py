@@ -735,6 +735,17 @@ class TestChannelSumsMemo:
         # the float and the graded split of one setting are separate entries
         assert channel_sums(PolAngle.from_degrees(0.0), 1e-3) is not channel_sums(PolAngle.from_degrees(0.0), BETA)
 
+    def test_a_constant_graded_beta_is_not_its_float(self):
+        # equal, and hashed alike, but typed apart: the graded split of a
+        # constant beta and the float split are separate entries
+        channel_sums.cache_clear()
+        graded, number = GradedCoeff.constant(1e-3), 1e-3
+        assert graded == number and hash(graded) == hash(number)
+        theta = PolAngle.from_degrees(30.0)
+        assert channel_sums(theta, graded) is not channel_sums(theta, number)
+        assert channel_sums.cache_info().currsize == 2
+        assert channel_sums(theta, graded) is channel_sums(theta, GradedCoeff.constant(1e-3))
+
     def test_caches_no_failure(self):
         channel_sums.cache_clear()
         with pytest.raises(TypeError):

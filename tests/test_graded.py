@@ -1,4 +1,6 @@
 import math
+import operator
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -108,6 +110,11 @@ class TestConstruction:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             GradedCoeff({(0, 0): float("nan")})
+
+    def test_zero_and_one_are_shared(self):
+        assert GradedCoeff.zero() is GradedCoeff.zero()
+        assert GradedCoeff.one() is GradedCoeff.one()
+        assert GradedCoeff.one().terms == {(0, 0): Fraction(1)}
 
     def test_eval(self):
         g = GradedCoeff({(2, 3): 8, (2, 4): 4})
@@ -269,8 +276,14 @@ class TestBoundary:
         for op in (lambda: x + bad, lambda: bad + x, lambda: x - bad, lambda: bad - x, lambda: x * bad, lambda: bad * x):
             with pytest.raises(ValueError):
                 op()
-        with pytest.raises(ValueError):
-            x == bad  # noqa: B015
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_equals_no_polynomial(self, bad):
+        for g in (GradedCoeff.zero(), GradedCoeff.one(), GradedCoeff.alpha() + 2):
+            assert (g == bad) is False and (bad == g) is False
+            assert (g != bad) is True
+        assert GradedCoeff.one() not in [1.5, bad]
+        assert GradedCoeff.one() in [bad, 1.0]
 
     @pytest.mark.parametrize("bad", [1j, 1 + 0j, "1"])
     def test_complex_or_str_raises_type_error(self, bad):
@@ -322,3 +335,84 @@ class TestBoundary:
     def test_beta_order_at_an_alpha_order_is_the_lowest_key(self, g, order):
         assume(g.at_alpha_order(order))
         assert g.min_beta_order(alpha_order=order) == min(g.at_alpha_order(order))
+
+
+# Every scalar type the arithmetic accepts.  Unbounded floats reach the
+# subnormals, both zeros and the largest exponents; the examples pin them.
+scalar = st.one_of(
+    st.integers(-(2**80), 2**80),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.fractions(max_denominator=10**12),
+)
+
+
+def assert_stored_form(g: GradedCoeff) -> None:
+    """The pairs ``g`` holds: reduced ints, positive denominators, no zero."""
+    for n, d in g._terms.values():
+        assert type(n) is int and type(d) is int
+        assert n != 0 and d > 0 and math.gcd(n, d) == 1
+
+
+class TestScalarOperands:
+    """A scalar operand enters the arithmetic as one reduced pair, with no
+    polynomial built around it; each operation must still give what the
+    same operation with the scalar's constant polynomial gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(wide_graded, scalar)
+    @example(GradedCoeff({(0, 0): 1, (2, 3): Fraction(-1, 3)}), 5e-324)
+    @example(GradedCoeff({(0, 0): Fraction(1, 2)}), -0.5)
+    @example(GradedCoeff({(1, 1): 3}), -0.0)
+    @example(GradedCoeff({(0, 0): 2.0**-1074 * 3}), 1.7976931348623157e308)
+    @example(GradedCoeff(), True)
+    @example(GradedCoeff({(0, 0): -1}), True)
+    @example(GradedCoeff({(4, 0): 0.75}), Fraction(4, 3))
+    def test_equals_the_operation_with_the_constant(self, g, s):
+        c = GradedCoeff.constant(s)
+        for got, want in (
+            (g * s, g * c),
+            (s * g, c * g),
+            (g + s, g + c),
+            (s + g, c + g),
+            (g - s, g - c),
+            (s - g, c - g),
+        ):
+            assert type(got) is GradedCoeff
+            assert got == want
+            assert got.terms == want.terms == GradedCoeff(got.terms).terms
+            assert hash(got) == hash(want)
+            assert_stored_form(got)
+
+    @pytest.mark.parametrize("bad", [1j, "1", None, [1], Decimal(1)])
+    def test_unsupported_operand_raises_type_error(self, bad):
+        g = GradedCoeff.alpha() + 1
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(g, bad)
+            with pytest.raises(TypeError):
+                op(bad, g)
+        assert (g == bad) is False
+
+
+class TestHashContract:
+    """Equal values hash alike: a constant polynomial hashes as the scalar
+    it equals, so the two are one set member or dict key."""
+
+    @settings(max_examples=300)
+    @given(scalar)
+    @example(2)
+    @example(True)
+    @example(False)
+    @example(-0.0)
+    @example(0.5)
+    @example(Fraction(6, 3))
+    def test_a_constant_hashes_like_its_scalar(self, s):
+        g = GradedCoeff.constant(s)
+        assert g == s and s == g
+        assert hash(g) == hash(s)
+        assert len({g, s}) == 1
+
+    def test_zero_hashes_like_zero(self):
+        assert hash(GradedCoeff.zero()) == hash(0)
+        assert {GradedCoeff.zero(), 0, 0.0, False, Fraction(0)} == {0}

@@ -44,6 +44,8 @@ def test_every_experiment_exits_0(spans):
 @pytest.mark.parametrize(
     "name",
     [
+        "graded.mul",
+        "graded.add",
         "quantum.bell_coincidence_qm",
         "quantum.dephase",
         "bell.triple_coincidence",
