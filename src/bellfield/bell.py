@@ -27,7 +27,11 @@ The channels meet only through the shared angle, so summing each channel's
 bits out on its own (:func:`sum_out_channel`) is the variable elimination
 the graph admits.  A channel's live assignments are derived once, at import
 (:data:`CHANNEL_PLAN`), the one view of :data:`CHANNEL_FACTORS` that the
-closed-form sums and the oracle both walk.  Three evaluation routes are
+oracle walks; the closed-form sums walk it as :data:`SPLIT_PLAN`, each
+assignment one split times scalars.  They multiply the scalars first and
+scale the split once, which is exact for today's scalars (graded, or 2, 1.0
+and ``beta`` as floats), so the sums are a walk's that scales by one
+primitive at a time, bit for bit.  Three evaluation routes are
 cross-checked:
 
 * exact: the graded split backend, eliminated per channel; the channel sums
@@ -58,6 +62,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -325,8 +330,39 @@ def _elimination_plan() -> tuple[tuple[bool, tuple[tuple, ...]], ...]:
 
 
 #: One channel's live assignments (three of the sixteen), derived once from
-#: :data:`CHANNEL_FACTORS`: the closed-form sums and the oracle both walk it.
+#: :data:`CHANNEL_FACTORS`: the oracle walks it, the closed-form sums its
+#: :data:`SPLIT_PLAN`.
 CHANNEL_PLAN = _elimination_plan()
+
+#: The primitives that are functions of the shared angle, the entry surface's
+#: split; every other primitive is a scalar.
+SPLITS = ("pass", "block")
+
+
+class ChannelPlanError(ValueError):
+    """A live channel assignment that is not one split times scalars."""
+
+
+def split_plan(plan: Sequence[tuple[bool, tuple[tuple, ...]]]) -> tuple[tuple[bool, str, tuple], ...]:
+    """Each live assignment of ``plan`` (laid out as :data:`CHANNEL_PLAN`)
+    as (detected, its one split, its scalar primitives in factor order).
+
+    An assignment that holds no split, or two, raises
+    :class:`ChannelPlanError`: its product is no single split's scaling.
+    """
+    out = []
+    for detected, factors in plan:
+        primitives = [p for prims in factors for p in prims]
+        splits = [p for p in primitives if p in SPLITS]
+        if len(splits) != 1:
+            raise ChannelPlanError(f"a live assignment holds {len(splits)} splits, not one: {factors}")
+        out.append((detected, splits[0], tuple(p for p in primitives if p not in SPLITS)))
+    return tuple(out)
+
+
+#: :data:`CHANNEL_PLAN` as :func:`sum_out_channel` walks it: each live
+#: assignment's split and the scalars that scale it.
+SPLIT_PLAN = split_plan(CHANNEL_PLAN)
 
 
 def sum_out_channel(backend: Mapping) -> tuple:
@@ -335,20 +371,24 @@ def sum_out_channel(backend: Mapping) -> tuple:
     Returns (detected, undetected): the summed weight of the scenarios in
     which the channel's counter fires, and of those in which it does not,
     as functions of the shared angle in the backend's representation.  Each
-    live assignment of :data:`CHANNEL_PLAN` multiplies its factors' primitive
-    products in factor order, each distinct assignment product evaluated
-    once (the two detected assignments share pass * beta * alpha); the sums
-    run in assignment order.  Leaving out the empty products, which are one,
-    changes no value, so every backend gives what a walk over the
-    :func:`factor_tables` values gives, bit for bit.
+    live assignment of :data:`SPLIT_PLAN` multiplies its scalar primitives
+    in factor order (beta * alpha on the detected ones, 2 * alpha * beta on
+    the undetected one) and scales its one split by that product once; each
+    distinct product is evaluated once (the two detected assignments share
+    pass * beta * alpha), and the sums run in assignment order.
+
+    Scalars first is exact for today's scalars: the graded ones are exact,
+    and a float product multiplies only by 2 and 1.0 besides ``beta``.  So
+    every backend gives what a walk over the :func:`factor_tables` values
+    in factor order gives, bit for bit, down to subnormal ``beta``.
     """
     products: dict[tuple, object] = {}
     sums: tuple[list, list] = ([], [])
-    for detected, factors in CHANNEL_PLAN:
-        if factors not in products:
-            values = [primitive_product(prims, backend) for prims in factors]
-            products[factors] = functools.reduce(operator.mul, values, 1)
-        sums[0 if detected else 1].append(products[factors])
+    for detected, split, scalars in SPLIT_PLAN:
+        key = split, scalars
+        if key not in products:
+            products[key] = backend[split] * primitive_product(scalars, backend)
+        sums[0 if detected else 1].append(products[key])
     return tuple(functools.reduce(operator.add, terms) for terms in sums)
 
 
@@ -505,14 +545,27 @@ def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> Coincide
 # -- brute-force oracle --------------------------------------------------------------
 
 
+class SubnormalPartition(ArithmeticError):
+    """A numeric partition below the smallest normal float: its terms kept
+    too few bits for the ratio to hold its digits."""
+
+
 def partition_ratio(num: float, den: float) -> float:
     """A numeric route's detected weight over its partition, once the
-    partition is checked to be nonzero and finite, as a
-    :func:`checked_probability`."""
+    partition is checked to be nonzero, finite and normal, as a
+    :func:`checked_probability`.
+
+    A subnormal partition raises :class:`SubnormalPartition`: its terms
+    rounded to multiples of 5e-324, fewer than 53 bits, so the ratio can be
+    off far beyond a normal partition's 1e-16 (by 1.4e-5 on a triphoton
+    setting at beta 1e-80).
+    """
     if den == 0.0:
         raise ZeroDivisionError("partition vanished")
     if not math.isfinite(den):
         raise OverflowError("partition is not finite; a kernel this narrow overflows float64 at its peak")
+    if abs(den) < sys.float_info.min:
+        raise SubnormalPartition(f"partition {den!r} is subnormal; beta is too small for float64")
     return checked_probability(num / den)
 
 

@@ -45,7 +45,18 @@ TRIPHOTON_SCAN_DEGREES = [0.0, 36.0, 72.0, 108.0, 144.0]
 _TEXT = (str, "text")
 _NUMBER = (float, "a number")
 _INTEGER = (int, "an integer")
-_NUMBER_LIST = (lambda raw: [float(x) for x in raw.split(",") if x.strip() != ""], "a comma-separated number list")
+
+
+def _read_number_list(raw: str) -> list[float]:
+    """The numbers between the commas, once there is one: a list key given
+    empty is refused, where leaving it out gives the experiment's default."""
+    values = [float(x) for x in raw.split(",") if x.strip() != ""]
+    if not values:
+        raise ValueError(raw)
+    return values
+
+
+_NUMBER_LIST = (_read_number_list, "a comma-separated list of one or more numbers")
 
 
 def _read_initial(raw: str) -> str:
@@ -288,9 +299,10 @@ def render_rows(rows: list[ResultRow], fmt: str) -> str:
         obj = {"experiment": r.experiment, "model": r.model}
         # Floats go out as computed; json writes their shortest round-trip repr.
         obj.update((k, r.params.get(k)) for k in param_keys)
+        target, abs_error = r.target, r.abs_error
         obj["value"] = float(r.value)
-        obj["target"] = None if r.target is None else float(r.target)
-        obj["abs_error"] = None if r.abs_error is None else float(r.abs_error)
+        obj["target"] = None if target is None else float(target)
+        obj["abs_error"] = None if abs_error is None else float(abs_error)
         obj["runtime_ms"] = round(r.runtime_ms, 3)
         objs.append(obj)
     # One row object a line: ``indent`` would force the pure-Python encoder.
@@ -298,7 +310,10 @@ def render_rows(rows: list[ResultRow], fmt: str) -> str:
 
 
 def run(config: ExperimentConfig) -> list[ResultRow]:
-    """Validate, execute and write the experiment's table; returns the rows."""
+    """Validate, execute and write the experiment's table; returns the rows.
+
+    A file gets the table as UTF-8 bytes, in one binary write.
+    """
     config.validate()
     rows = RUNNERS[config.experiment](config)
     text = render_rows(rows, config.format)
@@ -306,7 +321,8 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
         sys.stdout.write(text)
     else:
         try:
-            Path(config.output).write_text(text)
+            with open(config.output, "wb") as out:
+                out.write(text.encode("utf-8"))
         except OSError as exc:
             raise ConfigError("output", f"cannot write {config.output!r}: {exc}") from None
     return rows

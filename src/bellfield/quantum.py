@@ -369,8 +369,13 @@ def apply_Mstar(ens: BranchEnsemble, subsystem: int, setting: PolarizerSetting) 
                 # Within about 1e-8 rad of an axis the far tail, beta times the
                 # offset squared, is below the split's rounding and can come
                 # out negative (-2e-47 beta at 1e-9 rad): it is zero there.
+                # The sign is the exact one the ensemble checks; a float of a
+                # tail this small can round to -0.0.
                 tails = [(axis, f.smooth_at(tag.angle)) for axis, f in sides]
-                weights = [(axis, t if t.eval(1.0, 1.0) >= 0 else GradedCoeff.zero()) for axis, t in tails]
+                weights = [
+                    (axis, t if all(c >= 0 for c in t.leading_terms().values()) else GradedCoeff.zero())
+                    for axis, t in tails
+                ]
             parts = [(axis, branch.weight * w, branch.angle_weight) for axis, w in weights]
         elif isinstance(tag, CircularTag):
             parts = [(axis, branch.weight * f.c0, branch.angle_weight) for axis, f in sides]

@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,9 @@ from bellfield.bell import (
     CoincidenceResult,
     Mrf3Params,
     ProbabilityOutOfRange,
+    SubnormalPartition,
     UnexpectedLeadingOrder,
+    ABSORBER_COST,
     CHANNEL_BITS,
     CHANNEL_FACTORS,
     MIN_KERNEL_CELLS,
@@ -631,16 +634,35 @@ class TestChannelSums:
     @given(st.floats(0.0, PI, exclude_max=True))
     @settings(max_examples=40, deadline=None)
     def test_plan_equals_sixteen_assignment_walk(self, theta):
+        # the split scaled once by its scalars' product, against the walk's
+        # split times each scalar in turn: graded values exactly, floats and
+        # arrays to the bit, -0.0 apart from 0.0
         theta_p = PolAngle(theta)
         assert len(bell.CHANNEL_PLAN) == 3
-        for beta in (BETA, 1e-3):
-            backend = split_backend(theta_p, beta)
-            # graded values exactly, float ones bit for bit
-            assert list(sum_out_channel(backend)) == self.sixteen_assignment_walk(backend)
         grid = grid_points(1000)
-        got = sum_out_channel(grid_backend(grid, theta_p.value, 1e-3, 0.01))
-        want = self.sixteen_assignment_walk(grid_backend(grid, theta_p.value, 1e-3, 0.01))
-        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+        for beta in (BETA, 0.1, 1e-3, 1e-160, 5e-324):
+            backend = split_backend(theta_p, beta)
+            got = [exact_parts(f) for f in sum_out_channel(backend)]
+            assert got == [exact_parts(f) for f in self.sixteen_assignment_walk(backend)]
+            if beta is not BETA:
+                backend = grid_backend(grid, theta_p.value, beta, 0.01)
+                got = sum_out_channel(backend)
+                assert [g.tobytes() for g in got] == [w.tobytes() for w in self.sixteen_assignment_walk(backend)]
+
+    @pytest.mark.parametrize("beta", [1e-160, 5e-324])
+    def test_kernel_tails_with_subnormals_equal_the_walk_bit_for_bit(self, beta):
+        grid = grid_points(1000)
+        backend = grid_backend(grid, 0.3, beta, 0.01)
+        got = sum_out_channel(backend)
+        want = self.sixteen_assignment_walk(backend)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+        def subnormals(a):
+            return np.count_nonzero((a != 0) & (np.abs(a) < sys.float_info.min))
+
+        # the kernels' tails are subnormal, and so are some of the scaled sums
+        assert subnormals(wrapped_gaussian(grid, 0.3, 0.01)) > 0
+        assert all(subnormals(g) > 0 for g in got)
 
     def test_every_live_assignment_pays_alpha_once(self):
         # at the counter or at the internal absorber: alpha^N factors out of
@@ -679,6 +701,24 @@ class TestChannelSums:
         plus_c, minus_c = sum_out_channel(split_backend(PolAngle.from_degrees(20.0), BETA))
         assert plus_e == plus_c
         assert minus_e == minus_c
+
+
+class TestSplitPlan:
+    def test_each_live_assignment_is_one_split_times_its_scalars(self):
+        assert bell.SPLIT_PLAN == (
+            (False, "block", ABSORBER_COST),
+            (True, "pass", ("beta", "alpha")),
+            (True, "pass", ("beta", "alpha")),
+        )
+
+    @pytest.mark.parametrize(
+        "factors",
+        [(("beta",), ("alpha",)), (("pass",), ("beta",), ("block",)), (("pass", "pass"),)],
+        ids=["no-split", "pass-and-block", "pass-twice"],
+    )
+    def test_refuses_an_assignment_without_exactly_one_split(self, factors):
+        with pytest.raises(bell.ChannelPlanError, match="splits, not one"):
+            bell.split_plan([*bell.CHANNEL_PLAN, (True, factors)])
 
 
 def exact_parts(f: DistFn) -> list:
@@ -1004,6 +1044,28 @@ class TestCoincidenceResult:
     def test_just_past_the_slack_is_refused(self, value):
         with pytest.raises(ProbabilityOutOfRange):
             CoincidenceResult(value, GradedCoeff.one(), GradedCoeff.one(), "exact")
+
+
+class TestPartitionRatio:
+    def test_the_smallest_normal_partition_is_divided(self):
+        tiny = sys.float_info.min
+        assert partition_ratio(tiny / 4, tiny) == 0.25
+        assert partition_ratio(-tiny / 4, -tiny) == 0.25
+
+    @pytest.mark.parametrize("den", [math.nextafter(sys.float_info.min, 0.0), 1e-310, 5e-324, -5e-324])
+    def test_a_subnormal_partition_is_refused(self, den):
+        with pytest.raises(SubnormalPartition, match="subnormal"):
+            partition_ratio(den / 4, den)
+
+    def test_both_numeric_routes_refuse_a_subnormal_partition(self):
+        # 30 degrees apart the pass kernels barely overlap, so both routes'
+        # partitions are about beta^3: subnormal at 1e-106, normal at 1e-100
+        routes = (brute_force_oracle, functools.partial(coincidence_probability, mode="regularized"))
+        for route in routes:
+            with pytest.raises(SubnormalPartition):
+                route(params_for(30.0, beta=1e-106))
+            near = route(params_for(30.0, beta=1e-100)).probability
+            assert near == pytest.approx(route(params_for(30.0, beta=1e-20)).probability, abs=1e-12)
 
 
 class TestTriphoton:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -114,6 +115,24 @@ class TestBellSweep:
         )
         assert code == 3
         assert "SigmaTooCoarse" in capsys.readouterr().err
+
+    def test_a_subnormal_partition_exits_3(self, tmp_path, capsys):
+        # the oracle's partition is about beta^3: 1.6e-317 here, whose ratio
+        # printed 0.37497 where the converged value is 0.3749750025
+        out = tmp_path / "x.csv"
+        argv = ["bell-sweep", "--mode", "regularized", "--angles", "30", "--beta", "1e-106", "--output", str(out)]
+        assert main(argv) == 3
+        assert "SubnormalPartition" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_normal_partition_at_small_beta_keeps_the_converged_value(self, tmp_path):
+        values = {}
+        for beta in ("1e-100", "1e-20"):
+            out = tmp_path / f"{beta}.json"
+            argv = ["bell-sweep", "--mode", "regularized", "--angles", "30", "--beta", beta, "--format", "json"]
+            assert main([*argv, "--output", str(out)]) == 0
+            values[beta] = {r["model"]: r["value"] for r in json.loads(out.read_text())}["MRF3-oracle"]
+        assert values["1e-100"] == pytest.approx(values["1e-20"], abs=1e-12)
 
 
 class TestSpecialCases:
@@ -298,6 +317,21 @@ class TestTriphoton:
     def test_wrong_angle_count(self, capsys):
         assert main(["triphoton-compare", "--angles", "10,20"]) == 2
         assert "angles" in capsys.readouterr().err
+
+    def test_a_subnormal_partition_exits_3(self, tmp_path, capsys):
+        # the graph's partition leads with about 4 beta^4, subnormal here; its
+        # row once printed 0.0624993567 against Mstar's 0.0625002500
+        out = tmp_path / "x.csv"
+        assert main(["triphoton-compare", "--angles", "10,20,30", "--beta", "1e-80", "--output", str(out)]) == 3
+        assert "SubnormalPartition" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_normal_partition_at_small_beta_keeps_mrf_equal_to_mstar(self, tmp_path):
+        out = tmp_path / "x.json"
+        argv = ["triphoton-compare", "--angles", "10,20,30", "--beta", "1e-70", "--format", "json"]
+        assert main([*argv, "--output", str(out)]) == 0
+        values = {r["model"]: r["value"] for r in json.loads(out.read_text())}
+        assert values["MRF3-oracle"] == pytest.approx(values["Mstar"], rel=1e-12)
 
     def test_unresolved_sigma_reaches_the_model_limit(self, tmp_path):
         # cos^2(6 deg) / 4; no grid, so no kernel too narrow to resolve
@@ -763,6 +797,13 @@ class TestValidation:
             # an empty list would leave the table empty
             pytest.param(["limit-study", "--sigmas", "0.04,0.02", "--betas", ","], "betas", id="betas-empty"),
             pytest.param(["limit-study", "--sigmas", ",", "--betas", "1e-3,1e-2"], "sigmas", id="sigmas-empty"),
+            # an empty list is no list: only an omitted --angles gives the defaults
+            pytest.param(["bell-sweep", "--angles", ","], "angles", id="angles-empty-bell-sweep"),
+            pytest.param(["bell-sweep", "--angles="], "angles", id="angles-equals-nothing-bell-sweep"),
+            pytest.param(["triphoton-compare", "--angles", ","], "angles", id="angles-empty-triphoton"),
+            pytest.param(["triphoton-compare", "--angles="], "angles", id="angles-equals-nothing-triphoton"),
+            pytest.param(["limit-study", "--angles", ","], "angles", id="angles-empty-limit-study"),
+            pytest.param(["limit-study", "--angles="], "angles", id="angles-equals-nothing-limit-study"),
             pytest.param(["bell-sweep", "--alpha", "0.01"], "alpha", id="alpha-0.01"),
         ],
     )
@@ -770,6 +811,15 @@ class TestValidation:
         out = tmp_path / "x.csv"
         assert main([*argv, "--output", str(out)]) == 2
         assert f"config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["bell-sweep", "triphoton-compare", "limit-study"])
+    def test_an_empty_angles_line_is_refused(self, experiment, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"experiment = {experiment}\nangles =\n")
+        out = tmp_path / "x.csv"
+        assert main(["--config", str(cfg), "--output", str(out)]) == 2
+        assert "config key 'angles'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_exact_route_takes_any_grid_n_in_range(self, tmp_path):
@@ -797,13 +847,13 @@ class TestValidation:
     def test_every_model_error_has_its_exit_code(self):
         # a model error neither typed nor numerical would escape main: exit 1
         import bellfield
-        from bellfield.bell import KernelUnresolved, ProbabilityOutOfRange
+        from bellfield.bell import KernelUnresolved, ProbabilityOutOfRange, SubnormalPartition
         from bellfield.mrf import ZeroPartition
         from bellfield.quantum import ZeroEnsemble
 
         exported = {getattr(bellfield, name) for name in bellfield.__all__}
         errors = {c for c in exported if isinstance(c, type) and issubclass(c, BaseException)}
-        errors |= {KernelUnresolved, ProbabilityOutOfRange, ZeroEnsemble, ZeroPartition, ConfigError}
+        errors |= {KernelUnresolved, ProbabilityOutOfRange, SubnormalPartition, ZeroEnsemble, ZeroPartition, ConfigError}
         assert len(errors) >= 10
         for error in errors:
             assert issubclass(error, ConfigError) != issubclass(error, cli.NUMERICAL_ERRORS), error
@@ -874,6 +924,43 @@ def test_rows_do_not_depend_on_the_channel_sums_memo(tmp_path, argv, distinct):
     hits = channel_sums.cache_info().hits
     assert rows("warm.json") == cold
     assert channel_sums.cache_info().hits > hits
+
+
+def masked_runtime(table: bytes, fmt: str) -> bytes:
+    """A table's bytes with each row's runtime_ms replaced by '*'."""
+    if fmt == "csv":
+        return re.sub(rb",[0-9.]+\n", b",*\n", table)
+    return re.sub(rb'"runtime_ms": [0-9.]+', b'"runtime_ms": *', table)
+
+
+# malus-chain's --initial text is any float() accepts, and goes into its row
+# as given: Arabic-Indic digits pin the file's encoding to UTF-8.
+WRITE_PATH_RUNS = {
+    "bell-sweep": ["bell-sweep", "--mode", "both", "--angles", "30,60"],
+    "special-cases": ["special-cases"],
+    "limit-study": ["limit-study", "--sigmas", "0.04,0.02"],
+    "malus-chain": ["malus-chain", "--angles", "0,45,90", "--initial", "\u0661\u0660"],
+    "triphoton-compare": ["triphoton-compare", "--angles", "10,25,40"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("experiment", sorted(WRITE_PATH_RUNS))
+def test_output_file_is_the_printed_table(experiment, fmt, tmp_path, capsys):
+    assert set(WRITE_PATH_RUNS) == set(cli.RUNNERS)
+    argv = [*WRITE_PATH_RUNS[experiment], "--format", fmt]
+    out = tmp_path / f"table.{fmt}"
+    assert main([*argv, "--output", str(out)]) == 0
+    assert main([*argv, "--output", "-"]) == 0
+    printed = capsys.readouterr().out.encode("utf-8")
+    written = out.read_bytes()
+    assert masked_runtime(written, fmt) == masked_runtime(printed, fmt)
+    rows = json.loads(written) if fmt == "json" else written.splitlines()[1:]
+    assert masked_runtime(written, fmt).count(b"*") == len(rows)
+    if experiment == "malus-chain":
+        # CSV carries the digits as UTF-8; JSON escapes every non-ASCII character
+        digits = "\u0661\u0660".encode("utf-8") if fmt == "csv" else rb"\u0661\u0660"
+        assert digits in written
 
 
 numbers = st.one_of(
