@@ -25,14 +25,13 @@ value 1, since any other number could only move the rounding.
 
 The channels meet only through the shared angle, so summing each channel's
 bits out on its own (:func:`sum_out_channel`) is the variable elimination
-the graph admits.  A channel's live assignments are derived once, at import
-(:data:`CHANNEL_PLAN`), the one view of :data:`CHANNEL_FACTORS` that the
-oracle walks; the closed-form sums walk it as :data:`SPLIT_PLAN`, each
-assignment one split times scalars.  They multiply the scalars first and
-scale the split once, which is exact for today's scalars (graded, or 2, 1.0
-and ``beta`` as floats), so the sums are a walk's that scales by one
-primitive at a time, bit for bit.  Three evaluation routes are
-cross-checked:
+the graph admits.  A channel's live assignments are derived once, at import,
+as :data:`CHANNEL_PLAN`: each one split times scalars, the one view of
+:data:`CHANNEL_FACTORS` that both the closed-form sums and the oracle walk.
+Both multiply an assignment's scalars first and scale its split once, which
+is exact for today's scalars (graded, or 2, 1.0 and ``beta`` as floats), so
+they give a walk's that scales by one primitive at a time, bit for bit.
+Three evaluation routes are cross-checked:
 
 * exact: the graded split backend, eliminated per channel; the channel sums
   are contracted by :func:`contract_channels` at width 0, and limits are
@@ -316,24 +315,6 @@ def factor_tables(backend: Mapping) -> dict[str, Factor]:
     }
 
 
-def _elimination_plan() -> tuple[tuple[bool, tuple[tuple, ...]], ...]:
-    """The channel assignments every factor lists, in lexicographic order:
-    whether the counter fires in each, and the nonempty primitive products
-    of its factors, in factor order."""
-    plan = []
-    for bits in itertools.product((0, 1), repeat=len(CHANNEL_BITS)):
-        local = dict(zip(CHANNEL_BITS, bits))
-        products = [values.get(tuple(local[r] for r in reads)) for reads, values in CHANNEL_FACTORS.values()]
-        if all(prims is not None for prims in products):
-            plan.append((bool(local["gamma_C"] or local["gamma_W"]), tuple(prims for prims in products if prims)))
-    return tuple(plan)
-
-
-#: One channel's live assignments (three of the sixteen), derived once from
-#: :data:`CHANNEL_FACTORS`: the oracle walks it, the closed-form sums its
-#: :data:`SPLIT_PLAN`.
-CHANNEL_PLAN = _elimination_plan()
-
 #: The primitives that are functions of the shared angle, the entry surface's
 #: split; every other primitive is a scalar.
 SPLITS = ("pass", "block")
@@ -343,26 +324,32 @@ class ChannelPlanError(ValueError):
     """A live channel assignment that is not one split times scalars."""
 
 
-def split_plan(plan: Sequence[tuple[bool, tuple[tuple, ...]]]) -> tuple[tuple[bool, str, tuple], ...]:
-    """Each live assignment of ``plan`` (laid out as :data:`CHANNEL_PLAN`)
-    as (detected, its one split, its scalar primitives in factor order).
+def channel_plan(factors: Mapping[str, Factor] = CHANNEL_FACTORS) -> tuple[tuple[bool, str, tuple], ...]:
+    """The channel assignments every factor of ``factors`` lists, in
+    lexicographic order, each as (whether the counter fires, its one split,
+    its scalar primitives in factor order).
 
     An assignment that holds no split, or two, raises
     :class:`ChannelPlanError`: its product is no single split's scaling.
     """
-    out = []
-    for detected, factors in plan:
-        primitives = [p for prims in factors for p in prims]
+    plan = []
+    for bits in itertools.product((0, 1), repeat=len(CHANNEL_BITS)):
+        local = dict(zip(CHANNEL_BITS, bits))
+        products = [values.get(tuple(local[r] for r in reads)) for reads, values in factors.values()]
+        if any(prims is None for prims in products):
+            continue
+        primitives = [p for prims in products for p in prims]
         splits = [p for p in primitives if p in SPLITS]
         if len(splits) != 1:
-            raise ChannelPlanError(f"a live assignment holds {len(splits)} splits, not one: {factors}")
-        out.append((detected, splits[0], tuple(p for p in primitives if p not in SPLITS)))
-    return tuple(out)
+            raise ChannelPlanError(f"a live assignment holds {len(splits)} splits, not one: {tuple(primitives)}")
+        detected = bool(local["gamma_C"] or local["gamma_W"])
+        plan.append((detected, splits[0], tuple(p for p in primitives if p not in SPLITS)))
+    return tuple(plan)
 
 
-#: :data:`CHANNEL_PLAN` as :func:`sum_out_channel` walks it: each live
-#: assignment's split and the scalars that scale it.
-SPLIT_PLAN = split_plan(CHANNEL_PLAN)
+#: One channel's live assignments (three of the sixteen), derived once from
+#: :data:`CHANNEL_FACTORS`; the closed-form sums and the oracle walk it.
+CHANNEL_PLAN = channel_plan()
 
 
 def sum_out_channel(backend: Mapping) -> tuple:
@@ -371,7 +358,7 @@ def sum_out_channel(backend: Mapping) -> tuple:
     Returns (detected, undetected): the summed weight of the scenarios in
     which the channel's counter fires, and of those in which it does not,
     as functions of the shared angle in the backend's representation.  Each
-    live assignment of :data:`SPLIT_PLAN` multiplies its scalar primitives
+    live assignment of :data:`CHANNEL_PLAN` multiplies its scalar primitives
     in factor order (beta * alpha on the detected ones, 2 * alpha * beta on
     the undetected one) and scales its one split by that product once; each
     distinct product is evaluated once (the two detected assignments share
@@ -384,7 +371,7 @@ def sum_out_channel(backend: Mapping) -> tuple:
     """
     products: dict[tuple, object] = {}
     sums: tuple[list, list] = ([], [])
-    for detected, split, scalars in SPLIT_PLAN:
+    for detected, split, scalars in CHANNEL_PLAN:
         key = split, scalars
         if key not in products:
             products[key] = backend[split] * primitive_product(scalars, backend)
@@ -582,18 +569,18 @@ def brute_force_oracle(params: Mrf3Params) -> CoincidenceResult:
     pairs of the two channels' live assignments (:data:`CHANNEL_PLAN`), since
     the channels share no bit, and ``itertools.product`` pairs them in the
     lexicographic order of the eight bits.  Each channel's assignments are
-    valued on the grid backend, so the grid kernels are sampled four times
-    per call.  A scenario's scalar weight is the left channel's scalar
-    values, then the right's, multiplied left to right from one, the
-    products a scenario-by-scenario walk takes (the empty products the plan
-    drops are one); one that underflowed to zero is skipped.  The rest
-    multiply that weight by their array values over the grid, in one reused
-    buffer and in factor order (the bits of ``weight * A_1 * A_2 * ...``),
-    and add its integral to the sums.  Scenarios that pair the same two plan
-    entries share that product, as the four detected x detected ones share
-    pass_L * pass_R: it is formed and integrated once, for the first of
-    them, and the later ones add that integral in their own turn, so the
-    sums take the same bits.
+    valued once on the grid backend, as their scalars' product and their
+    split's kernel array, so the grid kernels are sampled four times per
+    call.  A scenario's scalar weight is the left channel's product times
+    the right's, each ``beta`` or the exact ``2 * beta``: the product a
+    scenario-by-scenario walk takes, whose other scalars are 1.0.  A weight
+    that underflowed to zero is skipped.  The rest multiply that weight by
+    the left split, then the right, in one reused buffer (the bits of
+    ``weight * A_L * A_R``), and add its integral to the sums.  Scenarios
+    that pair the same two plan entries share that product, as the four
+    detected x detected ones share pass_L * pass_R: it is formed and
+    integrated once, for the first of them, and the later ones add that
+    integral in their own turn, so the sums take the same bits.
     """
     import numpy as np
 
@@ -602,28 +589,21 @@ def brute_force_oracle(params: Mrf3Params) -> CoincidenceResult:
     channels = []
     for ch in CHANNELS:
         backend = grid_backend(grid, params.setting(ch).value, params.beta, params.sigma)
-        live = []
-        for entry in CHANNEL_PLAN:
-            values = [primitive_product(prims, backend) for prims in entry[1]]
-            scalars = [v for v in values if not isinstance(v, np.ndarray)]
-            live.append((entry, scalars, [v for v in values if isinstance(v, np.ndarray)]))
-        channels.append(live)
+        channels.append([(entry, primitive_product(entry[2], backend), backend[entry[1]]) for entry in CHANNEL_PLAN])
 
     num = 0.0
     den = 0.0
     cell = PI / params.grid_n
     product = np.empty_like(grid)
     integrals: dict[tuple, float] = {}
-    for (left, left_scalars, left_arrays), (right, right_scalars, right_arrays) in itertools.product(*channels):
-        scalar = functools.reduce(operator.mul, left_scalars + right_scalars, 1.0)
+    for (left, left_scalar, left_split), (right, right_scalar, right_split) in itertools.product(*channels):
+        scalar = left_scalar * right_scalar
         if scalar == 0.0:
             continue
         weight = integrals.get((left, right))
         if weight is None:
-            first, *rest = left_arrays + right_arrays
-            np.multiply(first, scalar, out=product)
-            for array in rest:
-                product *= array
+            np.multiply(left_split, scalar, out=product)
+            product *= right_split
             weight = integrals[left, right] = float(product.sum()) * cell
         den += weight
         if left[0] and right[0]:

@@ -48,15 +48,16 @@ _INTEGER = (int, "an integer")
 
 
 def _read_number_list(raw: str) -> list[float]:
-    """The numbers between the commas, once there is one: a list key given
-    empty is refused, where leaving it out gives the experiment's default."""
-    values = [float(x) for x in raw.split(",") if x.strip() != ""]
-    if not values:
+    """The numbers between the commas, once no item is empty: a list key
+    given empty, or with an empty item, is refused, where leaving it out
+    gives the experiment's default."""
+    items = raw.split(",")
+    if any(not x.strip() for x in items):
         raise ValueError(raw)
-    return values
+    return [float(x) for x in items]
 
 
-_NUMBER_LIST = (_read_number_list, "a comma-separated list of one or more numbers")
+_NUMBER_LIST = (_read_number_list, "a comma-separated list of one or more numbers, none empty")
 
 
 def _read_initial(raw: str) -> str:
@@ -312,13 +313,20 @@ def render_rows(rows: list[ResultRow], fmt: str) -> str:
 def run(config: ExperimentConfig) -> list[ResultRow]:
     """Validate, execute and write the experiment's table; returns the rows.
 
-    A file gets the table as UTF-8 bytes, in one binary write.
+    A file gets the table as UTF-8 bytes, in one binary write, and so does
+    stdout, whatever its text encoding; a stdout with no byte buffer gets
+    the text.
     """
     config.validate()
     rows = RUNNERS[config.experiment](config)
     text = render_rows(rows, config.format)
     if config.output == "-":
-        sys.stdout.write(text)
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            sys.stdout.write(text)
+        else:
+            sys.stdout.flush()
+            buffer.write(text.encode("utf-8"))
     else:
         try:
             with open(config.output, "wb") as out:

@@ -402,9 +402,9 @@ class TestBruteForceOracle:
 
     def test_plan_lists_every_live_scenario_in_lexicographic_order(self):
         # a walk over all 2^8 scenarios keeps those every factor lists, each
-        # with its both-counters-fire flag and, per side, the nonempty
-        # primitive products of its factors in factor order; the oracle pairs
-        # the channel plan's entries to the same list
+        # with its both-counters-fire flag and, per side, the primitives of
+        # its factors in factor order; the oracle pairs the channel plan's
+        # entries, each its split and then its scalars, to the same list
         want = []
         for bits in itertools.product((0, 1), repeat=8):
             local = {ch: dict(zip(CHANNEL_BITS, bits[4 * i : 4 * i + 4])) for i, ch in enumerate(CHANNELS)}
@@ -414,10 +414,12 @@ class TestBruteForceOracle:
             ]
             if all(prims is not None for side in sides for prims in side):
                 fires = all(local[ch]["gamma_C"] or local[ch]["gamma_W"] for ch in CHANNELS)
-                want.append((fires, tuple(tuple(prims for prims in side if prims) for side in sides)))
+                want.append((fires, tuple(tuple(itertools.chain(*side)) for side in sides)))
         got = [
-            (left_fires and right_fires, (left, right))
-            for (left_fires, left), (right_fires, right) in itertools.product(bell.CHANNEL_PLAN, repeat=2)
+            (left_fires and right_fires, ((left_split, *left_scalars), (right_split, *right_scalars)))
+            for (left_fires, left_split, left_scalars), (right_fires, right_split, right_scalars) in itertools.product(
+                bell.CHANNEL_PLAN, repeat=2
+            )
         ]
         assert got == want
         assert len(want) == 9
@@ -430,6 +432,24 @@ class TestBruteForceOracle:
         assert 4 * params.beta**4 == 0.0
         variant = scalar_by_scalar_oracle(params, WITHOUT_CRYSTAL_FACTORS)
         assert variant.probability == brute_force_oracle(params).probability
+
+    @pytest.mark.parametrize("beta", [1e-150, 1e-154, 1e-160, 2.5e-308, 5e-324])
+    @pytest.mark.parametrize("delta", [0.0, 90.0])
+    def test_tiny_beta_equals_scalar_by_scalar_walk(self, delta, beta):
+        # each channel's scalars are multiplied before the two channels' are;
+        # down to subnormal weights that gives the walk's sums, or the same
+        # refusal of a partition too small to divide by.  Equal and orthogonal
+        # settings overlap two kernels, so their partition leads at beta^2.
+        params = params_for(delta, beta=beta)
+        outcomes = []
+        for route in (brute_force_oracle, scalar_by_scalar_oracle):
+            try:
+                result = route(params)
+            except ArithmeticError as exc:
+                outcomes.append(type(exc))
+            else:
+                outcomes.append((result.probability, result.numerator, result.denominator))
+        assert outcomes[0] == outcomes[1]
 
     def test_a_partition_that_underflows_is_refused(self):
         # at beta 1e-162, 8 of the 9 live scalar weights are below half the
@@ -667,8 +687,8 @@ class TestChannelSums:
     def test_every_live_assignment_pays_alpha_once(self):
         # at the counter or at the internal absorber: alpha^N factors out of
         # every N-channel sum, so no ratio reads it
-        for _, factors in bell.CHANNEL_PLAN:
-            assert list(itertools.chain(*factors)).count("alpha") == 1
+        for _, _, scalars in bell.CHANNEL_PLAN:
+            assert scalars.count("alpha") == 1
 
     def test_closed_form_structure(self):
         ta = PolAngle.from_degrees(20.0)
@@ -703,22 +723,28 @@ class TestChannelSums:
         assert minus_e == minus_c
 
 
-class TestSplitPlan:
+class TestChannelPlan:
     def test_each_live_assignment_is_one_split_times_its_scalars(self):
-        assert bell.SPLIT_PLAN == (
+        assert bell.CHANNEL_PLAN == (
             (False, "block", ABSORBER_COST),
             (True, "pass", ("beta", "alpha")),
             (True, "pass", ("beta", "alpha")),
         )
 
     @pytest.mark.parametrize(
-        "factors",
-        [(("beta",), ("alpha",)), (("pass",), ("beta",), ("block",)), (("pass", "pass"),)],
+        "entry",
+        [
+            {(1, 0): ("beta",), (0, 1): ("block",)},
+            {(1, 0): ("pass", "block"), (0, 1): ("block",)},
+            {(1, 0): ("pass", "pass"), (0, 1): ("block",)},
+        ],
         ids=["no-split", "pass-and-block", "pass-twice"],
     )
-    def test_refuses_an_assignment_without_exactly_one_split(self, factors):
+    def test_refuses_an_assignment_without_exactly_one_split(self, entry):
+        # the entry surface's pass assignment holds the wrong splits
+        factors = {**CHANNEL_FACTORS, "entry": (CHANNEL_FACTORS["entry"][0], entry)}
         with pytest.raises(bell.ChannelPlanError, match="splits, not one"):
-            bell.split_plan([*bell.CHANNEL_PLAN, (True, factors)])
+            bell.channel_plan(factors)
 
 
 def exact_parts(f: DistFn) -> list:
@@ -822,7 +848,7 @@ class TestPrimitiveProduct:
     #: Every product a factor lists, and every live assignment's whole product.
     PRODUCTS = sorted(
         {prims for _, values in WITHOUT_CRYSTAL_FACTORS.values() for prims in values.values()}
-        | {tuple(itertools.chain(*factors)) for _, factors in bell.CHANNEL_PLAN},
+        | {(split, *scalars) for _, split, scalars in bell.CHANNEL_PLAN},
         key=repr,
     )
 

@@ -804,6 +804,12 @@ class TestValidation:
             pytest.param(["triphoton-compare", "--angles="], "angles", id="angles-equals-nothing-triphoton"),
             pytest.param(["limit-study", "--angles", ","], "angles", id="angles-empty-limit-study"),
             pytest.param(["limit-study", "--angles="], "angles", id="angles-equals-nothing-limit-study"),
+            # an empty item is no number: the list is refused, not shortened
+            pytest.param(["bell-sweep", "--angles", "10,,20,30"], "angles", id="angles-empty-item-bell-sweep"),
+            pytest.param(["bell-sweep", "--angles", "30,"], "angles", id="angles-trailing-comma-bell-sweep"),
+            pytest.param(["triphoton-compare", "--angles", "10,20,,30"], "angles", id="angles-empty-item-triphoton"),
+            pytest.param(["limit-study", "--sigmas", "0.04,,0.02"], "sigmas", id="sigmas-empty-item"),
+            pytest.param(["limit-study", "--sigmas", "0.04,0.02", "--betas", "1e-3, "], "betas", id="betas-blank-item"),
             pytest.param(["bell-sweep", "--alpha", "0.01"], "alpha", id="alpha-0.01"),
         ],
     )
@@ -961,6 +967,21 @@ def test_output_file_is_the_printed_table(experiment, fmt, tmp_path, capsys):
         # CSV carries the digits as UTF-8; JSON escapes every non-ASCII character
         digits = "\u0661\u0660".encode("utf-8") if fmt == "csv" else rb"\u0661\u0660"
         assert digits in written
+
+
+def test_stdout_gets_utf8_bytes_whatever_its_encoding(tmp_path, monkeypatch):
+    # an ASCII stdout cannot encode the Arabic-Indic digits as text
+    argv = WRITE_PATH_RUNS["malus-chain"]
+    out = tmp_path / "table.csv"
+    assert main([*argv, "--output", str(out)]) == 0
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    stdout.write("before\n")  # text still in the wrapper goes out first
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main([*argv, "--output", "-"]) == 0
+    stdout.flush()
+    printed = stdout.buffer.getvalue()
+    assert printed.startswith(b"before\n")
+    assert masked_runtime(printed[len(b"before\n") :], "csv") == masked_runtime(out.read_bytes(), "csv")
 
 
 numbers = st.one_of(
