@@ -21,18 +21,12 @@ from .dist import (
     dist_mul,
     regularize,
 )
-from .graded import (
-    DivergentLimit,
-    GradedCoeff,
-    MismatchedAlphaOrder,
-    coeff_ratio_limit,
-)
+from .graded import DivergentLimit, GradedCoeff, coeff_ratio_limit
 
 __all__ = [
     "PolAngle",
     "GradedCoeff",
     "coeff_ratio_limit",
-    "MismatchedAlphaOrder",
     "DivergentLimit",
     "DistFn",
     "RegularizedDistFn",

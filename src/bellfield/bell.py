@@ -16,12 +16,13 @@ split, ``alpha`` and ``beta``.  Two backends give the primitives values:
 :func:`split_backend` (point masses plus trigonometric tails in closed form,
 with graded coefficients for a formal ``beta`` and float ones for a numeric
 one) and :func:`grid_backend` (the point masses widened into width-sigma
-kernels and sampled on an angle grid).  ``alpha`` is formal only: every live
-channel assignment pays it exactly once, at the counter or at the internal
-absorber, so N channels carry alpha^N in every term of every numerator and
-partition, and it cancels from each ratio.  The exact route keeps it graded
-(:data:`ALPHA`) and checks its order; the numeric backends give it the
-value 1, since any other number could only move the rounding.
+kernels and sampled on an angle grid).  Every live channel assignment pays
+``alpha`` exactly once, at the counter or at the internal absorber, so N
+channels carry alpha^N in every term of every numerator and partition, and
+it cancels from each ratio.  :func:`channel_plan` checks that once, at
+import; every backend then gives ``alpha`` the value 1, since any other
+number could only move the rounding, and the graded coefficients are
+polynomials in ``beta`` alone.
 
 The channels meet only through the shared angle, so summing each channel's
 bits out on its own (:func:`sum_out_channel`) is the variable elimination
@@ -92,7 +93,6 @@ if TYPE_CHECKING:
 
 CHANNELS = ("L", "R")
 
-ALPHA = GradedCoeff.alpha()
 BETA = GradedCoeff.beta()
 
 #: Bound on the numeric conversion cost, far below one.
@@ -156,8 +156,8 @@ class _SizedGrid(int):
 
 
 class UnexpectedLeadingOrder(ArithmeticError):
-    """The exact sums do not lead with alpha^2 beta^3; the detector
-    bookkeeping broke or the beta^3 coefficient cancelled numerically."""
+    """The exact sums do not lead at beta^3; the channel bookkeeping broke
+    or the beta^3 coefficient cancelled numerically."""
 
 
 @dataclass(frozen=True)
@@ -169,11 +169,12 @@ class Mrf3Params:
     routes, ``grid_n`` only to the oracle (unless given, sized from
     ``sigma`` by :func:`sized_grid_n`; a ``replace`` of ``sigma`` sizes it
     anew and keeps a ``grid_n`` the caller gave); the exact route treats
-    ``beta`` as formal, and ``alpha``, which cancels, is no knob.  A
-    knob out of range raises :class:`ParameterError` naming it, whichever
-    route will run; a finite ``sigma`` above pi/16 raises
-    :class:`~bellfield.dist.SigmaTooCoarse`.  Whether the oracle's grid
-    resolves the kernel is :func:`require_resolved`'s check.
+    ``beta`` as formal, and the detector's absorption scale, which cancels
+    from every ratio, is no knob.  A knob out of range raises
+    :class:`ParameterError` naming it, whichever route will run; a finite
+    ``sigma`` above pi/16 raises :class:`~bellfield.dist.SigmaTooCoarse`.
+    Whether the oracle's grid resolves the kernel is
+    :func:`require_resolved`'s check.
     """
 
     theta_a: PolAngle
@@ -257,12 +258,11 @@ def split_backend(theta_p: PolAngle, beta) -> dict:
     orthogonal axis plus beta sin^2, the same tail with its harmonic negated.
     At theta_p = -pi/2 sin 2theta_p is taken as 0 (see :mod:`~bellfield.angles`).
     A graded ``beta`` (:data:`BETA`, the exact route) gives graded
-    coefficients and ``alpha`` the formal :data:`ALPHA`; a float gives float
-    coefficients, the point masses widened by the contraction, and ``alpha``
-    the value 1.0.
+    coefficients, a float gives float ones, the point masses widened by the
+    contraction; ``alpha``, which cancels, is one in the coefficients' type.
     """
     graded = isinstance(beta, GradedCoeff)
-    unit, zero, alpha = (GradedCoeff.one(), GradedCoeff.zero(), ALPHA) if graded else (1.0, 0.0, 1.0)
+    unit, zero = (GradedCoeff.one(), GradedCoeff.zero()) if graded else (1.0, 0.0)
     c = beta * (0.5 * math.cos(2 * theta_p.value))
     s = beta * (0.5 * math.sin(2 * theta_p.value)) if theta_p.value != -PI / 2 else zero
     half = beta * 0.5
@@ -271,7 +271,7 @@ def split_backend(theta_p: PolAngle, beta) -> dict:
     return {
         "pass": _unchecked(((theta_p, unit),), half, (c, *higher), (s, *higher)),
         "block": _unchecked(((theta_p.perpendicular(), unit),), half, (-c, *higher), (-s, *higher)),
-        "alpha": alpha,
+        "alpha": unit,
         "beta": beta,
     }
 
@@ -321,7 +321,8 @@ SPLITS = ("pass", "block")
 
 
 class ChannelPlanError(ValueError):
-    """A live channel assignment that is not one split times scalars."""
+    """A live channel assignment that is not one split times scalars, or
+    that does not pay ``alpha`` exactly once."""
 
 
 def channel_plan(factors: Mapping[str, Factor] = CHANNEL_FACTORS) -> tuple[tuple[bool, str, tuple], ...]:
@@ -330,7 +331,9 @@ def channel_plan(factors: Mapping[str, Factor] = CHANNEL_FACTORS) -> tuple[tuple
     its scalar primitives in factor order).
 
     An assignment that holds no split, or two, raises
-    :class:`ChannelPlanError`: its product is no single split's scaling.
+    :class:`ChannelPlanError`: its product is no single split's scaling.  So
+    does one that holds ``"alpha"`` other than once: then alpha would not
+    factor out of every ratio, and no backend could give it the value 1.
     """
     plan = []
     for bits in itertools.product((0, 1), repeat=len(CHANNEL_BITS)):
@@ -342,6 +345,9 @@ def channel_plan(factors: Mapping[str, Factor] = CHANNEL_FACTORS) -> tuple[tuple
         splits = [p for p in primitives if p in SPLITS]
         if len(splits) != 1:
             raise ChannelPlanError(f"a live assignment holds {len(splits)} splits, not one: {tuple(primitives)}")
+        alphas = primitives.count("alpha")
+        if alphas != 1:
+            raise ChannelPlanError(f"a live assignment pays alpha {alphas} times, not once: {tuple(primitives)}")
         detected = bool(local["gamma_C"] or local["gamma_W"])
         plan.append((detected, splits[0], tuple(p for p in primitives if p not in SPLITS)))
     return tuple(plan)
@@ -501,8 +507,8 @@ def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> Coincide
     the shared angle: the numerator pairs the detected sums, the partition
     pairs each channel's total, both by :func:`contract_channels` with the
     right channel reflected, so that the shared angle is a sum constraint.
-    Exact mode takes formal small parameters at width 0 and their joint
-    limit; it requires non-degenerate settings.  Regularized mode takes a
+    Exact mode takes a formal ``beta`` at width 0 and its beta -> 0 limit;
+    it requires non-degenerate settings.  Regularized mode takes a
     numeric ``beta`` at width ``sigma`` and handles equal / orthogonal settings.
     """
     if mode not in ("exact", "regularized"):
@@ -515,15 +521,12 @@ def coincidence_probability(params: Mrf3Params, mode: str = "exact") -> Coincide
         return CoincidenceResult(
             partition_ratio(num, den), GradedCoeff.constant(num), GradedCoeff.constant(den), "regularized"
         )
-    # Both sides must carry alpha^2 at leading beta order 3; anything
-    # else means the detector bookkeeping broke or a coefficient cancelled.
-    alpha_orders = (num.min_alpha_order(), den.min_alpha_order())
-    if alpha_orders != (2, 2):
-        raise UnexpectedLeadingOrder(f"leading alpha orders {alpha_orders}, expected (2, 2)")
-    beta_orders = (num.min_beta_order(alpha_order=2), den.min_beta_order(alpha_order=2))
+    # Both sides must lead at beta order 3; anything else means the channel
+    # bookkeeping broke or a coefficient cancelled.
+    beta_orders = (num.min_beta_order(), den.min_beta_order())
     if beta_orders != (3, 3):
         raise UnexpectedLeadingOrder(
-            f"leading beta orders {beta_orders} at alpha^2, expected (3, 3); "
+            f"leading beta orders {beta_orders}, expected (3, 3); "
             "near-degenerate settings cancel the beta^3 coefficient"
         )
     return CoincidenceResult(coeff_ratio_limit(num, den), num, den, "exact")

@@ -5,7 +5,7 @@ half-turn circle together with a smooth trigonometric polynomial in the
 even harmonics ``cos(2k*theta)``, ``sin(2k*theta)`` (period-pi functions,
 matching the mod-pi angle domain).  It is generic in its coefficient:
 :class:`~bellfield.graded.GradedCoeff` values on the exact route, so that
-products and integrals stay exact in the small parameters, and floats on the
+products and integrals stay exact in ``beta``, and floats on the
 regularized routes.  Every ``DistFn`` carries exactly :data:`MAX_HARMONIC`
 cos and sin coefficients; a product that would need a higher harmonic raises
 :class:`HarmonicOverflow` instead of dropping it.
@@ -229,13 +229,13 @@ class DistFn:
             tuple(-x for x in self.sin_coeffs),
         )
 
-    def substitute(self, alpha: float, beta: float) -> "DistFn":
-        """The float ``DistFn`` at numeric values of the formal small parameters."""
+    def substitute(self, beta: float) -> "DistFn":
+        """The float ``DistFn`` at a numeric value of the formal ``beta``."""
         return DistFn(
-            atoms=[(loc, w.eval(alpha, beta)) for loc, w in self.atoms],
-            c0=self.c0.eval(alpha, beta),
-            cos_coeffs=[x.eval(alpha, beta) for x in self.cos_coeffs],
-            sin_coeffs=[x.eval(alpha, beta) for x in self.sin_coeffs],
+            atoms=[(loc, w.eval(beta)) for loc, w in self.atoms],
+            c0=self.c0.eval(beta),
+            cos_coeffs=[x.eval(beta) for x in self.cos_coeffs],
+            sin_coeffs=[x.eval(beta) for x in self.sin_coeffs],
         )
 
     def __eq__(self, other) -> bool:
@@ -470,7 +470,7 @@ def regularize(
         raise ValueError(f"grid size {n} below minimum {MIN_GRID}")
     weights = [w for _, w in f.atoms]
     if any(isinstance(c, GradedCoeff) for c in (f.c0, *f.cos_coeffs, *f.sin_coeffs, *weights)):
-        raise ValueError("DistFn has graded coefficients; call substitute(alpha, beta) first")
+        raise ValueError("DistFn has graded coefficients; call substitute(beta) first")
 
     import numpy as np
 
@@ -542,10 +542,13 @@ def contract(fs: Sequence[DistFn], width: float) -> GradedCoeff | float:
 
     * every arm its atoms: each choice of one atom per arm adds the product
       of their weights times the wrapped normal of width ``width`` sqrt(N)
-      at the sum of their locations, with no truncation in k.  At width 0
-      that is a point mass: a choice whose locations sum to 0 mod pi (within
-      :data:`~bellfield.angles.ANGLE_TOL`) raises :class:`DeltaCollision`,
-      any other adds nothing;
+      at the sum of their locations, with no truncation in k.  A choice
+      whose locations sum to 0 mod pi within
+      :data:`~bellfield.angles.ANGLE_TOL` collides: at a positive width its
+      normal is taken at exactly 0, since the float sum of locations that
+      meet can miss by 1e-16, far beyond a width of 1e-300; at width 0, where
+      the normal is a point mass, it raises :class:`DeltaCollision`, and any
+      other choice adds nothing;
     * any other term holds a smooth arm, so only the orders up to the
       highest harmonic some arm's smooth part holds remain (at most
       :data:`MAX_HARMONIC`).  With A and S an arm's atoms and smooth part at
@@ -558,7 +561,7 @@ def contract(fs: Sequence[DistFn], width: float) -> GradedCoeff | float:
     else ``TypeError``.  At width 0 cos and sin values and pi enter as the
     floats they are, and a graded coefficient takes each exactly (every
     float is a rational, and pi/2 halves :data:`PI` exactly): the result is
-    exact in the formal small parameters.  A Bell pair is N = 2 with one arm
+    exact in the formal ``beta``.  A Bell pair is N = 2 with one arm
     :meth:`DistFn.reflected`; ``contract([f, g.reflected()], 0)`` equals
     ``dist_integrate(dist_mul(f, g))``, but as no product is formed it
     never raises :class:`HarmonicOverflow`.
@@ -573,9 +576,11 @@ def contract(fs: Sequence[DistFn], width: float) -> GradedCoeff | float:
         choices = [(c + loc.value, p if exact else p * w) for c, p in choices for loc, w in f.atoms]
     total = zero
     for location, product in choices:
+        offset = math.remainder(location, PI)
+        collides = abs(offset) < ANGLE_TOL
         if not exact:
-            total += product * _wrapped_normal(location, width * math.sqrt(len(fs)))
-        elif abs(math.remainder(location, PI)) < ANGLE_TOL:
+            total += product * _wrapped_normal(0.0 if collides else offset, width * math.sqrt(len(fs)))
+        elif collides:
             raise DeltaCollision(f"atoms meet at location sum {location:.6g}; use regularized mode")
     top = MAX_HARMONIC
     while top and not any(f.cos_coeffs[top - 1] or f.sin_coeffs[top - 1] for f in fs):

@@ -1,13 +1,15 @@
-"""Exact bivariate polynomials in the model's two small parameters.
+"""Exact polynomials in the model's small parameter, the conversion cost beta.
 
 Relative probabilities in the random-field model are polynomials in the
-detector absorption scale (``alpha`` throughout) and the polarizer
-conversion cost (``beta``).  Keeping both formal makes small-parameter
-limits exact: the limiting value of a ratio is read off the lowest
-surviving orders instead of being estimated at some finite parameter value.
-Every term is kept, so a polynomial also evaluates exactly at finite
-parameter values; no degree cap is needed, as N photons' sums reach total
-degree 3N.
+polarizer conversion cost ``beta``.  Keeping it formal makes the
+small-parameter limit exact: the limiting value of a ratio is read off the
+lowest surviving order instead of being estimated at some finite ``beta``.
+Every term is kept, so a polynomial also evaluates exactly at a finite
+``beta``; no degree cap is needed, as N photons' sums reach degree 2N.
+The model's other small parameter, the detector absorption scale, is no
+variable here: every live channel assignment pays it once, so it factors
+out of every ratio, and the routes give it the value 1 (see
+:mod:`bellfield.bell`).
 
 Coefficients are exact rationals, so addition and multiplication are
 commutative, associative and distributive *exactly* -- several downstream
@@ -23,7 +25,7 @@ coefficients back as ``Fraction`` values.
 The polynomials the routes combine mostly hold one or two terms, so an
 operation costs about what its integers cost only if nothing else runs per
 operand or per term: ``+`` and ``*`` read a graded operand's pairs directly,
-take a scalar operand as the one reduced pair of its (0, 0) term, with no
+take a scalar operand as the one reduced pair of its constant term, with no
 polynomial built around it, write the sum of two pairs out in their loops
 rather than calling a helper per term, and build each result straight into
 its ``_terms`` slot.  ``one()`` and ``zero()`` are shared constants.
@@ -37,18 +39,9 @@ from math import gcd
 from typing import Mapping, Tuple, Union
 
 Scalar = Union[int, float, Fraction]
-Key = Tuple[int, int]  # (alpha exponent, beta exponent)
+Key = int  # beta exponent
 Ratio = Tuple[int, int]  # (numerator, denominator), reduced, denominator > 0
 _SCALARS = (int, float, Fraction)
-
-
-class MismatchedAlphaOrder(ArithmeticError):
-    """The ratio's small-parameter limit would depend on alpha.
-
-    Raised when numerator and denominator carry different minimal alpha
-    orders: the joint limit is then direction-dependent, so we refuse to
-    guess.
-    """
 
 
 class DivergentLimit(ArithmeticError):
@@ -69,9 +62,9 @@ def _ratio(x: Scalar) -> Ratio:
 
 
 class GradedCoeff:
-    """Polynomial ``sum c_ij * alpha^i * beta^j``.
+    """Polynomial ``sum c_j * beta^j``.
 
-    Immutable.  Holds ``{(i, j): (numerator, denominator)}``, each pair
+    Immutable.  Holds ``{j: (numerator, denominator)}``, each pair
     reduced with a positive denominator, so that equal polynomials hold equal
     dicts.  Terms with a zero coefficient are never stored.  A constant
     hashes as its value, so that it hashes like the scalar it equals; any
@@ -83,12 +76,12 @@ class GradedCoeff:
 
     def __init__(self, terms: Mapping[Key, Scalar] | None = None):
         clean: dict[Key, Ratio] = {}
-        for (i, j), c in (terms or {}).items():
-            if i < 0 or j < 0:
-                raise ValueError(f"negative exponent in term ({i}, {j})")
+        for j, c in (terms or {}).items():
+            if j < 0:
+                raise ValueError(f"negative exponent in term {j}")
             r = _ratio(c)
             if r[0]:
-                clean[(i, j)] = r
+                clean[j] = r
         _set_terms(self, clean)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -98,7 +91,7 @@ class GradedCoeff:
 
     @classmethod
     def constant(cls, c: Scalar) -> "GradedCoeff":
-        return cls({(0, 0): c})
+        return cls({0: c})
 
     @classmethod
     def zero(cls) -> "GradedCoeff":
@@ -109,16 +102,12 @@ class GradedCoeff:
         return _ONE  # immutable, safe to share
 
     @classmethod
-    def term(cls, c: Scalar, alpha_exp: int = 0, beta_exp: int = 0) -> "GradedCoeff":
-        return cls({(alpha_exp, beta_exp): c})
-
-    @classmethod
-    def alpha(cls) -> "GradedCoeff":
-        return cls.term(1, 1, 0)
+    def term(cls, c: Scalar, beta_exp: int = 0) -> "GradedCoeff":
+        return cls({beta_exp: c})
 
     @classmethod
     def beta(cls) -> "GradedCoeff":
-        return cls.term(1, 0, 1)
+        return cls.term(1, 1)
 
     # -- queries -----------------------------------------------------------
 
@@ -132,45 +121,30 @@ class GradedCoeff:
 
     @property
     def is_constant(self) -> bool:
-        return not self._terms or set(self._terms) == {(0, 0)}
+        return self._terms.keys() <= {0}
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError(f"not a constant: {self!r}")
-        return Fraction(*self._terms.get((0, 0), (0, 1)))
+        return Fraction(*self._terms.get(0, (0, 1)))
 
-    def min_alpha_order(self) -> int:
+    def min_beta_order(self) -> int:
+        """Lowest beta exponent; read off the keys, with no ``Fraction`` built."""
         if not self._terms:
-            raise ValueError("zero polynomial has no alpha order")
-        return min(i for i, _ in self._terms)
-
-    def min_beta_order(self, alpha_order: int | None = None) -> int:
-        """Lowest beta exponent, among the terms of ``alpha^alpha_order`` only
-        when that is given; read off the keys, with no ``Fraction`` built."""
-        orders = [j for i, j in self._terms if alpha_order in (None, i)]
-        if not orders:
-            where = "" if alpha_order is None else f" at alpha order {alpha_order}"
-            raise ValueError(f"no beta order: no term{where}")
-        return min(orders)
-
-    def _by_beta(self, order: int) -> dict[int, Ratio]:
-        return {j: c for (i, j), c in self._terms.items() if i == order}
-
-    def at_alpha_order(self, order: int) -> dict[int, Fraction]:
-        """Coefficients of alpha^order, keyed by beta exponent."""
-        return {j: Fraction(n, d) for j, (n, d) in self._by_beta(order).items()}
+            raise ValueError("zero polynomial has no beta order")
+        return min(self._terms)
 
     def leading_terms(self) -> dict[Key, Fraction]:
-        """Terms at the minimal total degree (empty for zero)."""
+        """The term at the lowest beta order (empty for zero)."""
         if not self._terms:
             return {}
-        lead = min(i + j for i, j in self._terms)
-        return {(i, j): Fraction(n, d) for (i, j), (n, d) in self._terms.items() if i + j == lead}
+        j = min(self._terms)
+        return {j: Fraction(*self._terms[j])}
 
-    def eval(self, alpha: float, beta: float) -> float:
-        """Numeric value at concrete parameter values."""
-        a, b = Fraction(alpha), Fraction(beta)
-        return float(sum(Fraction(n, d) * a**i * b**j for (i, j), (n, d) in self._terms.items()))
+    def eval(self, beta: float) -> float:
+        """Numeric value at a concrete ``beta``."""
+        b = Fraction(beta)
+        return float(sum(Fraction(n, d) * b**j for j, (n, d) in self._terms.items()))
 
     # -- arithmetic ---------------------------------------------------------
     #
@@ -188,7 +162,7 @@ class GradedCoeff:
                 r = _ratio(other)
             except TypeError:
                 return NotImplemented
-            theirs = (((0, 0), r),) if r[0] else ()
+            theirs = ((0, r),) if r[0] else ()
         if not theirs:
             return self
         out = dict(self._terms)
@@ -241,17 +215,17 @@ class GradedCoeff:
                 r = _ratio(other)
             except TypeError:
                 return NotImplemented
-            theirs = (((0, 0), r),) if r[0] else ()
+            theirs = ((0, r),) if r[0] else ()
         if not (self._terms and theirs):
             return _ZERO
         out: dict[Key, Ratio] = {}
-        for (i1, j1), (n1, d1) in self._terms.items():
-            for (i2, j2), (n2, d2) in theirs:
+        for j1, (n1, d1) in self._terms.items():
+            for j2, (n2, d2) in theirs:
                 # (n1/d1)(n2/d2) with each numerator's common factor with the
                 # other denominator divided out: reduced, as both pairs are
                 g1, g2 = gcd(n1, d2), gcd(n2, d1)
                 n, d = (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
-                k = (i1 + i2, j1 + j2)
+                k = j1 + j2
                 old = out.get(k)
                 if old is None:
                     out[k] = n, d
@@ -285,7 +259,7 @@ class GradedCoeff:
             return NotImplemented
         except ValueError:  # NaN and the infinities equal no polynomial
             return False
-        return self._terms == ({(0, 0): r} if r[0] else {})
+        return self._terms == ({0: r} if r[0] else {})
 
     def __hash__(self) -> int:
         try:
@@ -302,13 +276,9 @@ class GradedCoeff:
         if not self._terms:
             return "GradedCoeff(0)"
         parts = []
-        for (i, j), c in sorted(self._terms.items()):
-            factors = [f"{c[0] / c[1]:g}"]
-            if i:
-                factors.append(f"a^{i}" if i > 1 else "a")
-            if j:
-                factors.append(f"b^{j}" if j > 1 else "b")
-            parts.append("*".join(factors))
+        for j, (n, d) in sorted(self._terms.items()):
+            power = "" if not j else "*b" if j == 1 else f"*b^{j}"
+            parts.append(f"{n / d:g}{power}")
         return f"GradedCoeff({' + '.join(parts)})"
 
 
@@ -318,37 +288,24 @@ _set_terms = GradedCoeff._terms.__set__
 _set_hash = GradedCoeff._hash.__set__
 
 _ZERO = GradedCoeff()
-_ONE = GradedCoeff({(0, 0): 1})
+_ONE = GradedCoeff({0: 1})
 
 
 def coeff_ratio_limit(num: GradedCoeff, den: GradedCoeff) -> float:
-    """Limit of ``num/den`` as both small parameters go to zero.
+    """Limit of ``num/den`` as beta goes to zero.
 
-    The alpha dependence must cancel (same minimal alpha order on both
-    sides); among the surviving terms the limit is the ratio of the
-    coefficients at the denominator's minimal beta order.  A numerator of
-    strictly higher beta order vanishes in the limit.
+    The limit is the ratio of the coefficients at the denominator's minimal
+    beta order.  A numerator of strictly higher beta order vanishes in the
+    limit.
     """
     if den.is_zero:
         raise ZeroDivisionError("ratio limit with zero denominator")
     if num.is_zero:
         return 0.0
-    a_num = num.min_alpha_order()
-    a_den = den.min_alpha_order()
-    if a_num != a_den:
-        raise MismatchedAlphaOrder(
-            f"numerator carries alpha^{a_num} but denominator alpha^{a_den}; "
-            "the limit depends on alpha"
-        )
-    num_by_beta = num._by_beta(a_num)
-    den_by_beta = den._by_beta(a_den)
-    b_den = min(den_by_beta)
-    b_num = min(num_by_beta)
+    b_num, b_den = min(num._terms), min(den._terms)
     if b_num > b_den:
         return 0.0
     if b_num < b_den:
-        raise DivergentLimit(
-            f"numerator is beta^{b_num} against denominator beta^{b_den}"
-        )
-    (n1, d1), (n2, d2) = num_by_beta[b_den], den_by_beta[b_den]
+        raise DivergentLimit(f"numerator is beta^{b_num} against denominator beta^{b_den}")
+    (n1, d1), (n2, d2) = num._terms[b_den], den._terms[b_den]
     return (n1 * d2) / (d1 * n2)  # int division rounds the exact ratio once

@@ -39,8 +39,7 @@ Each model is written once, for N arms, and the Bell pair is its N = 2 call:
 
 Every photon, passed or blocked, ends in an absorber of the same cost
 2*alpha*beta, so neither modified route multiplies that cost in: no ratio
-reads it, and no modified route takes a value for alpha, which is formal
-only (see :mod:`bellfield.bell`).
+reads it, as alpha cancels from every ratio (see :mod:`bellfield.bell`).
 
 Only the density matrices use numpy: :func:`linear_state`, :func:`ghz_state`,
 :func:`circular_ghz_state`, :class:`DensityMatrix`, the traditional

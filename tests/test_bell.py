@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from bellfield.angles import PI, PolAngle
 import bellfield.bell as bell
 from bellfield.bell import (
-    ALPHA,
     BETA,
     MAX_BETA,
     CHANNELS,
@@ -537,25 +536,25 @@ class TestSizedGrid:
 
 class TestFeatures:
     def test_external_detector(self):
+        # the counter's cost alpha cancels from every ratio and is valued 1
         f = feature("R", "detector")
         assert f.eval({"R_gamma_C": 0, "R_gamma_W": 0}) == DistFn.one()
-        assert f.eval({"R_gamma_C": 1, "R_gamma_W": 0}) == DistFn.constant(ALPHA)
+        assert f.eval({"R_gamma_C": 1, "R_gamma_W": 0}) == DistFn.one()
         # unreachable double occupation: any finite value, exit zeroes it
-        assert f.eval({"R_gamma_C": 1, "R_gamma_W": 1}) == DistFn.constant(ALPHA)
+        assert f.eval({"R_gamma_C": 1, "R_gamma_W": 1}) == DistFn.one()
 
     def test_hidden_detector(self):
+        # the absorber's cost 2*alpha*beta, alpha valued 1
         f = feature("R", "hidden_minus")
         assert f.eval({"R_gamma_b_minus": 0}) == DistFn.one()
-        assert f.eval({"R_gamma_b_minus": 1}) == DistFn.constant(
-            GradedCoeff.constant(2) * ALPHA * BETA
-        )
+        assert f.eval({"R_gamma_b_minus": 1}) == DistFn.constant(2 * BETA)
 
     def test_entry_surface_branches(self):
         tb = PolAngle.from_degrees(20.0)
         f = feature("R", "entry", tb)
         passing = f.eval({"R_gamma_b": 1, "R_gamma_b_minus": 0})
         assert passing.atom_weight_at(tb) == GradedCoeff.one()
-        assert passing.smooth_at(tb.value).eval(1.0, 0.5) == pytest.approx(0.5)
+        assert passing.smooth_at(tb.value).eval(0.5) == pytest.approx(0.5)
         blocked = f.eval({"R_gamma_b": 0, "R_gamma_b_minus": 1})
         assert blocked.atom_weight_at(tb.perpendicular()) == GradedCoeff.one()
         assert f.eval({"R_gamma_b": 1, "R_gamma_b_minus": 1}).is_zero
@@ -581,9 +580,9 @@ class TestFeatures:
         entry = feature("R", "entry", tb).eval({"R_gamma_b": 0, "R_gamma_b_minus": 1})
         hidden = feature("R", "hidden_minus").eval({"R_gamma_b_minus": 1})
         prod = dist_mul(entry, hidden)
-        two_ab = GradedCoeff.constant(2) * ALPHA * BETA
-        assert prod.atom_weight_at(tb.perpendicular()) == two_ab
-        assert prod.c0 == two_ab * BETA * Fraction(1, 2)
+        two_b = 2 * BETA
+        assert prod.atom_weight_at(tb.perpendicular()) == two_b
+        assert prod.c0 == two_b * BETA * Fraction(1, 2)
 
     def test_detection_scenario_product_structure(self):
         # pass-path entry times exit conversion times counter absorption
@@ -592,9 +591,8 @@ class TestFeatures:
         prod = DistFn.one()
         for f in channel_features("R", tb):
             prod = dist_mul(prod, f.eval(a))
-        ab = ALPHA * BETA
-        assert prod.atom_weight_at(tb) == ab
-        assert prod.c0 == ab * BETA * Fraction(1, 2)  # beta cos^2 tail, DC part
+        assert prod.atom_weight_at(tb) == BETA
+        assert prod.c0 == BETA * BETA * Fraction(1, 2)  # beta cos^2 tail, DC part
 
     @pytest.mark.parametrize("channel", ["L", "R"])
     def test_features_are_nonnegative_relative_probabilities(self, channel):
@@ -604,7 +602,7 @@ class TestFeatures:
             n_deps = len(feat.depends_on)
             for bits in itertools.product((0, 1), repeat=n_deps):
                 out = feat.eval(dict(zip(feat.depends_on, bits)))
-                numeric = out.substitute(0.01, 0.001)
+                numeric = out.substitute(0.001)
                 for _, w in numeric.atoms:
                     assert w >= 0.0
                 smooth = np.array([numeric.smooth_at(float(t)) for t in grid[::8]], dtype=float)
@@ -693,14 +691,14 @@ class TestChannelSums:
     def test_closed_form_structure(self):
         ta = PolAngle.from_degrees(20.0)
         plus, minus = sum_out_channel(split_backend(PolAngle.from_degrees(20.0), BETA))
-        two_ab = GradedCoeff.constant(2) * ALPHA * BETA
-        assert plus.atom_weight_at(ta) == two_ab
-        assert plus.c0 == two_ab * BETA * Fraction(1, 2)
-        assert minus.atom_weight_at(ta.perpendicular()) == two_ab
+        two_b = 2 * BETA
+        assert plus.atom_weight_at(ta) == two_b
+        assert plus.c0 == two_b * BETA * Fraction(1, 2)
+        assert minus.atom_weight_at(ta.perpendicular()) == two_b
 
     def test_sum_integrates_to_eighteen_form(self):
         plus, minus = sum_out_channel(split_backend(PolAngle.from_degrees(20.0), BETA))
-        expected = GradedCoeff({(1, 1): 4, (1, 2): 2 * PI_FRAC})
+        expected = GradedCoeff({1: 4, 2: 2 * PI_FRAC})
         assert dist_integrate(plus + minus) == expected
 
     def test_closed_form_equals_enumeration_exactly(self):
@@ -732,18 +730,21 @@ class TestChannelPlan:
         )
 
     @pytest.mark.parametrize(
-        "entry",
+        "name, table, match",
         [
-            {(1, 0): ("beta",), (0, 1): ("block",)},
-            {(1, 0): ("pass", "block"), (0, 1): ("block",)},
-            {(1, 0): ("pass", "pass"), (0, 1): ("block",)},
+            ("entry", {(1, 0): ("beta",), (0, 1): ("block",)}, "splits, not one"),
+            ("entry", {(1, 0): ("pass", "block"), (0, 1): ("block",)}, "splits, not one"),
+            ("entry", {(1, 0): ("pass", "pass"), (0, 1): ("block",)}, "splits, not one"),
+            ("hidden_minus", {(0,): (), (1,): (2, "alpha", "alpha", "beta")}, "alpha 2 times, not once"),
+            ("detector", {(0, 0): (), (1, 0): (), (0, 1): ("alpha",), (1, 1): ("alpha",)}, "alpha 0 times, not once"),
         ],
-        ids=["no-split", "pass-and-block", "pass-twice"],
+        ids=["no-split", "pass-and-block", "pass-twice", "alpha-twice", "no-alpha"],
     )
-    def test_refuses_an_assignment_without_exactly_one_split(self, entry):
-        # the entry surface's pass assignment holds the wrong splits
-        factors = {**CHANNEL_FACTORS, "entry": (CHANNEL_FACTORS["entry"][0], entry)}
-        with pytest.raises(bell.ChannelPlanError, match="splits, not one"):
+    def test_refuses_an_assignment_without_exactly_one_split(self, name, table, match):
+        # one factor's table gives a live assignment the wrong splits, or
+        # makes it pay alpha other than once, so that alpha would not cancel
+        factors = {**CHANNEL_FACTORS, name: (CHANNEL_FACTORS[name][0], table)}
+        with pytest.raises(bell.ChannelPlanError, match=match):
             bell.channel_plan(factors)
 
 
@@ -821,8 +822,7 @@ class TestChannelSumsMemo:
 
 class TestSplitBackend:
     """One split function for both coefficient types: at a numeric beta it
-    gives the graded split evaluated there at alpha 1, and so do its channel
-    sums."""
+    gives the graded split evaluated there, and so do its channel sums."""
 
     @staticmethod
     def coefficients(f: DistFn) -> list:
@@ -841,7 +841,7 @@ class TestSplitBackend:
             for want, value in zip(self.coefficients(exact), self.coefficients(got), strict=True):
                 assert type(value) is float
                 # below the smallest normal float only steps of 5e-324 remain
-                assert value == pytest.approx(want.eval(1.0, beta), rel=1e-15, abs=1e-321)
+                assert value == pytest.approx(want.eval(beta), rel=1e-15, abs=1e-321)
 
 
 class TestPrimitiveProduct:
@@ -890,27 +890,22 @@ class TestCoincidenceExact:
 
     def test_partition_closed_form(self):
         r = coincidence_probability(params_for(60.0), "exact")
-        assert r.denominator == GradedCoeff({(2, 3): 16, (2, 4): 4 * PI_FRAC})
+        assert r.denominator == GradedCoeff({3: 16, 4: 4 * PI_FRAC})
 
     def test_numerator_leading_coefficient(self):
         for d in (20.0, 60.0, 75.0):
             r = coincidence_probability(params_for(d), "exact")
-            lead = r.numerator.at_alpha_order(2)[3]
+            lead = r.numerator.leading_terms()[3]
             assert float(lead) == pytest.approx(8 * math.cos(math.radians(d)) ** 2, abs=1e-12)
 
     def test_alpha_and_beta_order_structure(self):
+        # alpha lives in the channel plan alone: every Bell scenario, a pair
+        # of live assignments, pays it twice, so alpha^2 cancels from the
+        # ratio; both exact sums lead at beta^3
+        for left, right in itertools.product(bell.CHANNEL_PLAN, repeat=2):
+            assert (left[2] + right[2]).count("alpha") == 2
         r = coincidence_probability(params_for(40.0), "exact")
-        assert r.numerator.min_alpha_order() == 2
-        assert r.denominator.min_alpha_order() == 2
-        assert min(r.numerator.at_alpha_order(2)) == 3
-        assert min(r.denominator.at_alpha_order(2)) == 3
-
-    def test_every_term_carries_alpha_squared(self):
-        # every term, not only the leading one, so alpha^2 cancels from the ratio
-        rng = random.Random(29)
-        for _ in range(5):
-            r = coincidence_probability(params_for(rng.uniform(1.0, 89.0)), "exact")
-            assert {i for i, _ in r.numerator.terms} == {i for i, _ in r.denominator.terms} == {2}
+        assert (r.numerator.min_beta_order(), r.denominator.min_beta_order()) == (3, 3)
 
     def test_degenerate_settings_collide(self):
         with pytest.raises(DeltaCollision):
@@ -937,12 +932,12 @@ class TestCoincidenceExact:
     def closed_form(params: Mrf3Params) -> tuple[dict, dict]:
         """The exact route's (numerator, denominator) terms derived by hand:
         with c2 = cos 2(theta_a - theta_b) in the settings' own Fractions,
-        16 a^2 b^3 + 4 pi a^2 b^4 over the partition, and
-        4 (1 + c2) a^2 b^3 + pi (1 + c2 / 2) a^2 b^4 over the coincidences."""
+        16 b^3 + 4 pi b^4 over the partition, and
+        4 (1 + c2) b^3 + pi (1 + c2 / 2) b^4 over the coincidences."""
         a, b = 2 * params.theta_a.value, 2 * params.theta_b.value
         c2 = Fraction(math.cos(a)) * Fraction(math.cos(b)) + Fraction(math.sin(a)) * Fraction(math.sin(b))
-        numerator = {(2, 3): 4 * (1 + c2), (2, 4): PI_FRAC * (1 + c2 / 2)}
-        return numerator, {(2, 3): 16, (2, 4): 4 * PI_FRAC}
+        numerator = {3: 4 * (1 + c2), 4: PI_FRAC * (1 + c2 / 2)}
+        return numerator, {3: 16, 4: 4 * PI_FRAC}
 
     def test_closed_form_on_the_tenth_degree_lattice(self):
         for tenths in range(1, 1800):
@@ -1182,7 +1177,7 @@ class TestCrossRoute:
         grid = grid_points(params.grid_n)
         on_grid = sum_out_channel(grid_backend(grid, theta, beta, sigma))
         for got, exact in zip(on_grid, sum_out_channel(split_backend(params.setting("L"), BETA))):
-            want = regularize(exact.substitute(1.0, beta), sigma, params.grid_n).samples
+            want = regularize(exact.substitute(beta), sigma, params.grid_n).samples
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @settings(max_examples=25, deadline=None)

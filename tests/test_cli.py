@@ -341,6 +341,14 @@ class TestTriphoton:
         assert rows["MRF3-oracle"] == pytest.approx(0.2473, abs=1e-3)
         assert rows["Mstar"] == pytest.approx(0.2473, abs=1e-3)
 
+    def test_a_collision_narrower_than_the_rounding_reads_its_limit(self, tmp_path):
+        # the all-atom location sums miss a multiple of pi by up to 6e-16, far
+        # beyond a kernel of width 1e-300; both model rows once printed 1
+        out = tmp_path / "tri.csv"
+        assert main(["triphoton-compare", "--angles", "30,75,75", "--sigma", "1e-300", "--output", str(out)]) == 0
+        rows = {r["model"]: float(r["value"]) for r in read_csv(out)}
+        assert rows["Mstar"] == rows["MRF3-oracle"] == 0.25
+
     def test_overflowing_partition_exits_3(self, capsys):
         # a kernel this narrow peaks above the largest float at Σθ = 0
         argv = ["triphoton-compare", "--angles", "0,0,0", "--sigma", "5e-324", "--grid-n", "1"]

@@ -253,7 +253,7 @@ class TestApplyMstar:
         for b in out.branches:
             assert b.weight.min_beta_order() == 1
             # cos^2(45deg) carries float rounding; compare numerically
-            assert b.weight.eval(1.0, 1.0) == pytest.approx(0.5, abs=1e-12)
+            assert b.weight.eval(1.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_circular_branch_splits_evenly(self):
         out = apply_Mstar(one_branch(CircularTag("C")), 0, self.setting())
@@ -282,7 +282,7 @@ class TestApplyMstarReadsTheSplit:
     betas = st.one_of(st.none(), st.floats(1e-6, 0.1))
     weights = st.one_of(
         st.floats(1e-3, 10.0).map(GradedCoeff.constant),
-        st.floats(1e-3, 10.0).map(lambda c: GradedCoeff({(0, 1): c, (2, 0): -c})),
+        st.floats(1e-3, 10.0).map(lambda c: GradedCoeff({1: c, 2: -c})),
     )
 
     @settings(max_examples=60, deadline=None)
@@ -306,8 +306,8 @@ class TestApplyMstarReadsTheSplit:
         assert (passed.tags, blocked.tags) == ((LinearTag(setting.theta0),), (LinearTag(perp),))
         d = tag.angle.value - setting.theta0.value
         scale = 1.0 if beta is None else beta
-        assert abs(passed.weight.eval(1.0, 1.0) - scale * math.cos(d) ** 2) <= 1e-15
-        assert abs(blocked.weight.eval(1.0, 1.0) - scale * math.sin(d) ** 2) <= 1e-15
+        assert abs(passed.weight.eval(1.0) - scale * math.cos(d) ** 2) <= 1e-15
+        assert abs(blocked.weight.eval(1.0) - scale * math.sin(d) ** 2) <= 1e-15
         # the two tails add up to beta exactly, no weight lost to rounding,
         # unless the far one rounded below zero and was taken as zero
         passed, blocked = apply_Mstar(one_branch(tag, w), 0, setting).branches
@@ -327,8 +327,8 @@ class TestApplyMstarReadsTheSplit:
                 out = apply_Mstar(one_branch(LinearTag(PolAngle(axis.value + offset))), 0, setting)
                 near, far = sorted(out.branches, key=lambda b: b.tags[0] != LinearTag(axis))
                 assert near.tags == (LinearTag(axis),)
-                assert abs(near.weight.eval(1.0, 1.0) - (beta or 1.0)) <= 1e-15
-                assert 0 <= far.weight.eval(1.0, 1.0) <= 1e-15
+                assert abs(near.weight.eval(1.0) - (beta or 1.0)) <= 1e-15
+                assert 0 <= far.weight.eval(1.0) <= 1e-15
 
     @settings(max_examples=60, deadline=None)
     @given(angles, betas, weights)

@@ -301,6 +301,36 @@ class TestClosedFormContraction:
             got = n_photon_mrf([PolAngle(t) for t in thetas], 1e-12, 1e-8)
             assert got == pytest.approx(limit, rel=1e-9, abs=0), thetas
 
+    @pytest.mark.parametrize(
+        "setting",
+        [(30.0, 75.0, 75.0), (60.0, 60.0, 60.0), (0.0, 0.0, 0.0, 0.0), (45.0, 45.0, 45.0, 45.0)],
+        ids=["30-75-75", "60-60-60", "0-0-0-0", "45-45-45-45"],
+    )
+    def test_a_collision_keeps_its_limit_down_to_the_narrowest_width(self, setting):
+        # at the three-photon settings the float location sums of atoms that
+        # meet miss a multiple of pi by up to 7e-16, so without the collision
+        # rule every width below about 1e-16 lost the partition's colliding
+        # terms and read 1; the four-photon ones sum exactly.  The value is
+        # the colliding weights' ratio 2^(1-N), up to the smooth parts' share,
+        # which falls linearly with the width (1.3e-12 at 1e-6)
+        sums = [channel_sums(s, 1e-3) for s in degrees(setting)]
+        limit = 2.0 ** (1 - len(setting))
+        for exponent in range(6, 301):
+            sigma = 10.0**-exponent
+            got = partition_ratio(*contract_channels(sums, sigma))
+            assert got == pytest.approx(limit, rel=0, abs=1e-12 + 2e-6 * sigma), sigma
+
+    def test_a_near_collision_keeps_its_off_collision_value(self):
+        # 1.7e-9 rad from a collision is none: once the kernels are far
+        # narrower than that, the value is the model's off the collision
+        setting = degrees((30.0, 75.0, 75.0000001))
+        sums = [channel_sums(s, 1e-3) for s in setting]
+        want = model_value(sum(s.value for s in setting), 1e-3, 3)
+        assert want == pytest.approx(0.249902, abs=1e-6)
+        for exponent in range(12, 301):
+            sigma = 10.0**-exponent
+            assert partition_ratio(*contract_channels(sums, sigma)) == pytest.approx(want, rel=1e-12, abs=0), sigma
+
     def test_float_arms_without_c0_give_a_float(self):
         # DistFn's c0 defaults to a graded zero, which must not turn the sum graded
         arm = DistFn(atoms=[(PolAngle(0.3), 1.0)], cos_coeffs=[0.5, 0.0], sin_coeffs=[0.0, 0.0])
@@ -316,8 +346,8 @@ class TestClosedFormContraction:
             contract([left, right.reflected()], 0.01)
 
     def test_exact_three_photon_limit(self):
-        # at width 0 on the graded split the contraction is exact in alpha and
-        # beta, and its joint limit is the model's cos^2(theta_1 + theta_2 + theta_3) / 4
+        # at width 0 on the graded split the contraction is exact in beta, and
+        # its beta -> 0 limit is the model's cos^2(theta_1 + theta_2 + theta_3) / 4
         rng = random.Random(16)
         for _ in range(30):
             thetas = [rng.uniform(0.0, PI) for _ in range(3)]
@@ -330,7 +360,7 @@ class TestClosedFormContraction:
             assert coeff_ratio_limit(num, den) == pytest.approx(limit, abs=1e-9), thetas
 
     def test_exact_four_photon_limit(self):
-        # four photons' sums lead at alpha^4 beta^5; the limit is
+        # four photons' sums lead at beta^5; the limit is
         # cos^2(theta_1 + ... + theta_4) / 8
         rng = random.Random(17)
         for _ in range(30):
@@ -343,20 +373,10 @@ class TestClosedFormContraction:
             den = contract([detected + undetected for detected, undetected in sums], 0)
             assert coeff_ratio_limit(num, den) == pytest.approx(limit, abs=1e-9), thetas
 
-    @pytest.mark.parametrize("photons", [3, 4])
-    def test_every_term_carries_alpha_to_the_photon_count(self, photons):
-        # each channel pays alpha once, so alpha^N factors out of every term of
-        # both sums, not only the leading one, and cancels from their ratio
-        rng = random.Random(30 + photons)
-        for _ in range(5):
-            sums = [channel_sums(PolAngle(t), BETA) for t in settings_off_collisions(rng, photons, 0.05)]
-            for total in contract_channels(sums, 0):
-                assert {i for i, _ in total.terms} == {photons}
-
     @pytest.mark.parametrize("photons", PHOTONS)
     def test_graded_split_equals_the_model_value(self, photons):
-        # exact in alpha and beta at width 0, so its ratio at any (alpha, beta)
-        # is the model's closed form; four photons' sums reach total degree 12
+        # exact in beta at width 0, so its ratio at any beta is the model's
+        # closed form; four photons' sums reach degree 8
         rng = random.Random(18 + photons)
         for _ in range(20):
             thetas = settings_off_collisions(rng, photons, 0.05)
@@ -364,7 +384,7 @@ class TestClosedFormContraction:
             num, den = contract_channels(sums, 0)
             for beta in (1e-6, 1e-3, 1e-1):
                 want = model_value(sum(thetas), beta, photons)
-                got = num.eval(1e-2, beta) / den.eval(1e-2, beta)
+                got = num.eval(beta) / den.eval(beta)
                 assert got == pytest.approx(want, rel=1e-12, abs=0), (thetas, beta)
 
     @pytest.mark.parametrize("photons", PHOTONS)
