@@ -571,13 +571,16 @@ def brute_force_oracle(params: Mrf3Params) -> CoincidenceResult:
     The scenarios that some factor leaves out weigh zero; the others are the
     pairs of the two channels' live assignments (:data:`CHANNEL_PLAN`), since
     the channels share no bit, and ``itertools.product`` pairs them in the
-    lexicographic order of the eight bits.  Each channel's assignments are
-    valued once on the grid backend, as their scalars' product and their
-    split's kernel array, so the grid kernels are sampled four times per
-    call.  A scenario's scalar weight is the left channel's product times
-    the right's, each ``beta`` or the exact ``2 * beta``: the product a
-    scenario-by-scenario walk takes, whose other scalars are 1.0.  A weight
-    that underflowed to zero is skipped.  The rest multiply that weight by
+    lexicographic order of the eight bits.  Each channel's splits are
+    valued once on the grid backend, so the grid kernels are sampled four
+    times per call, on the shared :func:`~bellfield.dist.grid_points` array,
+    where each costs only the cells it reaches.  The assignments' scalar
+    products are taken once per call: both backends give ``alpha`` 1.0 and
+    the same ``beta``, so they are the same floats.  A scenario's scalar
+    weight is the left channel's product times the right's, each ``beta`` or
+    the exact ``2 * beta``: the product a scenario-by-scenario walk takes,
+    whose other scalars are 1.0.  A weight that underflowed to zero is
+    skipped.  The rest multiply that weight by
     the left split, then the right, in one reused buffer (the bits of
     ``weight * A_L * A_R``), and add its integral to the sums.  Scenarios
     that pair the same two plan entries share that product, as the four
@@ -589,10 +592,9 @@ def brute_force_oracle(params: Mrf3Params) -> CoincidenceResult:
 
     require_resolved(params.sigma, params.grid_n)
     grid = grid_points(params.grid_n)
-    channels = []
-    for ch in CHANNELS:
-        backend = grid_backend(grid, params.setting(ch).value, params.beta, params.sigma)
-        channels.append([(entry, primitive_product(entry[2], backend), backend[entry[1]]) for entry in CHANNEL_PLAN])
+    backends = [grid_backend(grid, params.setting(ch).value, params.beta, params.sigma) for ch in CHANNELS]
+    scalars = [primitive_product(entry[2], backends[0]) for entry in CHANNEL_PLAN]
+    channels = [[(entry, s, backend[entry[1]]) for entry, s in zip(CHANNEL_PLAN, scalars)] for backend in backends]
 
     num = 0.0
     den = 0.0

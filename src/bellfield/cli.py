@@ -19,6 +19,7 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -199,9 +200,7 @@ def _run_bell_sweep(config: ExperimentConfig) -> list[ResultRow]:
         if config.mode in ("regularized", "both"):
             value, ms = _timed(lambda: brute_force_oracle(params).probability)
             rows.append(ResultRow(config.experiment, "MRF3-oracle", {"delta_deg": d}, value, target, ms))
-        value, ms = _timed(
-            lambda: bell_coincidence_qm(PolAngle.from_degrees(d), PolAngle.from_degrees(0.0))
-        )
+        value, ms = _timed(lambda: bell_coincidence_qm(params.theta_a, params.theta_b))
         rows.append(ResultRow(config.experiment, "QM", {"delta_deg": d}, value, target, ms))
     return rows
 
@@ -213,9 +212,7 @@ def _run_special_cases(config: ExperimentConfig) -> list[ResultRow]:
         params = _mrf_params(config, d)
         value, ms = _timed(lambda: brute_force_oracle(params).probability)
         rows.append(ResultRow(config.experiment, "MRF3-oracle", {"delta_deg": d}, value, target, ms))
-        value, ms = _timed(
-            lambda: bell_coincidence_qm(PolAngle.from_degrees(d), PolAngle.from_degrees(0.0))
-        )
+        value, ms = _timed(lambda: bell_coincidence_qm(params.theta_a, params.theta_b))
         rows.append(ResultRow(config.experiment, "QM", {"delta_deg": d}, value, target, ms))
     return rows
 
@@ -313,9 +310,11 @@ def render_rows(rows: list[ResultRow], fmt: str) -> str:
 def run(config: ExperimentConfig) -> list[ResultRow]:
     """Validate, execute and write the experiment's table; returns the rows.
 
-    A file gets the table as UTF-8 bytes, in one binary write, and so does
-    stdout, whatever its text encoding; a stdout with no byte buffer gets
-    the text.
+    A file gets the table as UTF-8 bytes, written straight to a descriptor
+    opened as ``open(path, "wb")`` opens one (created with mode 0o666 under
+    the umask, truncated, not inherited by child processes); stdout gets
+    the same bytes in one binary write, whatever its text encoding, and a
+    stdout with no byte buffer gets the text.
     """
     config.validate()
     rows = RUNNERS[config.experiment](config)
@@ -329,8 +328,13 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
             buffer.write(text.encode("utf-8"))
     else:
         try:
-            with open(config.output, "wb") as out:
-                out.write(text.encode("utf-8"))
+            fd = os.open(config.output, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0), 0o666)
+            try:
+                data = memoryview(text.encode("utf-8"))
+                while data:
+                    data = data[os.write(fd, data) :]
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise ConfigError("output", f"cannot write {config.output!r}: {exc}") from None
     return rows

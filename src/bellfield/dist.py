@@ -18,7 +18,9 @@ that meet -- the square of a point mass is not a distribution -- raise
 positive width, which widens every atom into a unit-mass wrapped Gaussian
 and does plain float arithmetic, still in closed form.
 :class:`RegularizedDistFn` samples a float ``DistFn`` on a uniform grid
-instead, as a reference.
+instead, as a reference.  :func:`grid_points` hands out one shared,
+read-only grid per size, and on it :func:`wrapped_gaussian` evaluates each
+kernel image only on the cells it reaches, found by arithmetic.
 
 Only the grid layer uses numpy: :func:`grid_points`, :func:`wrapped_gaussian`,
 :class:`RegularizedDistFn` and :func:`regularize` import it when called, so
@@ -27,6 +29,7 @@ the exact and closed-form routes run without loading it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -361,51 +364,99 @@ def dist_integrate(f: DistFn) -> GradedCoeff:
 # -- regularized representation -----------------------------------------------
 
 
+#: Distinct grid sizes :func:`grid_points` keeps, least recently used first
+#: out.  A process sees one size per sigma (the oracle's grid follows it), and
+#: a default limit study four, so 8 keep every size of one experiment.
+GRID_MEMO = 8
+
+
 def grid_points(n: int) -> np.ndarray:
-    """Uniform half-open grid on [0, pi)."""
+    """Uniform half-open grid on [0, pi): sample i at i * (pi / n).
+
+    One read-only array per size, shared by every caller, from a memo of
+    :data:`GRID_MEMO` sizes keyed on ``int(n)`` (a subclass of int, such as
+    :class:`~bellfield.bell.Mrf3Params`' sized ``grid_n``, shares its
+    plain int's entry).  :func:`wrapped_gaussian` knows it by identity.
+    """
+    return _memo_grid_points(int(n))
+
+
+@functools.lru_cache(maxsize=GRID_MEMO)
+def _memo_grid_points(n: int) -> np.ndarray:
     import numpy as np
 
-    return np.arange(n) * (PI / n)
+    grid = np.arange(n) * (PI / n)
+    grid.flags.writeable = False
+    return grid
 
 
 def wrapped_gaussian(grid: np.ndarray, center: float, sigma: float) -> np.ndarray:
     """Unit-mass Gaussian kernel wrapped onto the period-pi circle.
 
-    Sums the images ``center - m*pi``, m = -3..3, but only those within
-    :data:`KERNEL_REACH` sigma (+1e-9 for the rounding of sample and image
-    positions) of the samples' range, and on an ascending 1-D grid
-    each only on the samples within that reach of its centre: a farther
-    sample gets exp(-748) or less, exactly 0.0 in float64.  The samples
-    nearer than that whose value is subnormal (37.6 to 38.6 widths out) are
-    still evaluated.  Any other grid takes whole-array images.  Each image
-    is evaluated in one temporary, in place, with the operations of
+    Sums the images ``center - m*pi``, m = -3..3, each only where it can
+    reach: a sample farther than :data:`KERNEL_REACH` widths from an image
+    gets exp(-748) or less from it, exactly 0.0 in float64.  On a
+    :func:`grid_points` array itself (a centre within four half-turns, a width
+    up to :data:`MAX_SIGMA` with a finite norm), each image's window is found
+    by arithmetic on the spacing pi/n, padded by one cell for the rounding of
+    sample and image positions, and only the span the windows cover is
+    scaled by the norm.  The samples nearer than the reach whose value is
+    subnormal (37.6 to 38.6 widths out) are still evaluated.  Any other grid
+    (a copy, 2-D, reordered) or argument takes whole-array images, each
+    skipped only when it lies beyond the reach of the samples' range.  Each
+    image is evaluated in one temporary, in place, with the operations of
     ``norm * exp(-0.5 * ((grid - center + m*pi) / sigma) ** 2)`` in that
     order, so every sample has the bits the expression gives.
     """
     import numpy as np
 
     norm = 1.0 / (sigma * math.sqrt(2.0 * PI))
-    reach = KERNEL_REACH * abs(sigma) + 1e-9
-    ascending = grid.ndim == 1 and grid.size > 0 and bool(np.all(grid[1:] >= grid[:-1]))
-    if ascending:
-        first, last = grid[0], grid[-1]
+    reach = KERNEL_REACH * abs(sigma)
+    n = grid.size
+    images = []  # (m, its cells, whether no earlier image wrote them)
+    if (
+        abs(center) <= 4 * PI
+        and abs(sigma) <= MAX_SIGMA
+        and abs(norm) < math.inf
+        and grid.ndim == 1
+        and n
+        and grid is grid_points(n)
+    ):
+        out = np.zeros(n)
+        # Sample i lies at i * cell to within rounding, so the window of
+        # samples within reach, one cell wider on each side, holds every
+        # sample the image gives a nonzero value.  Only the m whose image can
+        # reach [0, pi), give or take one, are tried; images descend with m.
+        cell = PI / n
+        span = slice(n, n)
+        for m in range(max(math.floor((center - reach) / PI) - 1, -3), min(math.ceil((center + reach) / PI), 3) + 1):
+            image = center - m * PI
+            lo = max(math.ceil((image - reach) / cell) - 1, 0)
+            hi = min(math.floor((image + reach) / cell) + 2, n)
+            if lo < hi:
+                images.append((m, slice(lo, hi), hi <= span.start))
+                span = slice(min(lo, span.start), max(hi, span.stop))
     else:
+        out = np.zeros_like(grid)
+        reach += 1e-9  # the rounding of sample and image positions
         first, last = np.min(grid, initial=np.inf), np.max(grid, initial=-np.inf)
-    out = np.zeros_like(grid)
-    for m in range(-3, 4):
-        image = center - m * PI
-        if image < first - reach or image > last + reach:
-            continue
-        cells = slice(None)
-        if ascending:
-            cells = slice(np.searchsorted(grid, image - reach), np.searchsorted(grid, image + reach, side="right"))
+        for m in range(-3, 4):
+            image = center - m * PI
+            if not (image < first - reach or image > last + reach):
+                images.append((m, slice(None), not images))
+        span = slice(None)
+    for m, cells, fresh in images:
         d = np.subtract(grid[cells], center)
-        d += m * PI
+        if m:  # adding 0.0 changes no bit that the square keeps
+            d += m * PI
         d /= sigma
         np.square(d, out=d)
         d *= -0.5
-        out[cells] += np.exp(d, out=d)
-    out *= norm
+        if fresh:  # 0.0 + x is x
+            np.exp(d, out=out[cells])
+        else:
+            out[cells] += np.exp(d, out=d)
+    out[span] *= norm
     return out
 
 

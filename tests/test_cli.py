@@ -434,9 +434,35 @@ class TestConfigFile:
         assert "config key 'config'" in capsys.readouterr().err
 
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "missing" / "x.csv"
-        assert main(["bell-sweep", "--mode", "exact", "--angles", "30", "--output", str(out)]) == 2
-        assert "config key 'output'" in capsys.readouterr().err
+        for out in (tmp_path / "missing" / "x.csv", tmp_path):  # no such directory; a directory
+            assert main(["bell-sweep", "--mode", "exact", "--angles", "30", "--output", str(out)]) == 2
+            assert "config key 'output'" in capsys.readouterr().err
+
+    def test_new_file_mode_follows_the_umask_and_no_child_inherits_it(self, tmp_path, monkeypatch):
+        inherited = []
+        write = os.write
+
+        def checked_write(fd, data):
+            inherited.append(os.get_inheritable(fd))
+            return write(fd, data)
+
+        monkeypatch.setattr(os, "write", checked_write)
+        old_umask = os.umask(0o027)
+        try:
+            assert main(["bell-sweep", "--mode", "exact", "--angles", "30", "--output", str(tmp_path / "rows.csv")]) == 0
+        finally:
+            os.umask(old_umask)
+        assert (tmp_path / "rows.csv").stat().st_mode & 0o777 == 0o640
+        assert inherited and not any(inherited)
+
+    def test_shorter_table_truncates_the_file(self, tmp_path):
+        out = tmp_path / "rows.json"
+        argv = ["bell-sweep", "--mode", "exact", "--format", "json", "--output", str(out)]
+        assert main([*argv, "--angles", "10,20,30"]) == 0
+        longer = out.stat().st_size
+        assert main([*argv, "--angles", "30"]) == 0
+        rows = json.loads(out.read_bytes())
+        assert [r["delta_deg"] for r in rows] == [30.0, 30.0] and out.stat().st_size < longer
 
 
 class TestOneDeclaration:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bellfield.angles import PI, PolAngle
-from bellfield.bell import BETA, split_backend
+from bellfield.bell import BETA, Mrf3Params, split_backend
 from bellfield.dist import (
     KERNEL_REACH,
     MAX_HARMONIC,
@@ -390,37 +390,56 @@ def seven_image_kernel(grid, center, sigma):
 
 class TestWrappedGaussianImages:
     """Leaving out the images, and the cells of an image, that the kernel
-    cannot reach changes no bit."""
+    cannot reach changes no bit, on the windowed path (a ``grid_points``
+    array itself) and on the whole-array one (any other grid)."""
 
     SIGMAS = (1e-300, 1e-30, 1e-18, 1e-10, 1e-3, 0.005, 0.05, PI / 16)
 
     @staticmethod
-    def centres(grid, rng):
+    def centres(grid, sigma, rng):
         on_grid = rng.choice(grid.ravel(), 4)
         # an image of these lands within rounding of the last grid point
         seams = [grid.max() + k * PI for k in (1, 2, 3)]
-        return [*rng.uniform(0.0, 1.5 * PI, 6), *on_grid, 0.0, PI / 2, PI, 3 * PI / 2, *seams]
+        # a window edge within one cell of 38.604 widths of a sample
+        cell = PI / grid.size
+        edges = [
+            x + s * (38.604 * sigma + f * cell) for x in rng.choice(grid.ravel(), 2) for s in (-1, 1) for f in (0, 0.5, 1)
+        ]
+        return [*rng.uniform(0.0, 1.5 * PI, 6), *on_grid, 0.0, PI / 2, PI, 3 * PI / 2, *seams, *edges]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize(
-        "grid",
+        "shared, make",
         [
-            *(grid_points(n) for n in (96, 97, 256, 8192)),
-            grid_points(96)[:, None] * np.ones((1, 96)),  # the triphoton tests' 2-D theta
+            *((True, lambda n=n: grid_points(n)) for n in (96, 97, 256, 472, 943, 1885, 8192)),
+            (False, lambda: grid_points(96)[:, None] * np.ones((1, 96))),  # the triphoton tests' 2-D theta
             # 1-D but not ascending: evaluated on the whole array
-            grid_points(1000)[::-1],
-            np.random.default_rng(3).permutation(grid_points(1000)),
+            (False, lambda: grid_points(1000)[::-1]),
+            (False, lambda: np.random.default_rng(3).permutation(grid_points(1000))),
         ],
-        ids=["n96", "n97", "n256", "n8192", "2d96", "descending1000", "shuffled1000"],
+        ids=["n96", "n97", "n256", "n472", "n943", "n1885", "n8192", "2d96", "descending1000", "shuffled1000"],
     )
     @pytest.mark.parametrize("sigma", SIGMAS)
-    def test_bit_identical_to_seven_images(self, grid, sigma):
+    def test_bit_identical_to_seven_images(self, shared, make, sigma):
+        # fetched here, not at collection: a grid evicted from the memo since
+        # would take the whole-array path and leave the windowed one untested
+        grid = make()
         rng = np.random.default_rng(grid.size)
+        grids = (grid, grid.copy()) if shared else (grid,)
         before = grid.copy()
-        for centre in self.centres(grid, rng):
-            got = wrapped_gaussian(grid, float(centre), sigma)
-            assert np.array_equal(got, seven_image_kernel(grid, float(centre), sigma)), centre
+        for centre in self.centres(grid, sigma, rng):
+            want = seven_image_kernel(grid, float(centre), sigma)
+            for g in grids:
+                assert np.array_equal(wrapped_gaussian(g, float(centre), sigma), want), (centre, g is grid)
             assert np.array_equal(grid, before), centre  # evaluated in place, but not in the grid
+
+    def test_one_read_only_grid_per_size(self):
+        grid = grid_points(943)
+        assert grid_points(943) is grid and not grid.flags.writeable
+        # Mrf3Params sizes its grid as an int subclass, which must share the entry
+        params = Mrf3Params(PolAngle.from_degrees(30), PolAngle.from_degrees(0), sigma=0.01)
+        assert params.grid_n == 943 and type(params.grid_n) is not int
+        assert grid_points(params.grid_n) is grid
 
 
 class TestKernelReach:

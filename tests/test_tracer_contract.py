@@ -51,6 +51,7 @@ def test_every_experiment_exits_0(spans):
         "bell.triple_coincidence",
         "bell.brute_force_oracle",
         "bell.coincidence_probability",
+        "dist.wrapped_gaussian",
         "quantum.triphoton_M",
         "quantum.triphoton_Mstar",
         "quantum.triphoton_MRF",
